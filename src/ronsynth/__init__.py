@@ -12,11 +12,9 @@ from .evaluation import NormalityReport, EvalReport, normality_diagnostic, kmean
 from .mechanism import (
     BudgetLedger,
     LedgerEntry,
-    SensitivitySpec,
     aug_cov_sensitivity,
     cov_sensitivity,
     laplace_perturb,
-    ledger_total,
     mean_sensitivity,
     mle_cov_sensitivity,
     split_budget,
@@ -54,7 +52,6 @@ __all__ = [
     "LedgerEntry",
     "PreprocessedDataset",
     "RonProjection",
-    "SensitivitySpec",
     "SynthesisResult",
     "aug_cov_sensitivity",
     "center_with_mean",
@@ -69,7 +66,6 @@ __all__ = [
     "generate_ron",
     "kmeans",
     "laplace_perturb",
-    "ledger_total",
     "load_csv",
     "mean_sensitivity",
     "mle_cov_sensitivity",

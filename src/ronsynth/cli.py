@@ -26,16 +26,14 @@ from .dataset import (
     write_release,
 )
 from .evaluation import EvalReport, normality_diagnostic, kmeans, rmse, silhouette
-from .mechanism import (
-    aug_cov_sensitivity,
-    cov_sensitivity,
-    mean_sensitivity,
-    split_budget,
-)
+from .mechanism import BudgetLedger, mean_sensitivity, split_budget
 from .projection import dimension_guidance, reconstruct
 from .synthesis import (
+    GMM_COV_GROUP,
+    GMM_MEAN_GROUP,
     GmmModel,
     SynthesisResult,
+    covariance_spend,
     mode_transform,
     synth_gmm,
     synth_supervised,
@@ -237,18 +235,14 @@ def cmd_synth(args) -> int:
 
 def _run_pipeline(args, data: Dataset, p: int, epsilon_mu: float,
                   epsilon_sigma: float, rng) -> SynthesisResult:
-    if args.mode == "unsupervised":
-        return synth_unsupervised(data, p, epsilon_mu, epsilon_sigma,
-                                  n_synth=args.samples, rng=rng,
-                                  psd_floor=args.psd_floor)
-    if args.mode == "supervised":
-        return synth_supervised(data, p, epsilon_mu, epsilon_sigma,
-                                n_synth=args.samples, rng=rng,
-                                psd_floor=args.psd_floor)
-    return synth_gmm(data, p, epsilon_mu, epsilon_sigma,
-                     per_class_n_synth=args.samples, rng=rng,
-                     psd_floor=args.psd_floor,
-                     shared_projection=args.shared_projection)
+    if args.mode == "gmm":
+        return synth_gmm(data, p, epsilon_mu, epsilon_sigma,
+                         per_class_n_synth=args.samples, rng=rng,
+                         psd_floor=args.psd_floor,
+                         shared_projection=args.shared_projection)
+    synth = synth_supervised if args.mode == "supervised" else synth_unsupervised
+    return synth(data, p, epsilon_mu, epsilon_sigma, n_synth=args.samples, rng=rng,
+                 psd_floor=args.psd_floor)
 
 
 def _write_projections(result: SynthesisResult, out_dir: str) -> list[str]:
@@ -415,38 +409,34 @@ def cmd_budget(args) -> int:
     if not 1 <= p < args.m:
         raise _UsageError(f"--dim must satisfy 1 <= p < m={args.m}, got {p}")
 
-    spends = []
+    label_bound = args.label_bound if args.mode == "supervised" else None
     if args.mode == "gmm":
         if not args.class_sizes:
             raise _UsageError("gmm budget plan needs --class-sizes N1,N2,...")
         sizes = _parse_int_list(args.class_sizes, "--class-sizes")
-        for idx, n_c in enumerate(sizes):
-            s_mu = mean_sensitivity(args.m, n_c)
-            s_cov = cov_sensitivity(p, n_c)
-            spends.append({"class": idx, "query": "mean", "sensitivity": s_mu,
-                           "epsilon": epsilon_mu, "noise_scale": s_mu / epsilon_mu,
-                           "group": "class_mean"})
-            spends.append({"class": idx, "query": "covariance", "sensitivity": s_cov,
-                           "epsilon": epsilon_sigma, "noise_scale": s_cov / epsilon_sigma,
-                           "group": "class_cov"})
+        groups = (GMM_MEAN_GROUP, GMM_COV_GROUP)
         note = "per-class spends act on disjoint data and compose in parallel"
     else:
         if args.n is None:
             raise _UsageError(f"{args.mode} budget plan needs --n")
-        s_mu = mean_sensitivity(args.m, args.n)
-        spends.append({"query": "mean", "sensitivity": s_mu, "epsilon": epsilon_mu,
-                       "noise_scale": s_mu / epsilon_mu})
-        if args.mode == "supervised":
-            if args.label_bound is None:
-                raise _UsageError("supervised budget plan needs --label-bound")
-            s_cov = aug_cov_sensitivity(p, args.n, args.label_bound)
-            query = "augmented_covariance"
-        else:
-            s_cov = cov_sensitivity(p, args.n)
-            query = "covariance"
-        spends.append({"query": query, "sensitivity": s_cov, "epsilon": epsilon_sigma,
-                       "noise_scale": s_cov / epsilon_sigma})
+        if args.mode == "supervised" and label_bound is None:
+            raise _UsageError("supervised budget plan needs --label-bound")
+        sizes = [args.n]
+        groups = (None, None)
         note = "spends compose serially"
+
+    ledger = BudgetLedger()
+    for n in sizes:
+        ledger.record("mean", mean_sensitivity(args.m, n), epsilon_mu, group=groups[0])
+        ledger.record(*covariance_spend(p, n, label_bound), epsilon_sigma, group=groups[1])
+    spends = []
+    for idx, entry in enumerate(ledger.entries):
+        row = {"class": idx // 2} if args.mode == "gmm" else {}  # two spends per class
+        row.update(query=entry.query, sensitivity=entry.sensitivity, epsilon=entry.epsilon,
+                   noise_scale=entry.sensitivity / entry.epsilon)
+        if entry.group is not None:
+            row["group"] = entry.group
+        spends.append(row)
 
     plan = {
         "mode": args.mode,
@@ -454,7 +444,7 @@ def cmd_budget(args) -> int:
         "p": p,
         "epsilon_mu": epsilon_mu,
         "epsilon_sigma": epsilon_sigma,
-        "total_epsilon": epsilon_mu + epsilon_sigma,
+        "total_epsilon": ledger.total(),
         "spends": spends,
         "note": note,
     }

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VALID_QUERIES = ("mean", "covariance", "augmented_covariance", "mle_covariance")
-
 
 def mean_sensitivity(m: int, n: int) -> float:
     """L1-sensitivity of the sample mean of n unit-norm samples in R^m.
@@ -68,40 +66,6 @@ def mle_cov_sensitivity(p: int, n: int) -> float:
     factored form so the ratio to ``cov_sensitivity`` is exactly n + 1.
     """
     return (n + 1) * cov_sensitivity(p, n)
-
-
-def sensitivity_for(query: str, *, n: int, dim: int, a: float | None = None) -> float:
-    """Closed-form sensitivity for a named query.
-
-    ``dim`` is the ambient dimension of the query output: m for the
-    mean, p for the covariance variants.
-    """
-    if query == "mean":
-        return mean_sensitivity(dim, n)
-    if query == "covariance":
-        return cov_sensitivity(dim, n)
-    if query == "augmented_covariance":
-        if a is None:
-            raise ValueError("augmented_covariance needs the label bound a")
-        return aug_cov_sensitivity(dim, n, a)
-    if query == "mle_covariance":
-        return mle_cov_sensitivity(dim, n)
-    raise ValueError(f"unknown query {query!r}, expected one of {VALID_QUERIES}")
-
-
-@dataclass(frozen=True)
-class SensitivitySpec:
-    """A named query together with its closed-form L1-sensitivity."""
-
-    query: str
-    value: float
-    n: int
-    dim: int
-    a: float | None = None
-
-    @classmethod
-    def for_query(cls, query: str, *, n: int, dim: int, a: float | None = None) -> "SensitivitySpec":
-        return cls(query=query, value=sensitivity_for(query, n=n, dim=dim, a=a), n=n, dim=dim, a=a)
 
 
 def laplace_perturb(values: np.ndarray, scale_b: float, rng: np.random.Generator) -> np.ndarray:
@@ -216,7 +180,3 @@ class BudgetLedger:
         lines.append(f"total epsilon: {self.total():.6g}")
         return "\n".join(lines)
 
-
-def ledger_total(ledger: BudgetLedger) -> float:
-    """Total epsilon of a ledger (module-level alias of ``total``)."""
-    return ledger.total()

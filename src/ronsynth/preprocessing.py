@@ -43,7 +43,6 @@ class PreprocessedDataset:
 
     x_bar: np.ndarray
     mu_dp: np.ndarray
-    epsilon_mu_spent: float
     zero_norm_rows_dropped: int
     kept_indices: np.ndarray
 
@@ -126,7 +125,6 @@ def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
     return PreprocessedDataset(
         x_bar=x_bar,
         mu_dp=mu_dp,
-        epsilon_mu_spent=0.0,
         zero_norm_rows_dropped=dropped,
         kept_indices=np.flatnonzero(keep),
     )
@@ -149,14 +147,4 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator | None
         if rng is None:
             raise ValueError("rng is required when deriving a fresh DP mean")
         mu_dp = dp_mean(X1, epsilon_mu, rng, ledger=ledger, group=group)
-        spent = 0.0 if math.isinf(epsilon_mu) else epsilon_mu
-    else:
-        spent = 0.0
-    result = center_with_mean(X1, mu_dp)
-    return PreprocessedDataset(
-        x_bar=result.x_bar,
-        mu_dp=np.asarray(mu_dp, dtype=float),
-        epsilon_mu_spent=spent,
-        zero_norm_rows_dropped=result.zero_norm_rows_dropped,
-        kept_indices=result.kept_indices,
-    )
+    return center_with_mean(X1, mu_dp)

@@ -28,7 +28,6 @@ class RonProjection:
     W: np.ndarray
     m: int
     p: int
-    seed: int | None = None
     matrix_law: str = "uniform"
 
     def __post_init__(self):
@@ -43,7 +42,7 @@ class RonProjection:
         object.__setattr__(self, "W", W)
 
 
-def generate_ron(m: int, p: int, rng: np.random.Generator, seed: int | None = None,
+def generate_ron(m: int, p: int, rng: np.random.Generator,
                  matrix_law: str = "uniform") -> RonProjection:
     """Draw a random m x p matrix with orthonormal columns.
 
@@ -54,9 +53,6 @@ def generate_ron(m: int, p: int, rng: np.random.Generator, seed: int | None = No
     makes the column distribution exactly rotation-invariant (Haar);
     the uniform form is the default because it is the cheaper, original
     construction.
-
-    ``seed`` is provenance only (recorded, not consumed); randomness
-    comes from ``rng``.
     """
     if not 1 <= p < m:
         raise ValueError(f"need 1 <= p < m, got p={p}, m={m}")
@@ -81,7 +77,7 @@ def generate_ron(m: int, p: int, rng: np.random.Generator, seed: int | None = No
             continue
         if matrix_law == "gaussian":
             Q = Q * np.sign(diag)
-        return RonProjection(W=Q[:, :p], m=m, p=p, seed=seed, matrix_law=matrix_law)
+        return RonProjection(W=Q[:, :p], m=m, p=p, matrix_law=matrix_law)
     raise np.linalg.LinAlgError(
         f"failed to build an orthonormal basis after {_QR_RETRIES} attempts: {last_err}"
     )

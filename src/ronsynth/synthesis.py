@@ -1,8 +1,9 @@
 """Gaussian generative models over the projected space.
 
-Three release pipelines share the same skeleton: preprocess, project,
+All three release modes fit through one core: preprocess, project,
 estimate a second-moment matrix, add Laplace noise calibrated to its
-sensitivity, repair the noisy matrix to the PSD cone, and sample.
+sensitivity, and repair the noisy matrix to the PSD cone. Each mode
+then samples from the fitted Gaussian (one per class for the mixture).
 
 The covariance estimate deliberately skips mean subtraction. With
 samples of norm at most 1 after projection, replacing one sample moves
@@ -38,12 +39,10 @@ GMM_COV_GROUP = "class_cov"
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """A DP-protected Gaussian: mean, covariance, and repair metadata."""
+    """A DP-protected Gaussian: mean and covariance."""
 
     mean: np.ndarray
     covariance: np.ndarray
-    psd_floor_applied: bool = False
-    eigen_floor: float = 0.0
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -106,7 +105,6 @@ class SynthesisResult:
     psd_repair_applied: bool
     projection: RonProjection | None = None
     mu_dp: np.ndarray | None = None
-    samples_dropped: int = 0
 
 
 def estimate_cov(X_tilde: np.ndarray) -> np.ndarray:
@@ -213,6 +211,47 @@ def _released_names(p: int) -> tuple[str, ...]:
     return tuple(f"z{j + 1}" for j in range(p))
 
 
+def covariance_spend(p: int, n: int,
+                     label_bound: float | None = None) -> tuple[str, float]:
+    """Ledger query and sensitivity of the second moment of n samples.
+
+    A label bound selects the label-augmented matrix. Releases and
+    ``ronsynth budget`` both account through this function.
+    """
+    if label_bound is None:
+        return "covariance", cov_sensitivity(p, n)
+    return "augmented_covariance", aug_cov_sensitivity(p, n, label_bound)
+
+
+def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
+         rng: np.random.Generator, ledger: BudgetLedger, psd_floor: float,
+         projection: RonProjection | None = None, labels: np.ndarray | None = None,
+         label_bound: float | None = None, groups: tuple = (None, None)):
+    """The fitting core of every release mode.
+
+    Preprocesses X, projects it (onto a fresh basis unless one is
+    given), estimates the second moment (label-augmented when a label
+    bound is given), Laplace-perturbs it and repairs it to the PSD
+    cone. Returns (preprocessed, projection, covariance, repaired).
+    """
+    m = X.shape[0]
+    pre = preprocess(X, epsilon_mu, rng, ledger=ledger, group=groups[0])
+    proj = projection if projection is not None else generate_ron(m, p, rng)
+    if proj.m != m or proj.p != p:
+        raise ValueError(f"projection is {proj.m}x{proj.p}, pipeline needs {m}x{p}")
+    x_tilde = project(proj, pre.x_bar)
+    if label_bound is None:
+        second = estimate_cov(x_tilde)
+    else:
+        second = estimate_aug_cov(x_tilde, labels[pre.kept_indices],
+                                  label_bound=label_bound)
+    query, sensitivity = covariance_spend(p, x_tilde.shape[1], label_bound)
+    noisy = dp_perturb_cov(second, sensitivity, epsilon_sigma, rng, ledger=ledger,
+                           query=query, group=groups[1])
+    cov, repaired = psd_repair(noisy, psd_floor)
+    return pre, proj, cov, repaired
+
+
 def synth_unsupervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                        n_synth: int | None = None,
                        rng: np.random.Generator | None = None,
@@ -223,32 +262,8 @@ def synth_unsupervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
     Total privacy cost is epsilon_mu + epsilon_sigma (two serial
     spends). n_synth defaults to the source sample count.
     """
-    if rng is None:
-        rng = np.random.default_rng()
-    m, n = data.features.shape
-    _check_dims(p, m)
-    ledger = BudgetLedger()
-
-    pre = preprocess(data.features, epsilon_mu, rng, ledger=ledger)
-    proj = projection if projection is not None else generate_ron(m, p, rng)
-    if proj.m != m or proj.p != p:
-        raise ValueError(f"projection is {proj.m}x{proj.p}, pipeline needs {m}x{p}")
-    x_tilde = project(proj, pre.x_bar)
-    n_kept = x_tilde.shape[1]
-
-    cov = estimate_cov(x_tilde)
-    cov_dp = dp_perturb_cov(cov, cov_sensitivity(p, n_kept), epsilon_sigma, rng,
-                            ledger=ledger)
-    cov_psd, repaired = psd_repair(cov_dp, psd_floor)
-    model = GaussianModel(np.zeros(p), cov_psd, repaired, psd_floor)
-
-    count = n if n_synth is None else n_synth
-    samples = sample_gaussian(model, count, rng)
-    release = Dataset(features=samples, feature_names=_released_names(p))
-    return SynthesisResult(
-        dataset=release, model=model, ledger=ledger, psd_repair_applied=repaired,
-        projection=proj, mu_dp=pre.mu_dp, samples_dropped=pre.zero_norm_rows_dropped,
-    )
+    return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng,
+                              psd_floor, projection)
 
 
 def synth_supervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -270,38 +285,28 @@ def synth_supervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: fl
         raise ValueError("supervised synthesis needs real-valued labels")
     if data.label_bound is None:
         raise ValueError("supervised synthesis needs a declared label bound")
-    if rng is None:
-        rng = np.random.default_rng()
-    a = data.label_bound
+    return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng,
+                              psd_floor, projection, label_bound=data.label_bound)
+
+
+def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
+                       n_synth: int | None, rng: np.random.Generator | None,
+                       psd_floor: float, projection: RonProjection | None,
+                       label_bound: float | None = None) -> SynthesisResult:
+    """Fit and sample one zero-mean Gaussian; with a label bound, the
+    labels are its last coordinate."""
+    rng = np.random.default_rng(rng)  # returns a given Generator unchanged
     m, n = data.features.shape
     _check_dims(p, m)
     ledger = BudgetLedger()
-
-    pre = preprocess(data.features, epsilon_mu, rng, ledger=ledger)
-    y = data.labels[pre.kept_indices]
-    proj = projection if projection is not None else generate_ron(m, p, rng)
-    if proj.m != m or proj.p != p:
-        raise ValueError(f"projection is {proj.m}x{proj.p}, pipeline needs {m}x{p}")
-    x_tilde = project(proj, pre.x_bar)
-    n_kept = x_tilde.shape[1]
-
-    aug = estimate_aug_cov(x_tilde, y, label_bound=a)
-    aug_dp = dp_perturb_cov(aug, aug_cov_sensitivity(p, n_kept, a), epsilon_sigma,
-                            rng, ledger=ledger, query="augmented_covariance")
-    aug_psd, repaired = psd_repair(aug_dp, psd_floor)
-    model = GaussianModel(np.zeros(p + 1), aug_psd, repaired, psd_floor)
-
-    count = n if n_synth is None else n_synth
-    samples = sample_gaussian(model, count, rng)
-    release = Dataset(
-        features=samples[:p, :],
-        labels=samples[p, :],
-        feature_names=_released_names(p),
-    )
-    return SynthesisResult(
-        dataset=release, model=model, ledger=ledger, psd_repair_applied=repaired,
-        projection=proj, mu_dp=pre.mu_dp, samples_dropped=pre.zero_norm_rows_dropped,
-    )
+    pre, proj, cov, repaired = _fit(data.features, p, epsilon_mu, epsilon_sigma, rng,
+                                    ledger, psd_floor, projection, data.labels, label_bound)
+    model = GaussianModel(np.zeros(cov.shape[0]), cov)
+    samples = sample_gaussian(model, n if n_synth is None else n_synth, rng)
+    release = Dataset(features=samples[:p], feature_names=_released_names(p),
+                      labels=None if label_bound is None else samples[p])
+    return SynthesisResult(dataset=release, model=model, ledger=ledger,
+                           psd_repair_applied=repaired, projection=proj, mu_dp=pre.mu_dp)
 
 
 def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -326,9 +331,8 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     """
     if data.class_labels is None:
         raise ValueError("mixture synthesis needs categorical class labels")
-    if rng is None:
-        rng = np.random.default_rng()
-    m, n = data.features.shape
+    rng = np.random.default_rng(rng)  # returns a given Generator unchanged
+    m = data.features.shape[0]
     _check_dims(p, m)
     ledger = BudgetLedger()
 
@@ -342,35 +346,19 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     feature_blocks: list[np.ndarray] = []
     label_blocks: list[np.ndarray] = []
     any_repair = False
-    dropped_total = 0
     for name, class_rng in zip(class_names, class_rngs):
         mask = data.class_labels == name
-        n_c = int(np.count_nonzero(mask))
-        if n_c < 1:
-            raise ValueError(f"class {name!r} has no samples")
-        X_c = data.features[:, mask]
-
-        pre = preprocess(X_c, epsilon_mu, class_rng, ledger=ledger,
-                         group=GMM_MEAN_GROUP)
-        dropped_total += pre.zero_norm_rows_dropped
-        proj = shared if shared is not None else generate_ron(m, p, class_rng)
-        x_tilde = project(proj, pre.x_bar)
-        n_kept = x_tilde.shape[1]
-
-        cov = estimate_cov(x_tilde)
-        cov_dp = dp_perturb_cov(cov, cov_sensitivity(p, n_kept), epsilon_sigma,
-                                class_rng, ledger=ledger, group=GMM_COV_GROUP)
-        cov_psd, repaired = psd_repair(cov_dp, psd_floor)
+        pre, proj, cov, repaired = _fit(data.features[:, mask], p, epsilon_mu,
+                                        epsilon_sigma, class_rng, ledger, psd_floor,
+                                        shared, groups=(GMM_MEAN_GROUP, GMM_COV_GROUP))
         any_repair = any_repair or repaired
-
-        mean_c = proj.W.T @ pre.mu_dp
-        model_c = GaussianModel(mean_c, cov_psd, repaired, psd_floor)
+        model_c = GaussianModel(proj.W.T @ pre.mu_dp, cov)
+        n_c = int(np.count_nonzero(mask))
         modes.append(GmmMode(label=name, n_c=n_c, model=model_c,
                              projection=proj, mu_dp=pre.mu_dp))
 
         count = counts.get(name, n_c)
-        samples = sample_gaussian(model_c, count, class_rng)
-        feature_blocks.append(samples)
+        feature_blocks.append(sample_gaussian(model_c, count, class_rng))
         label_blocks.append(np.full(count, name))
 
     release = Dataset(
@@ -378,11 +366,8 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
         class_labels=np.concatenate(label_blocks),
         feature_names=_released_names(p),
     )
-    return SynthesisResult(
-        dataset=release, model=GmmModel(tuple(modes)), ledger=ledger,
-        psd_repair_applied=any_repair, projection=shared, mu_dp=None,
-        samples_dropped=dropped_total,
-    )
+    return SynthesisResult(dataset=release, model=GmmModel(tuple(modes)), ledger=ledger,
+                           psd_repair_applied=any_repair, projection=shared)
 
 
 def transform_features(mu_dp: np.ndarray, proj: RonProjection,

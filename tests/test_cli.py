@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from ronsynth.cli import default_dim, main
+from ronsynth.dataset import Dataset
+from ronsynth.mechanism import split_budget
+from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 
 REQUIRED_META_KEYS = {
     "mode", "m", "p", "n", "n_synth", "epsilon_total", "epsilon_mu",
@@ -213,6 +216,38 @@ class TestBudgetCommand:
         scale_unsup = unsup["spends"][1]["noise_scale"]
         scale_sup = sup["spends"][1]["noise_scale"]
         assert scale_sup > scale_unsup
+
+    @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "gmm"])
+    def test_plan_matches_release_ledger(self, mode, capsys):
+        # the printed plan and a seeded release of data with the same
+        # m, n, p and class sizes must account identically
+        m, p, sizes = 9, 3, (40, 70, 55)
+        n = sum(sizes)
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(m, n))
+        eps_mu, eps_sigma = split_budget(1.3, 0.4)
+        argv = ["budget", "--mode", mode, "--epsilon", "1.3", "--mu-ratio", "0.4",
+                "--m", str(m), "--dim", str(p)]
+        if mode == "gmm":
+            names = np.repeat(["a", "b", "c"], sizes)
+            result = synth_gmm(Dataset(features=X, class_labels=names), p, eps_mu,
+                               eps_sigma, rng=rng)
+            argv += ["--class-sizes", ",".join(map(str, sizes))]
+        elif mode == "supervised":
+            data = Dataset(features=X, labels=rng.uniform(-2, 2, n), label_bound=2.0)
+            result = synth_supervised(data, p, eps_mu, eps_sigma, rng=rng)
+            argv += ["--n", str(n), "--label-bound", "2"]
+        else:
+            result = synth_unsupervised(Dataset(features=X), p, eps_mu, eps_sigma, rng=rng)
+            argv += ["--n", str(n)]
+        assert main(argv) == 0
+        plan = json.loads(capsys.readouterr().out)
+        printed = [(s["query"], s["sensitivity"], s["epsilon"], s.get("group"))
+                   for s in plan["spends"]]
+        spent = [(e.query, e.sensitivity, e.epsilon, e.group)
+                 for e in result.ledger.entries]
+        assert printed == spent
+        assert plan["total_epsilon"] == result.ledger.total()
 
     def test_gmm_needs_class_sizes(self):
         assert main(["budget", "--mode", "gmm", "--m", "10", "--dim", "2"]) == 1

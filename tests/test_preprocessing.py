@@ -96,7 +96,6 @@ class TestPreprocess:
         pre = preprocess(X, 1.0, np.random.default_rng(0))
         assert np.allclose(np.linalg.norm(pre.x_bar, axis=0), 1.0, atol=1e-12)
         assert pre.mu_dp.shape == (8,)
-        assert pre.epsilon_mu_spent == 1.0
         assert pre.zero_norm_rows_dropped == 0
 
     def test_neighbors_differ_in_exactly_one_column_given_same_mean(self):
@@ -138,7 +137,8 @@ class TestPreprocess:
     def test_center_with_mean_spends_nothing(self):
         X = np.random.default_rng(14).normal(size=(5, 20))
         out = center_with_mean(X, np.zeros(5))
-        assert out.epsilon_mu_spent == 0.0
+        # the given mean is used as released: no noise is drawn for it
+        assert np.array_equal(out.mu_dp, np.zeros(5))
         assert np.allclose(np.linalg.norm(out.x_bar, axis=0), 1.0)
 
 
