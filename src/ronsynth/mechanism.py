@@ -34,36 +34,38 @@ def mean_sensitivity(m: int, n: int) -> float:
 
 
 def cov_sensitivity(p: int, n: int) -> float:
-    """L1-sensitivity of the second-moment matrix (1/n) * X Xᵀ.
+    """Entrywise L1-sensitivity of the upper triangle of (1/n) * X Xᵀ.
 
-    Valid when every column of X has Euclidean norm at most 1, which
-    holds for unit-norm data pushed through an orthonormal projection.
+    The mechanism noises the entries i <= j and mirrors them, as in
+    Dwork et al., "Analyze Gauss" (STOC 2014). Replacing x by x' moves
+    that triangle by at most (T(x) + T(x'))/n, where for ||x||_2 <= 1
+    T(x) = sum_{i<=j} |x_i x_j| = (||x||_1^2 + ||x||_2^2)/2 <= (p+1)/2.
     """
     if p < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got p={p}, n={n}")
-    return 2.0 * math.sqrt(p) / n
+    return (p + 1.0) / n
 
 
 def aug_cov_sensitivity(p: int, n: int, a: float) -> float:
-    """L1-sensitivity of the label-augmented second-moment matrix.
+    """Entrywise L1-sensitivity of the augmented matrix's upper triangle.
 
-    The feature block contributes 2*sqrt(p)/n, the two cross blocks
-    contribute 4*a*sqrt(p)/n, and the scalar label block a^2/n, for
-    labels bounded in [-a, a].
+    For labels in [-a, a]: the feature block contributes (p+1)/n as in
+    ``cov_sensitivity``, the label column 2*a*sqrt(p)/n (sum_i |x_i y|
+    <= a*sqrt(p) per sample), and the corner |y^2 - y'^2|/n <= a^2/n.
     """
     if p < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got p={p}, n={n}")
     if a <= 0:
         raise ValueError(f"label bound must be positive, got a={a}")
-    return (2.0 * math.sqrt(p) + 4.0 * a * math.sqrt(p) + a * a) / n
+    return (p + 1.0 + 2.0 * a * math.sqrt(p) + a * a) / n
 
 
 def mle_cov_sensitivity(p: int, n: int) -> float:
     """L1-sensitivity of the mean-subtracted (MLE) covariance estimate.
 
     Exposed for comparison only -- the release path never calibrates
-    noise with it. Equals (2*sqrt(p) + 2*n*sqrt(p))/n, computed in
-    factored form so the ratio to ``cov_sensitivity`` is exactly n + 1.
+    noise with it. Equals (n + 1) * (p + 1)/n, computed in factored form
+    so the ratio to ``cov_sensitivity`` is exactly n + 1.
     """
     return (n + 1) * cov_sensitivity(p, n)
 

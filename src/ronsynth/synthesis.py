@@ -7,10 +7,10 @@ then samples from the fitted Gaussian (one per class for the mixture).
 
 The covariance estimate deliberately skips mean subtraction. With
 samples of norm at most 1 after projection, replacing one sample moves
-(1/n) * X Xᵀ by at most 2*sqrt(p)/n in L1, whereas the mean-subtracted
-estimate couples every summand through the mean and its sensitivity is
-worse by a factor of n + 1. The small bias is the price of a usable
-noise level.
+the upper triangle of (1/n) * X Xᵀ by at most (p+1)/n in entrywise L1,
+whereas the mean-subtracted estimate couples every summand through the
+mean and its sensitivity is worse by a factor of n + 1. The small bias
+is the price of a usable noise level.
 """
 
 from __future__ import annotations
@@ -150,22 +150,25 @@ def estimate_aug_cov(X_tilde: np.ndarray, y: np.ndarray,
 def dp_perturb_cov(cov: np.ndarray, sensitivity: float, epsilon_sigma: float,
                    rng: np.random.Generator, ledger: BudgetLedger | None = None,
                    query: str = "covariance", group: str | None = None) -> np.ndarray:
-    """Laplace-perturb every entry of a covariance, then symmetrize.
+    """Laplace-perturb the upper triangle of a covariance and mirror it.
 
-    Noise of scale sensitivity/epsilon_sigma is added to the full
-    matrix (both triangles), matching the mechanism's per-entry form;
-    averaging with the transpose afterwards is plain post-processing
-    and costs nothing. epsilon_sigma=math.inf disables the noise.
+    Each entry i <= j, the entries the sensitivity covers, gets noise of
+    scale sensitivity/epsilon_sigma once; the lower triangle copies it.
+    epsilon_sigma=math.inf disables the noise.
     """
     cov = np.asarray(cov, dtype=float)
     if epsilon_sigma <= 0:
         raise ValueError(f"epsilon_sigma must be positive, got {epsilon_sigma}")
-    if math.isinf(epsilon_sigma):
-        return (cov + cov.T) / 2.0
-    if ledger is not None:
-        ledger.record(query, sensitivity, epsilon_sigma, group=group)
-    noisy = laplace_perturb(cov, sensitivity / epsilon_sigma, rng)
-    return (noisy + noisy.T) / 2.0
+    upper = np.triu_indices(cov.shape[0])
+    values = cov[upper]
+    if not math.isinf(epsilon_sigma):
+        if ledger is not None:
+            ledger.record(query, sensitivity, epsilon_sigma, group=group)
+        values = laplace_perturb(values, sensitivity / epsilon_sigma, rng)
+    noisy = np.empty_like(cov)
+    noisy[upper] = values
+    noisy.T[upper] = values
+    return noisy
 
 
 def psd_repair(cov: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, bool]:

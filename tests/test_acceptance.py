@@ -76,9 +76,14 @@ def test_criterion_02_projection_norm_bound():
            f"{violations} violations")
 
 
+def upper_l1(A):
+    """Entrywise L1 norm over the upper triangle, the entries that get noise."""
+    return float(np.abs(A[np.triu_indices(A.shape[0])]).sum())
+
+
 def test_criterion_03_sensitivity_soundness():
-    # matrix-valued gaps use the matrix 1-norm (max abs column sum);
-    # for vectors it coincides with the plain L1 norm
+    # matrix-valued gaps use the entrywise L1 norm over the upper
+    # triangle, which is where the covariance mechanism adds noise
     rng = np.random.default_rng(103)
     start = time.monotonic()
     failures = []
@@ -99,7 +104,7 @@ def test_criterion_03_sensitivity_soundness():
         X = unit_columns(rng, p, n)
         Xp = X.copy()
         Xp[:, rng.integers(n)] = unit_columns(rng, p, 1)[:, 0]
-        gap = np.linalg.norm(estimate_cov(X) - estimate_cov(Xp), 1)
+        gap = upper_l1(estimate_cov(X) - estimate_cov(Xp))
         if gap > cov_sensitivity(p, n):
             failures.append(("covariance", p, n, gap))
 
@@ -113,13 +118,32 @@ def test_criterion_03_sensitivity_soundness():
         j = rng.integers(n)
         Xp[:, j] = unit_columns(rng, p, 1)[:, 0]
         yp[j] = rng.uniform(-a, a)
-        gap = np.linalg.norm(estimate_aug_cov(X, y) - estimate_aug_cov(Xp, yp), 1)
+        gap = upper_l1(estimate_aug_cov(X, y) - estimate_aug_cov(Xp, yp))
         if gap > aug_cov_sensitivity(p, n, a):
             failures.append(("augmented", p, n, gap))
 
+    # adversarial pair: the flat unit vector 1/sqrt(p) against e_1
+    # maximizes the L1 norm and so the upper-triangle mass
+    for p in range(1, 51):
+        n = int(rng.integers(1, 201))
+        X = unit_columns(rng, p, n)
+        y = rng.uniform(-a, a, size=n)
+        Xp, yp = X.copy(), y.copy()
+        X[:, 0] = 1.0 / np.sqrt(p)
+        Xp[:, 0] = np.eye(p)[0]
+        gap = upper_l1(estimate_cov(X) - estimate_cov(Xp))
+        if gap > cov_sensitivity(p, n):
+            failures.append(("adversarial covariance", p, n, gap))
+        for y0, y0p in ((a, 0.0), (a, -a)):
+            y[0], yp[0] = y0, y0p
+            gap = upper_l1(estimate_aug_cov(X, y) - estimate_aug_cov(Xp, yp))
+            if gap > aug_cov_sensitivity(p, n, a):
+                failures.append(("adversarial augmented", p, n, gap))
+
     elapsed = time.monotonic() - start
     report(3, not failures and elapsed < 60.0,
-           f"3x1000 neighboring pairs, {len(failures)} violations, {elapsed:.1f}s")
+           f"3x1000 random and 150 adversarial neighboring pairs, "
+           f"{len(failures)} violations, {elapsed:.1f}s")
 
 
 def test_criterion_04_mle_comparison():

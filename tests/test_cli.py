@@ -194,7 +194,7 @@ class TestBudgetCommand:
         assert code == 0
         plan = json.loads(capsys.readouterr().out)
         aug = [s for s in plan["spends"] if s["query"] == "augmented_covariance"][0]
-        assert aug["noise_scale"] == pytest.approx(0.13 / 0.7, rel=1e-12)
+        assert aug["noise_scale"] == pytest.approx(0.10 / 0.7, rel=1e-12)
         assert plan["total_epsilon"] == 1.0
 
     def test_gmm_plan_has_per_class_rows_and_parallel_total(self, capsys):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -24,19 +22,20 @@ class TestSensitivities:
         assert mean_sensitivity(100, 27936) == pytest.approx(7.158e-4, rel=1e-3)
 
     def test_cov_sensitivity_values(self):
-        assert cov_sensitivity(9, 100) == pytest.approx(0.06)
+        assert cov_sensitivity(9, 100) == pytest.approx(0.1)
         assert cov_sensitivity(1, 1) == 2.0
 
     def test_projection_reduces_sensitivity(self):
-        # same n: going from 100 raw dims to 10 projected dims divides
-        # the noise calibration by sqrt(10) ~ 3.16
+        # same n: the 100-dim mean costs 2*sqrt(100) = 20, the 10-dim
+        # projected second moment 10 + 1 = 11
         n = 1000
         ratio = mean_sensitivity(100, n) / cov_sensitivity(10, n)
-        assert ratio == pytest.approx(math.sqrt(10))
+        assert ratio == pytest.approx(20.0 / 11.0)
 
     def test_aug_cov_sensitivity_values(self):
-        assert aug_cov_sensitivity(4, 100, 1.0) == pytest.approx(0.13)
-        assert aug_cov_sensitivity(4, 100, 2.0) == pytest.approx(0.24)
+        # (p + 1 + 2*a*sqrt(p) + a^2) / n
+        assert aug_cov_sensitivity(4, 100, 1.0) == pytest.approx(0.10)
+        assert aug_cov_sensitivity(4, 100, 2.0) == pytest.approx(0.17)
 
     def test_aug_cov_reduces_to_cov_when_labels_vanish(self):
         assert aug_cov_sensitivity(7, 50, 1e-12) == pytest.approx(cov_sensitivity(7, 50))
@@ -48,7 +47,7 @@ class TestSensitivities:
             aug_cov_sensitivity(4, 100, -1.0)
 
     def test_mle_cov_sensitivity_values(self):
-        assert mle_cov_sensitivity(4, 100) == pytest.approx(4.04)
+        assert mle_cov_sensitivity(4, 100) == pytest.approx(5.05)
         assert mle_cov_sensitivity(1, 1) == 4.0
 
     def test_mle_to_biased_ratio_is_exactly_n_plus_1(self):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from ronsynth.dataset import Dataset
-from ronsynth.mechanism import BudgetLedger, aug_cov_sensitivity, cov_sensitivity
+from ronsynth.mechanism import (
+    BudgetLedger,
+    aug_cov_sensitivity,
+    cov_sensitivity,
+    laplace_perturb,
+)
 from ronsynth.projection import generate_ron
 from ronsynth.synthesis import (
     GaussianModel,
@@ -91,9 +96,19 @@ class TestDpPerturbCov:
         assert np.array_equal(dp_perturb_cov(cov, 0.1, math.inf,
                                              np.random.default_rng(0)), cov)
 
+    def test_noise_drawn_once_per_upper_entry_and_mirrored(self):
+        # one Laplace draw per entry i <= j, the entries the sensitivity
+        # covers; the lower triangle repeats them
+        cov = estimate_cov(np.random.default_rng(6).normal(size=(4, 20)))
+        noisy = dp_perturb_cov(cov, 0.1, 0.5, np.random.default_rng(2))
+        upper = np.triu_indices(4)
+        expected = laplace_perturb(cov[upper], 0.2, np.random.default_rng(2))
+        assert np.array_equal(noisy[upper], expected)
+        assert np.array_equal(noisy, noisy.T)
+
     def test_noise_scale_calibration(self):
-        # p=9, n=100, eps_sigma=0.7 -> b = 0.06/0.7
-        assert cov_sensitivity(9, 100) / 0.7 == pytest.approx(0.0857142857142857)
+        # p=9, n=100, eps_sigma=0.7 -> b = 0.1/0.7
+        assert cov_sensitivity(9, 100) / 0.7 == pytest.approx(0.14285714285714285)
 
     def test_ledger_records_spend(self):
         cov = np.eye(3)
@@ -355,12 +370,15 @@ class TestGmmPipeline:
         assert np.array_equal(a.dataset.features, b.dataset.features)
 
 
+def upper_l1(A):
+    return float(np.abs(A[np.triu_indices(A.shape[0])]).sum())
+
+
 class TestEmpiricalSensitivity:
     """Monte-Carlo soundness of the closed-form bounds (module scale).
 
-    Matrix-valued gaps are measured in the matrix 1-norm (max absolute
-    column sum); the summed-entries reading provably exceeds the
-    closed forms for outer-product differences.
+    Matrix-valued gaps are measured in the entrywise L1 norm over the
+    upper triangle, the entries the mechanism adds noise to.
     """
 
     def test_second_moment_sensitivity(self):
@@ -372,7 +390,7 @@ class TestEmpiricalSensitivity:
             Xp = X.copy()
             col = rng.normal(size=p)
             Xp[:, rng.integers(n)] = col / np.linalg.norm(col)
-            gap = np.linalg.norm(estimate_cov(X) - estimate_cov(Xp), 1)
+            gap = upper_l1(estimate_cov(X) - estimate_cov(Xp))
             assert gap <= bound
 
     def test_augmented_sensitivity(self):
@@ -387,7 +405,7 @@ class TestEmpiricalSensitivity:
             col = rng.normal(size=p)
             Xp[:, j] = col / np.linalg.norm(col)
             yp[j] = rng.uniform(-a, a)
-            gap = np.linalg.norm(estimate_aug_cov(X, y) - estimate_aug_cov(Xp, yp), 1)
+            gap = upper_l1(estimate_aug_cov(X, y) - estimate_aug_cov(Xp, yp))
             assert gap <= bound
 
 
