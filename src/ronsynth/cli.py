@@ -294,9 +294,9 @@ def _sweep_metric(args, data: Dataset, result: SynthesisResult) -> dict:
     release = result.dataset
     if args.mode == "supervised":
         coef = learners.ols_fit(release.features, release.labels)
-        feats, kept = transform_features(result.mu_dp, result.projection, data.features)
+        feats = transform_features(result.mu_dp, result.projection, data.features)
         pred = learners.ols_predict(coef, feats)
-        return {"metric": "rmse", "value": rmse(pred, data.labels[kept])}
+        return {"metric": "rmse", "value": rmse(pred, data.labels)}
     if args.mode == "gmm":
         means = learners.class_means(release.features, release.class_labels)
         scores = np.stack([

@@ -6,19 +6,22 @@ The stage runs four steps on an m x n matrix whose columns are samples:
 2. compute a DP estimate of the column mean with Laplace noise at
    scale 2*sqrt(m)/(n * epsilon_mu),
 3. subtract that mean from every column,
-4. re-normalize the centered columns to unit norm.
+4. re-normalize the centered columns to unit norm; a column that
+   collapses onto the mean (centered norm at most DEGENERATE_NORM)
+   becomes the zero vector instead.
 
 Unit norms before step 2 are what make the mean's sensitivity bound
-valid, and unit norms after step 4 are what the projection and
-covariance sensitivity bounds downstream rely on. Because every column
-is divided by its own norm, neighboring datasets still differ in only
-one column after the whole stage (given the same released mean).
+valid, and norms of at most 1 after step 4 are what the projection and
+covariance sensitivity bounds downstream rely on. Every input column
+keeps its place, so the sample count n that calibrates the noise is the
+public input size. Because every column is mapped on its own,
+neighboring datasets still differ in only one column after the whole
+stage (given the same released mean).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,22 +36,18 @@ DEGENERATE_NORM = 1e-12
 class PreprocessedDataset:
     """Output of the preprocessing stage.
 
-    x_bar holds the centered, re-normalized samples (every column has
-    unit norm). mu_dp is the released DP mean of the pre-normalized
-    data; it is safe to publish and is reused to transform held-out
-    data into the same geometry. kept_indices maps columns of x_bar
-    back to columns of the input, accounting for dropped degenerate
-    samples.
+    x_bar holds the centered, re-normalized samples, one column per
+    input column: unit norm, or the zero vector for a sample that
+    collapsed onto the mean. mu_dp is the released DP mean of the
+    pre-normalized data; it is safe to publish and is reused to
+    transform held-out data into the same geometry.
+    zero_norm_rows_dropped counts the samples mapped to the zero vector
+    (none is dropped; the name is kept for existing readers).
     """
 
     x_bar: np.ndarray
     mu_dp: np.ndarray
     zero_norm_rows_dropped: int
-    kept_indices: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.x_bar.shape[1]
 
 
 def sample_normalize(X: np.ndarray) -> np.ndarray:
@@ -101,7 +100,8 @@ def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
     """Apply the non-private steps (normalize, center, re-normalize).
 
     Used to push held-out data through the transform defined by an
-    already-released mean. Spends no privacy budget.
+    already-released mean. Spends no privacy budget. A sample whose
+    centered norm is at most DEGENERATE_NORM becomes the zero vector.
     """
     X1 = sample_normalize(X)
     mu_dp = np.asarray(mu_dp, dtype=float)
@@ -111,23 +111,11 @@ def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
         )
     centered = X1 - mu_dp[:, None]
     norms = np.linalg.norm(centered, axis=0)
-    keep = norms > DEGENERATE_NORM
-    dropped = int(np.count_nonzero(~keep))
-    if dropped:
-        warnings.warn(
-            f"dropped {dropped} sample(s) that coincided with the DP mean "
-            "after centering",
-            stacklevel=2,
-        )
-    if not np.any(keep):
-        raise ValueError("every sample collapsed onto the DP mean; nothing left to release")
-    x_bar = centered[:, keep] / norms[keep]
-    return PreprocessedDataset(
-        x_bar=x_bar,
-        mu_dp=mu_dp,
-        zero_norm_rows_dropped=dropped,
-        kept_indices=np.flatnonzero(keep),
-    )
+    collapsed = norms <= DEGENERATE_NORM
+    norms[collapsed] = np.inf  # dividing by inf maps a collapsed sample to zero
+    centered /= norms
+    return PreprocessedDataset(x_bar=centered, mu_dp=mu_dp,
+                               zero_norm_rows_dropped=int(np.count_nonzero(collapsed)))
 
 
 def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator | None,
@@ -138,9 +126,9 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator | None
 
     When ``mu_dp`` is given, the mean derivation is skipped and the
     provided (already released) mean is used for centering; no budget
-    is spent in that case. Samples whose centered norm falls below
-    1e-12 are dropped with a warning and counted -- keeping them would
-    make the re-normalization undefined.
+    is spent in that case. Samples whose centered norm is at most
+    DEGENERATE_NORM have no direction to re-normalize to; they become
+    the zero vector and are counted, so the output keeps every column.
     """
     X1 = sample_normalize(X)
     if mu_dp is None:

@@ -237,7 +237,7 @@ def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
     bound is given), Laplace-perturbs it and repairs it to the PSD
     cone. Returns (preprocessed, projection, covariance, repaired).
     """
-    m = X.shape[0]
+    m, n = X.shape
     pre = preprocess(X, epsilon_mu, rng, ledger=ledger, group=groups[0])
     proj = projection if projection is not None else generate_ron(m, p, rng)
     if proj.m != m or proj.p != p:
@@ -246,9 +246,8 @@ def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
     if label_bound is None:
         second = estimate_cov(x_tilde)
     else:
-        second = estimate_aug_cov(x_tilde, labels[pre.kept_indices],
-                                  label_bound=label_bound)
-    query, sensitivity = covariance_spend(p, x_tilde.shape[1], label_bound)
+        second = estimate_aug_cov(x_tilde, labels, label_bound=label_bound)
+    query, sensitivity = covariance_spend(p, n, label_bound)
     noisy = dp_perturb_cov(second, sensitivity, epsilon_sigma, rng, ledger=ledger,
                            query=query, group=groups[1])
     cov, repaired = psd_repair(noisy, psd_floor)
@@ -374,18 +373,17 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
 
 
 def transform_features(mu_dp: np.ndarray, proj: RonProjection,
-                       X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                       X: np.ndarray) -> np.ndarray:
     """Map held-out data into the space synthetic features live in.
 
     Applies the released mean's normalize/center/re-normalize transform
     followed by the projection -- the same chart the unsupervised and
     supervised models are fit in. Both inputs are DP-safe, so this
-    spends nothing. Returns the projected samples and the indices of
-    the input columns that survived (degenerate columns are dropped,
-    mirroring the training-side rule).
+    spends nothing. Returns one projected column per input column; a
+    sample that collapses onto the mean projects to zero, as in
+    training.
     """
-    pre = center_with_mean(X, mu_dp)
-    return project(proj, pre.x_bar), pre.kept_indices
+    return project(proj, center_with_mean(X, mu_dp).x_bar)
 
 
 def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:

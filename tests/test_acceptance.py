@@ -249,8 +249,8 @@ def regression_experiment():
             res = synth_supervised(data, p, eps_mu, eps_sigma,
                                    rng=np.random.default_rng(1000 + seed * 7 + p))
             coef = ols_fit(res.dataset.features, res.dataset.labels)
-            feats, kept = transform_features(res.mu_dp, res.projection, x_te)
-            row[p] = rmse(ols_predict(coef, feats), y_te[kept])
+            feats = transform_features(res.mu_dp, res.projection, x_te)
+            row[p] = rmse(ols_predict(coef, feats), y_te)
         rows.append(row)
     return rows, time.monotonic() - start
 

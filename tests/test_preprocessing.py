@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ronsynth.dataset import Dataset
 from ronsynth.mechanism import BudgetLedger, laplace_perturb, mean_sensitivity
 from ronsynth.preprocessing import (
     center_with_mean,
@@ -11,6 +12,7 @@ from ronsynth.preprocessing import (
     preprocess,
     sample_normalize,
 )
+from ronsynth.synthesis import covariance_spend, synth_supervised, synth_unsupervised
 
 
 def unit_columns(m, n, seed):
@@ -111,23 +113,32 @@ class TestPreprocess:
         diffs = np.flatnonzero(np.any(out.x_bar != outp.x_bar, axis=0))
         assert list(diffs) == [j]
 
-    def test_column_equal_to_mean_is_dropped_and_counted(self):
+    def test_column_equal_to_mean_becomes_zero_and_is_counted(self):
         mu = np.zeros(4)
         mu[2] = 1.0  # unit vector
         X = np.random.default_rng(12).normal(size=(4, 9))
         X[:, 3] = 2.0 * mu  # normalizes onto mu, centers to zero
-        with pytest.warns(UserWarning, match="dropped 1 sample"):
-            pre = preprocess(X, 1.0, None, mu_dp=mu)
+        pre = preprocess(X, 1.0, None, mu_dp=mu)
         assert pre.zero_norm_rows_dropped == 1
-        assert pre.n_samples == 8
-        assert 3 not in pre.kept_indices
+        assert pre.x_bar.shape == (4, 9)
+        assert np.array_equal(pre.x_bar[:, 3], np.zeros(4))
+        others = np.delete(pre.x_bar, 3, axis=1)
+        assert np.allclose(np.linalg.norm(others, axis=0), 1.0, atol=1e-12)
 
-    def test_all_degenerate_is_an_error(self):
-        mu = np.array([1.0, 0.0])
-        X = np.array([[5.0, 3.0], [0.0, 0.0]])
-        with pytest.warns(UserWarning):
-            with pytest.raises(ValueError, match="nothing left"):
-                preprocess(X, 1.0, None, mu_dp=mu)
+    def test_all_collapsed_input_is_released_at_public_n(self):
+        # every column is a positive multiple of one vector, so with an
+        # exact mean every sample collapses; each release still covers
+        # all n samples and its covariance noise uses the public n
+        m, n, p, a = 5, 40, 2, 1.0
+        rng = np.random.default_rng(18)
+        X = np.outer(rng.normal(size=m), rng.uniform(0.5, 3.0, size=n))
+        assert preprocess(X, math.inf, rng).zero_norm_rows_dropped == n
+        unsup = synth_unsupervised(Dataset(features=X), p, math.inf, 1.0, rng=rng)
+        sup = synth_supervised(Dataset(features=X, labels=rng.uniform(-a, a, size=n),
+                                       label_bound=a), p, math.inf, 1.0, rng=rng)
+        assert unsup.dataset.n_samples == sup.dataset.n_samples == n
+        assert unsup.ledger.entries[-1].sensitivity == covariance_spend(p, n)[1]
+        assert sup.ledger.entries[-1].sensitivity == covariance_spend(p, n, a)[1]
 
     def test_rng_required_without_given_mean(self):
         X = np.random.default_rng(13).normal(size=(3, 5))

@@ -414,8 +414,8 @@ class TestTransforms:
         rng = np.random.default_rng(15)
         data = make_data(seed=15)
         res = synth_unsupervised(data, 4, math.inf, math.inf, rng=rng)
-        feats, kept = transform_features(res.mu_dp, res.projection, data.features)
-        assert feats.shape == (4, len(kept))
+        feats = transform_features(res.mu_dp, res.projection, data.features)
+        assert feats.shape == (4, data.n_samples)
         # the training data pushed through its own transform must match
         # the projected moments the model was fit on
         assert np.allclose(estimate_cov(feats), res.model.covariance)
