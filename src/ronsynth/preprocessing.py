@@ -103,7 +103,11 @@ def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
     already-released mean. Spends no privacy budget. A sample whose
     centered norm is at most DEGENERATE_NORM becomes the zero vector.
     """
-    X1 = sample_normalize(X)
+    return _center(sample_normalize(X), mu_dp)
+
+
+def _center(X1: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
+    """Center sample-normalized columns on mu_dp and re-normalize them."""
     mu_dp = np.asarray(mu_dp, dtype=float)
     if mu_dp.shape != (X1.shape[0],):
         raise ValueError(
@@ -122,7 +126,8 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator | None
                mu_dp: np.ndarray | None = None,
                ledger: BudgetLedger | None = None,
                group: str | None = None) -> PreprocessedDataset:
-    """Run the full preprocessing stage.
+    """Run the full preprocessing stage, normalizing each sample once
+    before the mean and once after centering.
 
     When ``mu_dp`` is given, the mean derivation is skipped and the
     provided (already released) mean is used for centering; no budget
@@ -135,4 +140,4 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator | None
         if rng is None:
             raise ValueError("rng is required when deriving a fresh DP mean")
         mu_dp = dp_mean(X1, epsilon_mu, rng, ledger=ledger, group=group)
-    return center_with_mean(X1, mu_dp)
+    return _center(X1, mu_dp)

@@ -24,7 +24,7 @@ from ronsynth import Dataset, cli, split_budget, synthesis  # noqa: E402
 # spans every mode passes through once the release is running
 CORE_SPANS = {
     "synthesis.synth", "preprocessing.preprocess", "preprocessing.sample_normalize",
-    "preprocessing.dp_mean", "preprocessing.center_with_mean", "projection.generate_ron",
+    "preprocessing.dp_mean", "projection.generate_ron",
     "projection.project", "synthesis.estimate_cov", "synthesis.dp_perturb_cov",
     "synthesis.psd_repair", "synthesis.sample_gaussian", "mechanism.laplace_perturb",
 }
@@ -64,8 +64,11 @@ def test_traced_release_covers_every_layer(mode, tmp_path):
     # leaving the tracer restores the originals
     assert not hasattr(synthesis.preprocess, "__wrapped__")
 
-    names = {span["name"] for span in tracer.spans}
-    assert expected <= names
+    names = [span["name"] for span in tracer.spans]
+    assert expected <= set(names)
+    # preprocess normalizes the raw samples once, not again before centering
+    assert names.count("preprocessing.sample_normalize") == \
+        names.count("preprocessing.preprocess")
     metrics = tracer.layer_metrics(wall_s=1.0)
     for name in expected:
         assert metrics[SELF_TIME_METRICS[name]] > 0.0
