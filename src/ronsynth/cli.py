@@ -46,6 +46,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# silhouette is quadratic in the point count; larger inputs are subsampled to this
+SILHOUETTE_MAX_POINTS = 2000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; remap to the usage code
@@ -112,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="try every k in [LO, HI] and report the best")
     ev.add_argument("--orig-dim", type=int, default=None,
                     help="original dimension m (adds the expected marginal scale)")
-    ev.add_argument("--max-points", type=int, default=2000,
-                    help="subsample size for pairwise-distance metrics (default 2000)")
+    ev.add_argument("--max-points", type=int, default=SILHOUETTE_MAX_POINTS,
+                    help="subsample size for pairwise-distance metrics "
+                         f"(default {SILHOUETTE_MAX_POINTS})")
     ev.add_argument("--seed", type=int, default=0)
 
     budget = sub.add_parser("budget", help="print the spend plan without touching data",
@@ -290,7 +294,6 @@ def _dim_sweep(args, data: Dataset, dims: list[int], epsilon_mu: float,
 
 
 def _sweep_metric(args, data: Dataset, result: SynthesisResult) -> dict:
-    rng = np.random.default_rng(args.seed)
     release = result.dataset
     if args.mode == "supervised":
         coef = learners.ols_fit(release.features, release.labels)
@@ -309,18 +312,29 @@ def _sweep_metric(args, data: Dataset, result: SynthesisResult) -> dict:
         acc = float(np.mean(pred == data.class_labels))
         return {"metric": "accuracy", "value": acc}
     # unsupervised: cluster the release and score the clustering
-    feats = release.features
-    if feats.shape[1] > args.max_points:
-        idx = rng.choice(feats.shape[1], size=args.max_points, replace=False)
+    best_k, sweep, _ = _silhouette_sweep(release.features, range(2, 7),
+                                         SILHOUETTE_MAX_POINTS, args.seed)
+    return {"metric": "silhouette", "value": sweep[best_k], "k": best_k}
+
+
+def _silhouette_sweep(feats: np.ndarray, ks, max_points: int, seed) -> tuple[int, dict, int]:
+    """Subsample to max_points columns, then k-means and score each k.
+
+    Returns the best k, the silhouette of every feasible k, and the
+    number of points scored.
+    """
+    rng = np.random.default_rng(seed)
+    if feats.shape[1] > max_points:
+        idx = rng.choice(feats.shape[1], size=max_points, replace=False)
         feats = feats[:, idx]
-    best = None
-    for k in range(2, 7):
+    sweep = {}
+    for k in ks:
         if k > feats.shape[1]:
             break
-        sc = silhouette(feats, kmeans(feats, k, rng=np.random.default_rng(args.seed)))
-        if best is None or sc > best[1]:
-            best = (k, sc)
-    return {"metric": "silhouette", "value": best[1], "k": best[0]}
+        sweep[k] = silhouette(feats, kmeans(feats, k, rng=np.random.default_rng(seed)))
+    if not sweep:
+        raise _UsageError("no feasible k: fewer samples than clusters")
+    return max(sweep, key=sweep.get), sweep, feats.shape[1]
 
 
 def _load_eval_matrix(path: str, label_col: str | None):
@@ -365,11 +379,6 @@ def cmd_eval(args) -> int:
         return EXIT_OK
 
     # silhouette
-    feats = data.features
-    rng = np.random.default_rng(args.seed)
-    if feats.shape[1] > args.max_points:
-        idx = rng.choice(feats.shape[1], size=args.max_points, replace=False)
-        feats = feats[:, idx]
     if args.k is None and args.k_sweep is None:
         raise _UsageError("silhouette needs --k or --k-sweep LO:HI")
     if args.k_sweep is not None:
@@ -384,16 +393,8 @@ def cmd_eval(args) -> int:
         if args.k < 2:
             raise _UsageError(f"--k must be at least 2, got {args.k}")
         ks = [args.k]
-    sweep = {}
-    for k in ks:
-        if k > feats.shape[1]:
-            break
-        assignments = kmeans(feats, k, rng=np.random.default_rng(args.seed))
-        sweep[k] = silhouette(feats, assignments)
-    if not sweep:
-        raise _UsageError("no feasible k: fewer samples than clusters")
-    best_k = max(sweep, key=sweep.get)
-    report = EvalReport("silhouette", sweep[best_k], feats.shape[1],
+    best_k, sweep, n_points = _silhouette_sweep(data.features, ks, args.max_points, args.seed)
+    report = EvalReport("silhouette", sweep[best_k], n_points,
                         {"k": best_k, "sweep": {str(k): v for k, v in sweep.items()}})
     print(json.dumps(report.as_dict(), indent=2))
     return EXIT_OK

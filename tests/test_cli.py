@@ -154,6 +154,13 @@ class TestSynthCommand:
         assert [row["p"] for row in report["sweep"]] == [1, 2, 3]
         assert report["best_p"] in (1, 2, 3)
 
+    def test_unsupervised_dim_sweep_scores_silhouette(self, numeric_csv, capsys):
+        code = main(["synth", numeric_csv, "--dim-sweep", "2,3", "--seed", "1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["metric"] == "silhouette"
+        assert report["best_p"] in (2, 3)
+
 
 class TestEvalCommand:
     def test_rmse_of_identical_files_is_zero(self, tmp_path, capsys):
