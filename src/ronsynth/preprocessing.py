@@ -107,7 +107,8 @@ def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
 
 
 def _center(X1: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
-    """Center sample-normalized columns on mu_dp and re-normalize them."""
+    """Center sample-normalized columns on mu_dp and re-normalize them;
+    a column that collapses onto mu_dp becomes the zero vector."""
     mu_dp = np.asarray(mu_dp, dtype=float)
     if mu_dp.shape != (X1.shape[0],):
         raise ValueError(
@@ -126,8 +127,10 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator | None
                mu_dp: np.ndarray | None = None,
                ledger: BudgetLedger | None = None,
                group: str | None = None) -> PreprocessedDataset:
-    """Run the full preprocessing stage, normalizing each sample once
-    before the mean and once after centering.
+    """Run the full preprocessing stage.
+
+    Each raw sample is normalized once; the DP mean is taken of those
+    unit columns, which are then centered and re-normalized.
 
     When ``mu_dp`` is given, the mean derivation is skipped and the
     provided (already released) mean is used for centering; no budget
