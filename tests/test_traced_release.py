@@ -66,7 +66,7 @@ def test_traced_release_covers_every_layer(mode, tmp_path):
 
     names = [span["name"] for span in tracer.spans]
     assert expected <= set(names)
-    # preprocess normalizes the raw samples once, not again before centering
+    # preprocess normalizes the raw samples exactly once
     assert names.count("preprocessing.sample_normalize") == \
         names.count("preprocessing.preprocess")
     metrics = tracer.layer_metrics(wall_s=1.0)
