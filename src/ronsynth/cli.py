@@ -25,7 +25,7 @@ from .dataset import (
     write_matrix_csv,
     write_release,
 )
-from .evaluation import EvalReport, normality_diagnostic, kmeans, rmse, silhouette
+from .evaluation import EvalReport, normality_diagnostic, rmse, silhouette_sweep
 from .mechanism import BudgetLedger, mean_sensitivity, split_budget
 from .projection import dimension_guidance, reconstruct
 from .synthesis import (
@@ -175,7 +175,9 @@ def cmd_synth(args) -> int:
         if label_kind != "categorical":
             raise _UsageError("gmm mode needs categorical labels")
     else:
-        label_kind = args.label_kind
+        # as in eval: a label column is categorical unless told otherwise,
+        # and it is kept out of the features and out of the release
+        label_kind = args.label_kind or ("categorical" if args.label_col else None)
 
     data = load_csv(args.input, label_column=args.label_col, label_kind=label_kind)
     m, n = data.features.shape
@@ -312,35 +314,9 @@ def _sweep_metric(args, data: Dataset, result: SynthesisResult) -> dict:
         acc = float(np.mean(pred == data.class_labels))
         return {"metric": "accuracy", "value": acc}
     # unsupervised: cluster the release and score the clustering
-    best_k, sweep, _ = _silhouette_sweep(release.features, range(2, 7),
-                                         SILHOUETTE_MAX_POINTS, args.seed)
+    best_k, sweep, _ = silhouette_sweep(release.features, range(2, 7),
+                                        SILHOUETTE_MAX_POINTS, args.seed)
     return {"metric": "silhouette", "value": sweep[best_k], "k": best_k}
-
-
-def _silhouette_sweep(feats: np.ndarray, ks, max_points: int, seed) -> tuple[int, dict, int]:
-    """Subsample to max_points columns, then k-means and score each k.
-
-    Returns the best k, the silhouette of every feasible k, and the
-    number of points scored.
-    """
-    rng = np.random.default_rng(seed)
-    if feats.shape[1] > max_points:
-        idx = rng.choice(feats.shape[1], size=max_points, replace=False)
-        feats = feats[:, idx]
-    sweep = {}
-    for k in ks:
-        if k > feats.shape[1]:
-            break
-        sweep[k] = silhouette(feats, kmeans(feats, k, rng=np.random.default_rng(seed)))
-    if not sweep:
-        raise _UsageError("no feasible k: fewer samples than clusters")
-    return max(sweep, key=sweep.get), sweep, feats.shape[1]
-
-
-def _load_eval_matrix(path: str, label_col: str | None):
-    data = load_csv(path, label_column=label_col,
-                    label_kind="categorical" if label_col else None)
-    return data
 
 
 def _load_vector(path: str, column: str | None) -> np.ndarray:
@@ -358,6 +334,8 @@ def _load_vector(path: str, column: str | None) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
+    if args.max_points < 2:
+        raise _UsageError(f"--max-points must be at least 2, got {args.max_points}")
     if args.metric == "rmse":
         if not args.pred or not args.truth:
             raise _UsageError("rmse needs --pred and --truth")
@@ -370,7 +348,8 @@ def cmd_eval(args) -> int:
 
     if not args.data:
         raise _UsageError(f"{args.metric} needs --data")
-    data = _load_eval_matrix(args.data, args.label_col)
+    data = load_csv(args.data, label_column=args.label_col,
+                    label_kind="categorical" if args.label_col else None)
 
     if args.metric == "normality":
         rep = normality_diagnostic(data.features, orig_dim=args.orig_dim)
@@ -393,7 +372,7 @@ def cmd_eval(args) -> int:
         if args.k < 2:
             raise _UsageError(f"--k must be at least 2, got {args.k}")
         ks = [args.k]
-    best_k, sweep, n_points = _silhouette_sweep(data.features, ks, args.max_points, args.seed)
+    best_k, sweep, n_points = silhouette_sweep(data.features, ks, args.max_points, args.seed)
     report = EvalReport("silhouette", sweep[best_k], n_points,
                         {"k": best_k, "sweep": {str(k): v for k, v in sweep.items()}})
     print(json.dumps(report.as_dict(), indent=2))

@@ -5,6 +5,11 @@ are columns. The silhouette coefficient and k-means are the clustering
 pair; RMSE scores regression; the normality diagnostic quantifies how
 Gaussian each projected coordinate looks, which is the property the
 low-dimensional projection is supposed to buy.
+
+The metrics need numpy alone. Pairwise distances add the squared
+coordinate differences one coordinate at a time, so every distance is
+bit for bit that of a per-pair loop adding squares in coordinate
+order; the KS statistic takes the normal CDF from ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -13,8 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.spatial.distance import cdist
+
+# cells of the distance accumulator filled per block: 512 KiB of
+# float64, small enough to stay in cache across the coordinate loop
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,8 +46,13 @@ def silhouette(X: np.ndarray, assignments: np.ndarray) -> float:
     result lies in [-1, 1]; higher is better.
     """
     X = np.asarray(X, dtype=float)
+    return _silhouette(_distances(X, X), assignments)
+
+
+def _silhouette(dists: np.ndarray, assignments: np.ndarray) -> float:
+    """Mean silhouette coefficient from the n x n distance matrix."""
     assignments = np.asarray(assignments)
-    n = X.shape[1]
+    n = dists.shape[0]
     if assignments.shape != (n,):
         raise ValueError(f"assignments must have length {n}, got {assignments.shape}")
     labels, inverse = np.unique(assignments, return_inverse=True)
@@ -48,8 +60,6 @@ def silhouette(X: np.ndarray, assignments: np.ndarray) -> float:
     if k < 2:
         raise ValueError("silhouette needs at least two clusters")
 
-    points = X.T
-    dists = cdist(points, points)
     sizes = np.bincount(inverse, minlength=k)
     # sum of distances from each point to every cluster, shape (n, k)
     cluster_sums = np.zeros((n, k))
@@ -67,6 +77,49 @@ def silhouette(X: np.ndarray, assignments: np.ndarray) -> float:
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0 else (b - a) / denom
     return float(scores.mean())
+
+
+def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the columns of X and the columns of Y.
+
+    Squared differences are summed in coordinate order, one coordinate
+    at a time, then square-rooted. Rows of the result are filled in
+    blocks of about _BLOCK_CELLS cells.
+    """
+    n, k = X.shape[1], Y.shape[1]
+    out = np.empty((n, k))
+    rows = max(1, _BLOCK_CELLS // max(k, 1))
+    for start in range(0, n, rows):
+        acc = out[start:start + rows]
+        acc.fill(0.0)
+        diff = np.empty_like(acc)
+        for x, y in zip(X[:, start:start + rows], Y):
+            np.subtract(x[:, None], y, out=diff)
+            diff *= diff
+            acc += diff
+    return np.sqrt(out, out=out)
+
+
+def silhouette_sweep(X: np.ndarray, ks, max_points: int, seed) -> tuple[int, dict, int]:
+    """Cluster X by k-means for each k in ks and score each clustering.
+
+    X is first subsampled to max_points columns. Every k above the
+    point count is skipped; none left is a ValueError. The pairwise
+    distances are computed once and shared by every k. Returns the best
+    k, the silhouette of every feasible k, and the number of points
+    scored.
+    """
+    X = np.asarray(X, dtype=float)
+    rng = np.random.default_rng(seed)
+    if X.shape[1] > max_points:
+        X = X[:, rng.choice(X.shape[1], size=max_points, replace=False)]
+    ks = [k for k in ks if k <= X.shape[1]]
+    if not ks:
+        raise ValueError("no feasible k: fewer samples than clusters")
+    dists = _distances(X, X)
+    sweep = {k: _silhouette(dists, kmeans(X, k, rng=np.random.default_rng(seed)))
+             for k in ks}
+    return max(sweep, key=sweep.get), sweep, X.shape[1]
 
 
 def kmeans(X: np.ndarray, k: int, max_iter: int = 100,
@@ -92,7 +145,7 @@ def kmeans(X: np.ndarray, k: int, max_iter: int = 100,
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assign = np.full(n, -1)
     for _ in range(max_iter):
-        dists = cdist(points, centroids)
+        dists = _distances(X, centroids.T)
         new_assign = dists.argmin(axis=1)
 
         for empty in np.setdiff1d(np.arange(k), new_assign):
@@ -183,7 +236,7 @@ def normality_diagnostic(X_tilde: np.ndarray, orig_dim: int | None = None) -> No
             degenerate.append(j)
             continue
         standardized = (coord - coord.mean()) / std
-        distances.append(float(stats.kstest(standardized, "norm").statistic))
+        distances.append(_ks_normal(standardized))
 
     return NormalityReport(
         ks_distances=tuple(distances),
@@ -193,3 +246,17 @@ def normality_diagnostic(X_tilde: np.ndarray, orig_dim: int | None = None) -> No
         degenerate_coords=tuple(degenerate),
         expected_sigma=1.0 / math.sqrt(orig_dim) if orig_dim else None,
     )
+
+
+def _ks_normal(sample: np.ndarray) -> float:
+    """Two-sided one-sample Kolmogorov-Smirnov statistic against N(0, 1).
+
+    The largest gap between the empirical CDF, on either side of each
+    step, and the normal CDF 0.5 * erfc(-x / sqrt(2)).
+    """
+    x = np.sort(sample)
+    n = x.size
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    d_plus = np.max(np.arange(1, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(n) / n)
+    return float(max(d_plus, d_minus))

@@ -154,6 +154,16 @@ class TestSynthCommand:
         assert [row["p"] for row in report["sweep"]] == [1, 2, 3]
         assert report["best_p"] in (1, 2, 3)
 
+    def test_unsupervised_label_column_is_left_out(self, classed_csv, tmp_path, capsys):
+        out = str(tmp_path / "rel")
+        code = main(["synth", classed_csv, "--label-col", "cls", "--dim", "2",
+                     "--seed", "3", "--out", out])
+        assert code == 0
+        with open(os.path.join(out, "metadata.json")) as fh:
+            assert json.load(fh)["m"] == 4  # f1..f4; the label is not a feature
+        with open(os.path.join(out, "data.csv")) as fh:
+            assert "cls" not in fh.readline()
+
     def test_unsupervised_dim_sweep_scores_silhouette(self, numeric_csv, capsys):
         code = main(["synth", numeric_csv, "--dim-sweep", "2,3", "--seed", "1"])
         assert code == 0
@@ -187,10 +197,14 @@ class TestEvalCommand:
         assert len(report["params"]["ks_distances"]) == 6
         assert report["params"]["expected_sigma"] == 0.1
 
-    def test_missing_inputs_are_usage_errors(self, numeric_csv):
+    def test_missing_inputs_are_usage_errors(self, numeric_csv, capsys):
         assert main(["eval", "rmse", "--pred", numeric_csv]) == 1
         assert main(["eval", "silhouette", "--data", numeric_csv]) == 1
         assert main(["eval", "normality"]) == 1
+        capsys.readouterr()
+        assert main(["eval", "silhouette", "--data", numeric_csv, "--k", "2",
+                     "--max-points", "-1"]) == 1
+        assert "--max-points" in capsys.readouterr().err
 
 
 class TestBudgetCommand:

@@ -1,12 +1,21 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.spatial.distance import cdist
 
+import ronsynth
+from ronsynth import evaluation
 from ronsynth.evaluation import (
     normality_diagnostic,
     kmeans,
     kmeans_objective,
     rmse,
     silhouette,
+    silhouette_sweep,
 )
 
 
@@ -87,6 +96,53 @@ class TestSilhouette:
         a1, b1 = 0.1, 8.9
         expected = ((b0 - a0) / b0 + (b1 - a1) / b1 + 0.0) / 3
         assert silhouette(X, labels) == pytest.approx(expected, abs=1e-12)
+
+
+class TestDistances:
+    @pytest.mark.parametrize("dim", [1, 2, 7, 30, 100])
+    def test_equals_cdist_exactly(self, dim):
+        rng = np.random.default_rng(dim)
+        X = rng.normal(scale=3.0, size=(dim, 300))
+        Y = rng.standard_t(df=2, size=(dim, 5))
+        assert np.array_equal(evaluation._distances(X, X), cdist(X.T, X.T))
+        assert np.array_equal(evaluation._distances(X, Y), cdist(X.T, Y.T))
+
+
+class TestSilhouetteSweep:
+    def test_distances_computed_once_for_all_k(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(3, 600))
+        pairwise = []
+        helper = evaluation._distances
+
+        def counting(A, B):
+            if B.shape[1] == A.shape[1]:  # k-means' point-to-centroid calls are n x k
+                pairwise.append(A.shape[1])
+            return helper(A, B)
+
+        monkeypatch.setattr(evaluation, "_distances", counting)
+        best_k, sweep, n_points = silhouette_sweep(X, range(2, 6), 400, seed=4)
+        assert pairwise == [400]
+        assert n_points == 400 and list(sweep) == [2, 3, 4, 5]
+        # each score is the one silhouette() gives on the same subsample
+        sub = X[:, np.random.default_rng(4).choice(600, size=400, replace=False)]
+        for k, value in sweep.items():
+            assign = kmeans(sub, k, rng=np.random.default_rng(4))
+            assert value == silhouette(sub, assign)
+        assert sweep[best_k] == max(sweep.values())
+
+    def test_no_feasible_k_is_an_error(self):
+        with pytest.raises(ValueError, match="no feasible k"):
+            silhouette_sweep(np.zeros((2, 3)), range(4, 6), 2000, seed=0)
+
+
+@pytest.mark.parametrize("module", ["ronsynth", "ronsynth.cli"])
+def test_import_does_not_load_scipy(module):
+    src = os.path.dirname(os.path.dirname(ronsynth.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = f"import sys, {module}; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestKmeans:
@@ -185,6 +241,16 @@ class TestNormalityDiagnostic:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="30"):
             normality_diagnostic(np.zeros((2, 10)))
+
+    @pytest.mark.parametrize("n", [30, 1000, 12000])
+    def test_ks_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        X = np.stack([rng.normal(size=n), rng.standard_t(df=2, size=n),
+                      rng.standard_cauchy(size=n), rng.exponential(size=n)])
+        report = normality_diagnostic(X)
+        for coord, ks in zip(X, report.ks_distances):
+            standardized = (coord - coord.mean()) / coord.std()
+            assert abs(ks - stats.kstest(standardized, "norm").statistic) <= 1e-15
 
     def test_uniform_data_scores_higher_than_gaussian(self):
         rng = np.random.default_rng(15)
