@@ -154,7 +154,7 @@ class TestSynthCommand:
         assert [row["p"] for row in report["sweep"]] == [1, 2, 3]
         assert report["best_p"] in (1, 2, 3)
 
-    def test_unsupervised_label_column_is_left_out(self, classed_csv, tmp_path, capsys):
+    def test_unsupervised_label_column_is_left_out(self, classed_csv, tmp_path):
         out = str(tmp_path / "rel")
         code = main(["synth", classed_csv, "--label-col", "cls", "--dim", "2",
                      "--seed", "3", "--out", out])
