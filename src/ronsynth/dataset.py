@@ -1,7 +1,10 @@
 """Dataset loading, validation, and release writing.
 
 Files are conventional tabular CSVs: one row per sample, first row a
-header. Internally, all math in this package runs on the transposed
+header. Numbers use the plain float syntax, in ASCII and without
+digit-group underscores. Every line is data: a line starting with "#" is
+not a comment, and a blank line is an error unless only blank lines
+follow it. Internally, all math in this package runs on the transposed
 layout where samples are *columns* of an m x n matrix, so the covariance
 and sensitivity formulas read exactly as derived. This module owns that
 transpose; nothing outside it should ever flip orientation.
@@ -10,9 +13,11 @@ transpose; nothing outside it should ever flip orientation.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -111,6 +116,80 @@ def load_csv(path: str, label_column: str | None = None,
         raise DataError(f"no such file: {path}")
 
     with open(path, newline="", encoding="utf-8") as fh:
+        header = [h.strip() for h in next(csv.reader(fh), [])]
+        first = next(fh, "")
+        has_label = label_column is not None
+        if ((has_label and label_column not in header) or len(header) == has_label
+                or first in _BLANK_LINES):
+            # a header fault, or no data row before the first blank line
+            _raise_first_error(path, label_column, label_kind)
+        label_idx = header.index(label_column) if has_label else None
+
+        codes: dict[str, int] = {}
+        converters = None
+        if label_kind == "categorical":
+            converters = {label_idx: lambda cell: codes.setdefault(cell.strip(), len(codes))}
+        counted = _CountedLines(itertools.chain([first], fh))
+        try:
+            # loadtxt skips blank lines, so its row count is checked
+            # against the number of lines up to the last non-blank one
+            table = np.loadtxt(counted, delimiter=",", ndmin=2, comments=None,
+                               quotechar='"', converters=converters)
+        except ValueError as err:
+            _raise_first_error(path, label_column, label_kind, str(err))
+        if table.shape != (counted.rows, len(header)):
+            _raise_first_error(path, label_column, label_kind,
+                               "a quoted cell spans more than one line")
+
+    labels = None
+    class_labels = None
+    feature_idx = [j for j in range(len(header)) if j != label_idx]
+    if label_idx is not None:
+        if label_kind == "real":
+            labels = table[:, label_idx].copy()
+        else:
+            class_labels = np.array(list(codes))[table[:, label_idx].astype(np.intp)]
+        table = table[:, feature_idx]
+
+    return Dataset(
+        # rows-as-samples on disk -> columns-as-samples in memory. Keep
+        # it the transpose of a C-ordered table: a layout change alone
+        # moves seeded releases through BLAS rounding.
+        features=np.ascontiguousarray(table).T,
+        labels=labels,
+        class_labels=class_labels,
+        feature_names=tuple(header[j] for j in feature_idx),
+    )
+
+
+_BLANK_LINES = ("", "\n", "\r\n", "\r")
+
+
+class _CountedLines:
+    """Iterate over lines, counting those up to the last non-blank one."""
+
+    def __init__(self, lines):
+        self._lines = lines
+        self.rows = 0
+
+    def __iter__(self):
+        total = trailing_blank = 0
+        for line in self._lines:
+            total += 1
+            trailing_blank = trailing_blank + 1 if line in _BLANK_LINES else 0
+            yield line
+        self.rows = total - trailing_blank
+
+
+def _raise_first_error(path: str, label_column: str | None, label_kind: str | None,
+                       cause: str = "unreadable file") -> NoReturn:
+    """Re-read path with csv.reader and raise a DataError for its first fault.
+
+    load_csv calls this once its vectorized parse has failed, so the
+    messages name the row (counted in records, the header being row 1)
+    and the column. It never returns data.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -131,70 +210,44 @@ def load_csv(path: str, label_column: str | None = None,
 
     label_idx = None
     if label_column is not None:
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
+        if label_column not in header:
             raise DataError(
                 f"{path}: label column {label_column!r} not found in header {header}"
-            ) from None
-
-    feature_idx = [j for j in range(len(header)) if j != label_idx]
-    if not feature_idx:
+            )
+        label_idx = header.index(label_column)
+    if len(header) == (label_idx is not None):
         raise DataError(f"{path}: no feature columns left after removing the label")
 
-    n = len(rows)
-    values = np.empty((n, len(feature_idx)), dtype=float)
-    raw_labels: list[str] = []
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise DataError(
                 f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}"
             )
-        for k, j in enumerate(feature_idx):
-            cell = row[j].strip()
-            try:
-                values[i, k] = float(cell)
-            except ValueError:
+        for j, cell in enumerate(row):
+            if j != label_idx and not _is_float(cell.strip()):
                 raise DataError(
-                    f"{path}: non-numeric value {cell!r} at row {i + 2}, "
+                    f"{path}: non-numeric value {cell.strip()!r} at row {i + 2}, "
                     f"column {header[j]!r}"
-                ) from None
-        if label_idx is not None:
-            raw_labels.append(row[label_idx].strip())
-
-    labels = None
-    class_labels = None
-    if label_idx is not None:
-        if label_kind == "real":
-            try:
-                labels = np.array([float(v) for v in raw_labels])
-            except ValueError:
-                bad = next(v for v in raw_labels if not _is_float(v))
+                )
+    if label_kind == "real":
+        for row in rows:
+            if not _is_float(row[label_idx].strip()):
                 raise DataError(
-                    f"{path}: non-numeric label value {bad!r} in column {label_column!r}"
-                ) from None
-        else:
-            class_labels = np.array(raw_labels)
-
-    return Dataset(
-        features=values.T,  # rows-as-samples on disk -> columns-as-samples in memory
-        labels=labels,
-        class_labels=class_labels,
-        feature_names=tuple(header[j] for j in feature_idx),
-    )
+                    f"{path}: non-numeric label value {row[label_idx].strip()!r} "
+                    f"in column {label_column!r}"
+                )
+    raise DataError(f"{path}: cannot read as a numeric table: {cause}")
 
 
 def _is_float(text: str) -> bool:
+    # loadtxt's syntax: float()'s, without underscores or non-ASCII digits
+    if not text.isascii() or "_" in text:
+        return False
     try:
         float(text)
         return True
     except ValueError:
         return False
-
-
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip any IEEE double exactly.
-    return format(float(x), ".17g")
 
 
 REQUIRED_METADATA_KEYS = (
@@ -221,18 +274,10 @@ def write_dataset_csv(dataset: Dataset, path: str) -> str:
     elif dataset.class_labels is not None:
         header.append("class")
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        cols = dataset.features
-        for i in range(dataset.n_samples):
-            row = [_fmt(v) for v in cols[:, i]]
-            if dataset.labels is not None:
-                row.append(_fmt(dataset.labels[i]))
-            elif dataset.class_labels is not None:
-                row.append(str(dataset.class_labels[i]))
-            writer.writerow(row)
-    return path
+    table = dataset.features.T
+    if dataset.labels is not None:
+        table = np.column_stack([table, dataset.labels])
+    return _write_table(path, header, table, dataset.class_labels)
 
 
 def write_release(synthetic: Dataset, metadata: dict, out_dir: str) -> tuple[str, str]:
@@ -259,9 +304,20 @@ def write_release(synthetic: Dataset, metadata: dict, out_dir: str) -> tuple[str
 def write_matrix_csv(matrix: np.ndarray, path: str, prefix: str = "c") -> str:
     """Write a bare numeric matrix as CSV with a generated header."""
     matrix = np.asarray(matrix, dtype=float)
+    return _write_table(path, [f"{prefix}{j + 1}" for j in range(matrix.shape[1])], matrix)
+
+
+def _write_table(path: str, header: list[str], table: np.ndarray,
+                 class_labels: np.ndarray | None = None) -> str:
+    # 17 significant digits round-trip any IEEE double exactly; rows end
+    # in CRLF like csv.writer's, which writes the (quoted) header
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"{prefix}{j + 1}" for j in range(matrix.shape[1])])
-        for row in matrix:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(header)
+        if class_labels is None:
+            np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n")
+        else:
+            # a class name may need quoting, so these rows keep csv.writer
+            writer.writerows([*(format(v, ".17g") for v in row.tolist()), str(label)]
+                             for row, label in zip(table, class_labels))
     return path

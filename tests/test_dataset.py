@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -9,6 +11,7 @@ from ronsynth.dataset import (
     clip_labels,
     load_csv,
     write_dataset_csv,
+    write_matrix_csv,
     write_release,
 )
 
@@ -82,6 +85,95 @@ class TestLoadCsv:
         path = _write(tmp_path, "f1,f2\n1,2\n")
         with pytest.raises(ValueError):
             load_csv(path, label_column="f2", label_kind="ordinal")
+
+
+# (file text, label column, label kind, exact message after "<path>: ")
+MALFORMED = [
+    ("f1,f2\n1,2\n3,4,5\n", None, None, "row 3 has 3 cells, header has 2"),
+    ("f1,f2\n1,2\n3\n", None, None, "row 3 has 1 cells, header has 2"),
+    ("f1,f2\r\n1,2\r\n\r\n3,4\r\n", None, None, "blank line at row 3"),
+    ("f1,f2\n\n1,2\n", None, None, "blank line at row 2"),
+    ("f1,f2\n1,2\n   \n3,4\n", None, None, "row 3 has 1 cells, header has 2"),
+    ("f1\n1\n \t \n2\n", None, None, "non-numeric value '' at row 3, column 'f1'"),
+    ("f1,f2\n1,2\n#3,4\n", None, None, "non-numeric value '#3' at row 3, column 'f1'"),
+    ("f1,f2\n#1,2\n", None, None, "non-numeric value '#1' at row 2, column 'f1'"),
+    ("f1,f2\n1,2\n3,\n", None, None, "non-numeric value '' at row 3, column 'f2'"),
+    ("f1,y\n1,2\n3,x\n", "y", "real", "non-numeric label value 'x' in column 'y'"),
+    # every feature cell is checked before any label
+    ("f1,y\n1,x\nz,2\n", "y", "real", "non-numeric value 'z' at row 3, column 'f1'"),
+    ("f1,cls\n1,a\n2\n", "cls", "categorical", "row 3 has 1 cells, header has 2"),
+    ("f1,f2\n", None, None, "no data rows"),
+    ("f1,f2\n\n\r\n", None, None, "no data rows"),
+    ("", None, None, "file is empty, expected a header row"),
+    ("y\n1\n", "y", "real", "no feature columns left after removing the label"),
+    ("f1,f2\n1,2\n", "y", "real", "label column 'y' not found in header ['f1', 'f2']"),
+]
+
+
+class TestLoadCsvEdgeCases:
+    @pytest.mark.parametrize("text,column,kind,message", MALFORMED)
+    def test_malformed_input_message(self, tmp_path, text, column, kind, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError) as err:
+            load_csv(path, label_column=column, label_kind=kind)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_trailing_blank_crlf_lines_tolerated(self, tmp_path):
+        path = _write(tmp_path, "f1,f2\r\n1,2\r\n3,4\r\n\r\n\r\n")
+        assert np.array_equal(load_csv(path).features, [[1.0, 3.0], [2.0, 4.0]])
+
+    def test_quoted_header_name_and_cell(self, tmp_path):
+        path = _write(tmp_path, '"a,b",c\n"1.5",2\n3,"-4e-1"\n')
+        data = load_csv(path)
+        assert data.feature_names == ("a,b", "c")
+        assert np.array_equal(data.features, [[1.5, 3.0], [2.0, -0.4]])
+
+    def test_whitespace_padded_cells(self, tmp_path):
+        path = _write(tmp_path, " f1 ,f2\t\n 1 ,\t2.5\n3  ,  -4\n")
+        data = load_csv(path)
+        assert data.feature_names == ("f1", "f2")
+        assert np.array_equal(data.features, [[1.0, 3.0], [2.5, -4.0]])
+
+    def test_padded_categorical_label(self, tmp_path):
+        path = _write(tmp_path, 'f1, cls ,f2\n1, a ,2\n3,b,4\n5,"a ",6\n7,"x,y",8\n')
+        data = load_csv(path, label_column="cls", label_kind="categorical")
+        assert list(data.class_labels) == ["a", "b", "a", "x,y"]
+        assert np.array_equal(data.features, [[1.0, 3.0, 5.0, 7.0], [2.0, 4.0, 6.0, 8.0]])
+
+    def test_one_row_file(self, tmp_path):
+        data = load_csv(_write(tmp_path, "f1,f2,y\n1,2,0.5\n"),
+                        label_column="y", label_kind="real")
+        assert data.features.shape == (2, 1)
+        assert np.array_equal(data.labels, [0.5])
+
+    def test_one_feature_file(self, tmp_path):
+        data = load_csv(_write(tmp_path, "f1,cls\n1,a\n2,b\n3,a\n"),
+                        label_column="cls", label_kind="categorical")
+        assert np.array_equal(data.features, [[1.0, 2.0, 3.0]])
+        assert data.feature_names == ("f1",)
+        data = load_csv(_write(tmp_path, "f1\n1\n2\n", name="bare.csv"))
+        assert np.array_equal(data.features, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])
+    def test_numbers_use_plain_ascii_float_syntax(self, tmp_path, cell):
+        # float() accepts digit-group underscores and non-ASCII digits;
+        # the loader does not
+        path = _write(tmp_path, f"f1,f2\n1,2\n3,{cell}\n")
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: non-numeric value {cell!r} at row 3, column 'f2'"
+
+    def test_quoted_cell_spanning_lines_rejected(self, tmp_path):
+        path = _write(tmp_path, 'f1,f2\n1,"2\n"\n3,4\n')
+        with pytest.raises(DataError, match="quoted cell spans more than one line"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("column,kind", [(None, None), ("y", "real"), ("y", "categorical")])
+    def test_features_are_transposed_row_major_table(self, tmp_path, column, kind):
+        # a layout change alone moves seeded releases through BLAS rounding
+        path = _write(tmp_path, "f1,y,f2\n1,2,3\n4,5,6\n")
+        data = load_csv(path, label_column=column, label_kind=kind)
+        assert data.features.T.flags.c_contiguous
 
 
 class TestDatasetInvariants:
@@ -173,3 +265,45 @@ class TestWriteRelease:
         ds = Dataset(features=np.ones((2, 2)), feature_names=("height", "width"))
         path = write_dataset_csv(ds, str(tmp_path / "d.csv"))
         assert open(path).readline().strip() == "height,width"
+
+
+def _reference_csv(header, rows):
+    """The row-at-a-time writer the vectorized one must match byte for byte."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else format(float(c), ".17g") for c in row])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestWriterBytes:
+    RNG = np.random.default_rng(5)
+    FEATURES = RNG.normal(size=(3, 6)) * 10.0 ** RNG.integers(-300, 300, size=(3, 6))
+    FEATURES[:, 0] = [-0.0, 5e-324, 1e16]
+    LABELS = RNG.normal(size=6)
+
+    def test_unlabeled_release(self, tmp_path):
+        release = Dataset(features=self.FEATURES, feature_names=("a,b", 'q"t', "c"))
+        data_path, _ = write_release(release, dict(META), str(tmp_path / "out"))
+        expected = _reference_csv(["a,b", 'q"t', "c"], self.FEATURES.T)
+        assert open(data_path, "rb").read() == expected
+
+    def test_real_labels(self, tmp_path):
+        release = Dataset(features=self.FEATURES, labels=self.LABELS)
+        data_path, _ = write_release(release, dict(META), str(tmp_path / "out"))
+        rows = [[*col, y] for col, y in zip(self.FEATURES.T, self.LABELS)]
+        assert open(data_path, "rb").read() == _reference_csv(["z1", "z2", "z3", "label"], rows)
+
+    def test_categorical_labels_with_comma(self, tmp_path):
+        classes = np.array(["a,b", "c", 'd"e', "a,b", "f g", "c"])
+        ds = Dataset(features=self.FEATURES, class_labels=classes,
+                     feature_names=("x,1", "x2", "x3"))
+        path = write_dataset_csv(ds, str(tmp_path / "d.csv"))
+        rows = [[*col, c] for col, c in zip(self.FEATURES.T, classes)]
+        assert open(path, "rb").read() == _reference_csv(["x,1", "x2", "x3", "class"], rows)
+
+    def test_matrix(self, tmp_path):
+        path = write_matrix_csv(self.FEATURES, str(tmp_path / "w.csv"), prefix="w")
+        expected = _reference_csv([f"w{j + 1}" for j in range(6)], self.FEATURES)
+        assert open(path, "rb").read() == expected
