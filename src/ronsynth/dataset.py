@@ -121,8 +121,8 @@ def load_csv(path: str, label_column: str | None = None,
         has_label = label_column is not None
         if ((has_label and label_column not in header) or len(header) == has_label
                 or first in _BLANK_LINES):
-            # a header fault, or no data row before the first blank line
-            _raise_first_error(path, label_column, label_kind)
+            _raise_first_error(path, label_column, label_kind,
+                               "a header fault, or no data row before the first blank line")
         label_idx = header.index(label_column) if has_label else None
 
         codes: dict[str, int] = {}
@@ -132,9 +132,11 @@ def load_csv(path: str, label_column: str | None = None,
         counted = _CountedLines(itertools.chain([first], fh))
         try:
             # loadtxt skips blank lines, so its row count is checked
-            # against the number of lines up to the last non-blank one
+            # against the number of lines up to the last non-blank one.
+            # An explicit encoding hands converters str: numpy 1.x
+            # defaults to "bytes" and would pass them latin-1 bytes.
             table = np.loadtxt(counted, delimiter=",", ndmin=2, comments=None,
-                               quotechar='"', converters=converters)
+                               quotechar='"', converters=converters, encoding="utf-8")
         except ValueError as err:
             _raise_first_error(path, label_column, label_kind, str(err))
         if table.shape != (counted.rows, len(header)):
@@ -182,7 +184,7 @@ class _CountedLines:
 
 
 def _raise_first_error(path: str, label_column: str | None, label_kind: str | None,
-                       cause: str = "unreadable file") -> NoReturn:
+                       cause: str) -> NoReturn:
     """Re-read path with csv.reader and raise a DataError for its first fault.
 
     load_csv calls this once its vectorized parse has failed, so the

@@ -140,6 +140,20 @@ class TestLoadCsvEdgeCases:
         assert list(data.class_labels) == ["a", "b", "a", "x,y"]
         assert np.array_equal(data.features, [[1.0, 3.0, 5.0, 7.0], [2.0, 4.0, 6.0, 8.0]])
 
+    def test_categorical_labels_independent_of_numpy_default_encoding(self, tmp_path,
+                                                                      monkeypatch):
+        # numpy 1.x defaults loadtxt to encoding="bytes", which hands
+        # converters latin-1 bytes; emulate that default here
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, encoding="bytes", **kw:
+                            loadtxt(*a, encoding=encoding, **kw))
+        path = _write(tmp_path, "f1,cls\n1,a\n2,猫\n3,a\n")
+        data = load_csv(path, label_column="cls", label_kind="categorical")
+        assert data.class_labels.tolist() == ["a", "猫", "a"]
+        assert data.class_labels.dtype.kind == "U"
+        write_dataset_csv(data, str(tmp_path / "out.csv"))
+        assert open(tmp_path / "out.csv", encoding="utf-8").read().splitlines()[2] == "2,猫"
+
     def test_one_row_file(self, tmp_path):
         data = load_csv(_write(tmp_path, "f1,f2,y\n1,2,0.5\n"),
                         label_column="y", label_kind="real")
