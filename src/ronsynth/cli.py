@@ -182,9 +182,9 @@ def cmd_synth(args) -> int:
     data = load_csv(args.input, label_column=args.label_col, label_kind=label_kind)
     m, n = data.features.shape
 
-    clip_count = 0
     if data.labels is not None and args.label_bound is not None:
         clipped, clip_count = clip_labels(data.labels, args.label_bound)
+        # an exact count of the data: operator output, never metadata.json
         if clip_count:
             print(f"clipped {clip_count} label(s) to [-{args.label_bound}, "
                   f"{args.label_bound}]", file=sys.stderr)
@@ -222,7 +222,6 @@ def cmd_synth(args) -> int:
         "label_bound": args.label_bound,
         "seed": args.seed,
         "psd_repair_applied": result.psd_repair_applied,
-        "clip_count": clip_count,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     data_path, meta_path = write_release(result.dataset, metadata, args.out)

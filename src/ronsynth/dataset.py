@@ -255,7 +255,7 @@ def _is_float(text: str) -> bool:
 REQUIRED_METADATA_KEYS = (
     "mode", "m", "p", "n", "n_synth", "epsilon_total", "epsilon_mu",
     "epsilon_sigma", "split_ratio", "label_bound", "seed",
-    "psd_repair_applied", "clip_count", "timestamp",
+    "psd_repair_applied", "timestamp",
 )
 
 

@@ -232,16 +232,14 @@ def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
          label_bound: float | None = None, groups: tuple = (None, None)):
     """The fitting core of every release mode.
 
-    Preprocesses X, projects it (onto a fresh basis unless one is
-    given), estimates the second moment (label-augmented when a label
-    bound is given), Laplace-perturbs it and repairs it to the PSD
-    cone. Returns (preprocessed, projection, covariance, repaired).
+    Preprocesses X, projects it (onto a fresh basis unless the gmm
+    shared one is given), estimates the second moment (label-augmented
+    when a label bound is given), Laplace-perturbs it and repairs it to
+    the PSD cone. Returns (preprocessed, projection, covariance, repaired).
     """
     m, n = X.shape
     pre = preprocess(X, epsilon_mu, rng, ledger=ledger, group=groups[0])
     proj = projection if projection is not None else generate_ron(m, p, rng)
-    if proj.m != m or proj.p != p:
-        raise ValueError(f"projection is {proj.m}x{proj.p}, pipeline needs {m}x{p}")
     x_tilde = project(proj, pre.x_bar)
     if label_bound is None:
         second = estimate_cov(x_tilde)
@@ -257,22 +255,19 @@ def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
 def synth_unsupervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                        n_synth: int | None = None,
                        rng: np.random.Generator | None = None,
-                       psd_floor: float = 0.0,
-                       projection: RonProjection | None = None) -> SynthesisResult:
+                       psd_floor: float = 0.0) -> SynthesisResult:
     """Release unlabeled synthetic data from a zero-mean Gaussian model.
 
     Total privacy cost is epsilon_mu + epsilon_sigma (two serial
     spends). n_synth defaults to the source sample count.
     """
-    return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng,
-                              psd_floor, projection)
+    return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng, psd_floor)
 
 
 def synth_supervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                      n_synth: int | None = None,
                      rng: np.random.Generator | None = None,
-                     psd_floor: float = 0.0,
-                     projection: RonProjection | None = None) -> SynthesisResult:
+                     psd_floor: float = 0.0) -> SynthesisResult:
     """Release synthetic features plus a real-valued label column.
 
     The label is appended to the projected features as an extra
@@ -288,13 +283,12 @@ def synth_supervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: fl
     if data.label_bound is None:
         raise ValueError("supervised synthesis needs a declared label bound")
     return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng,
-                              psd_floor, projection, label_bound=data.label_bound)
+                              psd_floor, label_bound=data.label_bound)
 
 
 def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                        n_synth: int | None, rng: np.random.Generator | None,
-                       psd_floor: float, projection: RonProjection | None,
-                       label_bound: float | None = None) -> SynthesisResult:
+                       psd_floor: float, label_bound: float | None = None) -> SynthesisResult:
     """Fit and sample one zero-mean Gaussian; with a label bound, the
     labels are its last coordinate."""
     rng = np.random.default_rng(rng)  # returns a given Generator unchanged
@@ -302,7 +296,8 @@ def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
     _check_dims(p, m)
     ledger = BudgetLedger()
     pre, proj, cov, repaired = _fit(data.features, p, epsilon_mu, epsilon_sigma, rng,
-                                    ledger, psd_floor, projection, data.labels, label_bound)
+                                    ledger, psd_floor, labels=data.labels,
+                                    label_bound=label_bound)
     model = GaussianModel(np.zeros(cov.shape[0]), cov)
     samples = sample_gaussian(model, n if n_synth is None else n_synth, rng)
     release = Dataset(features=samples[:p], feature_names=_released_names(p),

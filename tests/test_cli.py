@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 REQUIRED_META_KEYS = {
     "mode", "m", "p", "n", "n_synth", "epsilon_total", "epsilon_mu",
     "epsilon_sigma", "split_ratio", "label_bound", "seed",
-    "psd_repair_applied", "clip_count", "timestamp",
+    "psd_repair_applied", "timestamp",
 }
 
 
@@ -85,7 +86,7 @@ class TestSynthCommand:
         assert code == 1
         assert not os.path.exists(out)
 
-    def test_supervised_release(self, labeled_csv, tmp_path):
+    def test_supervised_release(self, labeled_csv, tmp_path, capsys):
         out = str(tmp_path / "rel")
         code = main(["synth", labeled_csv, "--mode", "supervised",
                      "--label-col", "y", "--label-bound", "1.0", "--dim", "2",
@@ -95,7 +96,11 @@ class TestSynthCommand:
         assert header.endswith(",label")
         meta = json.load(open(os.path.join(out, "metadata.json")))
         assert meta["label_bound"] == 1.0
-        assert meta["clip_count"] > 0  # fixture labels extend past 1.0
+        # fixture labels extend past 1.0: the exact count goes to the
+        # operator on stderr and stays out of the published metadata
+        assert "clip_count" not in meta
+        assert re.search(r"clipped [1-9]\d* label\(s\) to \[-1.0, 1.0\]",
+                         capsys.readouterr().err)
 
     def test_supervised_needs_bound(self, labeled_csv):
         assert main(["synth", labeled_csv, "--mode", "supervised",
