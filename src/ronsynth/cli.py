@@ -49,6 +49,9 @@ EXIT_NUMERIC = 3
 # silhouette is quadratic in the point count; larger inputs are subsampled to this
 SILHOUETTE_MAX_POINTS = 2000
 
+# dimension guidance needs log10(log10(m)) > 0, that is m > 10
+SMALL_M = 10
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; remap to the usage code
@@ -80,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--dim-sweep", default=None, metavar="P1,P2,...",
                        help="report utility for each listed p instead of releasing; "
                             "sweeps consume no modeled budget and are for research use")
-    synth.add_argument("--label-col", default=None, help="name of the label column")
-    synth.add_argument("--label-kind", choices=("real", "categorical"), default=None)
+    synth.add_argument("--label-col", default=None,
+                       help="name of the label column; real-valued in supervised "
+                            "mode, categorical otherwise")
     synth.add_argument("--label-bound", type=float, default=None,
                        help="bound a; real labels are clipped to [-a, a]")
     synth.add_argument("--samples", type=int, default=None,
@@ -97,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--reconstruct", action="store_true",
                        help="also write the release embedded back in the original "
                             "feature space")
-    synth.add_argument("--psd-floor", type=float, default=0.0,
-                       help="eigenvalue floor for covariance repair (default 0)")
     synth.add_argument("--out", default="release", help="output directory")
 
     ev = sub.add_parser("eval", help="score a dataset or release",
@@ -137,9 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def default_dim(m: int) -> int:
-    """Default projected dimension: the guidance value, capped below m."""
-    if m < 3:
-        return max(1, m - 1)
+    """Default projected dimension: the guidance value, capped below m.
+
+    The guidance is vacuous for m <= SMALL_M, where the default is 1.
+    """
+    if m <= SMALL_M:
+        return 1
     return min(dimension_guidance(m), m - 1)
 
 
@@ -158,26 +163,15 @@ def _sanitize(label) -> str:
 
 
 def cmd_synth(args) -> int:
-    if args.epsilon <= 0:
-        raise _UsageError(f"--epsilon must be positive, got {args.epsilon}")
-    if not 0.0 < args.mu_ratio < 1.0:
-        raise _UsageError(f"--mu-ratio must lie in (0, 1), got {args.mu_ratio}")
-    if args.mode == "supervised":
-        if args.label_col is None or args.label_bound is None:
-            raise _UsageError("supervised mode needs --label-col and --label-bound")
-        label_kind = args.label_kind or "real"
-        if label_kind != "real":
-            raise _UsageError("supervised mode needs real-valued labels")
-    elif args.mode == "gmm":
-        if args.label_col is None:
-            raise _UsageError("gmm mode needs --label-col")
-        label_kind = args.label_kind or "categorical"
-        if label_kind != "categorical":
-            raise _UsageError("gmm mode needs categorical labels")
-    else:
-        # as in eval: a label column is categorical unless told otherwise,
-        # and it is kept out of the features and out of the release
-        label_kind = args.label_kind or ("categorical" if args.label_col else None)
+    epsilon_mu, epsilon_sigma = split_budget(args.epsilon, args.mu_ratio)
+    if args.mode == "supervised" and (args.label_col is None or args.label_bound is None):
+        raise _UsageError("supervised mode needs --label-col and --label-bound")
+    if args.mode == "gmm" and args.label_col is None:
+        raise _UsageError("gmm mode needs --label-col")
+    # the mode fixes the label kind; as in eval, an unsupervised label
+    # column is categorical and stays out of the features and the release
+    label_kind = ("real" if args.mode == "supervised"
+                  else "categorical" if args.label_col else None)
 
     data = load_csv(args.input, label_column=args.label_col, label_kind=label_kind)
     m, n = data.features.shape
@@ -191,8 +185,6 @@ def cmd_synth(args) -> int:
         data = Dataset(features=data.features, labels=clipped,
                        label_bound=args.label_bound, feature_names=data.feature_names)
 
-    epsilon_mu, epsilon_sigma = split_budget(args.epsilon, args.mu_ratio)
-
     if args.dim_sweep is not None:
         dims = _parse_int_list(args.dim_sweep, "--dim-sweep")
         bad = [d for d in dims if not 1 <= d < m]
@@ -205,6 +197,8 @@ def cmd_synth(args) -> int:
     p = args.dim if args.dim is not None else default_dim(m)
     if not 1 <= p < m:
         raise _UsageError(f"--dim must satisfy 1 <= p < m={m}, got {p}")
+    if args.dim is None and m <= SMALL_M:
+        print(f"m={m} is too small for dimension guidance; using p={p}", file=sys.stderr)
 
     rng = np.random.default_rng(args.seed)
     result = _run_pipeline(args, data, p, epsilon_mu, epsilon_sigma, rng)
@@ -243,11 +237,9 @@ def _run_pipeline(args, data: Dataset, p: int, epsilon_mu: float,
     if args.mode == "gmm":
         return synth_gmm(data, p, epsilon_mu, epsilon_sigma,
                          per_class_n_synth=args.samples, rng=rng,
-                         psd_floor=args.psd_floor,
                          shared_projection=args.shared_projection)
     synth = synth_supervised if args.mode == "supervised" else synth_unsupervised
-    return synth(data, p, epsilon_mu, epsilon_sigma, n_synth=args.samples, rng=rng,
-                 psd_floor=args.psd_floor)
+    return synth(data, p, epsilon_mu, epsilon_sigma, n_synth=args.samples, rng=rng)
 
 
 def _write_projections(result: SynthesisResult, out_dir: str) -> list[str]:
@@ -379,11 +371,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    if args.epsilon <= 0:
-        raise _UsageError(f"--epsilon must be positive, got {args.epsilon}")
+    epsilon_mu, epsilon_sigma = split_budget(args.epsilon, args.mu_ratio)
     if args.m < 1:
         raise _UsageError(f"--m must be positive, got {args.m}")
-    epsilon_mu, epsilon_sigma = split_budget(args.epsilon, args.mu_ratio)
     p = args.dim if args.dim is not None else default_dim(args.m)
     if not 1 <= p < args.m:
         raise _UsageError(f"--dim must satisfy 1 <= p < m={args.m}, got {p}")

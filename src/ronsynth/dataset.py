@@ -303,10 +303,10 @@ def write_release(synthetic: Dataset, metadata: dict, out_dir: str) -> tuple[str
     return data_path, meta_path
 
 
-def write_matrix_csv(matrix: np.ndarray, path: str, prefix: str = "c") -> str:
-    """Write a bare numeric matrix as CSV with a generated header."""
+def write_matrix_csv(matrix: np.ndarray, path: str) -> str:
+    """Write a bare numeric matrix as CSV with the header c1, c2, ..."""
     matrix = np.asarray(matrix, dtype=float)
-    return _write_table(path, [f"{prefix}{j + 1}" for j in range(matrix.shape[1])], matrix)
+    return _write_table(path, [f"c{j + 1}" for j in range(matrix.shape[1])], matrix)
 
 
 def _write_table(path: str, header: list[str], table: np.ndarray,

@@ -77,7 +77,7 @@ def laplace_perturb(values: np.ndarray, scale_b: float, rng: np.random.Generator
     uniform on (-0.5, 0.5), so draws are exactly reproducible from a
     seeded generator across platforms.
     """
-    if scale_b <= 0:
+    if not scale_b > 0:
         raise ValueError(f"Laplace scale must be positive, got {scale_b}")
     values = np.asarray(values, dtype=float)
     u = rng.random(values.shape) - 0.5
@@ -97,10 +97,11 @@ def split_budget(epsilon_total: float, mu_ratio: float = 0.3) -> tuple[float, fl
     complexity parameter. epsilon_sigma comes from subtraction and
     epsilon_mu is then re-centered against it; the re-centering absorbs
     the subtraction's rounding so the two parts always sum back to
-    epsilon_total bit-exactly.
+    epsilon_total bit-exactly. This is the one place a total budget is
+    checked: it must be positive and finite (NaN and infinity fail).
     """
-    if epsilon_total <= 0:
-        raise ValueError(f"epsilon_total must be positive, got {epsilon_total}")
+    if not 0.0 < epsilon_total < math.inf:
+        raise ValueError(f"epsilon_total must be positive and finite, got {epsilon_total}")
     if not 0.0 < mu_ratio < 1.0:
         raise ValueError(f"mu_ratio must lie in (0, 1), got {mu_ratio}")
     epsilon_sigma = epsilon_total - mu_ratio * epsilon_total
@@ -142,9 +143,9 @@ class BudgetLedger:
 
     def record(self, query: str, sensitivity: float, epsilon: float,
                group: str | None = None) -> LedgerEntry:
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ValueError(f"recorded epsilon must be positive, got {epsilon}")
-        if sensitivity <= 0:
+        if not sensitivity > 0:
             raise ValueError(f"recorded sensitivity must be positive, got {sensitivity}")
         entry = LedgerEntry(query, sensitivity, epsilon, group)
         self._entries.append(entry)

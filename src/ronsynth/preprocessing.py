@@ -72,13 +72,13 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float, rng: np.random.Generato
             ledger: BudgetLedger | None = None, group: str | None = None) -> np.ndarray:
     """Laplace-perturbed column mean of unit-norm data.
 
-    Noise scale is 2*sqrt(m)/(n * epsilon_mu). Passing
-    epsilon_mu=math.inf disables the noise (research mode; the spend is
-    then not recorded). The spend (query, sensitivity, epsilon) is
-    appended to ``ledger`` when one is given.
+    Noise scale is 2*sqrt(m)/(n * epsilon_mu). The spend (query,
+    sensitivity, epsilon) is appended to ``ledger`` when one is given.
+    Passing epsilon_mu=math.inf disables the noise (research mode); the
+    spend is still recorded, so the ledger then totals infinity.
     """
     X = np.asarray(X_normalized, dtype=float)
-    if epsilon_mu <= 0:
+    if not epsilon_mu > 0:
         raise ValueError(f"epsilon_mu must be positive, got {epsilon_mu}")
     m, n = X.shape
     norms = np.linalg.norm(X, axis=0)
@@ -89,10 +89,10 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float, rng: np.random.Generato
         )
     mean = X.mean(axis=1)
     sensitivity = mean_sensitivity(m, n)
-    if math.isinf(epsilon_mu):
-        return mean
     if ledger is not None:
         ledger.record("mean", sensitivity, epsilon_mu, group=group)
+    if math.isinf(epsilon_mu):
+        return mean
     return laplace_perturb(mean, sensitivity / epsilon_mu, rng)
 
 
@@ -123,24 +123,17 @@ def _center(X1: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
                                zero_norm_rows_dropped=int(np.count_nonzero(collapsed)))
 
 
-def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator | None,
-               mu_dp: np.ndarray | None = None,
+def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator,
                ledger: BudgetLedger | None = None,
                group: str | None = None) -> PreprocessedDataset:
     """Run the full preprocessing stage.
 
     Each raw sample is normalized once; the DP mean is taken of those
-    unit columns, which are then centered and re-normalized.
-
-    When ``mu_dp`` is given, the mean derivation is skipped and the
-    provided (already released) mean is used for centering; no budget
-    is spent in that case. Samples whose centered norm is at most
-    DEGENERATE_NORM have no direction to re-normalize to; they become
-    the zero vector and are counted, so the output keeps every column.
+    unit columns, which are then centered and re-normalized. Samples
+    whose centered norm is at most DEGENERATE_NORM have no direction to
+    re-normalize to; they become the zero vector and are counted, so
+    the output keeps every column. Held-out data goes through
+    ``center_with_mean`` with the released mean instead.
     """
     X1 = sample_normalize(X)
-    if mu_dp is None:
-        if rng is None:
-            raise ValueError("rng is required when deriving a fresh DP mean")
-        mu_dp = dp_mean(X1, epsilon_mu, rng, ledger=ledger, group=group)
-    return _center(X1, mu_dp)
+    return _center(X1, dp_mean(X1, epsilon_mu, rng, ledger=ledger, group=group))

@@ -154,16 +154,17 @@ def dp_perturb_cov(cov: np.ndarray, sensitivity: float, epsilon_sigma: float,
 
     Each entry i <= j, the entries the sensitivity covers, gets noise of
     scale sensitivity/epsilon_sigma once; the lower triangle copies it.
-    epsilon_sigma=math.inf disables the noise.
+    epsilon_sigma=math.inf disables the noise; the spend is still
+    recorded, so the ledger then totals infinity.
     """
     cov = np.asarray(cov, dtype=float)
-    if epsilon_sigma <= 0:
+    if not epsilon_sigma > 0:
         raise ValueError(f"epsilon_sigma must be positive, got {epsilon_sigma}")
     upper = np.triu_indices(cov.shape[0])
     values = cov[upper]
+    if ledger is not None:
+        ledger.record(query, sensitivity, epsilon_sigma, group=group)
     if not math.isinf(epsilon_sigma):
-        if ledger is not None:
-            ledger.record(query, sensitivity, epsilon_sigma, group=group)
         values = laplace_perturb(values, sensitivity / epsilon_sigma, rng)
     noisy = np.empty_like(cov)
     noisy[upper] = values
@@ -171,8 +172,8 @@ def dp_perturb_cov(cov: np.ndarray, sensitivity: float, epsilon_sigma: float,
     return noisy
 
 
-def psd_repair(cov: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, bool]:
-    """Clip eigenvalues below ``floor`` up to it.
+def psd_repair(cov: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Clip negative eigenvalues to zero.
 
     Returns the repaired matrix and whether any clipping happened. An
     already-compliant matrix is returned unchanged. Spectral clipping
@@ -180,14 +181,12 @@ def psd_repair(cov: np.ndarray, floor: float = 0.0) -> tuple[np.ndarray, bool]:
     post-processing of a DP quantity, is free.
     """
     cov = np.asarray(cov, dtype=float)
-    if floor < 0:
-        raise ValueError(f"eigenvalue floor must be non-negative, got {floor}")
     if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
         raise ValueError("psd_repair expects a symmetric matrix")
     eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.min() >= floor:
+    if eigvals.min() >= 0.0:
         return cov, False
-    repaired = (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
+    repaired = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
     return (repaired + repaired.T) / 2.0, True
 
 
@@ -227,7 +226,7 @@ def covariance_spend(p: int, n: int,
 
 
 def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
-         rng: np.random.Generator, ledger: BudgetLedger, psd_floor: float,
+         rng: np.random.Generator, ledger: BudgetLedger,
          projection: RonProjection | None = None, labels: np.ndarray | None = None,
          label_bound: float | None = None, groups: tuple = (None, None)):
     """The fitting core of every release mode.
@@ -248,26 +247,24 @@ def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
     query, sensitivity = covariance_spend(p, n, label_bound)
     noisy = dp_perturb_cov(second, sensitivity, epsilon_sigma, rng, ledger=ledger,
                            query=query, group=groups[1])
-    cov, repaired = psd_repair(noisy, psd_floor)
+    cov, repaired = psd_repair(noisy)
     return pre, proj, cov, repaired
 
 
 def synth_unsupervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                        n_synth: int | None = None,
-                       rng: np.random.Generator | None = None,
-                       psd_floor: float = 0.0) -> SynthesisResult:
+                       rng: np.random.Generator | None = None) -> SynthesisResult:
     """Release unlabeled synthetic data from a zero-mean Gaussian model.
 
     Total privacy cost is epsilon_mu + epsilon_sigma (two serial
     spends). n_synth defaults to the source sample count.
     """
-    return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng, psd_floor)
+    return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng)
 
 
 def synth_supervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                      n_synth: int | None = None,
-                     rng: np.random.Generator | None = None,
-                     psd_floor: float = 0.0) -> SynthesisResult:
+                     rng: np.random.Generator | None = None) -> SynthesisResult:
     """Release synthetic features plus a real-valued label column.
 
     The label is appended to the projected features as an extra
@@ -283,12 +280,12 @@ def synth_supervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: fl
     if data.label_bound is None:
         raise ValueError("supervised synthesis needs a declared label bound")
     return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng,
-                              psd_floor, label_bound=data.label_bound)
+                              label_bound=data.label_bound)
 
 
 def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                        n_synth: int | None, rng: np.random.Generator | None,
-                       psd_floor: float, label_bound: float | None = None) -> SynthesisResult:
+                       label_bound: float | None = None) -> SynthesisResult:
     """Fit and sample one zero-mean Gaussian; with a label bound, the
     labels are its last coordinate."""
     rng = np.random.default_rng(rng)  # returns a given Generator unchanged
@@ -296,7 +293,7 @@ def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
     _check_dims(p, m)
     ledger = BudgetLedger()
     pre, proj, cov, repaired = _fit(data.features, p, epsilon_mu, epsilon_sigma, rng,
-                                    ledger, psd_floor, labels=data.labels,
+                                    ledger, labels=data.labels,
                                     label_bound=label_bound)
     model = GaussianModel(np.zeros(cov.shape[0]), cov)
     samples = sample_gaussian(model, n if n_synth is None else n_synth, rng)
@@ -307,9 +304,8 @@ def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
 
 
 def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
-              per_class_n_synth: int | dict | None = None,
+              per_class_n_synth: int | None = None,
               rng: np.random.Generator | None = None,
-              psd_floor: float = 0.0,
               shared_projection: bool = False) -> SynthesisResult:
     """Release class-labeled synthetic data from one Gaussian per class.
 
@@ -319,6 +315,8 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     counts are treated as public. Because the per-class spends operate
     on disjoint partitions, they compose in parallel and the total cost
     stays epsilon_mu + epsilon_sigma regardless of the class count.
+    per_class_n_synth sets one synthetic count for every class; by
+    default each class keeps its source count.
 
     By default every class draws its own fresh projection, so the
     feature columns of different classes live in different projected
@@ -328,13 +326,14 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     """
     if data.class_labels is None:
         raise ValueError("mixture synthesis needs categorical class labels")
+    if per_class_n_synth is not None and per_class_n_synth < 1:
+        raise ValueError("per-class synthetic count must be positive")
     rng = np.random.default_rng(rng)  # returns a given Generator unchanged
     m = data.features.shape[0]
     _check_dims(p, m)
     ledger = BudgetLedger()
 
     class_names = sorted(set(data.class_labels.tolist()), key=str)
-    counts = _per_class_counts(per_class_n_synth, class_names)
 
     shared = generate_ron(m, p, rng) if shared_projection else None
     class_rngs = rng.spawn(len(class_names))
@@ -346,15 +345,15 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     for name, class_rng in zip(class_names, class_rngs):
         mask = data.class_labels == name
         pre, proj, cov, repaired = _fit(data.features[:, mask], p, epsilon_mu,
-                                        epsilon_sigma, class_rng, ledger, psd_floor,
-                                        shared, groups=(GMM_MEAN_GROUP, GMM_COV_GROUP))
+                                        epsilon_sigma, class_rng, ledger, shared,
+                                        groups=(GMM_MEAN_GROUP, GMM_COV_GROUP))
         any_repair = any_repair or repaired
         model_c = GaussianModel(proj.W.T @ pre.mu_dp, cov)
         n_c = int(np.count_nonzero(mask))
         modes.append(GmmMode(label=name, n_c=n_c, model=model_c,
                              projection=proj, mu_dp=pre.mu_dp))
 
-        count = counts.get(name, n_c)
+        count = n_c if per_class_n_synth is None else per_class_n_synth
         feature_blocks.append(sample_gaussian(model_c, count, class_rng))
         label_blocks.append(np.full(count, name))
 
@@ -396,18 +395,3 @@ def _check_dims(p: int, m: int) -> None:
     if not 1 <= p < m:
         raise ValueError(f"projected dimension must satisfy 1 <= p < m, got p={p}, m={m}")
 
-
-def _per_class_counts(per_class_n_synth, class_names) -> dict:
-    if per_class_n_synth is None:
-        return {}
-    if isinstance(per_class_n_synth, int):
-        if per_class_n_synth < 1:
-            raise ValueError("per-class synthetic count must be positive")
-        return {name: per_class_n_synth for name in class_names}
-    counts = dict(per_class_n_synth)
-    unknown = [k for k in counts if k not in class_names]
-    if unknown:
-        raise ValueError(f"per-class counts name unknown classes: {unknown}")
-    if any(v < 1 for v in counts.values()):
-        raise ValueError("per-class synthetic counts must be positive")
-    return counts

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,38 @@ class TestSynthCommand:
     def test_unknown_flag_is_usage_error(self, numeric_csv):
         assert main(["synth", numeric_csv, "--frobnicate"]) == 1
 
+    @pytest.mark.parametrize("flag", [["--psd-floor", "0"], ["--label-kind", "categorical"]])
+    def test_removed_flags_are_usage_errors(self, classed_csv, tmp_path, flag):
+        out = str(tmp_path / "rel")
+        assert main(["synth", classed_csv, "--label-col", "cls", "--dim", "2", *flag,
+                     "--out", out]) == 1
+        assert not os.path.exists(out)
+
+    def test_supervised_label_kind_is_real(self, classed_csv, tmp_path):
+        # supervised mode reads its label column as reals, so a column of
+        # class names is a data error, not a usage error
+        out = str(tmp_path / "rel")
+        assert main(["synth", classed_csv, "--mode", "supervised", "--label-col", "cls",
+                     "--label-bound", "1", "--out", out]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_bad_epsilon_fails_before_reading_input(self, numeric_csv, tmp_path, eps):
+        out = str(tmp_path / "rel")
+        assert main(["synth", numeric_csv, "--epsilon", eps, "--out", out]) == 1
+        assert not os.path.exists(out)
+        # had the input been read first, a missing file would exit 2
+        assert main(["synth", str(tmp_path / "ghost.csv"), "--epsilon", eps]) == 1
+
+    def test_small_m_default_dim_is_reported_without_warning(self, numeric_csv,
+                                                             tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", numeric_csv, "--seed", "1",
+                         "--out", str(tmp_path / "rel")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["m=6 is too small for dimension guidance; using p=1"]
+
     def test_samples_flag(self, numeric_csv, tmp_path):
         out = str(tmp_path / "rel")
         main(["synth", numeric_csv, "--dim", "2", "--samples", "17", "--seed", "1",
@@ -278,11 +311,19 @@ class TestBudgetCommand:
     def test_gmm_needs_class_sizes(self):
         assert main(["budget", "--mode", "gmm", "--m", "10", "--dim", "2"]) == 1
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_bad_epsilon_prints_no_plan(self, eps, capsys):
+        assert main(["budget", "--epsilon", eps, "--m", "6", "--n", "200"]) == 1
+        assert capsys.readouterr().out == ""
+
 
 def test_default_dim_uses_guidance_capped_by_m():
     assert default_dim(100) == 13
     assert default_dim(2) == 1
-    with pytest.warns(UserWarning):
+    # the guidance is vacuous for m <= 10; the default is 1, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert default_dim(8) == 1
+        assert default_dim(10) == 1
     # guidance can exceed m-1 for small m; the cap wins
     assert default_dim(12) <= 11

@@ -318,6 +318,6 @@ class TestWriterBytes:
         assert open(path, "rb").read() == _reference_csv(["x,1", "x2", "x3", "class"], rows)
 
     def test_matrix(self, tmp_path):
-        path = write_matrix_csv(self.FEATURES, str(tmp_path / "w.csv"), prefix="w")
-        expected = _reference_csv([f"w{j + 1}" for j in range(6)], self.FEATURES)
+        path = write_matrix_csv(self.FEATURES, str(tmp_path / "w.csv"))
+        expected = _reference_csv([f"c{j + 1}" for j in range(6)], self.FEATURES)
         assert open(path, "rb").read() == expected

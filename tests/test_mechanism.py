@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -97,6 +99,8 @@ class TestLaplacePerturb:
             laplace_perturb(np.zeros(3), 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             laplace_perturb(np.zeros(3), -1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            laplace_perturb(np.zeros(3), math.nan, np.random.default_rng(0))
 
     def test_moments_at_unit_scale(self):
         draws = laplace_perturb(np.zeros(10**6), 1.0, np.random.default_rng(11))
@@ -133,8 +137,11 @@ class TestSplitBudget:
             assert eps_mu + eps_sigma == eps
 
     def test_rejects_bad_arguments(self):
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                split_budget(eps)
         with pytest.raises(ValueError):
-            split_budget(0.0)
+            split_budget(1.0, math.nan)
         with pytest.raises(ValueError):
             split_budget(1.0, 0.0)
         with pytest.raises(ValueError):
@@ -186,6 +193,11 @@ class TestBudgetLedger:
             ledger.record("mean", 0.1, 0.0)
         with pytest.raises(ValueError):
             ledger.record("mean", 0.0, 0.5)
+        with pytest.raises(ValueError):
+            ledger.record("mean", 0.1, math.nan)
+        with pytest.raises(ValueError):
+            ledger.record("mean", math.nan, 0.5)
+        assert len(ledger) == 0
 
     def test_render(self):
         ledger = BudgetLedger()

@@ -67,8 +67,9 @@ class TestDpMean:
 
     def test_rejects_nonpositive_epsilon(self):
         X = unit_columns(3, 4, seed=5)
-        with pytest.raises(ValueError):
-            dp_mean(X, 0.0, np.random.default_rng(0))
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                dp_mean(X, eps, np.random.default_rng(0))
 
     def test_records_spend_in_ledger(self):
         X = unit_columns(4, 10, seed=6)
@@ -78,6 +79,14 @@ class TestDpMean:
         assert entry.query == "mean"
         assert entry.sensitivity == mean_sensitivity(4, 10)
         assert entry.epsilon == 0.3
+
+    def test_infinite_budget_is_recorded(self):
+        X = unit_columns(4, 10, seed=6)
+        ledger = BudgetLedger()
+        dp_mean(X, math.inf, np.random.default_rng(0), ledger=ledger)
+        (entry,) = ledger.entries
+        assert entry.epsilon == math.inf
+        assert ledger.total() == math.inf
 
     def test_noise_distribution_at_scale(self):
         # one call in dimension 10^6 yields 10^6 i.i.d. draws; with
@@ -108,8 +117,8 @@ class TestPreprocess:
         Xp = X.copy()
         Xp[:, j] = np.random.default_rng(99).normal(size=m)
         mu = dp_mean(sample_normalize(X), 1.0, np.random.default_rng(1))
-        out = preprocess(X, 1.0, None, mu_dp=mu)
-        outp = preprocess(Xp, 1.0, None, mu_dp=mu)
+        out = center_with_mean(X, mu)
+        outp = center_with_mean(Xp, mu)
         diffs = np.flatnonzero(np.any(out.x_bar != outp.x_bar, axis=0))
         assert list(diffs) == [j]
 
@@ -118,7 +127,7 @@ class TestPreprocess:
         mu[2] = 1.0  # unit vector
         X = np.random.default_rng(12).normal(size=(4, 9))
         X[:, 3] = 2.0 * mu  # normalizes onto mu, centers to zero
-        pre = preprocess(X, 1.0, None, mu_dp=mu)
+        pre = center_with_mean(X, mu)
         assert pre.zero_norm_rows_dropped == 1
         assert pre.x_bar.shape == (4, 9)
         assert np.array_equal(pre.x_bar[:, 3], np.zeros(4))
@@ -139,11 +148,6 @@ class TestPreprocess:
         assert unsup.dataset.n_samples == sup.dataset.n_samples == n
         assert unsup.ledger.entries[-1].sensitivity == covariance_spend(p, n)[1]
         assert sup.ledger.entries[-1].sensitivity == covariance_spend(p, n, a)[1]
-
-    def test_rng_required_without_given_mean(self):
-        X = np.random.default_rng(13).normal(size=(3, 5))
-        with pytest.raises(ValueError, match="rng"):
-            preprocess(X, 1.0, None)
 
     def test_center_with_mean_spends_nothing(self):
         X = np.random.default_rng(14).normal(size=(5, 20))
