@@ -8,7 +8,15 @@ single ledger with serial and parallel composition.
 """
 
 from .dataset import DataError, Dataset, clip_labels, load_csv, write_release
-from .evaluation import NormalityReport, EvalReport, normality_diagnostic, kmeans, rmse, silhouette
+from .evaluation import (
+    NormalityReport,
+    kmeans,
+    nearest_mean_accuracy,
+    normality_diagnostic,
+    ols_rmse,
+    rmse,
+    silhouette,
+)
 from .mechanism import (
     BudgetLedger,
     LedgerEntry,
@@ -45,7 +53,6 @@ __all__ = [
     "DataError",
     "Dataset",
     "NormalityReport",
-    "EvalReport",
     "GaussianModel",
     "GmmMode",
     "GmmModel",
@@ -57,7 +64,6 @@ __all__ = [
     "center_with_mean",
     "clip_labels",
     "cov_sensitivity",
-    "normality_diagnostic",
     "dimension_guidance",
     "dp_mean",
     "dp_perturb_cov",
@@ -70,6 +76,9 @@ __all__ = [
     "mean_sensitivity",
     "mle_cov_sensitivity",
     "mode_transform",
+    "nearest_mean_accuracy",
+    "normality_diagnostic",
+    "ols_rmse",
     "preprocess",
     "project",
     "psd_repair",

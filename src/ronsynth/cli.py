@@ -11,11 +11,11 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
 
-from . import learners
 from .dataset import (
     DataError,
     Dataset,
@@ -25,7 +25,13 @@ from .dataset import (
     write_matrix_csv,
     write_release,
 )
-from .evaluation import EvalReport, normality_diagnostic, rmse, silhouette_sweep
+from .evaluation import (
+    nearest_mean_accuracy,
+    normality_diagnostic,
+    ols_rmse,
+    rmse,
+    silhouette_sweep,
+)
 from .mechanism import BudgetLedger, mean_sensitivity, split_budget
 from .projection import dimension_guidance, reconstruct
 from .synthesis import (
@@ -34,11 +40,9 @@ from .synthesis import (
     GmmModel,
     SynthesisResult,
     covariance_spend,
-    mode_transform,
     synth_gmm,
     synth_supervised,
     synth_unsupervised,
-    transform_features,
 )
 
 EXIT_OK = 0
@@ -148,6 +152,23 @@ def default_dim(m: int) -> int:
     return min(dimension_guidance(m), m - 1)
 
 
+def _budget_split(args) -> tuple[float, float]:
+    """split_budget of the --epsilon and --mu-ratio flags; an error names the flag."""
+    try:
+        return split_budget(args.epsilon, args.mu_ratio)
+    except ValueError as err:
+        message = str(err).replace("epsilon_total", "--epsilon")
+        raise _UsageError(message.replace("mu_ratio", "--mu-ratio")) from None
+
+
+def _projected_dim(dim: int | None, m: int) -> int:
+    """The --dim flag, or default_dim(m) when unset; must satisfy 1 <= p < m."""
+    p = dim if dim is not None else default_dim(m)
+    if not 1 <= p < m:
+        raise _UsageError(f"--dim must satisfy 1 <= p < m={m}, got {p}")
+    return p
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
@@ -163,7 +184,7 @@ def _sanitize(label) -> str:
 
 
 def cmd_synth(args) -> int:
-    epsilon_mu, epsilon_sigma = split_budget(args.epsilon, args.mu_ratio)
+    epsilon_mu, epsilon_sigma = _budget_split(args)
     if args.mode == "supervised" and (args.label_col is None or args.label_bound is None):
         raise _UsageError("supervised mode needs --label-col and --label-bound")
     if args.mode == "gmm" and args.label_col is None:
@@ -194,14 +215,13 @@ def cmd_synth(args) -> int:
         print(json.dumps(report, indent=2))
         return EXIT_OK
 
-    p = args.dim if args.dim is not None else default_dim(m)
-    if not 1 <= p < m:
-        raise _UsageError(f"--dim must satisfy 1 <= p < m={m}, got {p}")
+    p = _projected_dim(args.dim, m)
     if args.dim is None and m <= SMALL_M:
         print(f"m={m} is too small for dimension guidance; using p={p}", file=sys.stderr)
 
     rng = np.random.default_rng(args.seed)
     result = _run_pipeline(args, data, p, epsilon_mu, epsilon_sigma, rng)
+    projections = _projection_files(result, args.out) if args.save_projection else []
 
     metadata = {
         "mode": args.mode,
@@ -220,9 +240,7 @@ def cmd_synth(args) -> int:
     }
     data_path, meta_path = write_release(result.dataset, metadata, args.out)
     written = [data_path, meta_path]
-
-    if args.save_projection:
-        written += _write_projections(result, args.out)
+    written += [write_matrix_csv(W, path) for W, path in projections]
     if args.reconstruct:
         written.append(_write_reconstruction(result, data, args.out))
 
@@ -242,16 +260,23 @@ def _run_pipeline(args, data: Dataset, p: int, epsilon_mu: float,
     return synth(data, p, epsilon_mu, epsilon_sigma, n_synth=args.samples, rng=rng)
 
 
-def _write_projections(result: SynthesisResult, out_dir: str) -> list[str]:
-    paths = []
-    if isinstance(result.model, GmmModel) and result.projection is None:
-        for mode in result.model.modes:
-            path = os.path.join(out_dir, f"projection_{_sanitize(mode.label)}.csv")
-            paths.append(write_matrix_csv(mode.projection.W, path))
-    else:
-        path = os.path.join(out_dir, "projection.csv")
-        paths.append(write_matrix_csv(result.projection.W, path))
-    return paths
+def _projection_files(result: SynthesisResult, out_dir: str) -> list[tuple[np.ndarray, str]]:
+    """(matrix, path) of every projection to save, checked before any write.
+
+    Per-class file names come from sanitized class names; two classes
+    that sanitize to one name would overwrite each other, a data error.
+    """
+    if not (isinstance(result.model, GmmModel) and result.projection is None):
+        return [(result.projection.W, os.path.join(out_dir, "projection.csv"))]
+    files, owners = [], {}
+    for mode in result.model.modes:
+        name = f"projection_{_sanitize(mode.label)}.csv"
+        if name in owners:
+            raise DataError(f"classes {owners[name]!r} and {mode.label!r} would both "
+                            f"save their projection to {name}")
+        owners[name] = mode.label
+        files.append((mode.projection.W, os.path.join(out_dir, name)))
+    return files
 
 
 def _write_reconstruction(result: SynthesisResult, source: Dataset, out_dir: str) -> str:
@@ -287,25 +312,13 @@ def _dim_sweep(args, data: Dataset, dims: list[int], epsilon_mu: float,
 
 
 def _sweep_metric(args, data: Dataset, result: SynthesisResult) -> dict:
-    release = result.dataset
     if args.mode == "supervised":
-        coef = learners.ols_fit(release.features, release.labels)
-        feats = transform_features(result.mu_dp, result.projection, data.features)
-        pred = learners.ols_predict(coef, feats)
-        return {"metric": "rmse", "value": rmse(pred, data.labels)}
+        return {"metric": "rmse", "value": ols_rmse(result, data.features, data.labels)}
     if args.mode == "gmm":
-        means = learners.class_means(release.features, release.class_labels)
-        scores = np.stack([
-            np.linalg.norm(mode_transform(mode, data.features)
-                           - np.asarray(means[mode.label])[:, None], axis=0)
-            for mode in result.model.modes
-        ])
-        labels = [mode.label for mode in result.model.modes]
-        pred = np.array([labels[i] for i in scores.argmin(axis=0)])
-        acc = float(np.mean(pred == data.class_labels))
+        acc = nearest_mean_accuracy(result, data.features, data.class_labels)
         return {"metric": "accuracy", "value": acc}
     # unsupervised: cluster the release and score the clustering
-    best_k, sweep, _ = silhouette_sweep(release.features, range(2, 7),
+    best_k, sweep, _ = silhouette_sweep(result.dataset.features, range(2, 7),
                                         SILHOUETTE_MAX_POINTS, args.seed)
     return {"metric": "silhouette", "value": sweep[best_k], "k": best_k}
 
@@ -324,6 +337,12 @@ def _load_vector(path: str, column: str | None) -> np.ndarray:
     return data.features[0, :]
 
 
+def _print_report(metric: str, value: float, n_points: int, params: dict) -> int:
+    report = {"metric": metric, "value": value, "n_points": n_points, "params": params}
+    print(json.dumps(report, indent=2))
+    return EXIT_OK
+
+
 def cmd_eval(args) -> int:
     if args.max_points < 2:
         raise _UsageError(f"--max-points must be at least 2, got {args.max_points}")
@@ -332,10 +351,8 @@ def cmd_eval(args) -> int:
             raise _UsageError("rmse needs --pred and --truth")
         pred = _load_vector(args.pred, args.column)
         truth = _load_vector(args.truth, args.column)
-        report = EvalReport("rmse", rmse(pred, truth), len(pred),
-                            {"pred": args.pred, "truth": args.truth})
-        print(json.dumps(report.as_dict(), indent=2))
-        return EXIT_OK
+        return _print_report("rmse", rmse(pred, truth), len(pred),
+                             {"pred": args.pred, "truth": args.truth})
 
     if not args.data:
         raise _UsageError(f"{args.metric} needs --data")
@@ -344,9 +361,7 @@ def cmd_eval(args) -> int:
 
     if args.metric == "normality":
         rep = normality_diagnostic(data.features, orig_dim=args.orig_dim)
-        report = EvalReport("normality_mean_ks", rep.mean_ks, rep.n_samples, rep.as_dict())
-        print(json.dumps(report.as_dict(), indent=2))
-        return EXIT_OK
+        return _print_report("normality_mean_ks", rep.mean_ks, rep.n_samples, asdict(rep))
 
     # silhouette
     if args.k is None and args.k_sweep is None:
@@ -364,19 +379,15 @@ def cmd_eval(args) -> int:
             raise _UsageError(f"--k must be at least 2, got {args.k}")
         ks = [args.k]
     best_k, sweep, n_points = silhouette_sweep(data.features, ks, args.max_points, args.seed)
-    report = EvalReport("silhouette", sweep[best_k], n_points,
-                        {"k": best_k, "sweep": {str(k): v for k, v in sweep.items()}})
-    print(json.dumps(report.as_dict(), indent=2))
-    return EXIT_OK
+    return _print_report("silhouette", sweep[best_k], n_points,
+                         {"k": best_k, "sweep": {str(k): v for k, v in sweep.items()}})
 
 
 def cmd_budget(args) -> int:
-    epsilon_mu, epsilon_sigma = split_budget(args.epsilon, args.mu_ratio)
+    epsilon_mu, epsilon_sigma = _budget_split(args)
     if args.m < 1:
         raise _UsageError(f"--m must be positive, got {args.m}")
-    p = args.dim if args.dim is not None else default_dim(args.m)
-    if not 1 <= p < args.m:
-        raise _UsageError(f"--dim must satisfy 1 <= p < m={args.m}, got {p}")
+    p = _projected_dim(args.dim, args.m)
 
     label_bound = args.label_bound if args.mode == "supervised" else None
     if args.mode == "gmm":
@@ -398,14 +409,9 @@ def cmd_budget(args) -> int:
     for n in sizes:
         ledger.record("mean", mean_sensitivity(args.m, n), epsilon_mu, group=groups[0])
         ledger.record(*covariance_spend(p, n, label_bound), epsilon_sigma, group=groups[1])
-    spends = []
-    for idx, entry in enumerate(ledger.entries):
-        row = {"class": idx // 2} if args.mode == "gmm" else {}  # two spends per class
-        row.update(query=entry.query, sensitivity=entry.sensitivity, epsilon=entry.epsilon,
-                   noise_scale=entry.sensitivity / entry.epsilon)
-        if entry.group is not None:
-            row["group"] = entry.group
-        spends.append(row)
+    spends = [entry.as_dict() for entry in ledger.entries]
+    if args.mode == "gmm":  # two spends per class
+        spends = [{"class": idx // 2, **row} for idx, row in enumerate(spends)]
 
     plan = {
         "mode": args.mode,

@@ -13,6 +13,7 @@ transpose; nothing outside it should ever flip orientation.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import os
@@ -313,13 +314,26 @@ def _write_table(path: str, header: list[str], table: np.ndarray,
                  class_labels: np.ndarray | None = None) -> str:
     # 17 significant digits round-trip any IEEE double exactly; rows end
     # in CRLF like csv.writer's, which writes the (quoted) header
+    fmt = ["%.17g"] * table.shape[1]
+    if class_labels is not None:
+        # each distinct class name is quoted once and its cells appended
+        # as a text column, so the rows still go through one savetxt
+        names, inverse = np.unique(class_labels, return_inverse=True)
+        quoted = np.array([_csv_field(str(name)) for name in names], dtype=object)
+        cells = np.empty((table.shape[0], table.shape[1] + 1), dtype=object)
+        cells[:, :-1] = table
+        cells[:, -1] = quoted[inverse]
+        table, fmt = cells, [*fmt, "%s"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if class_labels is None:
-            np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\r\n")
-        else:
-            # a class name may need quoting, so these rows keep csv.writer
-            writer.writerows([*(format(v, ".17g") for v in row.tolist()), str(label)]
-                             for row, label in zip(table, class_labels))
+        csv.writer(fh).writerow(header)
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n")
     return path
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as a cell of a row, quoted if it must be."""
+    buf = io.StringIO()
+    # written after a first cell, as in a release row: csv.writer quotes
+    # an empty name only when it is the row's sole cell
+    csv.writer(buf).writerow(["", text])
+    return buf.getvalue()[1:-2]

@@ -1,10 +1,13 @@
 """Utility metrics for scoring releases.
 
 All matrices here follow the package's internal orientation: samples
-are columns. The silhouette coefficient and k-means are the clustering
-pair; RMSE scores regression; the normality diagnostic quantifies how
-Gaussian each projected coordinate looks, which is the property the
-low-dimensional projection is supposed to buy.
+are columns. The paper judges a release by three downstream tasks, and
+each release mode has one scorer here: ``silhouette_sweep`` clusters an
+unsupervised release, ``ols_rmse`` trains least squares on a supervised
+release and ``nearest_mean_accuracy`` classifies with a gmm release's
+class means, both scored on real data. The normality diagnostic
+quantifies how Gaussian each projected coordinate looks, which is the
+property the low-dimensional projection is supposed to buy.
 
 The metrics need numpy alone. Pairwise distances add the squared
 coordinate differences one coordinate at a time, so every distance is
@@ -15,25 +18,15 @@ order; the KS statistic takes the normal CDF from ``math.erfc``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .synthesis import SynthesisResult, mode_transform, transform_features
 
 # cells of the distance accumulator filled per block: 512 KiB of
 # float64, small enough to stay in cache across the coordinate loop
 _BLOCK_CELLS = 1 << 16
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    metric: str
-    value: float
-    n_points: int
-    params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"metric": self.metric, "value": self.value,
-                "n_points": self.n_points, "params": self.params}
 
 
 def silhouette(X: np.ndarray, assignments: np.ndarray) -> float:
@@ -188,6 +181,46 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
+def ols_fit(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients (with intercept) for column-wise samples."""
+    features = np.asarray(features, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    design = np.vstack([features, np.ones(features.shape[1])]).T
+    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    return coef
+
+
+def ols_predict(coef: np.ndarray, features: np.ndarray) -> np.ndarray:
+    features = np.asarray(features, dtype=float)
+    design = np.vstack([features, np.ones(features.shape[1])]).T
+    return design @ coef
+
+
+def ols_rmse(result: SynthesisResult, features: np.ndarray, labels: np.ndarray) -> float:
+    """RMSE on real data of least squares trained on a supervised release.
+
+    The real features (columns) are mapped into the release's chart by
+    ``transform_features`` before prediction.
+    """
+    release = result.dataset
+    coef = ols_fit(release.features, release.labels)
+    feats = transform_features(result.mu_dp, result.projection, features)
+    return rmse(ols_predict(coef, feats), labels)
+
+
+def nearest_mean_accuracy(result: SynthesisResult, features: np.ndarray,
+                          labels: np.ndarray) -> float:
+    """Accuracy on the real data of nearest release class mean, per mode chart."""
+    release = result.dataset
+    modes = result.model.modes
+    dists = []
+    for mode in modes:
+        mean = release.features[:, release.class_labels == mode.label].mean(axis=1)
+        dists.append(np.linalg.norm(mode_transform(mode, features) - mean[:, None], axis=0))
+    predicted = np.array([mode.label for mode in modes])[np.argmin(dists, axis=0)]
+    return float(np.mean(predicted == labels))
+
+
 @dataclass(frozen=True)
 class NormalityReport:
     """Per-coordinate normality distances for a projected dataset."""
@@ -198,16 +231,6 @@ class NormalityReport:
     n_samples: int
     degenerate_coords: tuple[int, ...]
     expected_sigma: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "ks_distances": list(self.ks_distances),
-            "max_ks": self.max_ks,
-            "mean_ks": self.mean_ks,
-            "n_samples": self.n_samples,
-            "degenerate_coords": list(self.degenerate_coords),
-            "expected_sigma": self.expected_sigma,
-        }
 
 
 def normality_diagnostic(X_tilde: np.ndarray, orig_dim: int | None = None) -> NormalityReport:

@@ -117,12 +117,12 @@ class LedgerEntry:
     group: str | None = None  # entries sharing a group compose in parallel
 
     def as_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "sensitivity": self.sensitivity,
-            "epsilon": self.epsilon,
-            "group": self.group,
-        }
+        """The row ``ronsynth budget`` prints; ``group`` only when set."""
+        row = {"query": self.query, "sensitivity": self.sensitivity, "epsilon": self.epsilon,
+               "noise_scale": self.sensitivity / self.epsilon}
+        if self.group is not None:
+            row["group"] = self.group
+        return row
 
 
 class BudgetLedger:
@@ -168,9 +168,6 @@ class BudgetLedger:
         contributions = [e.epsilon for e in self._entries if e.group is None]
         contributions.extend(self.group_epsilons().values())
         return math.fsum(contributions)
-
-    def as_dicts(self) -> list[dict]:
-        return [e.as_dict() for e in self._entries]
 
     def __len__(self) -> int:
         return len(self._entries)

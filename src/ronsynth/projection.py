@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTHONORMALITY_TOL = 1e-10
-_QR_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -61,26 +60,17 @@ def generate_ron(m: int, p: int, rng: np.random.Generator) -> RonProjection:
     shared by every coordinate survives projection un-Gaussianized.
     The near-Gaussian projections the method relies on are typical
     under the Haar law, and the reduced QR costs O(m p^2), not O(m^3).
+    A rank-deficient draw, which a Gaussian matrix is with probability
+    zero, leaves no sign to correct with and raises LinAlgError.
     """
     if not 1 <= p < m:
         raise ValueError(f"need 1 <= p < m, got p={p}, m={m}")
 
-    last_err: Exception | None = None
-    for _ in range(_QR_RETRIES):
-        try:
-            Q, R = np.linalg.qr(rng.standard_normal((m, p)))
-        except np.linalg.LinAlgError as err:  # pragma: no cover - qr almost never fails
-            last_err = err
-            continue
-        diag = np.diag(R)
-        if np.any(np.abs(diag) < np.finfo(float).tiny * m):
-            # a (numerically) rank-deficient draw; try a fresh matrix
-            last_err = np.linalg.LinAlgError("rank-deficient random matrix")
-            continue
-        return RonProjection(W=Q * np.sign(diag))
-    raise np.linalg.LinAlgError(
-        f"failed to build an orthonormal basis after {_QR_RETRIES} attempts: {last_err}"
-    )
+    Q, R = np.linalg.qr(rng.standard_normal((m, p)))
+    diag = np.diag(R)
+    if np.any(np.abs(diag) < np.finfo(float).tiny * m):
+        raise np.linalg.LinAlgError(f"rank-deficient {m} x {p} random matrix")
+    return RonProjection(W=Q * np.sign(diag))
 
 
 def project(proj: RonProjection, X_bar: np.ndarray) -> np.ndarray:

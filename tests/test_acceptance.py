@@ -12,8 +12,14 @@ import pytest
 from scipy import stats
 
 from ronsynth.dataset import Dataset
-from ronsynth.evaluation import normality_diagnostic, rmse
-from ronsynth.learners import class_means, nearest_class_mean, ols_fit, ols_predict
+from ronsynth.evaluation import (
+    nearest_mean_accuracy,
+    normality_diagnostic,
+    ols_fit,
+    ols_predict,
+    ols_rmse,
+    rmse,
+)
 from ronsynth.mechanism import (
     aug_cov_sensitivity,
     cov_sensitivity,
@@ -27,11 +33,9 @@ from ronsynth.projection import generate_ron, project
 from ronsynth.synthesis import (
     estimate_aug_cov,
     estimate_cov,
-    mode_transform,
     synth_gmm,
     synth_supervised,
     synth_unsupervised,
-    transform_features,
 )
 
 
@@ -248,9 +252,7 @@ def regression_experiment():
         for p in REG_DIMS:
             res = synth_supervised(data, p, eps_mu, eps_sigma,
                                    rng=np.random.default_rng(1000 + seed * 7 + p))
-            coef = ols_fit(res.dataset.features, res.dataset.labels)
-            feats = transform_features(res.mu_dp, res.projection, x_te)
-            row[p] = rmse(ols_predict(coef, feats), y_te)
+            row[p] = ols_rmse(res, x_te, y_te)
         rows.append(row)
     return rows, time.monotonic() - start
 
@@ -283,19 +285,18 @@ def test_criterion_09_classification_utility():
 
         x_tr, y_tr = draw(2 * n_per_class)
         x_te, y_te = draw(n_test)
-        means = class_means(x_tr, y_tr)
-        acc_real.append(float(np.mean(nearest_class_mean(means, x_te) == y_te)))
+        # real-data baseline: nearest class mean, in the original space
+        classes = np.unique(y_tr)
+        dists = [np.linalg.norm(x_te - x_tr[:, y_tr == c].mean(axis=1)[:, None], axis=0)
+                 for c in classes]
+        acc_real.append(float(np.mean(classes[np.argmin(dists, axis=0)] == y_te)))
 
         eps_mu, eps_sigma = split_budget(1.0)
         # shared projection: stacked classes need one comparable chart
         res = synth_gmm(Dataset(features=x_tr, class_labels=y_tr), m - 1,
                         eps_mu, eps_sigma, rng=np.random.default_rng(500 + seed),
                         shared_projection=True)
-        release = res.dataset
-        synth_means = class_means(release.features, release.class_labels)
-        projected_test = mode_transform(res.model.modes[0], x_te)
-        pred = nearest_class_mean(synth_means, projected_test)
-        acc_synth.append(float(np.mean(pred == y_te)))
+        acc_synth.append(nearest_mean_accuracy(res, x_te, y_te))
 
     real = float(np.mean(acc_real))
     synth = float(np.mean(acc_synth))

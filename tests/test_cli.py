@@ -130,6 +130,21 @@ class TestSynthCommand:
         assert code == 0
         assert os.path.exists(os.path.join(out, "projection.csv"))
 
+    @pytest.mark.parametrize("names", [("a b", "a_b"), ("", "class")])
+    def test_colliding_projection_names_fail_before_output(self, tmp_path, names, capsys):
+        rng = np.random.default_rng(4)
+        rows = ["f1,f2,f3,f4,cls"]
+        for i in range(80):
+            rows.append(",".join(f"{v:.6f}" for v in rng.normal(size=4)) + f",{names[i % 2]}")
+        path = tmp_path / "collide.csv"
+        path.write_text("\n".join(rows) + "\n")
+        out = str(tmp_path / "rel")
+        assert main(["synth", str(path), "--mode", "gmm", "--label-col", "cls",
+                     "--dim", "2", "--seed", "5", "--out", out, "--save-projection"]) == 2
+        assert not os.path.exists(out)
+        err = capsys.readouterr().err
+        assert repr(names[0]) in err and repr(names[1]) in err
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "ghost.csv")]) == 2
 
@@ -163,6 +178,13 @@ class TestSynthCommand:
         assert not os.path.exists(out)
         # had the input been read first, a missing file would exit 2
         assert main(["synth", str(tmp_path / "ghost.csv"), "--epsilon", eps]) == 1
+
+    @pytest.mark.parametrize("command", ["synth", "budget"])
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "nan"), ("--mu-ratio", "1.5")])
+    def test_bad_budget_error_names_the_flag(self, numeric_csv, command, flag, value, capsys):
+        args = [numeric_csv] if command == "synth" else ["--m", "6", "--n", "200"]
+        assert main([command, *args, flag, value]) == 1
+        assert f"error: {flag} must" in capsys.readouterr().err
 
     def test_small_m_default_dim_is_reported_without_warning(self, numeric_csv,
                                                              tmp_path, capsys):

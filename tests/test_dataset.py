@@ -317,6 +317,13 @@ class TestWriterBytes:
         rows = [[*col, c] for col, c in zip(self.FEATURES.T, classes)]
         assert open(path, "rb").read() == _reference_csv(["x,1", "x2", "x3", "class"], rows)
 
+    def test_empty_and_quoted_class_names(self, tmp_path):
+        classes = np.array(["", 'q"t', "", "b,c", "x\ny", 'q"t'])
+        ds = Dataset(features=self.FEATURES, class_labels=classes)
+        path = write_dataset_csv(ds, str(tmp_path / "d.csv"))
+        rows = [[*col, c] for col, c in zip(self.FEATURES.T, classes)]
+        assert open(path, "rb").read() == _reference_csv(["z1", "z2", "z3", "class"], rows)
+
     def test_matrix(self, tmp_path):
         path = write_matrix_csv(self.FEATURES, str(tmp_path / "w.csv"))
         expected = _reference_csv([f"c{j + 1}" for j in range(6)], self.FEATURES)

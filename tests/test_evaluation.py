@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,11 +9,14 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 import ronsynth
-from ronsynth import evaluation
+from ronsynth import Dataset, evaluation, split_budget, synth_gmm
 from ronsynth.evaluation import (
     normality_diagnostic,
     kmeans,
     kmeans_objective,
+    nearest_mean_accuracy,
+    ols_fit,
+    ols_predict,
     rmse,
     silhouette,
     silhouette_sweep,
@@ -213,6 +217,40 @@ class TestRmse:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rmse(np.zeros(3), np.zeros(4))
+
+
+class TestOls:
+    def test_recovers_an_exact_affine_map(self):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(3, 50))
+        y = np.array([0.5, -2.0, 1.5]) @ X + 0.25
+        coef = ols_fit(X, y)
+        assert np.allclose(coef, [0.5, -2.0, 1.5, 0.25])
+        assert np.allclose(ols_predict(coef, X), y)
+
+
+def _benchmark_checks():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "checks.py")
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_nearest_mean_accuracy_matches_the_benchmark_copy(shared):
+    m, n, k = 200, 4000, 8
+    rng = np.random.default_rng(17)
+    labels = np.repeat([f"c{c}" for c in range(k)], n // k)
+    features = 3.0 * rng.normal(size=(m, k))[:, np.arange(n) * k // n] + rng.normal(size=(m, n))
+    # at epsilon 1 the class means drown in noise at this n; epsilon 10
+    # leaves both right and wrong predictions to compare
+    eps_mu, eps_sigma = split_budget(10.0)
+    result = synth_gmm(Dataset(features=features, class_labels=labels), 8, eps_mu,
+                       eps_sigma, rng=rng, shared_projection=shared)
+    accuracy = nearest_mean_accuracy(result, features, labels)
+    assert 1 / k < accuracy < 1.0
+    assert accuracy == _benchmark_checks().nearest_mean_accuracy(result, features, labels)
 
 
 class TestNormalityDiagnostic:

@@ -204,4 +204,4 @@ class TestBudgetLedger:
         ledger.record("mean", 0.5, 0.25)
         text = str(ledger)
         assert "mean" in text and "total epsilon" in text
-        assert ledger.as_dicts()[0]["epsilon"] == 0.25
+        assert ledger.entries[0].as_dict()["epsilon"] == 0.25

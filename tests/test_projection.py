@@ -43,6 +43,14 @@ class TestGenerateRon:
         assert np.max(np.abs(np.tril(R, -1))) <= 1e-12
         assert np.all(np.diag(R) > 0)
 
+    def test_rank_deficient_draw_raises(self):
+        class ZeroRng:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+            generate_ron(6, 2, ZeroRng())
+
     def test_first_column_not_aligned_with_ones(self):
         # a Haar column is a uniformly random direction, so its cosine
         # with the all-ones vector is about 1/sqrt(m); QR of a matrix

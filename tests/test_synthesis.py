@@ -340,7 +340,7 @@ class TestGmmPipeline:
                         rng=np.random.default_rng(4))
         assert res.dataset.n_samples == 50
 
-    def test_mode_means_are_projected_class_means(self):
+    def test_mode_means_are_projected_dp_means(self):
         res = synth_gmm(self.make_classed(seed=5), 3, 0.3, 0.7,
                         rng=np.random.default_rng(5))
         for mode in res.model.modes:
