@@ -73,25 +73,28 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Differentially private synthetic data release")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="generate a synthetic release",
+    # the release flags synth and budget share, declared once
+    release = argparse.ArgumentParser(add_help=False)
+    release.add_argument("--mode", choices=("unsupervised", "supervised", "gmm"),
+                         default="unsupervised")
+    release.add_argument("--epsilon", type=float, default=1.0,
+                         help="total privacy budget (default 1.0)")
+    release.add_argument("--mu-ratio", type=float, default=0.3,
+                         help="fraction of the budget spent on the mean (default 0.3)")
+    release.add_argument("--dim", type=int, default=None,
+                         help="projected dimension p (default: dimension guidance)")
+    release.add_argument("--label-bound", type=float, default=None,
+                         help="supervised: bound a; labels are clipped to [-a, a]")
+
+    synth = sub.add_parser("synth", parents=[release], help="generate a synthetic release",
                            description="Run the release pipeline on a CSV dataset.")
     synth.add_argument("input", help="input CSV (rows are samples, first row header)")
-    synth.add_argument("--mode", choices=("unsupervised", "supervised", "gmm"),
-                       default="unsupervised")
-    synth.add_argument("--epsilon", type=float, default=1.0,
-                       help="total privacy budget (default 1.0)")
-    synth.add_argument("--mu-ratio", type=float, default=0.3,
-                       help="fraction of the budget spent on the mean (default 0.3)")
-    synth.add_argument("--dim", type=int, default=None,
-                       help="projected dimension p (default: dimension guidance)")
     synth.add_argument("--dim-sweep", default=None, metavar="P1,P2,...",
                        help="report utility for each listed p instead of releasing; "
                             "sweeps consume no modeled budget and are for research use")
     synth.add_argument("--label-col", default=None,
                        help="name of the label column; real-valued in supervised "
                             "mode, categorical otherwise")
-    synth.add_argument("--label-bound", type=float, default=None,
-                       help="bound a; real labels are clipped to [-a, a]")
     synth.add_argument("--samples", type=int, default=None,
                        help="synthetic sample count (gmm: per class); default: source count")
     synth.add_argument("--seed", type=int, default=None,
@@ -116,29 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--column", default=None, help="column to read for rmse inputs")
     ev.add_argument("--label-col", default=None,
                     help="column to exclude from the features (e.g. 'class')")
-    ev.add_argument("--k", type=int, default=None, help="cluster count for silhouette")
     ev.add_argument("--k-sweep", default=None, metavar="LO:HI",
-                    help="try every k in [LO, HI] and report the best")
+                    help="silhouette: try every k in [LO, HI] (one k: K:K) and "
+                         "report the best")
     ev.add_argument("--orig-dim", type=int, default=None,
                     help="original dimension m (adds the expected marginal scale)")
-    ev.add_argument("--max-points", type=int, default=SILHOUETTE_MAX_POINTS,
-                    help="subsample size for pairwise-distance metrics "
-                         f"(default {SILHOUETTE_MAX_POINTS})")
     ev.add_argument("--seed", type=int, default=0)
 
-    budget = sub.add_parser("budget", help="print the spend plan without touching data",
+    budget = sub.add_parser("budget", parents=[release],
+                            help="print the spend plan without touching data",
                             description="Show sensitivities and noise scales for a "
                                         "hypothetical run.")
-    budget.add_argument("--mode", choices=("unsupervised", "supervised", "gmm"),
-                        default="unsupervised")
-    budget.add_argument("--epsilon", type=float, default=1.0)
-    budget.add_argument("--mu-ratio", type=float, default=0.3)
     budget.add_argument("--m", type=int, required=True, help="feature dimension")
     budget.add_argument("--n", type=int, default=None, help="sample count")
     budget.add_argument("--class-sizes", default=None, metavar="N1,N2,...",
                         help="gmm: per-class sample counts")
-    budget.add_argument("--dim", type=int, default=None)
-    budget.add_argument("--label-bound", type=float, default=None)
     return parser
 
 
@@ -233,7 +228,7 @@ def cmd_synth(args) -> int:
         "epsilon_mu": epsilon_mu,
         "epsilon_sigma": epsilon_sigma,
         "split_ratio": args.mu_ratio,
-        "label_bound": args.label_bound,
+        "label_bound": data.label_bound,
         "seed": args.seed,
         "psd_repair_applied": result.psd_repair_applied,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -344,8 +339,6 @@ def _print_report(metric: str, value: float, n_points: int, params: dict) -> int
 
 
 def cmd_eval(args) -> int:
-    if args.max_points < 2:
-        raise _UsageError(f"--max-points must be at least 2, got {args.max_points}")
     if args.metric == "rmse":
         if not args.pred or not args.truth:
             raise _UsageError("rmse needs --pred and --truth")
@@ -364,21 +357,16 @@ def cmd_eval(args) -> int:
         return _print_report("normality_mean_ks", rep.mean_ks, rep.n_samples, asdict(rep))
 
     # silhouette
-    if args.k is None and args.k_sweep is None:
-        raise _UsageError("silhouette needs --k or --k-sweep LO:HI")
-    if args.k_sweep is not None:
-        match = re.fullmatch(r"(\d+):(\d+)", args.k_sweep)
-        if not match:
-            raise _UsageError(f"--k-sweep expects LO:HI, got {args.k_sweep!r}")
-        lo, hi = int(match.group(1)), int(match.group(2))
-        if lo < 2 or hi < lo:
-            raise _UsageError(f"--k-sweep needs 2 <= LO <= HI, got {args.k_sweep!r}")
-        ks = range(lo, hi + 1)
-    else:
-        if args.k < 2:
-            raise _UsageError(f"--k must be at least 2, got {args.k}")
-        ks = [args.k]
-    best_k, sweep, n_points = silhouette_sweep(data.features, ks, args.max_points, args.seed)
+    if args.k_sweep is None:
+        raise _UsageError("silhouette needs --k-sweep LO:HI")
+    match = re.fullmatch(r"(\d+):(\d+)", args.k_sweep)
+    if not match:
+        raise _UsageError(f"--k-sweep expects LO:HI, got {args.k_sweep!r}")
+    lo, hi = int(match.group(1)), int(match.group(2))
+    if lo < 2 or hi < lo:
+        raise _UsageError(f"--k-sweep needs 2 <= LO <= HI, got {args.k_sweep!r}")
+    best_k, sweep, n_points = silhouette_sweep(data.features, range(lo, hi + 1),
+                                               SILHOUETTE_MAX_POINTS, args.seed)
     return _print_report("silhouette", sweep[best_k], n_points,
                          {"k": best_k, "sweep": {str(k): v for k, v in sweep.items()}})
 
@@ -436,9 +424,6 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_budget(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA

@@ -59,16 +59,15 @@ def _silhouette(dists: np.ndarray, assignments: np.ndarray) -> float:
     for c in range(k):
         cluster_sums[:, c] = dists[:, inverse == c].sum(axis=1)
 
-    scores = np.zeros(n)
-    for i in range(n):
-        own = inverse[i]
-        if sizes[own] == 1:
-            continue  # singleton: score stays 0
-        a = cluster_sums[i, own] / (sizes[own] - 1)  # excludes the zero self-distance
-        other_means = [cluster_sums[i, c] / sizes[c] for c in range(k) if c != own]
-        b = min(other_means)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    rows = np.arange(n)
+    own_sizes = sizes[inverse]
+    # excludes the zero self-distance; a singleton divides by 1 and scores 0 below
+    a = cluster_sums[rows, inverse] / np.maximum(own_sizes - 1, 1)
+    other_means = cluster_sums / sizes
+    other_means[rows, inverse] = np.inf
+    b = other_means.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.divide(b - a, denom, out=np.zeros(n), where=(own_sizes > 1) & (denom != 0))
     return float(scores.mean())
 
 
@@ -93,10 +92,10 @@ def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def silhouette_sweep(X: np.ndarray, ks, max_points: int, seed) -> tuple[int, dict, int]:
+def silhouette_sweep(X: np.ndarray, ks, max_samples: int, seed) -> tuple[int, dict, int]:
     """Cluster X by k-means for each k in ks and score each clustering.
 
-    X is first subsampled to max_points columns. Every k above the
+    X is first subsampled to max_samples columns. Every k above the
     point count is skipped; none left is a ValueError. The pairwise
     distances are computed once and shared by every k. Returns the best
     k, the silhouette of every feasible k, and the number of points
@@ -104,8 +103,8 @@ def silhouette_sweep(X: np.ndarray, ks, max_points: int, seed) -> tuple[int, dic
     """
     X = np.asarray(X, dtype=float)
     rng = np.random.default_rng(seed)
-    if X.shape[1] > max_points:
-        X = X[:, rng.choice(X.shape[1], size=max_points, replace=False)]
+    if X.shape[1] > max_samples:
+        X = X[:, rng.choice(X.shape[1], size=max_samples, replace=False)]
     ks = [k for k in ks if k <= X.shape[1]]
     if not ks:
         raise ValueError("no feasible k: fewer samples than clusters")
@@ -156,17 +155,6 @@ def kmeans(X: np.ndarray, k: int, max_iter: int = 100,
             if len(members):
                 centroids[c] = members.mean(axis=0)
     return assign
-
-
-def kmeans_objective(X: np.ndarray, assignments: np.ndarray) -> float:
-    """Sum of squared distances to the assigned cluster means."""
-    X = np.asarray(X, dtype=float)
-    total = 0.0
-    for c in np.unique(assignments):
-        members = X[:, assignments == c]
-        centroid = members.mean(axis=1, keepdims=True)
-        total += float(((members - centroid) ** 2).sum())
-    return total
 
 
 def rmse(pred: np.ndarray, truth: np.ndarray) -> float:

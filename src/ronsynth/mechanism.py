@@ -151,23 +151,21 @@ class BudgetLedger:
         self._entries.append(entry)
         return entry
 
-    def group_epsilons(self) -> dict[str, float]:
-        """Maximum epsilon per parallel-composition group."""
-        groups: dict[str, float] = {}
-        for e in self._entries:
-            if e.group is not None:
-                groups[e.group] = max(groups.get(e.group, 0.0), e.epsilon)
-        return groups
-
     def total(self) -> float:
         """Total privacy cost under serial + parallel composition.
 
-        math.fsum makes the result independent of entry order, so
-        reshuffling the ledger never changes the reported total.
+        Each group counts its maximum epsilon once. math.fsum makes the
+        result independent of entry order, so reshuffling the ledger
+        never changes the reported total.
         """
-        contributions = [e.epsilon for e in self._entries if e.group is None]
-        contributions.extend(self.group_epsilons().values())
-        return math.fsum(contributions)
+        serial: list[float] = []
+        groups: dict[str, float] = {}
+        for e in self._entries:
+            if e.group is None:
+                serial.append(e.epsilon)
+            else:
+                groups[e.group] = max(groups.get(e.group, 0.0), e.epsilon)
+        return math.fsum(serial + list(groups.values()))
 
     def __len__(self) -> int:
         return len(self._entries)

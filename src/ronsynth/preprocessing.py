@@ -81,11 +81,13 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float, rng: np.random.Generato
     if not epsilon_mu > 0:
         raise ValueError(f"epsilon_mu must be positive, got {epsilon_mu}")
     m, n = X.shape
-    norms = np.linalg.norm(X, axis=0)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-        idx = int(np.argmax(np.abs(norms - 1.0)))
+    # squared norms need no m x n temporary; |n^2 - 1| is about 2|n - 1|
+    sq_norms = np.einsum("ij,ij->j", X, X)
+    if np.any(np.abs(sq_norms - 1.0) > 2 * UNIT_NORM_TOL):
+        idx = int(np.argmax(np.abs(sq_norms - 1.0)))
         raise ValueError(
-            f"input is not sample-normalized: column {idx} has norm {norms[idx]!r}"
+            f"input is not sample-normalized: column {idx} has norm "
+            f"{math.sqrt(sq_norms[idx])!r}"
         )
     mean = X.mean(axis=1)
     sensitivity = mean_sensitivity(m, n)

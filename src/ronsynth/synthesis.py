@@ -68,10 +68,8 @@ class GmmMode:
     """One class of a mixture: its released model and transform."""
 
     label: object
-    n_c: int
     model: GaussianModel
     projection: RonProjection
-    mu_dp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,6 @@ class GmmModel:
         labels = [m.label for m in modes]
         if len(set(map(str, labels))) != len(labels):
             raise ValueError("class labels of mixture modes must be distinct")
-        if any(m.n_c < 1 for m in modes):
-            raise ValueError("every mixture mode needs at least one source sample")
         object.__setattr__(self, "modes", modes)
 
 
@@ -94,9 +90,9 @@ class GmmModel:
 class SynthesisResult:
     """A synthetic release plus everything needed to audit or reuse it.
 
-    mu_dp and projection (per mode for mixtures) are DP-safe and define
-    the transform that maps held-out real data into the space the
-    synthetic features live in.
+    mu_dp and projection are DP-safe and define the transform that maps
+    held-out real data into the release's space; a mixture has no mu_dp,
+    and each of its modes maps data by ``mode_transform``.
     """
 
     dataset: Dataset
@@ -349,11 +345,10 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                                         groups=(GMM_MEAN_GROUP, GMM_COV_GROUP))
         any_repair = any_repair or repaired
         model_c = GaussianModel(proj.W.T @ pre.mu_dp, cov)
-        n_c = int(np.count_nonzero(mask))
-        modes.append(GmmMode(label=name, n_c=n_c, model=model_c,
-                             projection=proj, mu_dp=pre.mu_dp))
+        modes.append(GmmMode(label=name, model=model_c, projection=proj))
 
-        count = n_c if per_class_n_synth is None else per_class_n_synth
+        count = (int(np.count_nonzero(mask)) if per_class_n_synth is None
+                 else per_class_n_synth)
         feature_blocks.append(sample_gaussian(model_c, count, class_rng))
         label_blocks.append(np.full(count, name))
 

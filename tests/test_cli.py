@@ -103,6 +103,15 @@ class TestSynthCommand:
         assert re.search(r"clipped [1-9]\d* label\(s\) to \[-1.0, 1.0\]",
                          capsys.readouterr().err)
 
+    @pytest.mark.parametrize("mode", ["unsupervised", "gmm"])
+    def test_label_bound_outside_supervised_is_null(self, classed_csv, tmp_path, mode):
+        # no label is clipped or modelled, so the release used no bound
+        out = str(tmp_path / "rel")
+        assert main(["synth", classed_csv, "--mode", mode, "--label-col", "cls",
+                     "--label-bound", "2", "--dim", "2", "--seed", "3", "--out", out]) == 0
+        meta = json.load(open(os.path.join(out, "metadata.json")))
+        assert meta["label_bound"] is None
+
     def test_supervised_needs_bound(self, labeled_csv):
         assert main(["synth", labeled_csv, "--mode", "supervised",
                      "--label-col", "y"]) == 1
@@ -259,12 +268,25 @@ class TestEvalCommand:
 
     def test_missing_inputs_are_usage_errors(self, numeric_csv, capsys):
         assert main(["eval", "rmse", "--pred", numeric_csv]) == 1
-        assert main(["eval", "silhouette", "--data", numeric_csv]) == 1
         assert main(["eval", "normality"]) == 1
         capsys.readouterr()
-        assert main(["eval", "silhouette", "--data", numeric_csv, "--k", "2",
-                     "--max-points", "-1"]) == 1
-        assert "--max-points" in capsys.readouterr().err
+        assert main(["eval", "silhouette", "--data", numeric_csv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--k-sweep" in captured.err
+
+    @pytest.mark.parametrize("flag", [["--k", "2"], ["--k-sweep", "2:3", "--max-points", "5"]])
+    def test_removed_silhouette_flags_are_usage_errors(self, numeric_csv, capsys, flag):
+        assert main(["eval", "silhouette", "--data", numeric_csv, *flag]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_single_k_sweep_report(self, classed_csv, capsys):
+        # the report --k 3 printed before --k-sweep K:K replaced it
+        assert main(["eval", "silhouette", "--data", classed_csv, "--label-col", "cls",
+                     "--k-sweep", "3:3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_points"] == 160
+        assert report["params"]["k"] == 3 and list(report["params"]["sweep"]) == ["3"]
+        assert report["value"] == report["params"]["sweep"]["3"] == 0.40693713022515493
 
 
 class TestBudgetCommand:

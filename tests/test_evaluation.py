@@ -13,7 +13,6 @@ from ronsynth import Dataset, evaluation, split_budget, synth_gmm
 from ronsynth.evaluation import (
     normality_diagnostic,
     kmeans,
-    kmeans_objective,
     nearest_mean_accuracy,
     ols_fit,
     ols_predict,
@@ -43,6 +42,16 @@ def silhouette_oracle(X, assignments):
         denom = max(a, b)
         scores.append(0.0 if denom == 0 else (b - a) / denom)
     return float(np.mean(scores))
+
+
+def kmeans_objective(X, assignments):
+    """Sum of squared distances to the assigned cluster means."""
+    total = 0.0
+    for c in np.unique(assignments):
+        members = X[:, assignments == c]
+        centroid = members.mean(axis=1, keepdims=True)
+        total += float(((members - centroid) ** 2).sum())
+    return total
 
 
 class TestSilhouette:
@@ -75,6 +84,11 @@ class TestSilhouette:
                 continue
             assert silhouette(X, labels) == pytest.approx(
                 silhouette_oracle(X, labels), abs=1e-10)
+        # a singleton cluster, and identical points split across two
+        # clusters, where a = b = 0 and the score's denominator is zero
+        X = np.array([[0.0, 0.0, 0.0, 0.0, 3.0]])
+        labels = np.array([0, 0, 1, 1, 2])
+        assert silhouette(X, labels) == silhouette_oracle(X, labels) == 0.0
 
     def test_invariant_to_label_renaming_and_isometry(self):
         rng = np.random.default_rng(2)

@@ -10,6 +10,7 @@ from ronsynth.mechanism import (
     cov_sensitivity,
     laplace_perturb,
 )
+from ronsynth.preprocessing import sample_normalize
 from ronsynth.projection import generate_ron
 from ronsynth.synthesis import (
     GaussianModel,
@@ -341,10 +342,13 @@ class TestGmmPipeline:
         assert res.dataset.n_samples == 50
 
     def test_mode_means_are_projected_dp_means(self):
-        res = synth_gmm(self.make_classed(seed=5), 3, 0.3, 0.7,
-                        rng=np.random.default_rng(5))
+        # noise-free means: each mode mean is the projected class mean of
+        # the normalized samples, bit for bit
+        data = self.make_classed(seed=5)
+        res = synth_gmm(data, 3, math.inf, 0.7, rng=np.random.default_rng(5))
         for mode in res.model.modes:
-            expected = mode.projection.W.T @ mode.mu_dp
+            X_c = data.features[:, data.class_labels == mode.label]
+            expected = mode.projection.W.T @ sample_normalize(X_c).mean(axis=1)
             assert np.array_equal(mode.model.mean, expected)
             assert np.any(mode.model.mean != 0.0)
 
