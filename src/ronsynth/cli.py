@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -32,14 +33,11 @@ from .evaluation import (
     rmse,
     silhouette_sweep,
 )
-from .mechanism import BudgetLedger, mean_sensitivity, split_budget
-from .projection import dimension_guidance, reconstruct
+from .mechanism import BudgetLedger, record_spends, split_budget
+from .projection import SMALL_M, dimension_guidance, reconstruct
 from .synthesis import (
-    GMM_COV_GROUP,
-    GMM_MEAN_GROUP,
     GmmModel,
     SynthesisResult,
-    covariance_spend,
     synth_gmm,
     synth_supervised,
     synth_unsupervised,
@@ -53,11 +51,12 @@ EXIT_NUMERIC = 3
 # silhouette is quadratic in the point count; larger inputs are subsampled to this
 SILHOUETTE_MAX_POINTS = 2000
 
-# dimension guidance needs log10(log10(m)) > 0, that is m > 10
-SMALL_M = 10
-
 
 class _Parser(argparse.ArgumentParser):
+    # a flag prefix such as --samp is an error, not an alias of the flag
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with status 2 on bad flags; remap to the usage code
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -68,13 +67,24 @@ class _UsageError(ValueError):
     pass
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type of --label-bound: a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ronsynth",
                      description="Differentially private synthetic data release")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the release flags synth and budget share, declared once
-    release = argparse.ArgumentParser(add_help=False)
+    release = _Parser(add_help=False)
     release.add_argument("--mode", choices=("unsupervised", "supervised", "gmm"),
                          default="unsupervised")
     release.add_argument("--epsilon", type=float, default=1.0,
@@ -83,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fraction of the budget spent on the mean (default 0.3)")
     release.add_argument("--dim", type=int, default=None,
                          help="projected dimension p (default: dimension guidance)")
-    release.add_argument("--label-bound", type=float, default=None,
+    release.add_argument("--label-bound", type=_positive_finite, default=None,
                          help="supervised: bound a; labels are clipped to [-a, a]")
 
     synth = sub.add_parser("synth", parents=[release], help="generate a synthetic release",
@@ -138,13 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def default_dim(m: int) -> int:
-    """Default projected dimension: the guidance value, capped below m.
-
-    The guidance is vacuous for m <= SMALL_M, where the default is 1.
-    """
-    if m <= SMALL_M:
-        return 1
-    return min(dimension_guidance(m), m - 1)
+    """Default projected dimension: the guidance value, in [1, m - 1]."""
+    return max(1, min(dimension_guidance(m), m - 1))
 
 
 def _budget_split(args) -> tuple[float, float]:
@@ -378,11 +383,11 @@ def cmd_budget(args) -> int:
     p = _projected_dim(args.dim, args.m)
 
     label_bound = args.label_bound if args.mode == "supervised" else None
-    if args.mode == "gmm":
+    per_class = args.mode == "gmm"
+    if per_class:
         if not args.class_sizes:
             raise _UsageError("gmm budget plan needs --class-sizes N1,N2,...")
         sizes = _parse_int_list(args.class_sizes, "--class-sizes")
-        groups = (GMM_MEAN_GROUP, GMM_COV_GROUP)
         note = "per-class spends act on disjoint data and compose in parallel"
     else:
         if args.n is None:
@@ -390,16 +395,15 @@ def cmd_budget(args) -> int:
         if args.mode == "supervised" and label_bound is None:
             raise _UsageError("supervised budget plan needs --label-bound")
         sizes = [args.n]
-        groups = (None, None)
         note = "spends compose serially"
 
     ledger = BudgetLedger()
-    for n in sizes:
-        ledger.record("mean", mean_sensitivity(args.m, n), epsilon_mu, group=groups[0])
-        ledger.record(*covariance_spend(p, n, label_bound), epsilon_sigma, group=groups[1])
-    spends = [entry.as_dict() for entry in ledger.entries]
-    if args.mode == "gmm":  # two spends per class
-        spends = [{"class": idx // 2, **row} for idx, row in enumerate(spends)]
+    spends = []
+    for c, n in enumerate(sizes):
+        entries = record_spends(ledger, args.m, p, n, epsilon_mu, epsilon_sigma,
+                                label_bound, per_class)
+        tag = {"class": c} if per_class else {}
+        spends += [{**tag, **entry.as_dict()} for entry in entries]
 
     plan = {
         "mode": args.mode,

@@ -55,8 +55,8 @@ def aug_cov_sensitivity(p: int, n: int, a: float) -> float:
     """
     if p < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got p={p}, n={n}")
-    if a <= 0:
-        raise ValueError(f"label bound must be positive, got a={a}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"label bound must be positive and finite, got a={a}")
     return (p + 1.0 + 2.0 * a * math.sqrt(p) + a * a) / n
 
 
@@ -77,8 +77,8 @@ def laplace_perturb(values: np.ndarray, scale_b: float, rng: np.random.Generator
     uniform on (-0.5, 0.5), so draws are exactly reproducible from a
     seeded generator across platforms.
     """
-    if not scale_b > 0:
-        raise ValueError(f"Laplace scale must be positive, got {scale_b}")
+    if not 0.0 < scale_b < math.inf:
+        raise ValueError(f"Laplace scale must be positive and finite, got {scale_b}")
     values = np.asarray(values, dtype=float)
     u = rng.random(values.shape) - 0.5
     # rng.random() covers [0, 1); redraw the measure-zero u = -0.5 edge
@@ -178,3 +178,26 @@ class BudgetLedger:
         lines.append(f"total epsilon: {self.total():.6g}")
         return "\n".join(lines)
 
+
+# parallel-composition group tags of the per-class (gmm) spends
+GMM_MEAN_GROUP = "class_mean"
+GMM_COV_GROUP = "class_cov"
+
+
+def record_spends(ledger: BudgetLedger, m: int, p: int, n: int, epsilon_mu: float,
+                  epsilon_sigma: float, label_bound: float | None = None,
+                  per_class: bool = False) -> tuple[LedgerEntry, LedgerEntry]:
+    """Record the mean spend, then the covariance spend, of one fit.
+
+    The fit is on n samples in R^m projected to R^p. A label bound
+    selects the label-augmented covariance; ``per_class`` puts both
+    spends in the gmm parallel-composition groups. Releases and
+    ``ronsynth budget`` account only here. Returns both entries.
+    """
+    groups = (GMM_MEAN_GROUP, GMM_COV_GROUP) if per_class else (None, None)
+    mean = ledger.record("mean", mean_sensitivity(m, n), epsilon_mu, group=groups[0])
+    if label_bound is None:
+        query, sensitivity = "covariance", cov_sensitivity(p, n)
+    else:
+        query, sensitivity = "augmented_covariance", aug_cov_sensitivity(p, n, label_bound)
+    return mean, ledger.record(query, sensitivity, epsilon_sigma, group=groups[1])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import BudgetLedger, laplace_perturb, mean_sensitivity
+from .mechanism import laplace_perturb, mean_sensitivity
 
 UNIT_NORM_TOL = 1e-9
 DEGENERATE_NORM = 1e-12
@@ -68,14 +68,13 @@ def sample_normalize(X: np.ndarray) -> np.ndarray:
     return X / norms
 
 
-def dp_mean(X_normalized: np.ndarray, epsilon_mu: float, rng: np.random.Generator,
-            ledger: BudgetLedger | None = None, group: str | None = None) -> np.ndarray:
+def dp_mean(X_normalized: np.ndarray, epsilon_mu: float,
+            rng: np.random.Generator) -> np.ndarray:
     """Laplace-perturbed column mean of unit-norm data.
 
-    Noise scale is 2*sqrt(m)/(n * epsilon_mu). The spend (query,
-    sensitivity, epsilon) is appended to ``ledger`` when one is given.
-    Passing epsilon_mu=math.inf disables the noise (research mode); the
-    spend is still recorded, so the ledger then totals infinity.
+    Noise scale is 2*sqrt(m)/(n * epsilon_mu). Passing
+    epsilon_mu=math.inf disables the noise (research mode). The caller
+    records the spend (``mechanism.record_spends``).
     """
     X = np.asarray(X_normalized, dtype=float)
     if not epsilon_mu > 0:
@@ -91,8 +90,6 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float, rng: np.random.Generato
         )
     mean = X.mean(axis=1)
     sensitivity = mean_sensitivity(m, n)
-    if ledger is not None:
-        ledger.record("mean", sensitivity, epsilon_mu, group=group)
     if math.isinf(epsilon_mu):
         return mean
     return laplace_perturb(mean, sensitivity / epsilon_mu, rng)
@@ -125,9 +122,8 @@ def _center(X1: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
                                zero_norm_rows_dropped=int(np.count_nonzero(collapsed)))
 
 
-def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator,
-               ledger: BudgetLedger | None = None,
-               group: str | None = None) -> PreprocessedDataset:
+def preprocess(X: np.ndarray, epsilon_mu: float,
+               rng: np.random.Generator) -> PreprocessedDataset:
     """Run the full preprocessing stage.
 
     Each raw sample is normalized once; the DP mean is taken of those
@@ -138,4 +134,4 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rng: np.random.Generator,
     ``center_with_mean`` with the released mean instead.
     """
     X1 = sample_normalize(X)
-    return _center(X1, dp_mean(X1, epsilon_mu, rng, ledger=ledger, group=group))
+    return _center(X1, dp_mean(X1, epsilon_mu, rng))

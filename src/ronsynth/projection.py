@@ -12,12 +12,14 @@ good fit downstream.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 ORTHONORMALITY_TOL = 1e-10
+
+# dimension guidance needs log10(log10(m)) > 0, that is m > 10
+SMALL_M = 10
 
 
 @dataclass(frozen=True)
@@ -100,17 +102,13 @@ def reconstruct(proj: RonProjection, X_tilde: np.ndarray) -> np.ndarray:
 def dimension_guidance(m: int) -> int:
     """Largest projected dimension for which near-Gaussian marginals are expected.
 
-    Evaluates floor(2 * log10(m) / log10(log10(m))), clamped to at
-    least 1; in base-10 logs, m = 100 allows p <= 13. For m <= 10 the
-    denominator is zero or negative; the clamp then applies and a
-    warning is raised since the guidance is vacuous that low.
+    Evaluates floor(2 * log10(m) / log10(log10(m))), which is at least 12
+    for m > SMALL_M; in base-10 logs, m = 100 allows p <= 13. For
+    m <= SMALL_M the denominator is not positive: the guidance says
+    nothing there, and the value is 1.
     """
-    if m < 3:
-        raise ValueError(f"dimension guidance needs m >= 3, got m={m}")
-    denom = math.log10(math.log10(m))
-    if denom <= 0:
-        warnings.warn(
-            f"dimension guidance is degenerate for m={m}; returning 1", stacklevel=2
-        )
+    if m < 1:
+        raise ValueError(f"dimension guidance needs m >= 1, got m={m}")
+    if m <= SMALL_M:
         return 1
-    return max(1, math.floor(2.0 * math.log10(m) / denom))
+    return math.floor(2.0 * math.log10(m) / math.log10(math.log10(m)))

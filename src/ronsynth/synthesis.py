@@ -21,20 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .mechanism import (
-    BudgetLedger,
-    aug_cov_sensitivity,
-    cov_sensitivity,
-    laplace_perturb,
-)
+from .mechanism import BudgetLedger, laplace_perturb, record_spends
 from .preprocessing import center_with_mean, preprocess, sample_normalize
 from .projection import RonProjection, generate_ron, project
 
 PSD_TOL = 1e-10
-
-# parallel-composition group tags used by the per-class pipeline
-GMM_MEAN_GROUP = "class_mean"
-GMM_COV_GROUP = "class_cov"
 
 
 @dataclass(frozen=True)
@@ -144,22 +135,19 @@ def estimate_aug_cov(X_tilde: np.ndarray, y: np.ndarray,
 
 
 def dp_perturb_cov(cov: np.ndarray, sensitivity: float, epsilon_sigma: float,
-                   rng: np.random.Generator, ledger: BudgetLedger | None = None,
-                   query: str = "covariance", group: str | None = None) -> np.ndarray:
+                   rng: np.random.Generator) -> np.ndarray:
     """Laplace-perturb the upper triangle of a covariance and mirror it.
 
     Each entry i <= j, the entries the sensitivity covers, gets noise of
     scale sensitivity/epsilon_sigma once; the lower triangle copies it.
-    epsilon_sigma=math.inf disables the noise; the spend is still
-    recorded, so the ledger then totals infinity.
+    epsilon_sigma=math.inf disables the noise. The caller records the
+    spend (``mechanism.record_spends``).
     """
     cov = np.asarray(cov, dtype=float)
     if not epsilon_sigma > 0:
         raise ValueError(f"epsilon_sigma must be positive, got {epsilon_sigma}")
     upper = np.triu_indices(cov.shape[0])
     values = cov[upper]
-    if ledger is not None:
-        ledger.record(query, sensitivity, epsilon_sigma, group=group)
     if not math.isinf(epsilon_sigma):
         values = laplace_perturb(values, sensitivity / epsilon_sigma, rng)
     noisy = np.empty_like(cov)
@@ -209,40 +197,29 @@ def _released_names(p: int) -> tuple[str, ...]:
     return tuple(f"z{j + 1}" for j in range(p))
 
 
-def covariance_spend(p: int, n: int,
-                     label_bound: float | None = None) -> tuple[str, float]:
-    """Ledger query and sensitivity of the second moment of n samples.
-
-    A label bound selects the label-augmented matrix. Releases and
-    ``ronsynth budget`` both account through this function.
-    """
-    if label_bound is None:
-        return "covariance", cov_sensitivity(p, n)
-    return "augmented_covariance", aug_cov_sensitivity(p, n, label_bound)
-
-
 def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
          rng: np.random.Generator, ledger: BudgetLedger,
          projection: RonProjection | None = None, labels: np.ndarray | None = None,
-         label_bound: float | None = None, groups: tuple = (None, None)):
+         label_bound: float | None = None, per_class: bool = False):
     """The fitting core of every release mode.
 
-    Preprocesses X, projects it (onto a fresh basis unless the gmm
-    shared one is given), estimates the second moment (label-augmented
-    when a label bound is given), Laplace-perturbs it and repairs it to
+    Records the fit's spends, preprocesses X, projects it (onto a fresh
+    basis unless the gmm shared one is given), estimates the second
+    moment (label-augmented when a label bound is given),
+    Laplace-perturbs it at the recorded sensitivity and repairs it to
     the PSD cone. Returns (preprocessed, projection, covariance, repaired).
     """
     m, n = X.shape
-    pre = preprocess(X, epsilon_mu, rng, ledger=ledger, group=groups[0])
+    _, cov_spend = record_spends(ledger, m, p, n, epsilon_mu, epsilon_sigma,
+                                 label_bound, per_class)
+    pre = preprocess(X, epsilon_mu, rng)
     proj = projection if projection is not None else generate_ron(m, p, rng)
     x_tilde = project(proj, pre.x_bar)
     if label_bound is None:
         second = estimate_cov(x_tilde)
     else:
         second = estimate_aug_cov(x_tilde, labels, label_bound=label_bound)
-    query, sensitivity = covariance_spend(p, n, label_bound)
-    noisy = dp_perturb_cov(second, sensitivity, epsilon_sigma, rng, ledger=ledger,
-                           query=query, group=groups[1])
+    noisy = dp_perturb_cov(second, cov_spend.sensitivity, epsilon_sigma, rng)
     cov, repaired = psd_repair(noisy)
     return pre, proj, cov, repaired
 
@@ -342,7 +319,7 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
         mask = data.class_labels == name
         pre, proj, cov, repaired = _fit(data.features[:, mask], p, epsilon_mu,
                                         epsilon_sigma, class_rng, ledger, shared,
-                                        groups=(GMM_MEAN_GROUP, GMM_COV_GROUP))
+                                        per_class=True)
         any_repair = any_repair or repaired
         model_c = GaussianModel(proj.W.T @ pre.mu_dp, cov)
         modes.append(GmmMode(label=name, model=model_c, projection=proj))

@@ -195,6 +195,33 @@ class TestSynthCommand:
         assert main([command, *args, flag, value]) == 1
         assert f"error: {flag} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "budget"])
+    @pytest.mark.parametrize("bound", ["nan", "inf", "0", "-1"])
+    def test_bad_label_bound_fails_before_reading_input(self, tmp_path, command, bound,
+                                                        capsys):
+        out = str(tmp_path / "rel")
+        args = ([str(tmp_path / "ghost.csv"), "--label-col", "y", "--out", out]
+                if command == "synth" else ["--m", "30", "--n", "100", "--dim", "4"])
+        # had the input been read first, a missing file would exit 2
+        assert main([command, *args, "--mode", "supervised", "--label-bound", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--label-bound: must be positive and finite" in captured.err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command,flag,value",
+                             [("synth", "--samp", "5"), ("budget", "--eps", "2")])
+    def test_flag_abbreviations_are_usage_errors(self, numeric_csv, tmp_path, command,
+                                                 flag, value, capsys):
+        out = str(tmp_path / "rel")
+        args = ([numeric_csv, "--out", out] if command == "synth"
+                else ["--m", "6", "--n", "200"])
+        assert main([command, *args, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert not os.path.exists(out)
+
     def test_small_m_default_dim_is_reported_without_warning(self, numeric_csv,
                                                              tmp_path, capsys):
         with warnings.catch_warnings():

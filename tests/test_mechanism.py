@@ -47,6 +47,9 @@ class TestSensitivities:
             aug_cov_sensitivity(4, 100, 0.0)
         with pytest.raises(ValueError):
             aug_cov_sensitivity(4, 100, -1.0)
+        for a in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                aug_cov_sensitivity(4, 100, a)
 
     def test_mle_cov_sensitivity_values(self):
         assert mle_cov_sensitivity(4, 100) == pytest.approx(5.05)
@@ -101,6 +104,11 @@ class TestLaplacePerturb:
             laplace_perturb(np.zeros(3), -1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             laplace_perturb(np.zeros(3), math.nan, np.random.default_rng(0))
+
+    def test_rejects_infinite_scale(self):
+        # an infinite scale would return +-inf noise, not an error
+        with pytest.raises(ValueError, match="positive and finite"):
+            laplace_perturb(np.zeros(3), math.inf, np.random.default_rng(0))
 
     def test_moments_at_unit_scale(self):
         draws = laplace_perturb(np.zeros(10**6), 1.0, np.random.default_rng(11))

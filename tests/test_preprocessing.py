@@ -5,14 +5,19 @@ import pytest
 from scipy import stats
 
 from ronsynth.dataset import Dataset
-from ronsynth.mechanism import BudgetLedger, laplace_perturb, mean_sensitivity
+from ronsynth.mechanism import (
+    aug_cov_sensitivity,
+    cov_sensitivity,
+    laplace_perturb,
+    mean_sensitivity,
+)
 from ronsynth.preprocessing import (
     center_with_mean,
     dp_mean,
     preprocess,
     sample_normalize,
 )
-from ronsynth.synthesis import covariance_spend, synth_supervised, synth_unsupervised
+from ronsynth.synthesis import synth_supervised, synth_unsupervised
 
 
 def unit_columns(m, n, seed):
@@ -70,23 +75,6 @@ class TestDpMean:
         for eps in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 dp_mean(X, eps, np.random.default_rng(0))
-
-    def test_records_spend_in_ledger(self):
-        X = unit_columns(4, 10, seed=6)
-        ledger = BudgetLedger()
-        dp_mean(X, 0.3, np.random.default_rng(0), ledger=ledger)
-        (entry,) = ledger.entries
-        assert entry.query == "mean"
-        assert entry.sensitivity == mean_sensitivity(4, 10)
-        assert entry.epsilon == 0.3
-
-    def test_infinite_budget_is_recorded(self):
-        X = unit_columns(4, 10, seed=6)
-        ledger = BudgetLedger()
-        dp_mean(X, math.inf, np.random.default_rng(0), ledger=ledger)
-        (entry,) = ledger.entries
-        assert entry.epsilon == math.inf
-        assert ledger.total() == math.inf
 
     def test_noise_distribution_at_scale(self):
         # one call in dimension 10^6 yields 10^6 i.i.d. draws; with
@@ -146,8 +134,8 @@ class TestPreprocess:
         sup = synth_supervised(Dataset(features=X, labels=rng.uniform(-a, a, size=n),
                                        label_bound=a), p, math.inf, 1.0, rng=rng)
         assert unsup.dataset.n_samples == sup.dataset.n_samples == n
-        assert unsup.ledger.entries[-1].sensitivity == covariance_spend(p, n)[1]
-        assert sup.ledger.entries[-1].sensitivity == covariance_spend(p, n, a)[1]
+        assert unsup.ledger.entries[-1].sensitivity == cov_sensitivity(p, n)
+        assert sup.ledger.entries[-1].sensitivity == aug_cov_sensitivity(p, n, a)
 
     def test_center_with_mean_spends_nothing(self):
         X = np.random.default_rng(14).normal(size=(5, 20))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,15 +155,16 @@ class TestDimensionBound:
         # floor(2*3 / log10(3)) = floor(12.575...) = 12
         assert dimension_guidance(1000) == 12
 
-    def test_degenerate_low_dimension_clamps_with_warning(self):
-        with pytest.warns(UserWarning, match="degenerate"):
-            assert dimension_guidance(10) == 1
-        with pytest.warns(UserWarning):
-            assert dimension_guidance(5) == 1
+    def test_small_m_returns_one_without_warning(self):
+        # log10(log10(m)) <= 0 for m <= 10: the guidance is vacuous there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [dimension_guidance(m) for m in range(1, 11)] == [1] * 10
 
     def test_rejects_tiny_m(self):
-        with pytest.raises(ValueError):
-            dimension_guidance(2)
+        for m in (0, -1):
+            with pytest.raises(ValueError):
+                dimension_guidance(m)
 
     def test_monotone_enough_in_reasonable_range(self):
         values = [dimension_guidance(m) for m in (20, 50, 100, 500, 1000)]

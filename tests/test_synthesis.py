@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ronsynth import preprocessing, synthesis
 from ronsynth.dataset import Dataset
 from ronsynth.mechanism import (
-    BudgetLedger,
     aug_cov_sensitivity,
     cov_sensitivity,
     laplace_perturb,
@@ -111,25 +111,10 @@ class TestDpPerturbCov:
         # p=9, n=100, eps_sigma=0.7 -> b = 0.1/0.7
         assert cov_sensitivity(9, 100) / 0.7 == pytest.approx(0.14285714285714285)
 
-    def test_ledger_records_spend(self):
-        cov = np.eye(3)
-        ledger = BudgetLedger()
-        dp_perturb_cov(cov, 0.05, 0.7, np.random.default_rng(1), ledger=ledger,
-                       query="augmented_covariance")
-        (entry,) = ledger.entries
-        assert entry.query == "augmented_covariance"
-        assert entry.epsilon == 0.7
-
     def test_rejects_nonpositive_epsilon(self):
         for eps in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 dp_perturb_cov(np.eye(2), 0.1, eps, np.random.default_rng(0))
-
-    def test_infinite_budget_is_recorded(self):
-        ledger = BudgetLedger()
-        dp_perturb_cov(np.eye(3), 0.05, math.inf, np.random.default_rng(1), ledger=ledger)
-        (entry,) = ledger.entries
-        assert entry.epsilon == math.inf
 
 
 class TestPsdRepair:
@@ -249,6 +234,7 @@ class TestUnsupervisedPipeline:
         data = make_data(seed=5)
         rng = np.random.default_rng(6)
         res = synth_unsupervised(data, 4, math.inf, math.inf, rng=rng)
+        assert [e.epsilon for e in res.ledger.entries] == [math.inf, math.inf]
         assert res.ledger.total() == math.inf
         assert not res.psd_repair_applied
 
@@ -374,6 +360,33 @@ class TestGmmPipeline:
         a = synth_gmm(self.make_classed(), 3, 0.3, 0.7, rng=np.random.default_rng(9))
         b = synth_gmm(self.make_classed(), 3, 0.3, 0.7, rng=np.random.default_rng(9))
         assert np.array_equal(a.dataset.features, b.dataset.features)
+
+
+@pytest.mark.parametrize("mode", ["unsupervised", "supervised", "gmm"])
+def test_every_noise_draw_uses_its_ledger_entry(mode, monkeypatch):
+    # the epsilon the ledger prints is the one delivered: the i-th Laplace
+    # draw of a release has scale sensitivity / epsilon of its i-th entry
+    scales = []
+
+    def capture(values, scale_b, rng):
+        scales.append(scale_b)
+        return laplace_perturb(values, scale_b, rng)
+
+    monkeypatch.setattr(preprocessing, "laplace_perturb", capture)
+    monkeypatch.setattr(synthesis, "laplace_perturb", capture)
+    m, n, p = 10, 300, 3
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(m, n))
+    if mode == "gmm":
+        data = Dataset(features=X, class_labels=np.repeat(["a", "b", "c"], [50, 100, 150]))
+        res = synth_gmm(data, p, 0.4, 0.9, rng=rng)
+    elif mode == "supervised":
+        data = Dataset(features=X, labels=rng.uniform(-1.5, 1.5, n), label_bound=1.5)
+        res = synth_supervised(data, p, 0.4, 0.9, rng=rng)
+    else:
+        res = synth_unsupervised(Dataset(features=X), p, 0.4, 0.9, rng=rng)
+    assert len(scales) == (6 if mode == "gmm" else 2)
+    assert scales == [e.sensitivity / e.epsilon for e in res.ledger.entries]
 
 
 def upper_l1(A):
