@@ -24,7 +24,6 @@ from .mechanism import (
     cov_sensitivity,
     laplace_perturb,
     mean_sensitivity,
-    mle_cov_sensitivity,
     split_budget,
 )
 from .preprocessing import PreprocessedDataset, center_with_mean, dp_mean, preprocess, sample_normalize
@@ -74,7 +73,6 @@ __all__ = [
     "laplace_perturb",
     "load_csv",
     "mean_sensitivity",
-    "mle_cov_sensitivity",
     "mode_transform",
     "nearest_mean_accuracy",
     "normality_diagnostic",

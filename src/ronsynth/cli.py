@@ -388,12 +388,17 @@ def cmd_budget(args) -> int:
         if not args.class_sizes:
             raise _UsageError("gmm budget plan needs --class-sizes N1,N2,...")
         sizes = _parse_int_list(args.class_sizes, "--class-sizes")
+        for c, n in enumerate(sizes):
+            if n < 1:
+                raise _UsageError(f"--class-sizes: class {c} has size {n}")
         note = "per-class spends act on disjoint data and compose in parallel"
     else:
         if args.n is None:
             raise _UsageError(f"{args.mode} budget plan needs --n")
         if args.mode == "supervised" and label_bound is None:
             raise _UsageError("supervised budget plan needs --label-bound")
+        if args.n < 1:
+            raise _UsageError(f"--n must be positive, got {args.n}")
         sizes = [args.n]
         note = "spends compose serially"
 

@@ -60,16 +60,6 @@ def aug_cov_sensitivity(p: int, n: int, a: float) -> float:
     return (p + 1.0 + 2.0 * a * math.sqrt(p) + a * a) / n
 
 
-def mle_cov_sensitivity(p: int, n: int) -> float:
-    """L1-sensitivity of the mean-subtracted (MLE) covariance estimate.
-
-    Exposed for comparison only -- the release path never calibrates
-    noise with it. Equals (n + 1) * (p + 1)/n, computed in factored form
-    so the ratio to ``cov_sensitivity`` is exactly n + 1.
-    """
-    return (n + 1) * cov_sensitivity(p, n)
-
-
 def laplace_perturb(values: np.ndarray, scale_b: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. Laplace(0, scale_b) noise to every entry of ``values``.
 

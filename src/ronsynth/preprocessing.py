@@ -1,14 +1,15 @@
 """Sample-wise normalization and differentially private centering.
 
-The stage runs four steps on an m x n matrix whose columns are samples:
+The stage maps every column x_j of an m x n sample matrix X through
+four steps:
 
-1. pre-normalize every column to unit Euclidean norm,
-2. compute a DP estimate of the column mean with Laplace noise at
-   scale 2*sqrt(m)/(n * epsilon_mu),
-3. subtract that mean from every column,
-4. re-normalize the centered columns to unit norm; a column that
-   collapses onto the mean (centered norm at most DEGENERATE_NORM)
-   becomes the zero vector instead.
+1. pre-normalize it to unit Euclidean norm, x1_j = s_j x_j with
+   s_j = 1/||x_j||,
+2. take a DP estimate mu of the mean of the x1_j, with Laplace noise at
+   scale 2*sqrt(m)/(n * epsilon_mu) (one mean per class for a mixture),
+3. subtract mu,
+4. re-normalize the centered column to unit norm; a column that
+   collapses onto the mean becomes the zero vector instead.
 
 Unit norms before step 2 are what make the mean's sensitivity bound
 valid, and norms of at most 1 after step 4 are what the projection and
@@ -17,37 +18,95 @@ keeps its place, so the sample count n that calibrates the noise is the
 public input size. Because every column is mapped on its own,
 neighboring datasets still differ in only one column after the whole
 stage (given the same released mean).
+
+The stage never builds the normalized or centered m x n matrices. The
+RON projection W that follows is linear and ||x1_j|| = 1, so
+
+    Wᵀ x̄_j = (s_j Wᵀx_j − Wᵀmu) / sqrt(1 − 2 s_j muᵀx_j + ||mu||²),
+
+and a release needs only the column norms (one ``einsum``), every
+class's mean (one GEMM of X against per-column weights) and one GEMM
+[W, mu]ᵀ X; the rest is arithmetic in p dimensions. Each projected
+column is then clipped to norm at most 1. The clip maps every sample
+on its own, so each sensitivity bound still holds, and it absorbs the
+rounding of the expanded norm, which near a collapse is only good to
+about 1e-8: the squared norm is a difference of terms of order 1 with
+rounding of order 1e-16. ``DEGENERATE_NORM`` is therefore the expanded
+centered norm at or below which a sample counts as collapsed, set well
+above that rounding so that a sample at the mean always collapses.
+``PreprocessedDataset.x_bar`` builds the m x n output on demand for
+tests and held-out users; a release never does.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mechanism import laplace_perturb, mean_sensitivity
+from .projection import RonProjection
 
 UNIT_NORM_TOL = 1e-9
-DEGENERATE_NORM = 1e-12
+# a raw sample at most this long has no direction to normalize to
+ZERO_NORM = 1e-12
+DEGENERATE_NORM = 1e-6
 
 
 @dataclass(frozen=True)
 class PreprocessedDataset:
-    """Output of the preprocessing stage.
+    """Output of the preprocessing stage, in factored form.
 
-    x_bar holds the centered, re-normalized samples, one column per
-    input column: unit norm, or the zero vector for a sample that
-    collapsed onto the mean. mu_dp is the released DP mean of the
-    pre-normalized data; it is safe to publish and is reused to
-    transform held-out data into the same geometry.
+    Column j, of class c, stands for x̄_j = (scale_j x_j − mu_c) *
+    inv_centered_j: scale_j is 1/||x_j|| and inv_centered_j is
+    1/||scale_j x_j − mu_c||, or 0 for a sample that collapsed onto
+    mu_c. mu_dp is the released DP mean of the pre-normalized data, of
+    shape (m,) for one class and (m, k) with one column per class
+    otherwise; it is safe to publish and is reused to transform held-out
+    data into the same geometry. classes gives each column's class
+    (None for one class). When the stage projected, projections[c] is
+    class c's basis and x_tilde[c] holds Wᵀx̄ for the class's columns, in
+    input order, each column clipped to norm at most 1.
     zero_norm_rows_dropped counts the samples mapped to the zero vector
     (none is dropped; the name is kept for existing readers).
     """
 
-    x_bar: np.ndarray
+    X: np.ndarray
+    scale: np.ndarray
+    inv_centered: np.ndarray
     mu_dp: np.ndarray
     zero_norm_rows_dropped: int
+    classes: np.ndarray | None = None
+    projections: tuple[RonProjection, ...] = ()
+    x_tilde: tuple[np.ndarray, ...] = ()
+
+    @property
+    def x_bar(self) -> np.ndarray:
+        """The centered, re-normalized samples as an m x n matrix."""
+        mu = self.mu_dp[:, None] if self.classes is None else self.mu_dp[:, self.classes]
+        return (self.X * self.scale - mu) * self.inv_centered
+
+
+def inverse_norms(X: np.ndarray) -> np.ndarray:
+    """1/||x_j|| for every column of X, without an m x n temporary.
+
+    Raises ValueError naming the first column that is (numerically) the
+    zero vector, or too large to square.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected an m x n matrix, got ndim={X.ndim}")
+    sq_norms = np.einsum("ij,ij->j", X, X)
+    zero = sq_norms <= ZERO_NORM ** 2
+    if np.any(zero):
+        idx = int(np.argmax(zero))
+        raise ValueError(f"sample {idx} has zero norm and cannot be normalized")
+    if not np.all(np.isfinite(sq_norms)):
+        idx = int(np.argmax(~np.isfinite(sq_norms)))
+        raise ValueError(f"sample {idx} is too large to normalize")
+    return 1.0 / np.sqrt(sq_norms)
 
 
 def sample_normalize(X: np.ndarray) -> np.ndarray:
@@ -57,15 +116,7 @@ def sample_normalize(X: np.ndarray) -> np.ndarray:
     is (numerically) the zero vector; callers must drop or perturb such
     samples before normalizing.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected an m x n matrix, got ndim={X.ndim}")
-    norms = np.linalg.norm(X, axis=0)
-    zero = norms <= DEGENERATE_NORM
-    if np.any(zero):
-        idx = int(np.argmax(zero))
-        raise ValueError(f"sample {idx} has zero norm and cannot be normalized")
-    return X / norms
+    return np.asarray(X, dtype=float) * inverse_norms(X)
 
 
 def dp_mean(X_normalized: np.ndarray, epsilon_mu: float,
@@ -95,6 +146,63 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float,
     return laplace_perturb(mean, sensitivity / epsilon_mu, rng)
 
 
+def center_projected(WtX: np.ndarray, muX: np.ndarray, scale: np.ndarray,
+                     Wt_mu: np.ndarray, mu_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Projected, centered and re-normalized samples from projected raw ones.
+
+    Takes Wᵀx_j (columns of WtX), muᵀx_j, scale_j = 1/||x_j||, Wᵀmu and
+    ||mu||², and returns Wᵀx̄_j with every column clipped to norm at most
+    1, together with 1/||scale_j x_j − mu|| (0 for a collapsed sample).
+    """
+    sq = 1.0 - 2.0 * (muX * scale) + mu_sq
+    centered = np.sqrt(np.maximum(sq, 0.0))
+    inv = np.zeros_like(centered)
+    np.divide(1.0, centered, out=inv, where=centered > DEGENERATE_NORM)
+    out = (WtX * scale - Wt_mu[:, None]) * inv
+    norms = np.sqrt(np.einsum("ij,ij->j", out, out))
+    np.divide(out, norms, out=out, where=norms > 1.0)
+    return out, inv
+
+
+def _class_columns(classes: np.ndarray | None, k: int) -> list:
+    """Each class's column indices, in input order."""
+    if classes is None:
+        return [slice(None)]
+    order = np.argsort(classes, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(classes, minlength=k))[:-1])
+
+
+def _center(X: np.ndarray, scale: np.ndarray, mu_dp: np.ndarray,
+            classes: np.ndarray | None = None,
+            projections: Sequence[RonProjection] = ()) -> PreprocessedDataset:
+    """Steps 3 and 4, and the projection, from one GEMM over X.
+
+    mu_dp holds one mean per class as its columns. The GEMM is
+    [W_1 ... W_k, mu_1 ... mu_k]ᵀ X; without projections every class
+    gets a basis of width 0, which still yields the centered norms.
+    """
+    k = mu_dp.shape[1]
+    bases = [proj.W for proj in projections] or [np.empty((X.shape[0], 0))] * k
+    p = bases[0].shape[1]
+    Y = np.concatenate([*bases, mu_dp], axis=1).T @ X
+
+    inv_centered = np.empty_like(scale)
+    x_tilde = []
+    for c, cols in enumerate(_class_columns(classes, k)):
+        mu = mu_dp[:, c]
+        chart, inv = center_projected(Y[c * p:(c + 1) * p, cols], Y[k * p + c, cols],
+                                      scale[cols], bases[c].T @ mu, float(mu @ mu))
+        inv_centered[cols] = inv
+        x_tilde.append(chart)
+    return PreprocessedDataset(
+        X=X, scale=scale, inv_centered=inv_centered,
+        mu_dp=mu_dp[:, 0] if classes is None else mu_dp,
+        zero_norm_rows_dropped=int(np.count_nonzero(inv_centered == 0.0)),
+        classes=classes, projections=tuple(projections),
+        x_tilde=tuple(x_tilde) if projections else (),
+    )
+
+
 def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
     """Apply the non-private steps (normalize, center, re-normalize).
 
@@ -102,36 +210,50 @@ def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
     already-released mean. Spends no privacy budget. A sample whose
     centered norm is at most DEGENERATE_NORM becomes the zero vector.
     """
-    return _center(sample_normalize(X), mu_dp)
-
-
-def _center(X1: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
-    """Center sample-normalized columns on mu_dp and re-normalize them;
-    a column that collapses onto mu_dp becomes the zero vector."""
+    X = np.asarray(X, dtype=float)
     mu_dp = np.asarray(mu_dp, dtype=float)
-    if mu_dp.shape != (X1.shape[0],):
-        raise ValueError(
-            f"mean has shape {mu_dp.shape}, expected ({X1.shape[0]},)"
-        )
-    centered = X1 - mu_dp[:, None]
-    norms = np.linalg.norm(centered, axis=0)
-    collapsed = norms <= DEGENERATE_NORM
-    norms[collapsed] = np.inf  # dividing by inf maps a collapsed sample to zero
-    centered /= norms
-    return PreprocessedDataset(x_bar=centered, mu_dp=mu_dp,
-                               zero_norm_rows_dropped=int(np.count_nonzero(collapsed)))
+    if mu_dp.shape != (X.shape[0],):
+        raise ValueError(f"mean has shape {mu_dp.shape}, expected ({X.shape[0]},)")
+    return _center(X, inverse_norms(X), mu_dp[:, None])
 
 
 def preprocess(X: np.ndarray, epsilon_mu: float,
-               rng: np.random.Generator) -> PreprocessedDataset:
-    """Run the full preprocessing stage.
+               rng: np.random.Generator | Sequence[np.random.Generator],
+               classes: np.ndarray | None = None,
+               draw_projection: Callable[[np.random.Generator], RonProjection] | None = None,
+               ) -> PreprocessedDataset:
+    """Run the full preprocessing stage, and the projection when asked.
 
-    Each raw sample is normalized once; the DP mean is taken of those
-    unit columns, which are then centered and re-normalized. Samples
-    whose centered norm is at most DEGENERATE_NORM have no direction to
-    re-normalize to; they become the zero vector and are counted, so
-    the output keeps every column. Held-out data goes through
-    ``center_with_mean`` with the released mean instead.
+    Each raw sample's norm is taken once; the DP mean is taken of the
+    unit columns, which are then centered and re-normalized in factored
+    form. Samples whose centered norm is at most DEGENERATE_NORM have no
+    direction to re-normalize to; they become the zero vector and are
+    counted, so the output keeps every column. Held-out data goes
+    through ``center_with_mean`` with the released mean instead.
+
+    With ``classes`` (each column's class, 0..k-1) every class gets its
+    own mean, noise and basis, and ``rng`` is a sequence of k
+    generators, one per class. ``draw_projection(rng)`` is called with
+    each class's generator right after that class's mean noise is
+    drawn, and the stage then also projects (``x_tilde``).
     """
-    X1 = sample_normalize(X)
-    return _center(X1, dp_mean(X1, epsilon_mu, rng))
+    X = np.asarray(X, dtype=float)
+    if not epsilon_mu > 0:
+        raise ValueError(f"epsilon_mu must be positive, got {epsilon_mu}")
+    m, n = X.shape
+    rngs = [rng] if classes is None else list(rng)
+    index = np.zeros(n, dtype=np.intp) if classes is None else classes
+    counts = np.bincount(index, minlength=len(rngs))
+    scale = inverse_norms(X)
+    weights = np.zeros((n, len(rngs)))
+    weights[np.arange(n), index] = scale / counts[index]
+    mu_dp = X @ weights
+
+    projections = []
+    for c, class_rng in enumerate(rngs):
+        if not math.isinf(epsilon_mu):
+            noise_scale = mean_sensitivity(m, int(counts[c])) / epsilon_mu
+            mu_dp[:, c] = laplace_perturb(mu_dp[:, c], noise_scale, class_rng)
+        if draw_projection is not None:
+            projections.append(draw_projection(class_rng))
+    return _center(X, scale, mu_dp, classes, projections)

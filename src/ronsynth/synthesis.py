@@ -1,9 +1,12 @@
 """Gaussian generative models over the projected space.
 
-All three release modes fit through one core: preprocess, project,
-estimate a second-moment matrix, add Laplace noise calibrated to its
-sensitivity, and repair the noisy matrix to the PSD cone. Each mode
-then samples from the fitted Gaussian (one per class for the mixture).
+All three release modes fit through one core, in which unsupervised
+and supervised releases are the one-class case of the mixture:
+preprocess and project every class from a fixed number of passes over
+the data, then per class estimate a second-moment matrix, add Laplace
+noise calibrated to its sensitivity, and repair the noisy matrix to the
+PSD cone. Each mode then samples from the fitted Gaussian (one per
+class for the mixture).
 
 The covariance estimate deliberately skips mean subtraction. With
 samples of norm at most 1 after projection, replacing one sample moves
@@ -22,7 +25,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .mechanism import BudgetLedger, laplace_perturb, record_spends
-from .preprocessing import center_with_mean, preprocess, sample_normalize
+from .preprocessing import center_projected, inverse_norms, preprocess
 from .projection import RonProjection, generate_ron, project
 
 PSD_TOL = 1e-10
@@ -198,30 +201,41 @@ def _released_names(p: int) -> tuple[str, ...]:
 
 
 def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
-         rng: np.random.Generator, ledger: BudgetLedger,
-         projection: RonProjection | None = None, labels: np.ndarray | None = None,
-         label_bound: float | None = None, per_class: bool = False):
+         rngs: list[np.random.Generator], ledger: BudgetLedger,
+         classes: np.ndarray | None = None, projection: RonProjection | None = None,
+         labels: np.ndarray | None = None, label_bound: float | None = None,
+         per_class: bool = False):
     """The fitting core of every release mode.
 
-    Records the fit's spends, preprocesses X, projects it (onto a fresh
-    basis unless the gmm shared one is given), estimates the second
-    moment (label-augmented when a label bound is given),
-    Laplace-perturbs it at the recorded sensitivity and repairs it to
-    the PSD cone. Returns (preprocessed, projection, covariance, repaired).
+    One class (``classes`` None, one generator) is the unsupervised and
+    supervised case; the mixture passes each column's class and one
+    generator per class. Records every class's spends, preprocesses and
+    projects every class together in three passes over X (each class
+    onto a fresh basis unless the gmm shared one is given), then per
+    class estimates the second moment (label-augmented when a label
+    bound is given), Laplace-perturbs it at the recorded sensitivity and
+    repairs it to the PSD cone. Each generator draws in the same order: mean noise,
+    basis, covariance noise. Returns (preprocessed, [(covariance,
+    repaired) per class]).
     """
     m, n = X.shape
-    _, cov_spend = record_spends(ledger, m, p, n, epsilon_mu, epsilon_sigma,
-                                 label_bound, per_class)
-    pre = preprocess(X, epsilon_mu, rng)
-    proj = projection if projection is not None else generate_ron(m, p, rng)
-    x_tilde = project(proj, pre.x_bar)
-    if label_bound is None:
-        second = estimate_cov(x_tilde)
-    else:
-        second = estimate_aug_cov(x_tilde, labels, label_bound=label_bound)
-    noisy = dp_perturb_cov(second, cov_spend.sensitivity, epsilon_sigma, rng)
-    cov, repaired = psd_repair(noisy)
-    return pre, proj, cov, repaired
+    counts = [n] if classes is None else np.bincount(classes).tolist()
+    cov_spends = [record_spends(ledger, m, p, n_c, epsilon_mu, epsilon_sigma,
+                                label_bound, per_class)[1] for n_c in counts]
+
+    def draw(rng):
+        return projection if projection is not None else generate_ron(m, p, rng)
+
+    pre = preprocess(X, epsilon_mu, rngs[0] if classes is None else rngs, classes, draw)
+    fits = []
+    for x_tilde, spend, rng in zip(pre.x_tilde, cov_spends, rngs):
+        if label_bound is None:
+            second = estimate_cov(x_tilde)
+        else:
+            second = estimate_aug_cov(x_tilde, labels, label_bound=label_bound)
+        noisy = dp_perturb_cov(second, spend.sensitivity, epsilon_sigma, rng)
+        fits.append(psd_repair(noisy))
+    return pre, fits
 
 
 def synth_unsupervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -265,15 +279,15 @@ def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
     m, n = data.features.shape
     _check_dims(p, m)
     ledger = BudgetLedger()
-    pre, proj, cov, repaired = _fit(data.features, p, epsilon_mu, epsilon_sigma, rng,
-                                    ledger, labels=data.labels,
-                                    label_bound=label_bound)
+    pre, [(cov, repaired)] = _fit(data.features, p, epsilon_mu, epsilon_sigma, [rng],
+                                  ledger, labels=data.labels, label_bound=label_bound)
     model = GaussianModel(np.zeros(cov.shape[0]), cov)
     samples = sample_gaussian(model, n if n_synth is None else n_synth, rng)
     release = Dataset(features=samples[:p], feature_names=_released_names(p),
                       labels=None if label_bound is None else samples[p])
     return SynthesisResult(dataset=release, model=model, ledger=ledger,
-                           psd_repair_applied=repaired, projection=proj, mu_dp=pre.mu_dp)
+                           psd_repair_applied=repaired, projection=pre.projections[0],
+                           mu_dp=pre.mu_dp)
 
 
 def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -306,26 +320,25 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     _check_dims(p, m)
     ledger = BudgetLedger()
 
-    class_names = sorted(set(data.class_labels.tolist()), key=str)
+    names = data.class_labels.tolist()
+    class_names = sorted(set(names), key=str)
+    lookup = {name: c for c, name in enumerate(class_names)}
+    classes = np.fromiter(map(lookup.__getitem__, names), dtype=np.intp, count=len(names))
 
     shared = generate_ron(m, p, rng) if shared_projection else None
     class_rngs = rng.spawn(len(class_names))
+    pre, fits = _fit(data.features, p, epsilon_mu, epsilon_sigma, class_rngs, ledger,
+                     classes, shared, per_class=True)
 
     modes: list[GmmMode] = []
     feature_blocks: list[np.ndarray] = []
     label_blocks: list[np.ndarray] = []
-    any_repair = False
-    for name, class_rng in zip(class_names, class_rngs):
-        mask = data.class_labels == name
-        pre, proj, cov, repaired = _fit(data.features[:, mask], p, epsilon_mu,
-                                        epsilon_sigma, class_rng, ledger, shared,
-                                        per_class=True)
-        any_repair = any_repair or repaired
-        model_c = GaussianModel(proj.W.T @ pre.mu_dp, cov)
+    for c, (name, class_rng, (cov, _)) in enumerate(zip(class_names, class_rngs, fits)):
+        proj = pre.projections[c]
+        model_c = GaussianModel(proj.W.T @ pre.mu_dp[:, c], cov)
         modes.append(GmmMode(label=name, model=model_c, projection=proj))
 
-        count = (int(np.count_nonzero(mask)) if per_class_n_synth is None
-                 else per_class_n_synth)
+        count = pre.x_tilde[c].shape[1] if per_class_n_synth is None else per_class_n_synth
         feature_blocks.append(sample_gaussian(model_c, count, class_rng))
         label_blocks.append(np.full(count, name))
 
@@ -335,7 +348,8 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
         feature_names=_released_names(p),
     )
     return SynthesisResult(dataset=release, model=GmmModel(tuple(modes)), ledger=ledger,
-                           psd_repair_applied=any_repair, projection=shared)
+                           psd_repair_applied=any(repaired for _, repaired in fits),
+                           projection=shared)
 
 
 def transform_features(mu_dp: np.ndarray, proj: RonProjection,
@@ -344,12 +358,18 @@ def transform_features(mu_dp: np.ndarray, proj: RonProjection,
 
     Applies the released mean's normalize/center/re-normalize transform
     followed by the projection -- the same chart the unsupervised and
-    supervised models are fit in. Both inputs are DP-safe, so this
-    spends nothing. Returns one projected column per input column; a
-    sample that collapses onto the mean projects to zero, as in
-    training.
+    supervised models are fit in, computed the same way: from WᵀX in p
+    dimensions, with every column clipped to norm at most 1. Both inputs
+    are DP-safe, so this spends nothing. Returns one projected column
+    per input column; a sample that collapses onto the mean projects to
+    zero, as in training.
     """
-    return project(proj, center_with_mean(X, mu_dp).x_bar)
+    mu_dp = np.asarray(mu_dp, dtype=float)
+    if mu_dp.shape != (proj.m,):
+        raise ValueError(f"mean has shape {mu_dp.shape}, expected ({proj.m},)")
+    x_tilde, _ = center_projected(project(proj, X), mu_dp @ X, inverse_norms(X),
+                                  proj.W.T @ mu_dp, float(mu_dp @ mu_dp))
+    return x_tilde
 
 
 def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
@@ -360,7 +380,7 @@ def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
     the normalized sample without centering: its class-conditional
     expectation then coincides with the mode's synthetic mean.
     """
-    return project(mode.projection, sample_normalize(X))
+    return project(mode.projection, X) * inverse_norms(X)
 
 
 def _check_dims(p: int, m: int) -> None:

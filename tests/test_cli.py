@@ -382,6 +382,18 @@ class TestBudgetCommand:
     def test_gmm_needs_class_sizes(self):
         assert main(["budget", "--mode", "gmm", "--m", "10", "--dim", "2"]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--m", "6", "--n", "0"], "--n must be positive, got 0"),
+        (["--m", "6", "--n", "-3"], "--n must be positive, got -3"),
+        (["--mode", "gmm", "--m", "20", "--class-sizes", "5,0"],
+         "--class-sizes: class 1 has size 0"),
+    ])
+    def test_empty_size_error_names_the_flag(self, argv, message, capsys):
+        assert main(["budget", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == f"error: {message}"
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
     def test_bad_epsilon_prints_no_plan(self, eps, capsys):
         assert main(["budget", "--epsilon", eps, "--m", "6", "--n", "200"]) == 1

@@ -10,9 +10,19 @@ from ronsynth.mechanism import (
     cov_sensitivity,
     laplace_perturb,
     mean_sensitivity,
-    mle_cov_sensitivity,
     split_budget,
 )
+
+
+def mle_cov_sensitivity(p: int, n: int) -> float:
+    """L1-sensitivity of the mean-subtracted (MLE) covariance estimate.
+
+    The release path never calibrates noise with it; it is the baseline
+    the biased estimate is compared against. Equals (n + 1) * (p + 1)/n,
+    computed in factored form so the ratio to ``cov_sensitivity`` is
+    exactly n + 1.
+    """
+    return (n + 1) * cov_sensitivity(p, n)
 
 
 class TestSensitivities:

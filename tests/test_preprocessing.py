@@ -17,7 +17,8 @@ from ronsynth.preprocessing import (
     preprocess,
     sample_normalize,
 )
-from ronsynth.synthesis import synth_supervised, synth_unsupervised
+from ronsynth import synthesis
+from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 
 
 def unit_columns(m, n, seed):
@@ -38,6 +39,11 @@ class TestSampleNormalize:
     def test_zero_column_is_an_error_naming_the_index(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="sample 1"):
+            sample_normalize(X)
+
+    def test_column_too_large_to_square_is_an_error_naming_the_index(self):
+        X = np.array([[1.0, 1e200], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="sample 1 is too large"):
             sample_normalize(X)
 
     def test_all_columns_come_out_unit(self):
@@ -122,20 +128,34 @@ class TestPreprocess:
         others = np.delete(pre.x_bar, 3, axis=1)
         assert np.allclose(np.linalg.norm(others, axis=0), 1.0, atol=1e-12)
 
-    def test_all_collapsed_input_is_released_at_public_n(self):
+    def test_all_collapsed_input_is_released_at_public_n(self, monkeypatch):
         # every column is a positive multiple of one vector, so with an
-        # exact mean every sample collapses; each release still covers
-        # all n samples and its covariance noise uses the public n
+        # exact mean every sample collapses in every mode: each is
+        # counted and projects to zero, each release still covers all n
+        # samples, and its covariance noise uses the public n
         m, n, p, a = 5, 40, 2, 1.0
         rng = np.random.default_rng(18)
         X = np.outer(rng.normal(size=m), rng.uniform(0.5, 3.0, size=n))
         assert preprocess(X, math.inf, rng).zero_norm_rows_dropped == n
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(preprocess(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(synthesis, "preprocess", spy)
         unsup = synth_unsupervised(Dataset(features=X), p, math.inf, 1.0, rng=rng)
         sup = synth_supervised(Dataset(features=X, labels=rng.uniform(-a, a, size=n),
                                        label_bound=a), p, math.inf, 1.0, rng=rng)
-        assert unsup.dataset.n_samples == sup.dataset.n_samples == n
+        gmm = synth_gmm(Dataset(features=X, class_labels=np.repeat(["a", "b"], [15, 25])),
+                        p, math.inf, 1.0, rng=rng)
+        assert [pre.zero_norm_rows_dropped for pre in seen] == [n, n, n]
+        assert not any(np.any(x_tilde) for pre in seen for x_tilde in pre.x_tilde)
+        assert unsup.dataset.n_samples == sup.dataset.n_samples == gmm.dataset.n_samples == n
         assert unsup.ledger.entries[-1].sensitivity == cov_sensitivity(p, n)
         assert sup.ledger.entries[-1].sensitivity == aug_cov_sensitivity(p, n, a)
+        assert [e.sensitivity for e in gmm.ledger.entries[1::2]] == \
+            [cov_sensitivity(p, 15), cov_sensitivity(p, 25)]
 
     def test_center_with_mean_spends_nothing(self):
         X = np.random.default_rng(14).normal(size=(5, 20))

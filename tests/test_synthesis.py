@@ -329,13 +329,13 @@ class TestGmmPipeline:
 
     def test_mode_means_are_projected_dp_means(self):
         # noise-free means: each mode mean is the projected class mean of
-        # the normalized samples, bit for bit
+        # the normalized samples, up to the order of the sums
         data = self.make_classed(seed=5)
         res = synth_gmm(data, 3, math.inf, 0.7, rng=np.random.default_rng(5))
         for mode in res.model.modes:
             X_c = data.features[:, data.class_labels == mode.label]
             expected = mode.projection.W.T @ sample_normalize(X_c).mean(axis=1)
-            assert np.array_equal(mode.model.mean, expected)
+            assert np.max(np.abs(mode.model.mean - expected)) <= 1e-12
             assert np.any(mode.model.mean != 0.0)
 
     def test_fresh_projection_per_class_by_default(self):
@@ -364,8 +364,9 @@ class TestGmmPipeline:
 
 @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "gmm"])
 def test_every_noise_draw_uses_its_ledger_entry(mode, monkeypatch):
-    # the epsilon the ledger prints is the one delivered: the i-th Laplace
-    # draw of a release has scale sensitivity / epsilon of its i-th entry
+    # the epsilon the ledger prints is the one delivered: every Laplace
+    # draw of a release has scale sensitivity / epsilon of its entry. A
+    # fit draws every class's mean noise before any covariance noise.
     scales = []
 
     def capture(values, scale_b, rng):
@@ -386,7 +387,8 @@ def test_every_noise_draw_uses_its_ledger_entry(mode, monkeypatch):
     else:
         res = synth_unsupervised(Dataset(features=X), p, 0.4, 0.9, rng=rng)
     assert len(scales) == (6 if mode == "gmm" else 2)
-    assert scales == [e.sensitivity / e.epsilon for e in res.ledger.entries]
+    entries = sorted(res.ledger.entries, key=lambda e: e.query != "mean")  # stable
+    assert scales == [e.sensitivity / e.epsilon for e in entries]
 
 
 def upper_l1(A):
