@@ -26,7 +26,7 @@ from .mechanism import (
     mean_sensitivity,
     split_budget,
 )
-from .preprocessing import PreprocessedDataset, center_with_mean, dp_mean, preprocess, sample_normalize
+from .preprocessing import preprocess
 from .projection import RonProjection, dimension_guidance, generate_ron, project, reconstruct
 from .synthesis import (
     GaussianModel,
@@ -56,15 +56,12 @@ __all__ = [
     "GmmMode",
     "GmmModel",
     "LedgerEntry",
-    "PreprocessedDataset",
     "RonProjection",
     "SynthesisResult",
     "aug_cov_sensitivity",
-    "center_with_mean",
     "clip_labels",
     "cov_sensitivity",
     "dimension_guidance",
-    "dp_mean",
     "dp_perturb_cov",
     "estimate_aug_cov",
     "estimate_cov",
@@ -83,7 +80,6 @@ __all__ = [
     "reconstruct",
     "rmse",
     "sample_gaussian",
-    "sample_normalize",
     "silhouette",
     "split_budget",
     "synth_gmm",

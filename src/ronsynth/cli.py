@@ -78,6 +78,17 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ronsynth",
                      description="Differentially private synthetic data release")
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--label-col", default=None,
                        help="name of the label column; real-valued in supervised "
                             "mode, categorical otherwise")
-    synth.add_argument("--samples", type=int, default=None,
+    synth.add_argument("--samples", type=_positive_int, default=None,
                        help="synthetic sample count (gmm: per class); default: source count")
     synth.add_argument("--seed", type=int, default=None,
                        help="rng seed; seeded noise is reproducible and therefore "
@@ -140,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="print the spend plan without touching data",
                             description="Show sensitivities and noise scales for a "
                                         "hypothetical run.")
-    budget.add_argument("--m", type=int, required=True, help="feature dimension")
-    budget.add_argument("--n", type=int, default=None, help="sample count")
+    budget.add_argument("--m", type=_positive_int, required=True, help="feature dimension")
+    budget.add_argument("--n", type=_positive_int, default=None, help="sample count")
     budget.add_argument("--class-sizes", default=None, metavar="N1,N2,...",
                         help="gmm: per-class sample counts")
     return parser
@@ -234,7 +245,7 @@ def cmd_synth(args) -> int:
         "epsilon_sigma": epsilon_sigma,
         "split_ratio": args.mu_ratio,
         "label_bound": data.label_bound,
-        "seed": args.seed,
+        "seeded": args.seed is not None,
         "psd_repair_applied": result.psd_repair_applied,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -378,8 +389,6 @@ def cmd_eval(args) -> int:
 
 def cmd_budget(args) -> int:
     epsilon_mu, epsilon_sigma = _budget_split(args)
-    if args.m < 1:
-        raise _UsageError(f"--m must be positive, got {args.m}")
     p = _projected_dim(args.dim, args.m)
 
     label_bound = args.label_bound if args.mode == "supervised" else None
@@ -397,8 +406,6 @@ def cmd_budget(args) -> int:
             raise _UsageError(f"{args.mode} budget plan needs --n")
         if args.mode == "supervised" and label_bound is None:
             raise _UsageError("supervised budget plan needs --label-bound")
-        if args.n < 1:
-            raise _UsageError(f"--n must be positive, got {args.n}")
         sizes = [args.n]
         note = "spends compose serially"
 

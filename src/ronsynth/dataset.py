@@ -255,7 +255,7 @@ def _is_float(text: str) -> bool:
 
 REQUIRED_METADATA_KEYS = (
     "mode", "m", "p", "n", "n_synth", "epsilon_total", "epsilon_mu",
-    "epsilon_sigma", "split_ratio", "label_bound", "seed",
+    "epsilon_sigma", "split_ratio", "label_bound", "seeded",
     "psd_repair_applied", "timestamp",
 )
 

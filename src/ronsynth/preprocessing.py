@@ -34,8 +34,11 @@ about 1e-8: the squared norm is a difference of terms of order 1 with
 rounding of order 1e-16. ``DEGENERATE_NORM`` is therefore the expanded
 centered norm at or below which a sample counts as collapsed, set well
 above that rounding so that a sample at the mean always collapses.
-``PreprocessedDataset.x_bar`` builds the m x n output on demand for
-tests and held-out users; a release never does.
+Held-out data is mapped by the same GEMM and arithmetic
+(``synthesis.transform_features``), so the training data's held-out
+chart is the release's own. ``center_with_mean`` writes the m x n
+output out explicitly, for tests to compare against; a release never
+builds it.
 """
 
 from __future__ import annotations
@@ -57,36 +60,22 @@ DEGENERATE_NORM = 1e-6
 
 @dataclass(frozen=True)
 class PreprocessedDataset:
-    """Output of the preprocessing stage, in factored form.
+    """Output of the preprocessing stage, in projected form.
 
-    Column j, of class c, stands for x̄_j = (scale_j x_j − mu_c) *
-    inv_centered_j: scale_j is 1/||x_j|| and inv_centered_j is
-    1/||scale_j x_j − mu_c||, or 0 for a sample that collapsed onto
-    mu_c. mu_dp is the released DP mean of the pre-normalized data, of
-    shape (m,) for one class and (m, k) with one column per class
-    otherwise; it is safe to publish and is reused to transform held-out
-    data into the same geometry. classes gives each column's class
-    (None for one class). When the stage projected, projections[c] is
-    class c's basis and x_tilde[c] holds Wᵀx̄ for the class's columns, in
-    input order, each column clipped to norm at most 1.
-    zero_norm_rows_dropped counts the samples mapped to the zero vector
-    (none is dropped; the name is kept for existing readers).
+    mu_dp is the released DP mean of the pre-normalized data, of shape
+    (m, k) with one column per class (k = 1 without classes); it is safe
+    to publish and is reused to transform held-out data into the same
+    geometry. projections[c] is class c's basis and x_tilde[c] holds
+    Wᵀx̄ for the class's columns, in input order, each column clipped to
+    norm at most 1. zero_norm_rows_dropped counts the samples mapped to
+    the zero vector (none is dropped; the name is kept for existing
+    readers).
     """
 
-    X: np.ndarray
-    scale: np.ndarray
-    inv_centered: np.ndarray
     mu_dp: np.ndarray
+    projections: tuple[RonProjection, ...]
+    x_tilde: tuple[np.ndarray, ...]
     zero_norm_rows_dropped: int
-    classes: np.ndarray | None = None
-    projections: tuple[RonProjection, ...] = ()
-    x_tilde: tuple[np.ndarray, ...] = ()
-
-    @property
-    def x_bar(self) -> np.ndarray:
-        """The centered, re-normalized samples as an m x n matrix."""
-        mu = self.mu_dp[:, None] if self.classes is None else self.mu_dp[:, self.classes]
-        return (self.X * self.scale - mu) * self.inv_centered
 
 
 def inverse_norms(X: np.ndarray) -> np.ndarray:
@@ -172,88 +161,84 @@ def _class_columns(classes: np.ndarray | None, k: int) -> list:
     return np.split(order, np.cumsum(np.bincount(classes, minlength=k))[:-1])
 
 
-def _center(X: np.ndarray, scale: np.ndarray, mu_dp: np.ndarray,
-            classes: np.ndarray | None = None,
-            projections: Sequence[RonProjection] = ()) -> PreprocessedDataset:
+def _charts(X: np.ndarray, scale: np.ndarray, mu_dp: np.ndarray,
+            projections: Sequence[RonProjection],
+            classes: np.ndarray | None = None) -> tuple[list, int]:
     """Steps 3 and 4, and the projection, from one GEMM over X.
 
-    mu_dp holds one mean per class as its columns. The GEMM is
-    [W_1 ... W_k, mu_1 ... mu_k]ᵀ X; without projections every class
-    gets a basis of width 0, which still yields the centered norms.
+    mu_dp holds one mean per class as its columns, and classes gives
+    each column's class (None for one class). The GEMM is
+    [W_1 ... W_k, mu_1 ... mu_k]ᵀ X. Returns every class's Wᵀx̄ and the
+    number of collapsed samples.
     """
     k = mu_dp.shape[1]
-    bases = [proj.W for proj in projections] or [np.empty((X.shape[0], 0))] * k
-    p = bases[0].shape[1]
-    Y = np.concatenate([*bases, mu_dp], axis=1).T @ X
-
-    inv_centered = np.empty_like(scale)
-    x_tilde = []
+    p = projections[0].p
+    Y = np.concatenate([*(proj.W for proj in projections), mu_dp], axis=1).T @ X
+    charts, collapsed = [], 0
     for c, cols in enumerate(_class_columns(classes, k)):
         mu = mu_dp[:, c]
         chart, inv = center_projected(Y[c * p:(c + 1) * p, cols], Y[k * p + c, cols],
-                                      scale[cols], bases[c].T @ mu, float(mu @ mu))
-        inv_centered[cols] = inv
-        x_tilde.append(chart)
-    return PreprocessedDataset(
-        X=X, scale=scale, inv_centered=inv_centered,
-        mu_dp=mu_dp[:, 0] if classes is None else mu_dp,
-        zero_norm_rows_dropped=int(np.count_nonzero(inv_centered == 0.0)),
-        classes=classes, projections=tuple(projections),
-        x_tilde=tuple(x_tilde) if projections else (),
-    )
+                                      scale[cols], projections[c].W.T @ mu, float(mu @ mu))
+        collapsed += int(np.count_nonzero(inv == 0.0))
+        charts.append(chart)
+    return charts, collapsed
 
 
-def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> PreprocessedDataset:
-    """Apply the non-private steps (normalize, center, re-normalize).
+def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> np.ndarray:
+    """Normalize, center on a released mean and re-normalize, as an m x n matrix.
 
-    Used to push held-out data through the transform defined by an
-    already-released mean. Spends no privacy budget. A sample whose
-    centered norm is at most DEGENERATE_NORM becomes the zero vector.
+    The explicit form of steps 1, 3 and 4, which a release never builds;
+    tests compare the factored stage against it. Spends no privacy
+    budget. A sample whose centered norm is at most DEGENERATE_NORM
+    becomes the zero vector.
     """
     X = np.asarray(X, dtype=float)
     mu_dp = np.asarray(mu_dp, dtype=float)
     if mu_dp.shape != (X.shape[0],):
         raise ValueError(f"mean has shape {mu_dp.shape}, expected ({X.shape[0]},)")
-    return _center(X, inverse_norms(X), mu_dp[:, None])
+    centered = sample_normalize(X) - mu_dp[:, None]
+    norms = np.linalg.norm(centered, axis=0)
+    return np.divide(centered, norms, out=np.zeros_like(centered),
+                     where=norms > DEGENERATE_NORM)
 
 
-def preprocess(X: np.ndarray, epsilon_mu: float,
-               rng: np.random.Generator | Sequence[np.random.Generator],
-               classes: np.ndarray | None = None,
-               draw_projection: Callable[[np.random.Generator], RonProjection] | None = None,
-               ) -> PreprocessedDataset:
-    """Run the full preprocessing stage, and the projection when asked.
+def preprocess(X: np.ndarray, epsilon_mu: float, rngs: Sequence[np.random.Generator],
+               draw_projection: Callable[[np.random.Generator], RonProjection],
+               classes: np.ndarray | None = None) -> PreprocessedDataset:
+    """Run the full preprocessing stage and the projection.
 
     Each raw sample's norm is taken once; the DP mean is taken of the
-    unit columns, which are then centered and re-normalized in factored
-    form. Samples whose centered norm is at most DEGENERATE_NORM have no
-    direction to re-normalize to; they become the zero vector and are
-    counted, so the output keeps every column. Held-out data goes
-    through ``center_with_mean`` with the released mean instead.
+    unit columns, which are then centered, re-normalized and projected
+    in factored form. Samples whose centered norm is at most
+    DEGENERATE_NORM have no direction to re-normalize to; they become
+    the zero vector and are counted, so the output keeps every column.
+    Held-out data goes through ``synthesis.transform_features`` with the
+    released mean and basis instead.
 
-    With ``classes`` (each column's class, 0..k-1) every class gets its
-    own mean, noise and basis, and ``rng`` is a sequence of k
-    generators, one per class. ``draw_projection(rng)`` is called with
-    each class's generator right after that class's mean noise is
-    drawn, and the stage then also projects (``x_tilde``).
+    ``rngs`` holds one generator per class. With ``classes`` (each
+    column's class, 0..k-1) every class gets its own mean, noise and
+    basis; without, all columns form one class. ``draw_projection(rng)``
+    is called with each class's generator right after that class's mean
+    noise is drawn.
     """
     X = np.asarray(X, dtype=float)
     if not epsilon_mu > 0:
         raise ValueError(f"epsilon_mu must be positive, got {epsilon_mu}")
     m, n = X.shape
-    rngs = [rng] if classes is None else list(rng)
+    k = len(rngs)
     index = np.zeros(n, dtype=np.intp) if classes is None else classes
-    counts = np.bincount(index, minlength=len(rngs))
+    counts = np.bincount(index, minlength=k)
     scale = inverse_norms(X)
-    weights = np.zeros((n, len(rngs)))
+    weights = np.zeros((n, k))
     weights[np.arange(n), index] = scale / counts[index]
     mu_dp = X @ weights
 
     projections = []
-    for c, class_rng in enumerate(rngs):
+    for c, rng in enumerate(rngs):
         if not math.isinf(epsilon_mu):
             noise_scale = mean_sensitivity(m, int(counts[c])) / epsilon_mu
-            mu_dp[:, c] = laplace_perturb(mu_dp[:, c], noise_scale, class_rng)
-        if draw_projection is not None:
-            projections.append(draw_projection(class_rng))
-    return _center(X, scale, mu_dp, classes, projections)
+            mu_dp[:, c] = laplace_perturb(mu_dp[:, c], noise_scale, rng)
+        projections.append(draw_projection(rng))
+    x_tilde, collapsed = _charts(X, scale, mu_dp, projections, classes)
+    return PreprocessedDataset(mu_dp=mu_dp, projections=tuple(projections),
+                               x_tilde=tuple(x_tilde), zero_norm_rows_dropped=collapsed)

@@ -1,12 +1,12 @@
 """Gaussian generative models over the projected space.
 
-All three release modes fit through one core, in which unsupervised
-and supervised releases are the one-class case of the mixture:
-preprocess and project every class from a fixed number of passes over
-the data, then per class estimate a second-moment matrix, add Laplace
-noise calibrated to its sensitivity, and repair the noisy matrix to the
-PSD cone. Each mode then samples from the fitted Gaussian (one per
-class for the mixture).
+All three release modes fit and sample through one core, in which
+unsupervised and supervised releases are the one-class case of the
+mixture: preprocess and project every class from a fixed number of
+passes over the data, then per class estimate a second-moment matrix,
+add Laplace noise calibrated to its sensitivity, repair the noisy matrix
+to the PSD cone and sample the fitted Gaussian. Each mode only
+assembles the samples into its release.
 
 The covariance estimate deliberately skips mean subtraction. With
 samples of norm at most 1 after projection, replacing one sample moves
@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .mechanism import BudgetLedger, laplace_perturb, record_spends
-from .preprocessing import center_projected, inverse_norms, preprocess
+from .preprocessing import _charts, inverse_norms, preprocess
 from .projection import RonProjection, generate_ron, project
 
 PSD_TOL = 1e-10
@@ -200,42 +200,51 @@ def _released_names(p: int) -> tuple[str, ...]:
     return tuple(f"z{j + 1}" for j in range(p))
 
 
-def _fit(X: np.ndarray, p: int, epsilon_mu: float, epsilon_sigma: float,
-         rngs: list[np.random.Generator], ledger: BudgetLedger,
+def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
+         rngs: list[np.random.Generator], n_synth: int | None,
          classes: np.ndarray | None = None, projection: RonProjection | None = None,
-         labels: np.ndarray | None = None, label_bound: float | None = None,
-         per_class: bool = False):
-    """The fitting core of every release mode.
+         label_bound: float | None = None):
+    """The fitting and sampling core of every release mode.
 
     One class (``classes`` None, one generator) is the unsupervised and
     supervised case; the mixture passes each column's class and one
-    generator per class. Records every class's spends, preprocesses and
-    projects every class together in three passes over X (each class
-    onto a fresh basis unless the gmm shared one is given), then per
-    class estimates the second moment (label-augmented when a label
-    bound is given), Laplace-perturbs it at the recorded sensitivity and
-    repairs it to the PSD cone. Each generator draws in the same order: mean noise,
-    basis, covariance noise. Returns (preprocessed, [(covariance,
+    generator per class. Records every class's spends in a new ledger,
+    preprocesses and projects every class in three passes over the
+    features (onto a fresh basis each, unless the gmm shared one is
+    given), then per class estimates the second moment (augmented with
+    ``data.labels`` when a label bound is given), Laplace-perturbs it at
+    the recorded sensitivity, repairs it to the PSD cone and draws
+    n_synth samples (default: the class's count) from the Gaussian,
+    zero-mean for one class and centred on Wᵀmu_c for the mixture. Each
+    generator draws mean noise, basis, covariance noise, samples, in
+    that order. Returns (preprocessed, ledger, [(model, samples,
     repaired) per class]).
     """
+    X = data.features
     m, n = X.shape
     counts = [n] if classes is None else np.bincount(classes).tolist()
+    ledger = BudgetLedger()
     cov_spends = [record_spends(ledger, m, p, n_c, epsilon_mu, epsilon_sigma,
-                                label_bound, per_class)[1] for n_c in counts]
+                                label_bound, classes is not None)[1] for n_c in counts]
 
     def draw(rng):
         return projection if projection is not None else generate_ron(m, p, rng)
 
-    pre = preprocess(X, epsilon_mu, rngs[0] if classes is None else rngs, classes, draw)
+    pre = preprocess(X, epsilon_mu, rngs, draw, classes)
     fits = []
-    for x_tilde, spend, rng in zip(pre.x_tilde, cov_spends, rngs):
+    for c, (x_tilde, proj, spend, rng) in enumerate(
+            zip(pre.x_tilde, pre.projections, cov_spends, rngs)):
         if label_bound is None:
             second = estimate_cov(x_tilde)
         else:
-            second = estimate_aug_cov(x_tilde, labels, label_bound=label_bound)
+            second = estimate_aug_cov(x_tilde, data.labels, label_bound=label_bound)
         noisy = dp_perturb_cov(second, spend.sensitivity, epsilon_sigma, rng)
-        fits.append(psd_repair(noisy))
-    return pre, fits
+        cov, repaired = psd_repair(noisy)
+        mean = np.zeros(cov.shape[0]) if classes is None else proj.W.T @ pre.mu_dp[:, c]
+        model = GaussianModel(mean, cov)
+        samples = sample_gaussian(model, counts[c] if n_synth is None else n_synth, rng)
+        fits.append((model, samples, repaired))
+    return pre, ledger, fits
 
 
 def synth_unsupervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -276,18 +285,14 @@ def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
     """Fit and sample one zero-mean Gaussian; with a label bound, the
     labels are its last coordinate."""
     rng = np.random.default_rng(rng)  # returns a given Generator unchanged
-    m, n = data.features.shape
-    _check_dims(p, m)
-    ledger = BudgetLedger()
-    pre, [(cov, repaired)] = _fit(data.features, p, epsilon_mu, epsilon_sigma, [rng],
-                                  ledger, labels=data.labels, label_bound=label_bound)
-    model = GaussianModel(np.zeros(cov.shape[0]), cov)
-    samples = sample_gaussian(model, n if n_synth is None else n_synth, rng)
+    _check_dims(p, data.features.shape[0])
+    pre, ledger, [(model, samples, repaired)] = _fit(
+        data, p, epsilon_mu, epsilon_sigma, [rng], n_synth, label_bound=label_bound)
     release = Dataset(features=samples[:p], feature_names=_released_names(p),
                       labels=None if label_bound is None else samples[p])
     return SynthesisResult(dataset=release, model=model, ledger=ledger,
                            psd_repair_applied=repaired, projection=pre.projections[0],
-                           mu_dp=pre.mu_dp)
+                           mu_dp=pre.mu_dp[:, 0])
 
 
 def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -318,7 +323,6 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     rng = np.random.default_rng(rng)  # returns a given Generator unchanged
     m = data.features.shape[0]
     _check_dims(p, m)
-    ledger = BudgetLedger()
 
     names = data.class_labels.tolist()
     class_names = sorted(set(names), key=str)
@@ -326,29 +330,19 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     classes = np.fromiter(map(lookup.__getitem__, names), dtype=np.intp, count=len(names))
 
     shared = generate_ron(m, p, rng) if shared_projection else None
-    class_rngs = rng.spawn(len(class_names))
-    pre, fits = _fit(data.features, p, epsilon_mu, epsilon_sigma, class_rngs, ledger,
-                     classes, shared, per_class=True)
+    pre, ledger, fits = _fit(data, p, epsilon_mu, epsilon_sigma, rng.spawn(len(class_names)),
+                             per_class_n_synth, classes, shared)
 
-    modes: list[GmmMode] = []
-    feature_blocks: list[np.ndarray] = []
-    label_blocks: list[np.ndarray] = []
-    for c, (name, class_rng, (cov, _)) in enumerate(zip(class_names, class_rngs, fits)):
-        proj = pre.projections[c]
-        model_c = GaussianModel(proj.W.T @ pre.mu_dp[:, c], cov)
-        modes.append(GmmMode(label=name, model=model_c, projection=proj))
-
-        count = pre.x_tilde[c].shape[1] if per_class_n_synth is None else per_class_n_synth
-        feature_blocks.append(sample_gaussian(model_c, count, class_rng))
-        label_blocks.append(np.full(count, name))
-
+    modes = tuple(GmmMode(label=name, model=model, projection=proj)
+                  for name, proj, (model, _, _) in zip(class_names, pre.projections, fits))
     release = Dataset(
-        features=np.concatenate(feature_blocks, axis=1),
-        class_labels=np.concatenate(label_blocks),
+        features=np.concatenate([samples for _, samples, _ in fits], axis=1),
+        class_labels=np.concatenate([np.full(samples.shape[1], name)
+                                     for name, (_, samples, _) in zip(class_names, fits)]),
         feature_names=_released_names(p),
     )
-    return SynthesisResult(dataset=release, model=GmmModel(tuple(modes)), ledger=ledger,
-                           psd_repair_applied=any(repaired for _, repaired in fits),
+    return SynthesisResult(dataset=release, model=GmmModel(modes), ledger=ledger,
+                           psd_repair_applied=any(repaired for _, _, repaired in fits),
                            projection=shared)
 
 
@@ -358,18 +352,21 @@ def transform_features(mu_dp: np.ndarray, proj: RonProjection,
 
     Applies the released mean's normalize/center/re-normalize transform
     followed by the projection -- the same chart the unsupervised and
-    supervised models are fit in, computed the same way: from WᵀX in p
-    dimensions, with every column clipped to norm at most 1. Both inputs
-    are DP-safe, so this spends nothing. Returns one projected column
-    per input column; a sample that collapses onto the mean projects to
-    zero, as in training.
+    supervised models are fit in, computed by the same GEMM [W, mu]ᵀX and
+    arithmetic as in training, so the training data maps onto the
+    release's own chart bit for bit. Every column is clipped to norm at
+    most 1. Both inputs are DP-safe, so this spends nothing. Returns one
+    projected column per input column; a sample that collapses onto the
+    mean projects to zero, as in training.
     """
     mu_dp = np.asarray(mu_dp, dtype=float)
+    X = np.asarray(X, dtype=float)
     if mu_dp.shape != (proj.m,):
         raise ValueError(f"mean has shape {mu_dp.shape}, expected ({proj.m},)")
-    x_tilde, _ = center_projected(project(proj, X), mu_dp @ X, inverse_norms(X),
-                                  proj.W.T @ mu_dp, float(mu_dp @ mu_dp))
-    return x_tilde
+    if X.ndim != 2 or X.shape[0] != proj.m:
+        raise ValueError(f"expected a matrix with {proj.m} rows, got shape {X.shape}")
+    (chart,), _ = _charts(X, inverse_norms(X), mu_dp[:, None], [proj])
+    return chart
 
 
 def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:

@@ -191,9 +191,9 @@ def test_criterion_06_projected_normality():
     m, n, p = 200, 5000, 3
     rng = np.random.default_rng(106)
     X = rng.uniform(-1.0, 1.0, size=(m, n))
-    pre = preprocess(X, 1.0, np.random.default_rng(1))
     proj = generate_ron(m, p, np.random.default_rng(2))
-    ks_projected = normality_diagnostic(project(proj, pre.x_bar)).mean_ks
+    pre = preprocess(X, 1.0, [np.random.default_rng(1)], lambda rng: proj)
+    ks_projected = normality_diagnostic(pre.x_tilde[0]).mean_ks
     ks_raw = normality_diagnostic(X).mean_ks
     elapsed = time.monotonic() - start
     ok = ks_projected < 0.05 and ks_projected < ks_raw and elapsed < 30.0

@@ -13,7 +13,7 @@ from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 
 REQUIRED_META_KEYS = {
     "mode", "m", "p", "n", "n_synth", "epsilon_total", "epsilon_mu",
-    "epsilon_sigma", "split_ratio", "label_bound", "seed",
+    "epsilon_sigma", "split_ratio", "label_bound", "seeded",
     "psd_repair_applied", "timestamp",
 }
 
@@ -68,6 +68,8 @@ class TestSynthCommand:
         assert meta["epsilon_total"] == 1.0
         assert meta["mode"] == "unsupervised"
         assert meta["p"] == 3 and meta["m"] == 6 and meta["n"] == 120
+        # the seed itself would let anyone replay the noise; only its use is recorded
+        assert meta["seeded"] is True
         header = open(os.path.join(out, "data.csv")).readline().strip()
         assert header == "z1,z2,z3"
         assert "total epsilon: 1" in capsys.readouterr().out
@@ -156,6 +158,22 @@ class TestSynthCommand:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "ghost.csv")]) == 2
+
+    def test_unseeded_release_says_so(self, numeric_csv, tmp_path):
+        out = str(tmp_path / "rel")
+        assert main(["synth", numeric_csv, "--dim", "2", "--out", out]) == 0
+        meta = json.load(open(os.path.join(out, "metadata.json")))
+        assert meta["seeded"] is False and "seed" not in meta
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_bad_sample_count_is_rejected_before_reading(self, count, tmp_path, capsys):
+        # the flag is checked before the (here missing) input is opened
+        out = tmp_path / "rel"
+        assert main(["synth", str(tmp_path / "ghost.csv"), "--samples", count,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == f"error: argument --samples: must be a positive integer, got '{count}'"
+        assert not out.exists()
 
     def test_bad_cell_is_data_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -383,8 +401,8 @@ class TestBudgetCommand:
         assert main(["budget", "--mode", "gmm", "--m", "10", "--dim", "2"]) == 1
 
     @pytest.mark.parametrize("argv,message", [
-        (["--m", "6", "--n", "0"], "--n must be positive, got 0"),
-        (["--m", "6", "--n", "-3"], "--n must be positive, got -3"),
+        (["--m", "6", "--n", "0"], "argument --n: must be a positive integer, got '0'"),
+        (["--m", "6", "--n", "-3"], "argument --n: must be a positive integer, got '-3'"),
         (["--mode", "gmm", "--m", "20", "--class-sizes", "5,0"],
          "--class-sizes: class 1 has size 0"),
     ])
@@ -392,7 +410,8 @@ class TestBudgetCommand:
         assert main(["budget", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip() == f"error: {message}"
+        # argparse prints its usage line first
+        assert captured.err.strip().splitlines()[-1] == f"error: {message}"
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
     def test_bad_epsilon_prints_no_plan(self, eps, capsys):

@@ -18,7 +18,7 @@ from ronsynth.dataset import (
 META = {
     "mode": "unsupervised", "m": 2, "p": 2, "n": 3, "n_synth": 3,
     "epsilon_total": 1.0, "epsilon_mu": 0.3, "epsilon_sigma": 0.7,
-    "split_ratio": 0.3, "label_bound": None, "seed": 0,
+    "split_ratio": 0.3, "label_bound": None, "seeded": True,
     "psd_repair_applied": False, "timestamp": "t",
 }
 

@@ -2,9 +2,10 @@
 
 The release never builds the normalized or centered m x n matrices: it
 works from column norms, one GEMM for the class means and one GEMM
-[W, mu]ᵀ X. These tests write the explicit stage out (normalize, noisy
-mean, center, re-normalize, project) and check that releases, held-out
-transforms and adversarial near-collapse inputs agree with it.
+[W, mu]ᵀ X. These tests build the explicit stage (normalize, noisy
+mean, the m x n centered matrix of ``center_with_mean``, project) and
+check that releases, held-out transforms and adversarial near-collapse
+inputs agree with it.
 """
 
 import math
@@ -43,9 +44,7 @@ NORM_SLACK = 4 * np.finfo(float).eps
 
 def explicit_chart(X, mu, W):
     """Normalize, center on mu, re-normalize and project, written out."""
-    X1 = X / np.linalg.norm(X, axis=0)
-    centered = X1 - mu[:, None]
-    return W.T @ (centered / np.linalg.norm(centered, axis=0))
+    return W.T @ preprocessing.center_with_mean(X, mu)
 
 
 def reference_fit(X, p, eps_mu, eps_sigma, rng, projection=None, labels=None,
@@ -131,6 +130,14 @@ def spy_preprocess(monkeypatch):
     return seen
 
 
+def class_columns(data):
+    """Each class's column indices, in the release's class order."""
+    if data.class_labels is None:
+        return [np.arange(data.n_samples)]
+    names = sorted(set(data.class_labels.tolist()), key=str)
+    return [np.flatnonzero(data.class_labels == name) for name in names]
+
+
 def pin_mean(monkeypatch, mu):
     """Make every released mean exactly mu, in place of the noisy one."""
     monkeypatch.setattr(preprocessing, "laplace_perturb",
@@ -152,10 +159,8 @@ def test_sample_at_the_mean_projects_to_zero(mode, monkeypatch):
     release(mode, data, p, 1.0, math.inf, np.random.default_rng(44))
     (pre,) = seen
     assert pre.zero_norm_rows_dropped == 1
-    assert pre.inv_centered[10] == 0.0
-    assert np.array_equal(pre.x_bar[:, 10], np.zeros(m))
-    c = 0 if pre.classes is None else pre.classes[10]
-    cols = np.arange(n) if pre.classes is None else np.flatnonzero(pre.classes == c)
+    assert np.array_equal(preprocessing.center_with_mean(X, mu)[:, 10], np.zeros(m))
+    c, cols = next((c, cols) for c, cols in enumerate(class_columns(data)) if 10 in cols)
     assert np.array_equal(pre.x_tilde[c][:, np.searchsorted(cols, 10)], np.zeros(p))
 
 
@@ -182,8 +187,7 @@ def test_samples_near_the_mean_project_inside_the_unit_ball(mode, monkeypatch):
         assert np.all(np.linalg.norm(x_tilde, axis=0) <= 1.0 + NORM_SLACK)
     # samples well clear of the threshold come out as the explicit stage's
     clear = np.arange(len(deltas), n)
-    for c, (x_tilde, proj) in enumerate(zip(pre.x_tilde, pre.projections)):
-        cols = np.arange(n) if pre.classes is None else np.flatnonzero(pre.classes == c)
+    for x_tilde, proj, cols in zip(pre.x_tilde, pre.projections, class_columns(data)):
         keep = np.isin(cols, clear)
         expected = explicit_chart(X[:, cols[keep]], mu, proj.W)
         assert np.max(np.abs(x_tilde[:, keep] - expected)) <= 1e-12

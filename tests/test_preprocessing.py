@@ -18,7 +18,13 @@ from ronsynth.preprocessing import (
     sample_normalize,
 )
 from ronsynth import synthesis
+from ronsynth.projection import generate_ron
 from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
+
+
+def preprocess_one_class(X, epsilon_mu, rng, p=2):
+    """preprocess for one class, projecting onto a fresh p-dim basis."""
+    return preprocess(X, epsilon_mu, [rng], lambda r: generate_ron(X.shape[0], p, r))
 
 
 def unit_columns(m, n, seed):
@@ -98,9 +104,13 @@ class TestDpMean:
 class TestPreprocess:
     def test_output_columns_are_unit_norm(self):
         X = np.random.default_rng(10).normal(size=(8, 60))
-        pre = preprocess(X, 1.0, np.random.default_rng(0))
-        assert np.allclose(np.linalg.norm(pre.x_bar, axis=0), 1.0, atol=1e-12)
-        assert pre.mu_dp.shape == (8,)
+        pre = preprocess_one_class(X, 1.0, np.random.default_rng(0))
+        x_bar = center_with_mean(X, pre.mu_dp[:, 0])
+        assert np.allclose(np.linalg.norm(x_bar, axis=0), 1.0, atol=1e-12)
+        # the factored stage projects exactly those columns
+        (proj,), (x_tilde,) = pre.projections, pre.x_tilde
+        assert np.max(np.abs(x_tilde - proj.W.T @ x_bar)) <= 1e-12
+        assert pre.mu_dp.shape == (8, 1)
         assert pre.zero_norm_rows_dropped == 0
 
     def test_neighbors_differ_in_exactly_one_column_given_same_mean(self):
@@ -113,7 +123,7 @@ class TestPreprocess:
         mu = dp_mean(sample_normalize(X), 1.0, np.random.default_rng(1))
         out = center_with_mean(X, mu)
         outp = center_with_mean(Xp, mu)
-        diffs = np.flatnonzero(np.any(out.x_bar != outp.x_bar, axis=0))
+        diffs = np.flatnonzero(np.any(out != outp, axis=0))
         assert list(diffs) == [j]
 
     def test_column_equal_to_mean_becomes_zero_and_is_counted(self):
@@ -121,11 +131,10 @@ class TestPreprocess:
         mu[2] = 1.0  # unit vector
         X = np.random.default_rng(12).normal(size=(4, 9))
         X[:, 3] = 2.0 * mu  # normalizes onto mu, centers to zero
-        pre = center_with_mean(X, mu)
-        assert pre.zero_norm_rows_dropped == 1
-        assert pre.x_bar.shape == (4, 9)
-        assert np.array_equal(pre.x_bar[:, 3], np.zeros(4))
-        others = np.delete(pre.x_bar, 3, axis=1)
+        x_bar = center_with_mean(X, mu)
+        assert x_bar.shape == (4, 9)
+        assert np.flatnonzero(~x_bar.any(axis=0)).tolist() == [3]
+        others = np.delete(x_bar, 3, axis=1)
         assert np.allclose(np.linalg.norm(others, axis=0), 1.0, atol=1e-12)
 
     def test_all_collapsed_input_is_released_at_public_n(self, monkeypatch):
@@ -136,7 +145,8 @@ class TestPreprocess:
         m, n, p, a = 5, 40, 2, 1.0
         rng = np.random.default_rng(18)
         X = np.outer(rng.normal(size=m), rng.uniform(0.5, 3.0, size=n))
-        assert preprocess(X, math.inf, rng).zero_norm_rows_dropped == n
+        pre = preprocess_one_class(X, math.inf, np.random.default_rng(0), p)
+        assert pre.zero_norm_rows_dropped == n
         seen = []
 
         def spy(*args, **kwargs):
@@ -160,9 +170,10 @@ class TestPreprocess:
     def test_center_with_mean_spends_nothing(self):
         X = np.random.default_rng(14).normal(size=(5, 20))
         out = center_with_mean(X, np.zeros(5))
-        # the given mean is used as released: no noise is drawn for it
-        assert np.array_equal(out.mu_dp, np.zeros(5))
-        assert np.allclose(np.linalg.norm(out.x_bar, axis=0), 1.0)
+        # the given mean is used as released: no noise is drawn for it,
+        # so centering on zero leaves the normalized samples as they are
+        assert np.allclose(out, sample_normalize(X), rtol=0.0, atol=1e-15)
+        assert np.allclose(np.linalg.norm(out, axis=0), 1.0)
 
 
 class TestRegularityConditions:
@@ -170,14 +181,15 @@ class TestRegularityConditions:
         # every output norm is exactly 1, so the mean squared norm is 1;
         # random unit probes v must satisfy mean <v, x>^2 <= 1
         X = np.random.default_rng(15).normal(size=(12, 300))
-        pre = preprocess(X, 1.0, np.random.default_rng(2))
-        norms_sq = np.sum(pre.x_bar**2, axis=0)
+        pre = preprocess_one_class(X, 1.0, np.random.default_rng(2))
+        x_bar = center_with_mean(X, pre.mu_dp[:, 0])
+        norms_sq = np.sum(x_bar**2, axis=0)
         assert np.allclose(norms_sq.mean(), 1.0, atol=1e-10)
         rng = np.random.default_rng(16)
         for _ in range(100):
             v = rng.normal(size=12)
             v /= np.linalg.norm(v)
-            assert np.mean((v @ pre.x_bar) ** 2) <= 1.0 + 1e-12
+            assert np.mean((v @ x_bar) ** 2) <= 1.0 + 1e-12
 
     def test_empirical_mean_sensitivity_never_exceeds_bound(self):
         # module-scale check; the acceptance suite runs the full-size one

@@ -431,15 +431,29 @@ class TestEmpiricalSensitivity:
 
 
 class TestTransforms:
-    def test_transform_features_matches_training_chart(self):
+    def test_transform_features_matches_training_chart(self, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(preprocessing.preprocess(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(synthesis, "preprocess", spy)
         rng = np.random.default_rng(15)
         data = make_data(seed=15)
-        res = synth_unsupervised(data, 4, math.inf, math.inf, rng=rng)
+        res = synth_unsupervised(data, 4, 0.5, math.inf, rng=rng)
         feats = transform_features(res.mu_dp, res.projection, data.features)
-        assert feats.shape == (4, data.n_samples)
-        # the training data pushed through its own transform must match
-        # the projected moments the model was fit on
+        # the training data pushed through its own transform is the chart
+        # the model was fit on, bit for bit
+        (pre,) = seen
+        assert np.array_equal(feats, pre.x_tilde[0])
         assert np.allclose(estimate_cov(feats), res.model.covariance)
+
+    def test_transform_features_rejects_a_wrong_row_count(self):
+        rng = np.random.default_rng(17)
+        proj = generate_ron(6, 2, rng)
+        with pytest.raises(ValueError, match="expected a matrix with 6 rows"):
+            transform_features(np.zeros(6), proj, rng.normal(size=(5, 10)))
 
     def test_mode_transform_centers_on_mode_mean(self):
         rng = np.random.default_rng(16)
