@@ -2,8 +2,9 @@
 
 The release pipeline normalizes and DP-centers the data, projects it
 onto a random orthonormal low-dimensional basis, fits a
-Laplace-perturbed Gaussian (or per-class Gaussian mixture) model, and
-samples synthetic records from it. All privacy spends flow through a
+Laplace-perturbed Gaussian model, and samples synthetic records from
+it. A per-class Gaussian mixture skips the centering and takes each
+class's DP mean in its projected space. All privacy spends flow through a
 single ledger with serial and parallel composition.
 """
 

@@ -253,6 +253,9 @@ def _is_float(text: str) -> bool:
         return False
 
 
+# rows that _write_table formats at a time
+WRITE_BLOCK = 256
+
 REQUIRED_METADATA_KEYS = (
     "mode", "m", "p", "n", "n_synth", "epsilon_total", "epsilon_mu",
     "epsilon_sigma", "split_ratio", "label_bound", "seeded",
@@ -277,10 +280,12 @@ def write_dataset_csv(dataset: Dataset, path: str) -> str:
     elif dataset.class_labels is not None:
         header.append("class")
 
-    table = dataset.features.T
-    if dataset.labels is not None:
-        table = np.column_stack([table, dataset.labels])
-    return _write_table(path, header, table, dataset.class_labels)
+    last = dataset.labels
+    if dataset.class_labels is not None:
+        # each distinct class name is quoted once
+        names, inverse = np.unique(dataset.class_labels, return_inverse=True)
+        last = np.array([_csv_field(str(name)) for name in names], dtype=object)[inverse]
+    return _write_table(path, header, dataset.features.T, last)
 
 
 def write_release(synthetic: Dataset, metadata: dict, out_dir: str) -> tuple[str, str]:
@@ -311,22 +316,25 @@ def write_matrix_csv(matrix: np.ndarray, path: str) -> str:
 
 
 def _write_table(path: str, header: list[str], table: np.ndarray,
-                 class_labels: np.ndarray | None = None) -> str:
+                 last: np.ndarray | None = None) -> str:
+    """Write header and rows; ``last`` is an optional trailing column of
+    real labels or of already quoted class cells (an object array)."""
     # 17 significant digits round-trip any IEEE double exactly; rows end
     # in CRLF like csv.writer's, which writes the (quoted) header
-    fmt = ["%.17g"] * table.shape[1]
-    if class_labels is not None:
-        # each distinct class name is quoted once and its cells appended
-        # as a text column, so the rows still go through one savetxt
-        names, inverse = np.unique(class_labels, return_inverse=True)
-        quoted = np.array([_csv_field(str(name)) for name in names], dtype=object)
-        cells = np.empty((table.shape[0], table.shape[1] + 1), dtype=object)
-        cells[:, :-1] = table
-        cells[:, -1] = quoted[inverse]
-        table, fmt = cells, [*fmt, "%s"]
+    cells = ["%.17g"] * table.shape[1]
+    if last is not None:
+        cells.append("%s" if last.dtype == object else "%.17g")
+    row = ",".join(cells) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", newline="\r\n")
+        # one % per block of rows; tolist hands it Python floats, which
+        # format faster than numpy scalars
+        for start in range(0, table.shape[0], WRITE_BLOCK):
+            rows = table[start:start + WRITE_BLOCK].tolist()
+            if last is not None:
+                for values, cell in zip(rows, last[start:start + WRITE_BLOCK].tolist()):
+                    values.append(cell)
+            fh.write(row * len(rows) % tuple(itertools.chain.from_iterable(rows)))
     return path
 
 

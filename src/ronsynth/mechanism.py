@@ -23,10 +23,11 @@ import numpy as np
 
 
 def mean_sensitivity(m: int, n: int) -> float:
-    """L1-sensitivity of the sample mean of n unit-norm samples in R^m.
+    """L1-sensitivity of the sample mean of n samples of norm <= 1 in R^m.
 
-    Replacing one unit-norm sample changes the mean by at most
-    2*sqrt(m)/n in L1 norm.
+    Replacing x by x' moves the mean by (x - x')/n, whose L1 norm is at
+    most sqrt(m) * ||x - x'||_2 / n <= 2*sqrt(m)/n; x' = -x = 1/sqrt(m)
+    reaches it.
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got m={m}, n={n}")
@@ -180,12 +181,14 @@ def record_spends(ledger: BudgetLedger, m: int, p: int, n: int, epsilon_mu: floa
     """Record the mean spend, then the covariance spend, of one fit.
 
     The fit is on n samples in R^m projected to R^p. A label bound
-    selects the label-augmented covariance; ``per_class`` puts both
-    spends in the gmm parallel-composition groups. Releases and
-    ``ronsynth budget`` account only here. Returns both entries.
+    selects the label-augmented covariance. ``per_class`` marks a gmm
+    class: its mean is taken in the p-dimensional chart, and both spends
+    go in the parallel-composition groups. Releases and ``ronsynth
+    budget`` account only here. Returns both entries.
     """
     groups = (GMM_MEAN_GROUP, GMM_COV_GROUP) if per_class else (None, None)
-    mean = ledger.record("mean", mean_sensitivity(m, n), epsilon_mu, group=groups[0])
+    mean = ledger.record("mean", mean_sensitivity(p if per_class else m, n), epsilon_mu,
+                         group=groups[0])
     if label_bound is None:
         query, sensitivity = "covariance", cov_sensitivity(p, n)
     else:

@@ -1,4 +1,4 @@
-"""Sample-wise normalization and differentially private centering.
+"""Sample-wise normalization, differentially private means and the projection.
 
 The stage maps every column x_j of an m x n sample matrix X through
 four steps:
@@ -6,7 +6,7 @@ four steps:
 1. pre-normalize it to unit Euclidean norm, x1_j = s_j x_j with
    s_j = 1/||x_j||,
 2. take a DP estimate mu of the mean of the x1_j, with Laplace noise at
-   scale 2*sqrt(m)/(n * epsilon_mu) (one mean per class for a mixture),
+   scale 2*sqrt(m)/(n * epsilon_mu),
 3. subtract mu,
 4. re-normalize the centered column to unit norm; a column that
    collapses onto the mean becomes the zero vector instead.
@@ -24,21 +24,26 @@ RON projection W that follows is linear and ||x1_j|| = 1, so
 
     Wᵀ x̄_j = (s_j Wᵀx_j − Wᵀmu) / sqrt(1 − 2 s_j muᵀx_j + ||mu||²),
 
-and a release needs only the column norms (one ``einsum``), every
-class's mean (one GEMM of X against per-column weights) and one GEMM
-[W, mu]ᵀ X; the rest is arithmetic in p dimensions. Each projected
-column is then clipped to norm at most 1. The clip maps every sample
-on its own, so each sensitivity bound still holds, and it absorbs the
-rounding of the expanded norm, which near a collapse is only good to
-about 1e-8: the squared norm is a difference of terms of order 1 with
-rounding of order 1e-16. ``DEGENERATE_NORM`` is therefore the expanded
-centered norm at or below which a sample counts as collapsed, set well
-above that rounding so that a sample at the mean always collapses.
-Held-out data is mapped by the same GEMM and arithmetic
-(``synthesis.transform_features``), so the training data's held-out
-chart is the release's own. ``center_with_mean`` writes the m x n
-output out explicitly, for tests to compare against; a release never
-builds it.
+and a release needs only the column norms (one ``einsum``), the mean
+(one product of X with the vector of s_j/n) and one GEMM [W, mu]ᵀ X; the
+rest is arithmetic in p dimensions. Each projected column is then
+clipped to norm at most 1. The clip maps every sample on its own, so
+each sensitivity bound still holds, and it absorbs the rounding of the
+expanded norm, which near a collapse is only good to about 1e-8: the
+squared norm is a difference of terms of order 1 with rounding of order
+1e-16. ``DEGENERATE_NORM`` is therefore the expanded centered norm at or
+below which a sample counts as collapsed, set well above that rounding
+so that a sample at the mean always collapses. Held-out data is mapped
+by the same GEMM and arithmetic (``synthesis.transform_features``), so
+the training data's held-out chart is the release's own.
+``center_with_mean`` writes the m x n output out explicitly, for tests
+to compare against; a release never builds it.
+
+A mixture skips steps 2 to 4. Class c keeps the uncentered chart
+v_j = clip₁(s_j W_cᵀx_j) of its columns, from the column norms and one
+GEMM [W_1 ... W_k]ᵀ X, and its DP mean is taken of the v_j in R^p, at
+scale 2*sqrt(p)/(n_c * epsilon_mu): no m-dimensional mean is released
+or noised.
 """
 
 from __future__ import annotations
@@ -62,14 +67,16 @@ DEGENERATE_NORM = 1e-6
 class PreprocessedDataset:
     """Output of the preprocessing stage, in projected form.
 
-    mu_dp is the released DP mean of the pre-normalized data, of shape
-    (m, k) with one column per class (k = 1 without classes); it is safe
-    to publish and is reused to transform held-out data into the same
-    geometry. projections[c] is class c's basis and x_tilde[c] holds
-    Wᵀx̄ for the class's columns, in input order, each column clipped to
-    norm at most 1. zero_norm_rows_dropped counts the samples mapped to
-    the zero vector (none is dropped; the name is kept for existing
-    readers).
+    mu_dp holds the released DP means, one column per class. For one
+    class it is the (m, 1) mean of the pre-normalized data, reused to
+    transform held-out data into the same geometry; for a mixture of k
+    classes it is (p, k), every class's mean in its own chart. Both are
+    safe to publish. projections[c] is class c's basis and x_tilde[c]
+    holds the class's chart, Wᵀx̄ for one class and the uncentered
+    clip₁(Wᵀx/||x||) for a mixture, one column per sample in input
+    order, each of norm at most 1. zero_norm_rows_dropped counts the
+    samples mapped to the zero vector (none is dropped; the name is kept
+    for existing readers).
     """
 
     mu_dp: np.ndarray
@@ -119,7 +126,7 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float,
     X = np.asarray(X_normalized, dtype=float)
     if not epsilon_mu > 0:
         raise ValueError(f"epsilon_mu must be positive, got {epsilon_mu}")
-    m, n = X.shape
+    n = X.shape[1]
     # squared norms need no m x n temporary; |n^2 - 1| is about 2|n - 1|
     sq_norms = np.einsum("ij,ij->j", X, X)
     if np.any(np.abs(sq_norms - 1.0) > 2 * UNIT_NORM_TOL):
@@ -128,11 +135,26 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float,
             f"input is not sample-normalized: column {idx} has norm "
             f"{math.sqrt(sq_norms[idx])!r}"
         )
-    mean = X.mean(axis=1)
-    sensitivity = mean_sensitivity(m, n)
+    return _release_mean(X.mean(axis=1), n, epsilon_mu, rng)
+
+
+def _release_mean(mean: np.ndarray, n: int, epsilon_mu: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The mean of n samples of norm at most 1 plus its Laplace noise.
+
+    The noise scale is mean_sensitivity(len(mean), n)/epsilon_mu;
+    epsilon_mu=math.inf returns the mean as it is.
+    """
     if math.isinf(epsilon_mu):
         return mean
-    return laplace_perturb(mean, sensitivity / epsilon_mu, rng)
+    return laplace_perturb(mean, mean_sensitivity(mean.shape[0], n) / epsilon_mu, rng)
+
+
+def clip_to_unit_ball(Y: np.ndarray) -> np.ndarray:
+    """Divide every column of Y whose norm exceeds 1 by its norm, in place."""
+    norms = np.sqrt(np.einsum("ij,ij->j", Y, Y))
+    np.divide(Y, norms, out=Y, where=norms > 1.0)
+    return Y
 
 
 def center_projected(WtX: np.ndarray, muX: np.ndarray, scale: np.ndarray,
@@ -147,41 +169,20 @@ def center_projected(WtX: np.ndarray, muX: np.ndarray, scale: np.ndarray,
     centered = np.sqrt(np.maximum(sq, 0.0))
     inv = np.zeros_like(centered)
     np.divide(1.0, centered, out=inv, where=centered > DEGENERATE_NORM)
-    out = (WtX * scale - Wt_mu[:, None]) * inv
-    norms = np.sqrt(np.einsum("ij,ij->j", out, out))
-    np.divide(out, norms, out=out, where=norms > 1.0)
-    return out, inv
+    return clip_to_unit_ball((WtX * scale - Wt_mu[:, None]) * inv), inv
 
 
-def _class_columns(classes: np.ndarray | None, k: int) -> list:
-    """Each class's column indices, in input order."""
-    if classes is None:
-        return [slice(None)]
-    order = np.argsort(classes, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(classes, minlength=k))[:-1])
+def centered_chart(X: np.ndarray, scale: np.ndarray, mu: np.ndarray,
+                   proj: RonProjection) -> tuple[np.ndarray, int]:
+    """Steps 3 and 4 and the projection, from one GEMM [W, mu]ᵀX.
 
-
-def _charts(X: np.ndarray, scale: np.ndarray, mu_dp: np.ndarray,
-            projections: Sequence[RonProjection],
-            classes: np.ndarray | None = None) -> tuple[list, int]:
-    """Steps 3 and 4, and the projection, from one GEMM over X.
-
-    mu_dp holds one mean per class as its columns, and classes gives
-    each column's class (None for one class). The GEMM is
-    [W_1 ... W_k, mu_1 ... mu_k]ᵀ X. Returns every class's Wᵀx̄ and the
-    number of collapsed samples.
+    scale holds 1/||x_j||. Returns Wᵀx̄ and the number of collapsed
+    samples.
     """
-    k = mu_dp.shape[1]
-    p = projections[0].p
-    Y = np.concatenate([*(proj.W for proj in projections), mu_dp], axis=1).T @ X
-    charts, collapsed = [], 0
-    for c, cols in enumerate(_class_columns(classes, k)):
-        mu = mu_dp[:, c]
-        chart, inv = center_projected(Y[c * p:(c + 1) * p, cols], Y[k * p + c, cols],
-                                      scale[cols], projections[c].W.T @ mu, float(mu @ mu))
-        collapsed += int(np.count_nonzero(inv == 0.0))
-        charts.append(chart)
-    return charts, collapsed
+    p = proj.p
+    Y = np.concatenate([proj.W, mu[:, None]], axis=1).T @ X
+    chart, inv = center_projected(Y[:p], Y[p], scale, proj.W.T @ mu, float(mu @ mu))
+    return chart, int(np.count_nonzero(inv == 0.0))
 
 
 def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> np.ndarray:
@@ -207,38 +208,45 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rngs: Sequence[np.random.Genera
                classes: np.ndarray | None = None) -> PreprocessedDataset:
     """Run the full preprocessing stage and the projection.
 
-    Each raw sample's norm is taken once; the DP mean is taken of the
-    unit columns, which are then centered, re-normalized and projected
-    in factored form. Samples whose centered norm is at most
-    DEGENERATE_NORM have no direction to re-normalize to; they become
-    the zero vector and are counted, so the output keeps every column.
-    Held-out data goes through ``synthesis.transform_features`` with the
-    released mean and basis instead.
+    ``rngs`` holds one generator per class and ``classes`` each column's
+    class (0..k-1); without it all columns form one class. Each raw
+    sample's norm is taken once.
 
-    ``rngs`` holds one generator per class. With ``classes`` (each
-    column's class, 0..k-1) every class gets its own mean, noise and
-    basis; without, all columns form one class. ``draw_projection(rng)``
-    is called with each class's generator right after that class's mean
-    noise is drawn.
+    One class gets the paper's centered chart: the DP mean of the unit
+    columns is drawn, then ``draw_projection(rng)``, and the columns are
+    centered, re-normalized and projected in factored form. A column
+    whose centered norm is at most DEGENERATE_NORM becomes the zero
+    vector and is counted, so the output keeps every column.
+
+    A mixture draws every class's basis first, then projects all
+    columns by one GEMM [W_1 ... W_k]ᵀX (WᵀX when the basis is shared).
+    Class c keeps the uncentered chart clip₁(Wᵀx_j/||x_j||) of its
+    columns, and its DP mean is taken in R^p.
     """
     X = np.asarray(X, dtype=float)
     if not epsilon_mu > 0:
         raise ValueError(f"epsilon_mu must be positive, got {epsilon_mu}")
-    m, n = X.shape
-    k = len(rngs)
-    index = np.zeros(n, dtype=np.intp) if classes is None else classes
-    counts = np.bincount(index, minlength=k)
     scale = inverse_norms(X)
-    weights = np.zeros((n, k))
-    weights[np.arange(n), index] = scale / counts[index]
-    mu_dp = X @ weights
+    if classes is None:
+        (rng,) = rngs
+        n = X.shape[1]
+        mu = _release_mean((X @ (scale / n)[:, None])[:, 0], n, epsilon_mu, rng)
+        proj = draw_projection(rng)
+        chart, collapsed = centered_chart(X, scale, mu, proj)
+        return PreprocessedDataset(mu_dp=mu[:, None], projections=(proj,), x_tilde=(chart,),
+                                   zero_norm_rows_dropped=collapsed)
 
-    projections = []
+    projections = [draw_projection(rng) for rng in rngs]
+    p = projections[0].p
+    shared = all(proj is projections[0] for proj in projections)
+    bases = projections[:1] if shared else projections
+    Y = np.concatenate([proj.W for proj in bases], axis=1).T @ X
+    charts, means = [], []
     for c, rng in enumerate(rngs):
-        if not math.isinf(epsilon_mu):
-            noise_scale = mean_sensitivity(m, int(counts[c])) / epsilon_mu
-            mu_dp[:, c] = laplace_perturb(mu_dp[:, c], noise_scale, rng)
-        projections.append(draw_projection(rng))
-    x_tilde, collapsed = _charts(X, scale, mu_dp, projections, classes)
-    return PreprocessedDataset(mu_dp=mu_dp, projections=tuple(projections),
-                               x_tilde=tuple(x_tilde), zero_norm_rows_dropped=collapsed)
+        cols = np.flatnonzero(classes == c)
+        row = 0 if shared else c * p
+        chart = clip_to_unit_ball(Y[row:row + p, cols] * scale[cols])
+        charts.append(chart)
+        means.append(_release_mean(chart.mean(axis=1), len(cols), epsilon_mu, rng))
+    return PreprocessedDataset(mu_dp=np.column_stack(means), projections=tuple(projections),
+                               x_tilde=tuple(charts), zero_norm_rows_dropped=0)

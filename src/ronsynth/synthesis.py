@@ -13,7 +13,9 @@ samples of norm at most 1 after projection, replacing one sample moves
 the upper triangle of (1/n) * X Xᵀ by at most (p+1)/n in entrywise L1,
 whereas the mean-subtracted estimate couples every summand through the
 mean and its sensitivity is worse by a factor of n + 1. The small bias
-is the price of a usable noise level.
+is the price of a usable noise level. A mixture mode, fit in an
+uncentered chart, subtracts the outer product of its already released
+DP mean from the noisy moment instead: post-processing, at no cost.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import numpy as np
 
 from .dataset import Dataset
 from .mechanism import BudgetLedger, laplace_perturb, record_spends
-from .preprocessing import _charts, inverse_norms, preprocess
+from .preprocessing import centered_chart, inverse_norms, preprocess
 from .projection import RonProjection, generate_ron, project
 
 PSD_TOL = 1e-10
+# columns that sample_gaussian transforms in place at a time
+SAMPLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,10 @@ class GaussianModel:
 
 @dataclass(frozen=True)
 class GmmMode:
-    """One class of a mixture: its released model and transform."""
+    """One class of a mixture: its released model and transform.
+
+    The model is fit in the chart ``mode_transform`` maps samples into.
+    """
 
     label: object
     model: GaussianModel
@@ -182,7 +189,9 @@ def sample_gaussian(model: GaussianModel, n_synth: int,
     """Draw n_synth columns from N(model.mean, model.covariance).
 
     Uses an eigendecomposition square root, so singular (rank-deficient)
-    covariances are handled without a Cholesky failure.
+    covariances are handled without a Cholesky failure. The standard
+    normal draw is overwritten by its samples, SAMPLE_BLOCK columns at a
+    time, so one d x n_synth array is held.
     """
     if n_synth < 1:
         raise ValueError(f"n_synth must be positive, got {n_synth}")
@@ -193,7 +202,11 @@ def sample_gaussian(model: GaussianModel, n_synth: int,
         )
     root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
     z = rng.standard_normal((model.dim, n_synth))
-    return model.mean[:, None] + root @ z
+    for start in range(0, n_synth, SAMPLE_BLOCK):
+        block = z[:, start:start + SAMPLE_BLOCK]
+        block[...] = root @ block
+        block += model.mean[:, None]
+    return z
 
 
 def _released_names(p: int) -> tuple[str, ...]:
@@ -209,16 +222,16 @@ def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     One class (``classes`` None, one generator) is the unsupervised and
     supervised case; the mixture passes each column's class and one
     generator per class. Records every class's spends in a new ledger,
-    preprocesses and projects every class in three passes over the
-    features (onto a fresh basis each, unless the gmm shared one is
-    given), then per class estimates the second moment (augmented with
-    ``data.labels`` when a label bound is given), Laplace-perturbs it at
-    the recorded sensitivity, repairs it to the PSD cone and draws
-    n_synth samples (default: the class's count) from the Gaussian,
-    zero-mean for one class and centred on Wᵀmu_c for the mixture. Each
-    generator draws mean noise, basis, covariance noise, samples, in
-    that order. Returns (preprocessed, ledger, [(model, samples,
-    repaired) per class]).
+    preprocesses and projects every class (onto a fresh basis each,
+    unless the gmm shared one is given), then per class estimates the
+    second moment (augmented with ``data.labels`` when a label bound is
+    given) and Laplace-perturbs it at the recorded sensitivity. One
+    class is zero-mean; a mixture class is centred on its chart's DP
+    mean mu_c, and mu_c mu_cᵀ is subtracted from its noisy moment. The
+    result is repaired to the PSD cone, and n_synth samples (default:
+    the class's count) are drawn. Each generator draws its mean noise
+    and basis in ``preprocess``, then covariance noise, then samples.
+    Returns (preprocessed, ledger, [(model, samples, repaired) per class]).
     """
     X = data.features
     m, n = X.shape
@@ -232,15 +245,15 @@ def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
 
     pre = preprocess(X, epsilon_mu, rngs, draw, classes)
     fits = []
-    for c, (x_tilde, proj, spend, rng) in enumerate(
-            zip(pre.x_tilde, pre.projections, cov_spends, rngs)):
+    for c, (x_tilde, spend, rng) in enumerate(zip(pre.x_tilde, cov_spends, rngs)):
         if label_bound is None:
             second = estimate_cov(x_tilde)
         else:
             second = estimate_aug_cov(x_tilde, data.labels, label_bound=label_bound)
         noisy = dp_perturb_cov(second, spend.sensitivity, epsilon_sigma, rng)
-        cov, repaired = psd_repair(noisy)
-        mean = np.zeros(cov.shape[0]) if classes is None else proj.W.T @ pre.mu_dp[:, c]
+        mean = np.zeros(noisy.shape[0]) if classes is None else pre.mu_dp[:, c]
+        # both terms are exactly symmetric, and so is their difference
+        cov, repaired = psd_repair(noisy - np.outer(mean, mean))
         model = GaussianModel(mean, cov)
         samples = sample_gaussian(model, counts[c] if n_synth is None else n_synth, rng)
         fits.append((model, samples, repaired))
@@ -285,7 +298,7 @@ def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
     """Fit and sample one zero-mean Gaussian; with a label bound, the
     labels are its last coordinate."""
     rng = np.random.default_rng(rng)  # returns a given Generator unchanged
-    _check_dims(p, data.features.shape[0])
+    _check_sizes(p, data.features.shape[0], n_synth)
     pre, ledger, [(model, samples, repaired)] = _fit(
         data, p, epsilon_mu, epsilon_sigma, [rng], n_synth, label_bound=label_bound)
     release = Dataset(features=samples[:p], feature_names=_released_names(p),
@@ -301,9 +314,13 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
               shared_projection: bool = False) -> SynthesisResult:
     """Release class-labeled synthetic data from one Gaussian per class.
 
-    Each class is preprocessed, projected, and modeled independently on
-    its disjoint slice of the data; the mode mean is the projected DP
-    class mean, so classes land in separate locations. Per-class sample
+    Each class is projected and modeled independently on its disjoint
+    slice of the data, in its uncentered chart clip₁(Wᵀx/||x||) (see
+    ``mode_transform``). The mode mean is the DP mean of that chart, at
+    the p-dimensional sensitivity 2*sqrt(p)/n_c, so classes land in
+    separate locations; the covariance is the noisy second moment minus
+    the mean's outer product, repaired to the PSD cone. Unlike the
+    one-class releases, no m-dimensional mean is taken. Per-class sample
     counts are treated as public. Because the per-class spends operate
     on disjoint partitions, they compose in parallel and the total cost
     stays epsilon_mu + epsilon_sigma regardless of the class count.
@@ -318,11 +335,9 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     """
     if data.class_labels is None:
         raise ValueError("mixture synthesis needs categorical class labels")
-    if per_class_n_synth is not None and per_class_n_synth < 1:
-        raise ValueError("per-class synthetic count must be positive")
     rng = np.random.default_rng(rng)  # returns a given Generator unchanged
     m = data.features.shape[0]
-    _check_dims(p, m)
+    _check_sizes(p, m, per_class_n_synth)
 
     names = data.class_labels.tolist()
     class_names = sorted(set(names), key=str)
@@ -365,22 +380,25 @@ def transform_features(mu_dp: np.ndarray, proj: RonProjection,
         raise ValueError(f"mean has shape {mu_dp.shape}, expected ({proj.m},)")
     if X.ndim != 2 or X.shape[0] != proj.m:
         raise ValueError(f"expected a matrix with {proj.m} rows, got shape {X.shape}")
-    (chart,), _ = _charts(X, inverse_norms(X), mu_dp[:, None], [proj])
-    return chart
+    return centered_chart(X, inverse_norms(X), mu_dp, proj)[0]
 
 
 def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
     """Map held-out data into one mixture mode's chart.
 
-    Mixture modes keep their class location (the projected DP class
-    mean), so the matching transform for new samples is projection of
-    the normalized sample without centering: its class-conditional
-    expectation then coincides with the mode's synthetic mean.
+    Mixture modes are fit in this chart: the projection Wᵀx/||x|| of
+    the normalized sample, without centering. A release also clips each
+    training sample to the unit ball, which moves none by more than
+    rounding, so a class's held-out expectation in this chart is what
+    the mode's DP mean estimates.
     """
     return project(mode.projection, X) * inverse_norms(X)
 
 
-def _check_dims(p: int, m: int) -> None:
+def _check_sizes(p: int, m: int, n_synth: int | None) -> None:
+    """Reject a release's sizes before any of it is fitted."""
     if not 1 <= p < m:
         raise ValueError(f"projected dimension must satisfy 1 <= p < m, got p={p}, m={m}")
+    if n_synth is not None and n_synth < 1:
+        raise ValueError(f"n_synth must be positive, got {n_synth}")
 

@@ -5,6 +5,7 @@ them). The end-to-end utility criteria run scaled experiments with
 built-in learners; seeds are fixed so results are reproducible.
 """
 
+import math
 import time
 
 import numpy as np
@@ -154,9 +155,32 @@ def test_criterion_03_sensitivity_soundness():
             if gap > aug_cov_sensitivity(p, n, a):
                 failures.append(("adversarial augmented", p, n, gap))
 
+    # a mixture mode's mean is taken of projected samples of norm at
+    # most 1 in R^p; the flat pair 1/sqrt(p) against its negation is
+    # the worst case and must reach the bound
+    for _ in range(1000):
+        p = int(rng.integers(1, 51))
+        n = int(rng.integers(1, 201))
+        X = unit_columns(rng, p, n) * rng.uniform(0.0, 1.0, size=n)
+        Xp = X.copy()
+        Xp[:, rng.integers(n)] = unit_columns(rng, p, 1)[:, 0] * rng.uniform(0.0, 1.0)
+        gap = np.linalg.norm(X.mean(axis=1) - Xp.mean(axis=1), 1)
+        if gap > mean_sensitivity(p, n):
+            failures.append(("chart mean", p, n, gap))
+    for p in range(1, 51):
+        n = int(rng.integers(1, 201))
+        X = unit_columns(rng, p, n)
+        Xp = X.copy()
+        X[:, 0] = 1.0 / np.sqrt(p)
+        Xp[:, 0] = -1.0 / np.sqrt(p)
+        gap = np.linalg.norm(X.mean(axis=1) - Xp.mean(axis=1), 1)
+        # equal to the bound up to the rounding of the two means
+        if not math.isclose(gap, mean_sensitivity(p, n), rel_tol=1e-9):
+            failures.append(("tight chart mean", p, n, gap))
+
     elapsed = time.monotonic() - start
     report(3, not failures and elapsed < 60.0,
-           f"3x1000 random and 150 adversarial neighboring pairs, "
+           f"4x1000 random, 150 adversarial and 50 tight neighboring pairs, "
            f"{len(failures)} violations, {elapsed:.1f}s")
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import warnings
@@ -353,6 +354,15 @@ class TestBudgetCommand:
         assert len(plan["spends"]) == 6  # 3 classes x 2 queries
         assert plan["total_epsilon"] == 1.0
         assert "parallel" in plan["note"]
+
+    def test_gmm_plan_means_are_p_dimensional(self, capsys):
+        # each class mean is taken in its p-dimensional chart, not in R^m
+        assert main(["budget", "--mode", "gmm", "--m", "20", "--dim", "3",
+                     "--class-sizes", "100,200,300"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        means = [s["sensitivity"] for s in plan["spends"] if s["query"] == "mean"]
+        assert means == pytest.approx([2 * math.sqrt(3) / n for n in (100, 200, 300)],
+                                      rel=1e-15)
 
     def test_supervised_noise_exceeds_unsupervised(self, capsys):
         main(["budget", "--mode", "unsupervised", "--epsilon", "1.0", "--m", "30",

@@ -257,9 +257,9 @@ def test_nearest_mean_accuracy_matches_the_benchmark_copy(shared):
     rng = np.random.default_rng(17)
     labels = np.repeat([f"c{c}" for c in range(k)], n // k)
     features = 3.0 * rng.normal(size=(m, k))[:, np.arange(n) * k // n] + rng.normal(size=(m, n))
-    # at epsilon 1 the class means drown in noise at this n; epsilon 10
-    # leaves both right and wrong predictions to compare
-    eps_mu, eps_sigma = split_budget(10.0)
+    # at epsilon 1 the modes' p-dimensional means leave both right and
+    # wrong predictions to compare (epsilon 10 gets nearly all right)
+    eps_mu, eps_sigma = split_budget(1.0)
     result = synth_gmm(Dataset(features=features, class_labels=labels), 8, eps_mu,
                        eps_sigma, rng=rng, shared_projection=shared)
     accuracy = nearest_mean_accuracy(result, features, labels)

@@ -1,11 +1,12 @@
 """The factored fitting core against an explicit per-class reference.
 
 The release never builds the normalized or centered m x n matrices: it
-works from column norms, one GEMM for the class means and one GEMM
-[W, mu]ᵀ X. These tests build the explicit stage (normalize, noisy
-mean, the m x n centered matrix of ``center_with_mean``, project) and
-check that releases, held-out transforms and adversarial near-collapse
-inputs agree with it.
+works from column norms and one GEMM, [W, mu]ᵀ X for one class and
+[W_1 ... W_k]ᵀ X for a mixture. These tests build the explicit stage
+(normalize, noisy mean, the m x n centered matrix of
+``center_with_mean``, project; for a mixture, the uncentered chart and
+its p-dimensional mean) and check that releases, held-out transforms and
+adversarial near-collapse inputs agree with it.
 """
 
 import math
@@ -37,7 +38,8 @@ from ronsynth.synthesis import (
     transform_features,
 )
 
-MODES = ["unsupervised", "supervised", "gmm"]
+# the modes that center on an m-dimensional mean; a mixture does not
+ONE_CLASS_MODES = ["unsupervised", "supervised"]
 # projected norms may exceed 1 by the rounding of the clip's own division
 NORM_SLACK = 4 * np.finfo(float).eps
 
@@ -63,6 +65,20 @@ def reference_fit(X, p, eps_mu, eps_sigma, rng, projection=None, labels=None,
         second = estimate_aug_cov(x_tilde, labels, label_bound)
         sens = aug_cov_sensitivity(p, n, label_bound)
     cov, _ = psd_repair(dp_perturb_cov(second, sens, eps_sigma, rng))
+    return mu, proj, cov
+
+
+def reference_mode(X, p, eps_mu, eps_sigma, rng, projection=None):
+    """One mixture class's fit in the draw order of a release: basis,
+    mean noise, covariance noise. Returns (mean, projection, covariance)."""
+    m, n = X.shape
+    proj = projection if projection is not None else generate_ron(m, p, rng)
+    chart = proj.W.T @ (X / np.linalg.norm(X, axis=0))
+    mu = chart.mean(axis=1)
+    if not math.isinf(eps_mu):
+        mu = laplace_perturb(mu, mean_sensitivity(p, n) / eps_mu, rng)
+    noisy = dp_perturb_cov(estimate_cov(chart), cov_sensitivity(p, n), eps_sigma, rng)
+    cov, _ = psd_repair(noisy - np.outer(mu, mu))
     return mu, proj, cov
 
 
@@ -109,10 +125,10 @@ def test_release_matches_explicit_per_class_reference(mode, shared, eps_mu):
         for name, mode_c, class_rng in zip(names, res.model.modes, rng.spawn(len(names))):
             X_c = data.features[:, data.class_labels == name]
             record_spends(ledger, m, p, X_c.shape[1], eps_mu, eps_sigma, per_class=True)
-            mu, proj, cov = reference_fit(X_c, p, eps_mu, eps_sigma, class_rng, shared_proj)
+            mu, proj, cov = reference_mode(X_c, p, eps_mu, eps_sigma, class_rng, shared_proj)
             assert mode_c.label == name
             assert np.array_equal(mode_c.projection.W, proj.W)
-            assert np.max(np.abs(mode_c.model.mean - proj.W.T @ mu)) <= 1e-12
+            assert np.max(np.abs(mode_c.model.mean - mu)) <= 1e-12
             assert np.max(np.abs(mode_c.model.covariance - cov)) <= 1e-12
     assert res.ledger.entries == ledger.entries
 
@@ -144,7 +160,7 @@ def pin_mean(monkeypatch, mu):
                         lambda values, scale_b, rng: mu.copy())
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", ONE_CLASS_MODES)
 def test_sample_at_the_mean_projects_to_zero(mode, monkeypatch):
     m, n, p = 9, 90, 3
     data = make_data(mode, m, n, seed=43)
@@ -164,7 +180,7 @@ def test_sample_at_the_mean_projects_to_zero(mode, monkeypatch):
     assert np.array_equal(pre.x_tilde[c][:, np.searchsorted(cols, 10)], np.zeros(p))
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", ONE_CLASS_MODES)
 def test_samples_near_the_mean_project_inside_the_unit_ball(mode, monkeypatch):
     # the expanded centered norm is only good to about 1e-8 near mu;
     # whatever it reads, no projected column may leave the unit ball
@@ -192,6 +208,41 @@ def test_samples_near_the_mean_project_inside_the_unit_ball(mode, monkeypatch):
         expected = explicit_chart(X[:, cols[keep]], mu, proj.W)
         assert np.max(np.abs(x_tilde[:, keep] - expected)) <= 1e-12
     assert res.dataset.n_samples == n
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_mixture_charts_are_uncentered_and_in_the_unit_ball(shared, monkeypatch):
+    # a mixture class is fit in Wᵀx/||x||, the chart mode_transform maps
+    # held-out data into; nothing is centered, so nothing collapses
+    m, n, p = 9, 90, 3
+    data = make_data("gmm", m, n, seed=43)
+    X = data.features
+    seen = spy_preprocess(monkeypatch)
+    res = release("gmm", data, p, 1.0, math.inf, np.random.default_rng(44), shared)
+    (pre,) = seen
+    assert pre.zero_norm_rows_dropped == 0
+    assert pre.mu_dp.shape == (p, len(res.model.modes))
+    for c, (x_tilde, cols, mode) in enumerate(zip(pre.x_tilde, class_columns(data),
+                                                   res.model.modes)):
+        assert np.all(np.linalg.norm(x_tilde, axis=0) <= 1.0 + NORM_SLACK)
+        assert np.max(np.abs(x_tilde - mode_transform(mode, X[:, cols]))) <= 1e-12
+        assert np.array_equal(mode.model.mean, pre.mu_dp[:, c])
+    assert all(x_tilde.any(axis=0).all() for x_tilde in pre.x_tilde)
+
+
+def test_mixture_charts_are_clipped_whatever_the_norms_read(monkeypatch):
+    # the clip, not the norm arithmetic, bounds every chart column: with
+    # norms that read half their size, every column still lands in the
+    # unit ball
+    data = make_data("gmm", 9, 90, seed=52)
+    monkeypatch.setattr(preprocessing, "inverse_norms",
+                        lambda X: 2.0 / np.linalg.norm(X, axis=0))
+    seen = spy_preprocess(monkeypatch)
+    release("gmm", data, 3, 1.0, math.inf, np.random.default_rng(53))
+    (pre,) = seen
+    norms = np.concatenate([np.linalg.norm(x_tilde, axis=0) for x_tilde in pre.x_tilde])
+    assert np.all(norms <= 1.0 + NORM_SLACK)
+    assert np.count_nonzero(norms > 1.0 - NORM_SLACK) > len(norms) // 2
 
 
 def test_clip_absorbs_the_rounding_of_the_expanded_norm():

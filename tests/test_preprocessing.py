@@ -139,8 +139,9 @@ class TestPreprocess:
 
     def test_all_collapsed_input_is_released_at_public_n(self, monkeypatch):
         # every column is a positive multiple of one vector, so with an
-        # exact mean every sample collapses in every mode: each is
-        # counted and projects to zero, each release still covers all n
+        # exact mean every sample collapses in both one-class modes: each
+        # is counted and projects to zero. A mixture does not center, so
+        # nothing collapses there. Each release still covers all n
         # samples, and its covariance noise uses the public n
         m, n, p, a = 5, 40, 2, 1.0
         rng = np.random.default_rng(18)
@@ -159,8 +160,8 @@ class TestPreprocess:
                                        label_bound=a), p, math.inf, 1.0, rng=rng)
         gmm = synth_gmm(Dataset(features=X, class_labels=np.repeat(["a", "b"], [15, 25])),
                         p, math.inf, 1.0, rng=rng)
-        assert [pre.zero_norm_rows_dropped for pre in seen] == [n, n, n]
-        assert not any(np.any(x_tilde) for pre in seen for x_tilde in pre.x_tilde)
+        assert [pre.zero_norm_rows_dropped for pre in seen] == [n, n, 0]
+        assert not any(np.any(x_tilde) for pre in seen[:2] for x_tilde in pre.x_tilde)
         assert unsup.dataset.n_samples == sup.dataset.n_samples == gmm.dataset.n_samples == n
         assert unsup.ledger.entries[-1].sensitivity == cov_sensitivity(p, n)
         assert sup.ledger.entries[-1].sensitivity == aug_cov_sensitivity(p, n, a)

@@ -182,6 +182,20 @@ class TestSampleGaussian:
         with pytest.raises(ValueError, match="PSD"):
             sample_gaussian(model, 10, np.random.default_rng(12))
 
+    def test_blocks_match_one_product_bit_for_bit(self):
+        # the draw is transformed in place block by block; at a count
+        # that leaves a partial last block the samples are still those
+        # of one product over the whole draw
+        rng = np.random.default_rng(13)
+        A = rng.normal(size=(5, 5))
+        model = GaussianModel(rng.normal(size=5), A @ A.T)
+        n = 2 * synthesis.SAMPLE_BLOCK + 123
+        eigvals, eigvecs = np.linalg.eigh(model.covariance)
+        root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
+        z = np.random.default_rng(14).standard_normal((5, n))
+        expected = model.mean[:, None] + root @ z
+        assert np.array_equal(sample_gaussian(model, n, np.random.default_rng(14)), expected)
+
 
 class TestGaussianModelType:
     def test_rejects_asymmetric(self):
@@ -338,6 +352,16 @@ class TestGmmPipeline:
             assert np.max(np.abs(mode.model.mean - expected)) <= 1e-12
             assert np.any(mode.model.mean != 0.0)
 
+    def test_noiseless_mode_covariance_is_the_chart_covariance(self):
+        # the mode covariance is the chart's second moment minus the
+        # outer product of its mean: the covariance of the class's chart
+        data = self.make_classed(seed=6)
+        res = synth_gmm(data, 3, math.inf, math.inf, rng=np.random.default_rng(6))
+        for mode in res.model.modes:
+            chart = mode_transform(mode, data.features[:, data.class_labels == mode.label])
+            expected = np.cov(chart, bias=True)
+            assert np.max(np.abs(mode.model.covariance - expected)) <= 1e-12
+
     def test_fresh_projection_per_class_by_default(self):
         res = synth_gmm(self.make_classed(), 3, 0.3, 0.7,
                         rng=np.random.default_rng(6))
@@ -360,6 +384,26 @@ class TestGmmPipeline:
         a = synth_gmm(self.make_classed(), 3, 0.3, 0.7, rng=np.random.default_rng(9))
         b = synth_gmm(self.make_classed(), 3, 0.3, 0.7, rng=np.random.default_rng(9))
         assert np.array_equal(a.dataset.features, b.dataset.features)
+
+
+@pytest.mark.parametrize("mode", ["unsupervised", "gmm"])
+def test_empty_sample_count_is_rejected_before_fitting(mode, monkeypatch):
+    repairs = []
+
+    def spy(cov):
+        repairs.append(cov)
+        return psd_repair(cov)
+
+    monkeypatch.setattr(synthesis, "psd_repair", spy)
+    X = make_data(n=40).features
+    with pytest.raises(ValueError, match="n_synth must be positive, got 0"):
+        if mode == "gmm":
+            synth_gmm(Dataset(features=X, class_labels=np.repeat(["a", "b"], 20)), 2, 0.3,
+                      0.7, per_class_n_synth=0, rng=np.random.default_rng(0))
+        else:
+            synth_unsupervised(Dataset(features=X), 2, 0.3, 0.7, n_synth=0,
+                               rng=np.random.default_rng(0))
+    assert repairs == []
 
 
 @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "gmm"])
