@@ -3,9 +3,10 @@
 The release pipeline normalizes and DP-centers the data, projects it
 onto a random orthonormal low-dimensional basis, fits a
 Laplace-perturbed Gaussian model, and samples synthetic records from
-it. A per-class Gaussian mixture skips the centering and takes each
-class's DP mean in its projected space. All privacy spends flow through a
-single ledger with serial and parallel composition.
+it. A per-class Gaussian mixture skips the centering, projects every
+class onto one basis and takes each class's DP mean there. All privacy
+spends flow through a single ledger with serial and parallel
+composition.
 """
 
 from .dataset import DataError, Dataset, clip_labels, load_csv, write_release

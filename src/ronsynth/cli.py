@@ -36,7 +36,6 @@ from .evaluation import (
 from .mechanism import BudgetLedger, record_spends, split_budget
 from .projection import SMALL_M, dimension_guidance, reconstruct
 from .synthesis import (
-    GmmModel,
     SynthesisResult,
     synth_gmm,
     synth_supervised,
@@ -89,6 +88,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer, as numpy seeds are."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ronsynth",
                      description="Differentially private synthetic data release")
@@ -118,14 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "mode, categorical otherwise")
     synth.add_argument("--samples", type=_positive_int, default=None,
                        help="synthetic sample count (gmm: per class); default: source count")
-    synth.add_argument("--seed", type=int, default=None,
+    synth.add_argument("--seed", type=_seed, default=None,
                        help="rng seed; seeded noise is reproducible and therefore "
                             "NOT private -- leave unset for a real release")
     synth.add_argument("--save-projection", action="store_true",
                        help="also dump the projection matrix (data-independent, DP-safe)")
-    synth.add_argument("--shared-projection", action="store_true",
-                       help="gmm: one shared projection for all classes instead of "
-                            "one per class")
     synth.add_argument("--reconstruct", action="store_true",
                        help="also write the release embedded back in the original "
                             "feature space")
@@ -145,14 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "report the best")
     ev.add_argument("--orig-dim", type=int, default=None,
                     help="original dimension m (adds the expected marginal scale)")
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=_seed, default=0)
 
     budget = sub.add_parser("budget", parents=[release],
                             help="print the spend plan without touching data",
                             description="Show sensitivities and noise scales for a "
                                         "hypothetical run.")
     budget.add_argument("--m", type=_positive_int, required=True, help="feature dimension")
-    budget.add_argument("--n", type=_positive_int, default=None, help="sample count")
+    budget.add_argument("--n", type=_positive_int, default=None,
+                        help="unsupervised, supervised: sample count")
     budget.add_argument("--class-sizes", default=None, metavar="N1,N2,...",
                         help="gmm: per-class sample counts")
     return parser
@@ -188,10 +196,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     if not values:
         raise _UsageError(f"{flag} got an empty list")
     return values
-
-
-def _sanitize(label) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", str(label)) or "class"
 
 
 def cmd_synth(args) -> int:
@@ -232,7 +236,6 @@ def cmd_synth(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     result = _run_pipeline(args, data, p, epsilon_mu, epsilon_sigma, rng)
-    projections = _projection_files(result, args.out) if args.save_projection else []
 
     metadata = {
         "mode": args.mode,
@@ -251,7 +254,9 @@ def cmd_synth(args) -> int:
     }
     data_path, meta_path = write_release(result.dataset, metadata, args.out)
     written = [data_path, meta_path]
-    written += [write_matrix_csv(W, path) for W, path in projections]
+    if args.save_projection:
+        written.append(write_matrix_csv(result.projection.W,
+                                        os.path.join(args.out, "projection.csv")))
     if args.reconstruct:
         written.append(_write_reconstruction(result, data, args.out))
 
@@ -265,44 +270,16 @@ def _run_pipeline(args, data: Dataset, p: int, epsilon_mu: float,
                   epsilon_sigma: float, rng) -> SynthesisResult:
     if args.mode == "gmm":
         return synth_gmm(data, p, epsilon_mu, epsilon_sigma,
-                         per_class_n_synth=args.samples, rng=rng,
-                         shared_projection=args.shared_projection)
+                         per_class_n_synth=args.samples, rng=rng)
     synth = synth_supervised if args.mode == "supervised" else synth_unsupervised
     return synth(data, p, epsilon_mu, epsilon_sigma, n_synth=args.samples, rng=rng)
 
 
-def _projection_files(result: SynthesisResult, out_dir: str) -> list[tuple[np.ndarray, str]]:
-    """(matrix, path) of every projection to save, checked before any write.
-
-    Per-class file names come from sanitized class names; two classes
-    that sanitize to one name would overwrite each other, a data error.
-    """
-    if not (isinstance(result.model, GmmModel) and result.projection is None):
-        return [(result.projection.W, os.path.join(out_dir, "projection.csv"))]
-    files, owners = [], {}
-    for mode in result.model.modes:
-        name = f"projection_{_sanitize(mode.label)}.csv"
-        if name in owners:
-            raise DataError(f"classes {owners[name]!r} and {mode.label!r} would both "
-                            f"save their projection to {name}")
-        owners[name] = mode.label
-        files.append((mode.projection.W, os.path.join(out_dir, name)))
-    return files
-
-
 def _write_reconstruction(result: SynthesisResult, source: Dataset, out_dir: str) -> str:
     release = result.dataset
-    if isinstance(result.model, GmmModel):
-        blocks = np.empty((source.n_features, release.n_samples))
-        for mode in result.model.modes:
-            mask = release.class_labels == mode.label
-            blocks[:, mask] = reconstruct(mode.projection, release.features[:, mask])
-        rec = Dataset(features=blocks, class_labels=release.class_labels,
-                      feature_names=source.feature_names)
-    else:
-        embedded = reconstruct(result.projection, release.features)
-        rec = Dataset(features=embedded, labels=release.labels,
-                      feature_names=source.feature_names)
+    rec = Dataset(features=reconstruct(result.projection, release.features),
+                  labels=release.labels, class_labels=release.class_labels,
+                  feature_names=source.feature_names)
     return write_dataset_csv(rec, os.path.join(out_dir, "reconstructed.csv"))
 
 
@@ -394,6 +371,8 @@ def cmd_budget(args) -> int:
     label_bound = args.label_bound if args.mode == "supervised" else None
     per_class = args.mode == "gmm"
     if per_class:
+        if args.n is not None:
+            raise _UsageError("--n does not apply to a gmm budget plan; use --class-sizes")
         if not args.class_sizes:
             raise _UsageError("gmm budget plan needs --class-sizes N1,N2,...")
         sizes = _parse_int_list(args.class_sizes, "--class-sizes")
@@ -402,6 +381,9 @@ def cmd_budget(args) -> int:
                 raise _UsageError(f"--class-sizes: class {c} has size {n}")
         note = "per-class spends act on disjoint data and compose in parallel"
     else:
+        if args.class_sizes is not None:
+            raise _UsageError(f"--class-sizes applies only to a gmm budget plan, "
+                              f"not {args.mode}")
         if args.n is None:
             raise _UsageError(f"{args.mode} budget plan needs --n")
         if args.mode == "supervised" and label_bound is None:

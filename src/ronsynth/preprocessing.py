@@ -39,11 +39,11 @@ the training data's held-out chart is the release's own.
 ``center_with_mean`` writes the m x n output out explicitly, for tests
 to compare against; a release never builds it.
 
-A mixture skips steps 2 to 4. Class c keeps the uncentered chart
-v_j = clip₁(s_j W_cᵀx_j) of its columns, from the column norms and one
-GEMM [W_1 ... W_k]ᵀ X, and its DP mean is taken of the v_j in R^p, at
-scale 2*sqrt(p)/(n_c * epsilon_mu): no m-dimensional mean is released
-or noised.
+A mixture skips steps 2 to 4. Every class shares one basis W, and
+class c keeps the uncentered chart v_j = clip₁(s_j Wᵀx_j) of its
+columns, from the column norms and one GEMM WᵀX. Its DP mean is taken of
+the v_j in R^p, at scale 2*sqrt(p)/(n_c * epsilon_mu): no m-dimensional
+mean is released or noised.
 """
 
 from __future__ import annotations
@@ -70,17 +70,17 @@ class PreprocessedDataset:
     mu_dp holds the released DP means, one column per class. For one
     class it is the (m, 1) mean of the pre-normalized data, reused to
     transform held-out data into the same geometry; for a mixture of k
-    classes it is (p, k), every class's mean in its own chart. Both are
-    safe to publish. projections[c] is class c's basis and x_tilde[c]
-    holds the class's chart, Wᵀx̄ for one class and the uncentered
-    clip₁(Wᵀx/||x||) for a mixture, one column per sample in input
-    order, each of norm at most 1. zero_norm_rows_dropped counts the
-    samples mapped to the zero vector (none is dropped; the name is kept
-    for existing readers).
+    classes it is (p, k), every class's mean in the shared chart. Both
+    are safe to publish. projection is the one basis of every class, and
+    x_tilde[c] holds class c's chart, Wᵀx̄ for one class and the
+    uncentered clip₁(Wᵀx/||x||) for a mixture, one column per sample in
+    input order, each of norm at most 1. zero_norm_rows_dropped counts
+    the samples mapped to the zero vector (none is dropped; the name is
+    kept for existing readers).
     """
 
     mu_dp: np.ndarray
-    projections: tuple[RonProjection, ...]
+    projection: RonProjection
     x_tilde: tuple[np.ndarray, ...]
     zero_norm_rows_dropped: int
 
@@ -210,17 +210,17 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rngs: Sequence[np.random.Genera
 
     ``rngs`` holds one generator per class and ``classes`` each column's
     class (0..k-1); without it all columns form one class. Each raw
-    sample's norm is taken once.
+    sample's norm is taken once, and ``draw_projection(rngs[0])`` is
+    called once for the basis every class shares.
 
     One class gets the paper's centered chart: the DP mean of the unit
-    columns is drawn, then ``draw_projection(rng)``, and the columns are
-    centered, re-normalized and projected in factored form. A column
-    whose centered norm is at most DEGENERATE_NORM becomes the zero
-    vector and is counted, so the output keeps every column.
+    columns is drawn, then the basis, and the columns are centered,
+    re-normalized and projected in factored form. A column whose centered
+    norm is at most DEGENERATE_NORM becomes the zero vector and is
+    counted, so the output keeps every column.
 
-    A mixture draws every class's basis first, then projects all
-    columns by one GEMM [W_1 ... W_k]ᵀX (WᵀX when the basis is shared).
-    Class c keeps the uncentered chart clip₁(Wᵀx_j/||x_j||) of its
+    A mixture draws the basis first and projects all columns by one GEMM
+    WᵀX. Class c keeps the uncentered chart clip₁(Wᵀx_j/||x_j||) of its
     columns, and its DP mean is taken in R^p.
     """
     X = np.asarray(X, dtype=float)
@@ -233,20 +233,16 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rngs: Sequence[np.random.Genera
         mu = _release_mean((X @ (scale / n)[:, None])[:, 0], n, epsilon_mu, rng)
         proj = draw_projection(rng)
         chart, collapsed = centered_chart(X, scale, mu, proj)
-        return PreprocessedDataset(mu_dp=mu[:, None], projections=(proj,), x_tilde=(chart,),
+        return PreprocessedDataset(mu_dp=mu[:, None], projection=proj, x_tilde=(chart,),
                                    zero_norm_rows_dropped=collapsed)
 
-    projections = [draw_projection(rng) for rng in rngs]
-    p = projections[0].p
-    shared = all(proj is projections[0] for proj in projections)
-    bases = projections[:1] if shared else projections
-    Y = np.concatenate([proj.W for proj in bases], axis=1).T @ X
+    proj = draw_projection(rngs[0])
+    Y = proj.W.T @ X
     charts, means = [], []
     for c, rng in enumerate(rngs):
         cols = np.flatnonzero(classes == c)
-        row = 0 if shared else c * p
-        chart = clip_to_unit_ball(Y[row:row + p, cols] * scale[cols])
+        chart = clip_to_unit_ball(Y[:, cols] * scale[cols])
         charts.append(chart)
         means.append(_release_mean(chart.mean(axis=1), len(cols), epsilon_mu, rng))
-    return PreprocessedDataset(mu_dp=np.column_stack(means), projections=tuple(projections),
+    return PreprocessedDataset(mu_dp=np.column_stack(means), projection=proj,
                                x_tilde=tuple(charts), zero_norm_rows_dropped=0)

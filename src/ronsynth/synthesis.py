@@ -66,6 +66,8 @@ class GmmMode:
     """One class of a mixture: its released model and transform.
 
     The model is fit in the chart ``mode_transform`` maps samples into.
+    Every mode of a release holds the same projection, the release's
+    one basis.
     """
 
     label: object
@@ -93,7 +95,8 @@ class SynthesisResult:
 
     mu_dp and projection are DP-safe and define the transform that maps
     held-out real data into the release's space; a mixture has no mu_dp,
-    and each of its modes maps data by ``mode_transform``.
+    its one projection is every mode's, and each mode maps data by
+    ``mode_transform``.
     """
 
     dataset: Dataset
@@ -222,15 +225,16 @@ def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     One class (``classes`` None, one generator) is the unsupervised and
     supervised case; the mixture passes each column's class and one
     generator per class. Records every class's spends in a new ledger,
-    preprocesses and projects every class (onto a fresh basis each,
-    unless the gmm shared one is given), then per class estimates the
-    second moment (augmented with ``data.labels`` when a label bound is
-    given) and Laplace-perturbs it at the recorded sensitivity. One
-    class is zero-mean; a mixture class is centred on its chart's DP
-    mean mu_c, and mu_c mu_cᵀ is subtracted from its noisy moment. The
-    result is repaired to the PSD cone, and n_synth samples (default:
-    the class's count) are drawn. Each generator draws its mean noise
-    and basis in ``preprocess``, then covariance noise, then samples.
+    preprocesses and projects every class onto one basis (the mixture's
+    given ``projection``, or a fresh one for one class), then per class
+    estimates the second moment (augmented with ``data.labels`` when a
+    label bound is given) and Laplace-perturbs it at the recorded
+    sensitivity. One class is zero-mean; a mixture class is centred on
+    its chart's DP mean mu_c, and mu_c mu_cᵀ is subtracted from its
+    noisy moment. The result is repaired to the PSD cone, and n_synth
+    samples (default: the class's count) are drawn. Each generator
+    draws its mean noise (one class: then the basis) in ``preprocess``,
+    then covariance noise, then samples.
     Returns (preprocessed, ledger, [(model, samples, repaired) per class]).
     """
     X = data.features
@@ -304,18 +308,19 @@ def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
     release = Dataset(features=samples[:p], feature_names=_released_names(p),
                       labels=None if label_bound is None else samples[p])
     return SynthesisResult(dataset=release, model=model, ledger=ledger,
-                           psd_repair_applied=repaired, projection=pre.projections[0],
+                           psd_repair_applied=repaired, projection=pre.projection,
                            mu_dp=pre.mu_dp[:, 0])
 
 
 def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
               per_class_n_synth: int | None = None,
-              rng: np.random.Generator | None = None,
-              shared_projection: bool = False) -> SynthesisResult:
+              rng: np.random.Generator | None = None) -> SynthesisResult:
     """Release class-labeled synthetic data from one Gaussian per class.
 
-    Each class is projected and modeled independently on its disjoint
-    slice of the data, in its uncentered chart clip₁(Wᵀx/||x||) (see
+    Every class is projected onto one basis W, drawn from ``rng`` before
+    the per-class generators are spawned, so all classes share one
+    feature space. Each class is modeled independently on its disjoint
+    slice of the data, in the uncentered chart clip₁(Wᵀx/||x||) (see
     ``mode_transform``). The mode mean is the DP mean of that chart, at
     the p-dimensional sensitivity 2*sqrt(p)/n_c, so classes land in
     separate locations; the covariance is the noisy second moment minus
@@ -326,12 +331,6 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     stays epsilon_mu + epsilon_sigma regardless of the class count.
     per_class_n_synth sets one synthetic count for every class; by
     default each class keeps its source count.
-
-    By default every class draws its own fresh projection, so the
-    feature columns of different classes live in different projected
-    bases (each mode records its own). ``shared_projection=True`` uses
-    one basis for all classes, which downstream consumers that compare
-    features across classes will usually want.
     """
     if data.class_labels is None:
         raise ValueError("mixture synthesis needs categorical class labels")
@@ -344,12 +343,12 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     lookup = {name: c for c, name in enumerate(class_names)}
     classes = np.fromiter(map(lookup.__getitem__, names), dtype=np.intp, count=len(names))
 
-    shared = generate_ron(m, p, rng) if shared_projection else None
-    pre, ledger, fits = _fit(data, p, epsilon_mu, epsilon_sigma, rng.spawn(len(class_names)),
-                             per_class_n_synth, classes, shared)
+    projection = generate_ron(m, p, rng)
+    _, ledger, fits = _fit(data, p, epsilon_mu, epsilon_sigma, rng.spawn(len(class_names)),
+                           per_class_n_synth, classes, projection)
 
-    modes = tuple(GmmMode(label=name, model=model, projection=proj)
-                  for name, proj, (model, _, _) in zip(class_names, pre.projections, fits))
+    modes = tuple(GmmMode(label=name, model=model, projection=projection)
+                  for name, (model, _, _) in zip(class_names, fits))
     release = Dataset(
         features=np.concatenate([samples for _, samples, _ in fits], axis=1),
         class_labels=np.concatenate([np.full(samples.shape[1], name)
@@ -358,7 +357,7 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     )
     return SynthesisResult(dataset=release, model=GmmModel(modes), ledger=ledger,
                            psd_repair_applied=any(repaired for _, _, repaired in fits),
-                           projection=shared)
+                           projection=projection)
 
 
 def transform_features(mu_dp: np.ndarray, proj: RonProjection,

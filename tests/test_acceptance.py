@@ -326,10 +326,8 @@ def test_criterion_09_classification_utility():
         acc_real.append(float(np.mean(classes[np.argmin(dists, axis=0)] == y_te)))
 
         eps_mu, eps_sigma = split_budget(1.0)
-        # shared projection: stacked classes need one comparable chart
         res = synth_gmm(Dataset(features=x_tr, class_labels=y_tr), m - 1,
-                        eps_mu, eps_sigma, rng=np.random.default_rng(500 + seed),
-                        shared_projection=True)
+                        eps_mu, eps_sigma, rng=np.random.default_rng(500 + seed))
         acc_synth.append(nearest_mean_accuracy(res, x_te, y_te))
 
     real = float(np.mean(acc_real))

@@ -128,34 +128,11 @@ class TestSynthCommand:
         lines = open(os.path.join(out, "data.csv")).read().splitlines()
         assert lines[0].split(",")[-1] == "class"
         assert {ln.split(",")[-1] for ln in lines[1:]} == {"pos", "neg"}
-        # per-class projections by default
-        assert os.path.exists(os.path.join(out, "projection_pos.csv"))
-        assert os.path.exists(os.path.join(out, "projection_neg.csv"))
+        # every class shares one basis, saved once
+        assert sorted(os.listdir(out)) == ["data.csv", "metadata.json", "projection.csv",
+                                           "reconstructed.csv"]
         rec = open(os.path.join(out, "reconstructed.csv")).readline().strip()
         assert rec == "f1,f2,f3,f4,class"
-
-    def test_gmm_shared_projection_writes_one_matrix(self, classed_csv, tmp_path):
-        out = str(tmp_path / "rel")
-        code = main(["synth", classed_csv, "--mode", "gmm", "--label-col", "cls",
-                     "--dim", "2", "--seed", "5", "--out", out,
-                     "--shared-projection", "--save-projection"])
-        assert code == 0
-        assert os.path.exists(os.path.join(out, "projection.csv"))
-
-    @pytest.mark.parametrize("names", [("a b", "a_b"), ("", "class")])
-    def test_colliding_projection_names_fail_before_output(self, tmp_path, names, capsys):
-        rng = np.random.default_rng(4)
-        rows = ["f1,f2,f3,f4,cls"]
-        for i in range(80):
-            rows.append(",".join(f"{v:.6f}" for v in rng.normal(size=4)) + f",{names[i % 2]}")
-        path = tmp_path / "collide.csv"
-        path.write_text("\n".join(rows) + "\n")
-        out = str(tmp_path / "rel")
-        assert main(["synth", str(path), "--mode", "gmm", "--label-col", "cls",
-                     "--dim", "2", "--seed", "5", "--out", out, "--save-projection"]) == 2
-        assert not os.path.exists(out)
-        err = capsys.readouterr().err
-        assert repr(names[0]) in err and repr(names[1]) in err
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "ghost.csv")]) == 2
@@ -176,6 +153,17 @@ class TestSynthCommand:
         assert err[-1] == f"error: argument --samples: must be a positive integer, got '{count}'"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    def test_negative_seed_is_rejected_before_reading(self, command, tmp_path, capsys):
+        # the flag is checked before the (here missing) input is opened
+        out = tmp_path / "rel"
+        args = ([str(tmp_path / "ghost.csv"), "--out", str(out)] if command == "synth"
+                else ["normality", "--data", str(tmp_path / "ghost.csv")])
+        assert main([command, *args, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == "error: argument --seed: must be a non-negative integer, got '-1'"
+        assert not out.exists()
+
     def test_bad_cell_is_data_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,oops\n")
@@ -184,7 +172,8 @@ class TestSynthCommand:
     def test_unknown_flag_is_usage_error(self, numeric_csv):
         assert main(["synth", numeric_csv, "--frobnicate"]) == 1
 
-    @pytest.mark.parametrize("flag", [["--psd-floor", "0"], ["--label-kind", "categorical"]])
+    @pytest.mark.parametrize("flag", [["--psd-floor", "0"], ["--label-kind", "categorical"],
+                                      ["--shared-projection"]])
     def test_removed_flags_are_usage_errors(self, classed_csv, tmp_path, flag):
         out = str(tmp_path / "rel")
         assert main(["synth", classed_csv, "--label-col", "cls", "--dim", "2", *flag,
@@ -422,6 +411,16 @@ class TestBudgetCommand:
         assert captured.out == ""
         # argparse prints its usage line first
         assert captured.err.strip().splitlines()[-1] == f"error: {message}"
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--mode", "gmm", "--class-sizes", "100,200", "--n", "5"], "--n"),
+        (["--n", "100", "--class-sizes", "1,2"], "--class-sizes"),
+    ])
+    def test_flag_the_mode_ignores_is_a_usage_error(self, argv, flag, capsys):
+        assert main(["budget", "--m", "20", "--dim", "3", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} ")
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
     def test_bad_epsilon_prints_no_plan(self, eps, capsys):

@@ -251,8 +251,7 @@ def _benchmark_checks():
     return module
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_nearest_mean_accuracy_matches_the_benchmark_copy(shared):
+def test_nearest_mean_accuracy_matches_the_benchmark_copy():
     m, n, k = 200, 4000, 8
     rng = np.random.default_rng(17)
     labels = np.repeat([f"c{c}" for c in range(k)], n // k)
@@ -261,7 +260,7 @@ def test_nearest_mean_accuracy_matches_the_benchmark_copy(shared):
     # wrong predictions to compare (epsilon 10 gets nearly all right)
     eps_mu, eps_sigma = split_budget(1.0)
     result = synth_gmm(Dataset(features=features, class_labels=labels), 8, eps_mu,
-                       eps_sigma, rng=rng, shared_projection=shared)
+                       eps_sigma, rng=rng)
     accuracy = nearest_mean_accuracy(result, features, labels)
     assert 1 / k < accuracy < 1.0
     assert accuracy == _benchmark_checks().nearest_mean_accuracy(result, features, labels)

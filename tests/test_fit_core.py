@@ -1,12 +1,12 @@
 """The factored fitting core against an explicit per-class reference.
 
 The release never builds the normalized or centered m x n matrices: it
-works from column norms and one GEMM, [W, mu]ᵀ X for one class and
-[W_1 ... W_k]ᵀ X for a mixture. These tests build the explicit stage
-(normalize, noisy mean, the m x n centered matrix of
-``center_with_mean``, project; for a mixture, the uncentered chart and
-its p-dimensional mean) and check that releases, held-out transforms and
-adversarial near-collapse inputs agree with it.
+works from column norms and one GEMM, [W, mu]ᵀ X for one class and Wᵀ X
+for a mixture. These tests build the explicit stage (normalize, noisy
+mean, the m x n centered matrix of ``center_with_mean``, project; for a
+mixture, the uncentered chart and its p-dimensional mean) and check that
+releases, held-out transforms and adversarial near-collapse inputs agree
+with it.
 """
 
 import math
@@ -68,18 +68,17 @@ def reference_fit(X, p, eps_mu, eps_sigma, rng, projection=None, labels=None,
     return mu, proj, cov
 
 
-def reference_mode(X, p, eps_mu, eps_sigma, rng, projection=None):
-    """One mixture class's fit in the draw order of a release: basis,
-    mean noise, covariance noise. Returns (mean, projection, covariance)."""
-    m, n = X.shape
-    proj = projection if projection is not None else generate_ron(m, p, rng)
+def reference_mode(X, proj, eps_mu, eps_sigma, rng):
+    """One mixture class's fit on the release's basis, in the draw order
+    of a release: mean noise, covariance noise. Returns (mean, covariance)."""
+    p, n = proj.p, X.shape[1]
     chart = proj.W.T @ (X / np.linalg.norm(X, axis=0))
     mu = chart.mean(axis=1)
     if not math.isinf(eps_mu):
         mu = laplace_perturb(mu, mean_sensitivity(p, n) / eps_mu, rng)
     noisy = dp_perturb_cov(estimate_cov(chart), cov_sensitivity(p, n), eps_sigma, rng)
     cov, _ = psd_repair(noisy - np.outer(mu, mu))
-    return mu, proj, cov
+    return mu, cov
 
 
 def make_data(mode, m=12, n=300, seed=40):
@@ -92,22 +91,21 @@ def make_data(mode, m=12, n=300, seed=40):
     return Dataset(features=X)
 
 
-def release(mode, data, p, eps_mu, eps_sigma, rng, shared=False):
+def release(mode, data, p, eps_mu, eps_sigma, rng):
     if mode == "gmm":
-        return synth_gmm(data, p, eps_mu, eps_sigma, rng=rng, shared_projection=shared)
+        return synth_gmm(data, p, eps_mu, eps_sigma, rng=rng)
     if mode == "supervised":
         return synth_supervised(data, p, eps_mu, eps_sigma, rng=rng)
     return synth_unsupervised(data, p, eps_mu, eps_sigma, rng=rng)
 
 
-@pytest.mark.parametrize("mode,shared", [("unsupervised", False), ("supervised", False),
-                                         ("gmm", False), ("gmm", True)])
+@pytest.mark.parametrize("mode", ["unsupervised", "supervised", "gmm"])
 @pytest.mark.parametrize("eps_mu", [0.4, math.inf])
-def test_release_matches_explicit_per_class_reference(mode, shared, eps_mu):
+def test_release_matches_explicit_per_class_reference(mode, eps_mu):
     p, eps_sigma, seed = 3, 0.9, 41
     data = make_data(mode)
     m, n = data.features.shape
-    res = release(mode, data, p, eps_mu, eps_sigma, np.random.default_rng(seed), shared)
+    res = release(mode, data, p, eps_mu, eps_sigma, np.random.default_rng(seed))
 
     rng = np.random.default_rng(seed)
     ledger = BudgetLedger()
@@ -121,13 +119,15 @@ def test_release_matches_explicit_per_class_reference(mode, shared, eps_mu):
         assert np.max(np.abs(res.model.covariance - cov)) <= 1e-12
     else:
         names = sorted(set(data.class_labels.tolist()))
-        shared_proj = generate_ron(m, p, rng) if shared else None
+        # the release generator draws the basis before the class generators spawn
+        proj = generate_ron(m, p, rng)
+        assert np.array_equal(res.projection.W, proj.W)
         for name, mode_c, class_rng in zip(names, res.model.modes, rng.spawn(len(names))):
             X_c = data.features[:, data.class_labels == name]
             record_spends(ledger, m, p, X_c.shape[1], eps_mu, eps_sigma, per_class=True)
-            mu, proj, cov = reference_mode(X_c, p, eps_mu, eps_sigma, class_rng, shared_proj)
+            mu, cov = reference_mode(X_c, proj, eps_mu, eps_sigma, class_rng)
             assert mode_c.label == name
-            assert np.array_equal(mode_c.projection.W, proj.W)
+            assert mode_c.projection is res.projection
             assert np.max(np.abs(mode_c.model.mean - mu)) <= 1e-12
             assert np.max(np.abs(mode_c.model.covariance - cov)) <= 1e-12
     assert res.ledger.entries == ledger.entries
@@ -203,22 +203,21 @@ def test_samples_near_the_mean_project_inside_the_unit_ball(mode, monkeypatch):
         assert np.all(np.linalg.norm(x_tilde, axis=0) <= 1.0 + NORM_SLACK)
     # samples well clear of the threshold come out as the explicit stage's
     clear = np.arange(len(deltas), n)
-    for x_tilde, proj, cols in zip(pre.x_tilde, pre.projections, class_columns(data)):
+    for x_tilde, cols in zip(pre.x_tilde, class_columns(data)):
         keep = np.isin(cols, clear)
-        expected = explicit_chart(X[:, cols[keep]], mu, proj.W)
+        expected = explicit_chart(X[:, cols[keep]], mu, pre.projection.W)
         assert np.max(np.abs(x_tilde[:, keep] - expected)) <= 1e-12
     assert res.dataset.n_samples == n
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_mixture_charts_are_uncentered_and_in_the_unit_ball(shared, monkeypatch):
+def test_mixture_charts_are_uncentered_and_in_the_unit_ball(monkeypatch):
     # a mixture class is fit in Wᵀx/||x||, the chart mode_transform maps
     # held-out data into; nothing is centered, so nothing collapses
     m, n, p = 9, 90, 3
     data = make_data("gmm", m, n, seed=43)
     X = data.features
     seen = spy_preprocess(monkeypatch)
-    res = release("gmm", data, p, 1.0, math.inf, np.random.default_rng(44), shared)
+    res = release("gmm", data, p, 1.0, math.inf, np.random.default_rng(44))
     (pre,) = seen
     assert pre.zero_norm_rows_dropped == 0
     assert pre.mu_dp.shape == (p, len(res.model.modes))

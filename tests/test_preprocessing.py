@@ -108,8 +108,8 @@ class TestPreprocess:
         x_bar = center_with_mean(X, pre.mu_dp[:, 0])
         assert np.allclose(np.linalg.norm(x_bar, axis=0), 1.0, atol=1e-12)
         # the factored stage projects exactly those columns
-        (proj,), (x_tilde,) = pre.projections, pre.x_tilde
-        assert np.max(np.abs(x_tilde - proj.W.T @ x_bar)) <= 1e-12
+        (x_tilde,) = pre.x_tilde
+        assert np.max(np.abs(x_tilde - pre.projection.W.T @ x_bar)) <= 1e-12
         assert pre.mu_dp.shape == (8, 1)
         assert pre.zero_norm_rows_dropped == 0
 

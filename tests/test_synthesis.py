@@ -362,19 +362,21 @@ class TestGmmPipeline:
             expected = np.cov(chart, bias=True)
             assert np.max(np.abs(mode.model.covariance - expected)) <= 1e-12
 
-    def test_fresh_projection_per_class_by_default(self):
-        res = synth_gmm(self.make_classed(), 3, 0.3, 0.7,
-                        rng=np.random.default_rng(6))
-        W_a, W_b = (mode.projection.W for mode in res.model.modes)
-        assert not np.array_equal(W_a, W_b)
-        assert res.projection is None
+    def test_every_mode_holds_the_release_projection(self):
+        res = synth_gmm(self.make_classed(), 3, 0.3, 0.7, rng=np.random.default_rng(6))
+        assert all(mode.projection is res.projection for mode in res.model.modes)
 
-    def test_shared_projection_flag(self):
-        res = synth_gmm(self.make_classed(), 3, 0.3, 0.7, shared_projection=True,
-                        rng=np.random.default_rng(7))
-        W_a, W_b = (mode.projection.W for mode in res.model.modes)
-        assert np.array_equal(W_a, W_b)
-        assert res.projection is not None
+    def test_one_basis_is_drawn_per_release(self, monkeypatch):
+        calls = []
+
+        def spy(m, p, rng):
+            calls.append((m, p))
+            return generate_ron(m, p, rng)
+
+        monkeypatch.setattr(synthesis, "generate_ron", spy)
+        res = synth_gmm(self.make_classed(), 3, 0.3, 0.7, rng=np.random.default_rng(7))
+        assert len(res.model.modes) == 2
+        assert calls == [(8, 3)]
 
     def test_requires_class_labels(self):
         with pytest.raises(ValueError, match="categorical"):
