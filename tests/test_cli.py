@@ -134,6 +134,17 @@ class TestSynthCommand:
         rec = open(os.path.join(out, "reconstructed.csv")).readline().strip()
         assert rec == "f1,f2,f3,f4,class"
 
+    def test_gmm_shared_projection_writes_one_matrix(self, classed_csv, tmp_path):
+        # the classes' one shared basis is saved once, not once per class
+        out = str(tmp_path / "rel")
+        code = main(["synth", classed_csv, "--mode", "gmm", "--label-col", "cls",
+                     "--dim", "2", "--seed", "5", "--out", out, "--save-projection"])
+        assert code == 0
+        assert sorted(os.listdir(out)) == ["data.csv", "metadata.json", "projection.csv"]
+        W = np.loadtxt(os.path.join(out, "projection.csv"), delimiter=",", skiprows=1,
+                       ndmin=2)
+        assert W.shape == (4, 2)
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "ghost.csv")]) == 2
 

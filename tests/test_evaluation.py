@@ -251,11 +251,15 @@ def _benchmark_checks():
     return module
 
 
-def test_nearest_mean_accuracy_matches_the_benchmark_copy():
+@pytest.mark.parametrize("column_major", [False, True])
+def test_nearest_mean_accuracy_matches_the_benchmark_copy(column_major):
     m, n, k = 200, 4000, 8
     rng = np.random.default_rng(17)
     labels = np.repeat([f"c{c}" for c in range(k)], n // k)
     features = 3.0 * rng.normal(size=(m, k))[:, np.arange(n) * k // n] + rng.normal(size=(m, n))
+    if column_major:
+        # the layout the CSV loader gives: the transpose of a row-major table
+        features = np.ascontiguousarray(features.T).T
     # at epsilon 1 the modes' p-dimensional means leave both right and
     # wrong predictions to compare (epsilon 10 gets nearly all right)
     eps_mu, eps_sigma = split_budget(1.0)

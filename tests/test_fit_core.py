@@ -81,9 +81,13 @@ def reference_mode(X, proj, eps_mu, eps_sigma, rng):
     return mu, cov
 
 
-def make_data(mode, m=12, n=300, seed=40):
+def make_data(mode, m=12, n=300, seed=40, column_major=False):
+    """Features are row-major m x n, or, with ``column_major``, the
+    transpose of a row-major n x m table, the layout the CSV loader gives."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(m, n)) + rng.normal(size=(m, 1))
+    if column_major:
+        X = np.ascontiguousarray(X.T).T
     if mode == "gmm":
         return Dataset(features=X, class_labels=rng.choice(["b", "a", "c"], size=n))
     if mode == "supervised":
@@ -99,11 +103,13 @@ def release(mode, data, p, eps_mu, eps_sigma, rng):
     return synth_unsupervised(data, p, eps_mu, eps_sigma, rng=rng)
 
 
+@pytest.mark.parametrize("column_major", [False, True])
 @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "gmm"])
 @pytest.mark.parametrize("eps_mu", [0.4, math.inf])
-def test_release_matches_explicit_per_class_reference(mode, eps_mu):
+def test_release_matches_explicit_per_class_reference(mode, column_major, eps_mu):
     p, eps_sigma, seed = 3, 0.9, 41
-    data = make_data(mode)
+    data = make_data(mode, column_major=column_major)
+    assert data.features.flags.f_contiguous == column_major
     m, n = data.features.shape
     res = release(mode, data, p, eps_mu, eps_sigma, np.random.default_rng(seed))
 
@@ -210,11 +216,12 @@ def test_samples_near_the_mean_project_inside_the_unit_ball(mode, monkeypatch):
     assert res.dataset.n_samples == n
 
 
-def test_mixture_charts_are_uncentered_and_in_the_unit_ball(monkeypatch):
+@pytest.mark.parametrize("column_major", [False, True])
+def test_mixture_charts_are_uncentered_and_in_the_unit_ball(column_major, monkeypatch):
     # a mixture class is fit in Wᵀx/||x||, the chart mode_transform maps
     # held-out data into; nothing is centered, so nothing collapses
     m, n, p = 9, 90, 3
-    data = make_data("gmm", m, n, seed=43)
+    data = make_data("gmm", m, n, seed=43, column_major=column_major)
     X = data.features
     seen = spy_preprocess(monkeypatch)
     res = release("gmm", data, p, 1.0, math.inf, np.random.default_rng(44))

@@ -366,6 +366,16 @@ class TestGmmPipeline:
         res = synth_gmm(self.make_classed(), 3, 0.3, 0.7, rng=np.random.default_rng(6))
         assert all(mode.projection is res.projection for mode in res.model.modes)
 
+    def test_shared_projection_flag(self):
+        # one shared basis is the only gmm path; the keyword that chose it is gone
+        with pytest.raises(TypeError, match="shared_projection"):
+            synth_gmm(self.make_classed(), 3, 0.3, 0.7, shared_projection=True,
+                      rng=np.random.default_rng(7))
+        res = synth_gmm(self.make_classed(), 3, 0.3, 0.7, rng=np.random.default_rng(7))
+        W_a, W_b = (mode.projection.W for mode in res.model.modes)
+        assert np.array_equal(W_a, W_b)
+        assert res.projection is not None
+
     def test_one_basis_is_drawn_per_release(self, monkeypatch):
         calls = []
 
