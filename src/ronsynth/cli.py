@@ -180,6 +180,12 @@ def _budget_split(args) -> tuple[float, float]:
         raise _UsageError(message.replace("mu_ratio", "--mu-ratio")) from None
 
 
+def _check_label_bound(args) -> None:
+    """--label-bound bounds real labels, which only supervised mode has."""
+    if args.label_bound is not None and args.mode != "supervised":
+        raise _UsageError(f"--label-bound applies only to supervised mode, not {args.mode}")
+
+
 def _projected_dim(dim: int | None, m: int) -> int:
     """The --dim flag, or default_dim(m) when unset; must satisfy 1 <= p < m."""
     p = dim if dim is not None else default_dim(m)
@@ -200,6 +206,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def cmd_synth(args) -> int:
     epsilon_mu, epsilon_sigma = _budget_split(args)
+    _check_label_bound(args)
     if args.mode == "supervised" and (args.label_col is None or args.label_bound is None):
         raise _UsageError("supervised mode needs --label-col and --label-bound")
     if args.mode == "gmm" and args.label_col is None:
@@ -366,9 +373,9 @@ def cmd_eval(args) -> int:
 
 def cmd_budget(args) -> int:
     epsilon_mu, epsilon_sigma = _budget_split(args)
+    _check_label_bound(args)
     p = _projected_dim(args.dim, args.m)
 
-    label_bound = args.label_bound if args.mode == "supervised" else None
     per_class = args.mode == "gmm"
     if per_class:
         if args.n is not None:
@@ -386,7 +393,7 @@ def cmd_budget(args) -> int:
                               f"not {args.mode}")
         if args.n is None:
             raise _UsageError(f"{args.mode} budget plan needs --n")
-        if args.mode == "supervised" and label_bound is None:
+        if args.mode == "supervised" and args.label_bound is None:
             raise _UsageError("supervised budget plan needs --label-bound")
         sizes = [args.n]
         note = "spends compose serially"
@@ -395,7 +402,7 @@ def cmd_budget(args) -> int:
     spends = []
     for c, n in enumerate(sizes):
         entries = record_spends(ledger, args.m, p, n, epsilon_mu, epsilon_sigma,
-                                label_bound, per_class)
+                                args.label_bound, per_class)
         tag = {"class": c} if per_class else {}
         spends += [{**tag, **entry.as_dict()} for entry in entries]
 

@@ -17,10 +17,12 @@ import io
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NoReturn
 
 import numpy as np
+
+from .preprocessing import column_sq_norms
 
 
 class DataError(ValueError):
@@ -35,6 +37,17 @@ class Dataset:
     column-wise. labels (real-valued) and class_labels (categorical)
     are mutually exclusive, each of length n when present. label_bound
     declares the interval [-a, a] that real labels were clipped to.
+
+    Construction takes every column's squared norm once, with
+    ``preprocessing.column_sq_norms``, and keeps it as sq_norms: the
+    release normalizes every sample by these norms and reads no norm of
+    X itself. The same pass checks that every feature is finite, since
+    a non-finite entry makes its column's norm non-finite; only then is
+    X scanned again, to name the first bad (feature, sample), and a
+    finite column whose square overflows is accepted. features is a
+    read-only view, so the norms cannot go stale through the Dataset.
+    The caller's own array stays writable, but writing to it after
+    construction is unsupported: the view and the norms would disagree.
     """
 
     features: np.ndarray
@@ -42,6 +55,7 @@ class Dataset:
     class_labels: np.ndarray | None = None
     label_bound: float | None = None
     feature_names: tuple[str, ...] | None = None
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -50,10 +64,19 @@ class Dataset:
         m, n = feats.shape
         if m < 1 or n < 1:
             raise DataError(f"need at least one feature and one sample, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            bad = np.argwhere(~np.isfinite(feats))[0]
-            raise DataError(f"non-finite feature value at feature {bad[0]}, sample {bad[1]}")
+        # a non-finite entry makes its column's norm non-finite, so only a
+        # non-finite norm (or a finite column whose square overflows) rescans X
+        sq_norms = column_sq_norms(feats)
+        if not np.all(np.isfinite(sq_norms)):
+            bad = np.argwhere(~np.isfinite(feats))
+            if len(bad):
+                raise DataError(f"non-finite feature value at feature {bad[0, 0]}, "
+                                f"sample {bad[0, 1]}")
+        feats = feats.view()
+        feats.flags.writeable = False
+        sq_norms.flags.writeable = False
         object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "sq_norms", sq_norms)
         if self.labels is not None and self.class_labels is not None:
             raise DataError("a dataset cannot carry both real and categorical labels")
         if self.labels is not None:

@@ -24,26 +24,29 @@ RON projection W that follows is linear and ||x1_j|| = 1, so
 
     Wᵀ x̄_j = (s_j Wᵀx_j − Wᵀmu) / sqrt(1 − 2 s_j muᵀx_j + ||mu||²),
 
-and a release needs only the column norms (one ``einsum``), the mean
-(one product of X with the vector of s_j/n) and one GEMM [W, mu]ᵀ X; the
-rest is arithmetic in p dimensions. Each projected column is then
-clipped to norm at most 1. The clip maps every sample on its own, so
-each sensitivity bound still holds, and it absorbs the rounding of the
-expanded norm, which near a collapse is only good to about 1e-8: the
-squared norm is a difference of terms of order 1 with rounding of order
-1e-16. ``DEGENERATE_NORM`` is therefore the expanded centered norm at or
-below which a sample counts as collapsed, set well above that rounding
-so that a sample at the mean always collapses. Held-out data is mapped
-by the same GEMM and arithmetic (``synthesis.transform_features``), so
-the training data's held-out chart is the release's own.
-``center_with_mean`` writes the m x n output out explicitly, for tests
-to compare against; a release never builds it.
+and a release needs only the column norms, the mean (one product of X
+with the vector of s_j/n) and one GEMM [W, mu]ᵀ X; the rest is
+arithmetic in p dimensions. The squared column norms come from the
+``Dataset``, which takes them once with ``column_sq_norms`` (one
+``einsum``) as it validates X, so a release does not read X for them;
+held-out data gets the same kernel on its own array. Each projected
+column is then clipped to norm at most 1. The clip maps every sample on
+its own, so each sensitivity bound still holds, and it absorbs the
+rounding of the expanded norm, which near a collapse is only good to
+about 1e-8: the squared norm is a difference of terms of order 1 with
+rounding of order 1e-16. ``DEGENERATE_NORM`` is therefore the expanded
+centered norm at or below which a sample counts as collapsed, set well
+above that rounding so that a sample at the mean always collapses.
+Held-out data is mapped by the same GEMM and arithmetic
+(``synthesis.transform_features``), so the training data's held-out
+chart is the release's own. ``center_with_mean`` writes the m x n output
+out explicitly, for tests to compare against; a release never builds it.
 
-A mixture skips steps 2 to 4. Every class shares one basis W, and
-class c keeps the uncentered chart v_j = clip₁(s_j Wᵀx_j) of its
-columns, from the column norms and one GEMM WᵀX. Its DP mean is taken of
-the v_j in R^p, at scale 2*sqrt(p)/(n_c * epsilon_mu): no m-dimensional
-mean is released or noised.
+A mixture skips steps 2 to 4. Every class shares one basis W, and class
+c keeps the uncentered chart v_j = clip₁(s_j Wᵀx_j) of its columns, from
+the Dataset's column norms and one GEMM WᵀX. Its DP mean is taken of the
+v_j in R^p, at scale 2*sqrt(p)/(n_c * epsilon_mu): no m-dimensional mean
+is released or noised.
 """
 
 from __future__ import annotations
@@ -85,16 +88,21 @@ class PreprocessedDataset:
     zero_norm_rows_dropped: int
 
 
-def inverse_norms(X: np.ndarray) -> np.ndarray:
-    """1/||x_j|| for every column of X, without an m x n temporary.
+def column_sq_norms(X: np.ndarray) -> np.ndarray:
+    """||x_j||² for every column of X, in one pass and without an m x n temporary.
+
+    A non-finite entry makes its column's value non-finite; a finite
+    column can also read inf, when its square overflows.
+    """
+    return np.einsum("ij,ij->j", X, X)
+
+
+def inverse_norms(sq_norms: np.ndarray) -> np.ndarray:
+    """1/||x_j|| for every column, from the squared norms ``column_sq_norms`` takes.
 
     Raises ValueError naming the first column that is (numerically) the
     zero vector, or too large to square.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected an m x n matrix, got ndim={X.ndim}")
-    sq_norms = np.einsum("ij,ij->j", X, X)
     zero = sq_norms <= ZERO_NORM ** 2
     if np.any(zero):
         idx = int(np.argmax(zero))
@@ -112,7 +120,10 @@ def sample_normalize(X: np.ndarray) -> np.ndarray:
     is (numerically) the zero vector; callers must drop or perturb such
     samples before normalizing.
     """
-    return np.asarray(X, dtype=float) * inverse_norms(X)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected an m x n matrix, got ndim={X.ndim}")
+    return X * inverse_norms(column_sq_norms(X))
 
 
 def dp_mean(X_normalized: np.ndarray, epsilon_mu: float,
@@ -203,15 +214,17 @@ def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> np.ndarray:
                      where=norms > DEGENERATE_NORM)
 
 
-def preprocess(X: np.ndarray, epsilon_mu: float, rngs: Sequence[np.random.Generator],
+def preprocess(X: np.ndarray, sq_norms: np.ndarray, epsilon_mu: float,
+               rngs: Sequence[np.random.Generator],
                draw_projection: Callable[[np.random.Generator], RonProjection],
                classes: np.ndarray | None = None) -> PreprocessedDataset:
     """Run the full preprocessing stage and the projection.
 
-    ``rngs`` holds one generator per class and ``classes`` each column's
-    class (0..k-1); without it all columns form one class. Each raw
-    sample's norm is taken once, and ``draw_projection(rngs[0])`` is
-    called once for the basis every class shares.
+    ``sq_norms`` holds every column's squared norm, ``column_sq_norms(X)``
+    (a release passes ``Dataset.sq_norms``). ``rngs`` holds one generator
+    per class and ``classes`` each column's class (0..k-1); without it
+    all columns form one class. ``draw_projection(rngs[0])`` is called
+    once for the basis every class shares.
 
     One class gets the paper's centered chart: the DP mean of the unit
     columns is drawn, then the basis, and the columns are centered,
@@ -226,7 +239,7 @@ def preprocess(X: np.ndarray, epsilon_mu: float, rngs: Sequence[np.random.Genera
     X = np.asarray(X, dtype=float)
     if not epsilon_mu > 0:
         raise ValueError(f"epsilon_mu must be positive, got {epsilon_mu}")
-    scale = inverse_norms(X)
+    scale = inverse_norms(sq_norms)
     if classes is None:
         (rng,) = rngs
         n = X.shape[1]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .mechanism import BudgetLedger, laplace_perturb, record_spends
-from .preprocessing import centered_chart, inverse_norms, preprocess
+from .preprocessing import centered_chart, column_sq_norms, inverse_norms, preprocess
 from .projection import RonProjection, generate_ron, project
 
 PSD_TOL = 1e-10
@@ -247,7 +247,7 @@ def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     def draw(rng):
         return projection if projection is not None else generate_ron(m, p, rng)
 
-    pre = preprocess(X, epsilon_mu, rngs, draw, classes)
+    pre = preprocess(X, data.sq_norms, epsilon_mu, rngs, draw, classes)
     fits = []
     for c, (x_tilde, spend, rng) in enumerate(zip(pre.x_tilde, cov_spends, rngs)):
         if label_bound is None:
@@ -379,7 +379,7 @@ def transform_features(mu_dp: np.ndarray, proj: RonProjection,
         raise ValueError(f"mean has shape {mu_dp.shape}, expected ({proj.m},)")
     if X.ndim != 2 or X.shape[0] != proj.m:
         raise ValueError(f"expected a matrix with {proj.m} rows, got shape {X.shape}")
-    return centered_chart(X, inverse_norms(X), mu_dp, proj)[0]
+    return centered_chart(X, inverse_norms(column_sq_norms(X)), mu_dp, proj)[0]
 
 
 def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
@@ -391,7 +391,8 @@ def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
     rounding, so a class's held-out expectation in this chart is what
     the mode's DP mean estimates.
     """
-    return project(mode.projection, X) * inverse_norms(X)
+    X = np.asarray(X, dtype=float)
+    return project(mode.projection, X) * inverse_norms(column_sq_norms(X))
 
 
 def _check_sizes(p: int, m: int, n_synth: int | None) -> None:

@@ -28,7 +28,7 @@ from ronsynth.mechanism import (
     mean_sensitivity,
     split_budget,
 )
-from ronsynth.preprocessing import preprocess
+from ronsynth.preprocessing import column_sq_norms, preprocess
 from ronsynth.projection import generate_ron, project
 from ronsynth.synthesis import (
     estimate_aug_cov,
@@ -216,7 +216,7 @@ def test_criterion_06_projected_normality():
     rng = np.random.default_rng(106)
     X = rng.uniform(-1.0, 1.0, size=(m, n))
     proj = generate_ron(m, p, np.random.default_rng(2))
-    pre = preprocess(X, 1.0, [np.random.default_rng(1)], lambda rng: proj)
+    pre = preprocess(X, column_sq_norms(X), 1.0, [np.random.default_rng(1)], lambda rng: proj)
     ks_projected = normality_diagnostic(pre.x_tilde[0]).mean_ks
     ks_raw = normality_diagnostic(X).mean_ks
     elapsed = time.monotonic() - start

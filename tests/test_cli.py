@@ -106,14 +106,24 @@ class TestSynthCommand:
         assert re.search(r"clipped [1-9]\d* label\(s\) to \[-1.0, 1.0\]",
                          capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["synth", "budget"])
     @pytest.mark.parametrize("mode", ["unsupervised", "gmm"])
-    def test_label_bound_outside_supervised_is_null(self, classed_csv, tmp_path, mode):
-        # no label is clipped or modelled, so the release used no bound
+    def test_label_bound_outside_supervised_is_a_usage_error(self, tmp_path, mode, command,
+                                                             capsys):
+        # no label is clipped or modelled outside supervised mode, so the
+        # bound is a flag the mode does not use, as budget --n is for gmm
         out = str(tmp_path / "rel")
-        assert main(["synth", classed_csv, "--mode", mode, "--label-col", "cls",
-                     "--label-bound", "2", "--dim", "2", "--seed", "3", "--out", out]) == 0
-        meta = json.load(open(os.path.join(out, "metadata.json")))
-        assert meta["label_bound"] is None
+        args = ([str(tmp_path / "ghost.csv"), "--label-col", "cls", "--out", out]
+                if command == "synth" else
+                ["--m", "20", "--dim", "3"] + (["--class-sizes", "100,200"] if mode == "gmm"
+                                               else ["--n", "100"]))
+        # had the input been read first, a missing file would exit 2
+        assert main([command, *args, "--mode", mode, "--label-bound", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --label-bound applies only to supervised mode, not {mode}" in \
+            captured.err
+        assert not os.path.exists(out)
 
     def test_supervised_needs_bound(self, labeled_csv):
         assert main(["synth", labeled_csv, "--mode", "supervised",

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
+from ronsynth import dataset, preprocessing, synthesis
 from ronsynth.dataset import (
     DataError,
     Dataset,
@@ -211,6 +213,105 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             Dataset(features=np.eye(2), labels=np.array([0.0, 1.0]),
                     class_labels=np.array(["a", "b"]))
+
+
+def _features(m=5, n=7, order="C"):
+    X = np.random.default_rng(3).normal(size=(m, n))
+    return np.asfortranarray(X) if order == "F" else X
+
+
+class TestOnePassValidation:
+    """Construction takes the column norms and checks finiteness in one pass."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cells,first", [
+        ([(2, 3)], (2, 3)),
+        ([(0, 0)], (0, 0)),
+        ([(4, 6)], (4, 6)),
+        # an earlier row but a later column comes first
+        ([(3, 1), (0, 5)], (0, 5)),
+        ([(4, 6), (4, 0), (1, 2)], (1, 2)),
+    ])
+    def test_first_non_finite_cell_is_named(self, order, value, cells, first):
+        X = _features(order=order)
+        for cell in cells:
+            X[cell] = value
+        message = f"non-finite feature value at feature {first[0]}, sample {first[1]}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Dataset(features=X)
+
+    def test_an_overflowing_column_does_not_hide_a_later_bad_cell(self):
+        X = _features()
+        X[:, 0] = 1e200
+        X[1, 3] = np.nan
+        with pytest.raises(DataError, match=r"^non-finite feature value at feature 1, "
+                                            r"sample 3$"):
+            Dataset(features=X)
+
+    @pytest.mark.parametrize("synth", [synthesis.synth_unsupervised, synthesis.synth_gmm])
+    def test_finite_column_whose_square_overflows_is_accepted(self, synth):
+        X = _features(9, 40)
+        X[:, 6] = 1e200
+        data = Dataset(features=X, class_labels=np.repeat(["a", "b"], 20))
+        assert np.isinf(data.sq_norms[6]) and np.all(np.isfinite(np.delete(data.sq_norms, 6)))
+        # the release, not the Dataset, refuses to normalize it
+        with pytest.raises(ValueError, match="^sample 6 is too large to normalize$"):
+            synth(data, 2, 1.0, 1.0, rng=np.random.default_rng(0))
+
+    def test_zero_column_is_refused_by_the_release(self):
+        X = _features(9, 40)
+        X[:, 11] = 0.0
+        with pytest.raises(ValueError,
+                           match="^sample 11 has zero norm and cannot be normalized$"):
+            synthesis.synth_unsupervised(Dataset(features=X), 2, 1.0, 1.0,
+                                         rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_norms_are_the_einsum_of_the_features(self, order):
+        X = _features(37, 101, order)
+        data = Dataset(features=X)
+        assert np.array_equal(data.sq_norms, np.einsum("ij,ij->j", X, X))
+        assert data.features.flags.f_contiguous == (order == "F")
+
+    def test_features_are_a_read_only_view_of_a_writable_array(self):
+        X = _features()
+        data = Dataset(features=X)
+        assert np.shares_memory(data.features, X)
+        assert not data.features.flags.writeable and not data.sq_norms.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            data.features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            data.sq_norms[0] = 1.0
+        # the caller's own array is not frozen along with it
+        assert X.flags.writeable
+        X[0, 0] = 2.0
+        assert data.features[0, 0] == 2.0
+
+    @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "gmm"])
+    def test_a_release_reads_no_column_norm_of_its_input(self, mode, monkeypatch):
+        shapes = []
+
+        def spy(X):
+            shapes.append(np.shape(X))
+            return np.einsum("ij,ij->j", X, X)
+
+        for module in (dataset, preprocessing, synthesis):
+            monkeypatch.setattr(module, "column_sq_norms", spy)
+        rng = np.random.default_rng(5)
+        m, n, p = 9, 60, 3
+        X = rng.normal(size=(m, n))
+        if mode == "gmm":
+            data = Dataset(features=X, class_labels=np.repeat(["a", "b"], 30))
+            res = synthesis.synth_gmm(data, p, 1.0, 1.0, rng=rng)
+        elif mode == "supervised":
+            data = Dataset(features=X, labels=rng.uniform(-1, 1, n), label_bound=1.0)
+            res = synthesis.synth_supervised(data, p, 1.0, 1.0, rng=rng)
+        else:
+            data = Dataset(features=X)
+            res = synthesis.synth_unsupervised(data, p, 1.0, 1.0, rng=rng)
+        # one call builds the input Dataset and one the released one
+        assert shapes == [(m, n), res.dataset.features.shape]
 
 
 class TestClipLabels:

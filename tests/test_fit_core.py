@@ -239,10 +239,10 @@ def test_mixture_charts_are_uncentered_and_in_the_unit_ball(column_major, monkey
 def test_mixture_charts_are_clipped_whatever_the_norms_read(monkeypatch):
     # the clip, not the norm arithmetic, bounds every chart column: with
     # norms that read half their size, every column still lands in the
-    # unit ball
+    # unit ball. A release reads its norms from the Dataset, so they are
+    # set there, at a quarter of each true squared norm
     data = make_data("gmm", 9, 90, seed=52)
-    monkeypatch.setattr(preprocessing, "inverse_norms",
-                        lambda X: 2.0 / np.linalg.norm(X, axis=0))
+    object.__setattr__(data, "sq_norms", data.sq_norms / 4.0)
     seen = spy_preprocess(monkeypatch)
     release("gmm", data, 3, 1.0, math.inf, np.random.default_rng(53))
     (pre,) = seen
@@ -261,8 +261,8 @@ def test_clip_absorbs_the_rounding_of_the_expanded_norm():
     mu /= np.linalg.norm(mu)
     deltas = np.repeat([1e-9, 1e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5], 50)
     X = 3.0 * (mu[:, None] + deltas * rng.normal(size=(m, deltas.size)))
-    out, inv = preprocessing.center_projected(X, mu @ X, preprocessing.inverse_norms(X),
-                                              mu, float(mu @ mu))
+    scale = preprocessing.inverse_norms(preprocessing.column_sq_norms(X))
+    out, inv = preprocessing.center_projected(X, mu @ X, scale, mu, float(mu @ mu))
     assert np.all(np.linalg.norm(out, axis=0) <= 1.0 + NORM_SLACK)
     collapsed = inv == 0.0
     assert np.all(collapsed[deltas <= 1e-8]) and not np.any(collapsed[deltas >= 1e-5])

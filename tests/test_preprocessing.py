@@ -13,6 +13,7 @@ from ronsynth.mechanism import (
 )
 from ronsynth.preprocessing import (
     center_with_mean,
+    column_sq_norms,
     dp_mean,
     preprocess,
     sample_normalize,
@@ -24,7 +25,8 @@ from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 
 def preprocess_one_class(X, epsilon_mu, rng, p=2):
     """preprocess for one class, projecting onto a fresh p-dim basis."""
-    return preprocess(X, epsilon_mu, [rng], lambda r: generate_ron(X.shape[0], p, r))
+    return preprocess(X, column_sq_norms(X), epsilon_mu, [rng],
+                      lambda r: generate_ron(X.shape[0], p, r))
 
 
 def unit_columns(m, n, seed):

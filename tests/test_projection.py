@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ronsynth.evaluation import normality_diagnostic
-from ronsynth.preprocessing import center_with_mean, preprocess
+from ronsynth.preprocessing import center_with_mean, column_sq_norms, preprocess
 from ronsynth.projection import (
     RonProjection,
     dimension_guidance,
@@ -183,7 +183,7 @@ def test_projected_marginals_approach_gaussian():
     X = rng.uniform(-1.0, 1.0, size=(m, n))
     shifted = X + rng.choice([-0.5, 0.5], size=n)
     for data in (X, shifted):
-        pre = preprocess(data, 1.0, [np.random.default_rng(1)],
+        pre = preprocess(data, column_sq_norms(data), 1.0, [np.random.default_rng(1)],
                          lambda rng: generate_ron(m, p, rng))
         x_bar = center_with_mean(data, pre.mu_dp[:, 0])
         ks_proj = np.median([
