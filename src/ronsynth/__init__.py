@@ -9,7 +9,7 @@ spends flow through a single ledger with serial and parallel
 composition.
 """
 
-from .dataset import DataError, Dataset, clip_labels, load_csv, write_release
+from .dataset import DataError, Dataset, load_csv, write_release
 from .evaluation import (
     NormalityReport,
     kmeans,
@@ -24,23 +24,16 @@ from .mechanism import (
     LedgerEntry,
     aug_cov_sensitivity,
     cov_sensitivity,
-    laplace_perturb,
     mean_sensitivity,
     split_budget,
 )
-from .preprocessing import preprocess
-from .projection import RonProjection, dimension_guidance, generate_ron, project, reconstruct
+from .projection import RonProjection, dimension_guidance, generate_ron, reconstruct
 from .synthesis import (
     GaussianModel,
     GmmMode,
     GmmModel,
     SynthesisResult,
-    dp_perturb_cov,
-    estimate_aug_cov,
-    estimate_cov,
     mode_transform,
-    psd_repair,
-    sample_gaussian,
     synth_gmm,
     synth_supervised,
     synth_unsupervised,
@@ -61,27 +54,18 @@ __all__ = [
     "RonProjection",
     "SynthesisResult",
     "aug_cov_sensitivity",
-    "clip_labels",
     "cov_sensitivity",
     "dimension_guidance",
-    "dp_perturb_cov",
-    "estimate_aug_cov",
-    "estimate_cov",
     "generate_ron",
     "kmeans",
-    "laplace_perturb",
     "load_csv",
     "mean_sensitivity",
     "mode_transform",
     "nearest_mean_accuracy",
     "normality_diagnostic",
     "ols_rmse",
-    "preprocess",
-    "project",
-    "psd_repair",
     "reconstruct",
     "rmse",
-    "sample_gaussian",
     "silhouette",
     "split_budget",
     "synth_gmm",

@@ -20,7 +20,6 @@ import numpy as np
 from .dataset import (
     DataError,
     Dataset,
-    clip_labels,
     load_csv,
     write_dataset_csv,
     write_matrix_csv,
@@ -211,6 +210,9 @@ def cmd_synth(args) -> int:
         raise _UsageError("supervised mode needs --label-col and --label-bound")
     if args.mode == "gmm" and args.label_col is None:
         raise _UsageError("gmm mode needs --label-col")
+    if args.dim_sweep is not None and (args.save_projection or args.reconstruct):
+        flag = "--save-projection" if args.save_projection else "--reconstruct"
+        raise _UsageError(f"{flag} does not apply to --dim-sweep, which writes no release")
     # the mode fixes the label kind; as in eval, an unsupervised label
     # column is categorical and stays out of the features and the release
     label_kind = ("real" if args.mode == "supervised"
@@ -219,21 +221,23 @@ def cmd_synth(args) -> int:
     data = load_csv(args.input, label_column=args.label_col, label_kind=label_kind)
     m, n = data.features.shape
 
-    if data.labels is not None and args.label_bound is not None:
-        clipped, clip_count = clip_labels(data.labels, args.label_bound)
+    truth = None
+    if args.mode == "supervised":
+        # the release clips the labels itself; this clip counts them for
+        # the operator and is the truth a sweep scores against
+        truth = np.clip(data.labels, -args.label_bound, args.label_bound)
+        clip_count = int(np.count_nonzero(truth != data.labels))
         # an exact count of the data: operator output, never metadata.json
         if clip_count:
             print(f"clipped {clip_count} label(s) to [-{args.label_bound}, "
                   f"{args.label_bound}]", file=sys.stderr)
-        data = Dataset(features=data.features, labels=clipped,
-                       label_bound=args.label_bound, feature_names=data.feature_names)
 
     if args.dim_sweep is not None:
         dims = _parse_int_list(args.dim_sweep, "--dim-sweep")
         bad = [d for d in dims if not 1 <= d < m]
         if bad:
             raise _UsageError(f"--dim-sweep values must satisfy 1 <= p < m={m}: {bad}")
-        report = _dim_sweep(args, data, dims, epsilon_mu, epsilon_sigma)
+        report = _dim_sweep(args, data, truth, dims, epsilon_mu, epsilon_sigma)
         print(json.dumps(report, indent=2))
         return EXIT_OK
 
@@ -254,7 +258,7 @@ def cmd_synth(args) -> int:
         "epsilon_mu": epsilon_mu,
         "epsilon_sigma": epsilon_sigma,
         "split_ratio": args.mu_ratio,
-        "label_bound": data.label_bound,
+        "label_bound": args.label_bound,
         "seeded": args.seed is not None,
         "psd_repair_applied": result.psd_repair_applied,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -278,8 +282,10 @@ def _run_pipeline(args, data: Dataset, p: int, epsilon_mu: float,
     if args.mode == "gmm":
         return synth_gmm(data, p, epsilon_mu, epsilon_sigma,
                          per_class_n_synth=args.samples, rng=rng)
-    synth = synth_supervised if args.mode == "supervised" else synth_unsupervised
-    return synth(data, p, epsilon_mu, epsilon_sigma, n_synth=args.samples, rng=rng)
+    if args.mode == "supervised":
+        return synth_supervised(data, p, epsilon_mu, epsilon_sigma, args.label_bound,
+                                n_synth=args.samples, rng=rng)
+    return synth_unsupervised(data, p, epsilon_mu, epsilon_sigma, n_synth=args.samples, rng=rng)
 
 
 def _write_reconstruction(result: SynthesisResult, source: Dataset, out_dir: str) -> str:
@@ -290,15 +296,16 @@ def _write_reconstruction(result: SynthesisResult, source: Dataset, out_dir: str
     return write_dataset_csv(rec, os.path.join(out_dir, "reconstructed.csv"))
 
 
-def _dim_sweep(args, data: Dataset, dims: list[int], epsilon_mu: float,
-               epsilon_sigma: float) -> dict:
+def _dim_sweep(args, data: Dataset, truth: np.ndarray | None, dims: list[int],
+               epsilon_mu: float, epsilon_sigma: float) -> dict:
     """Utility-vs-dimension report. Research diagnostic: the repeated
-    runs share the input data, so the sweep itself is not budgeted."""
+    runs share the input data, so the sweep itself is not budgeted.
+    A supervised sweep scores against ``truth``, the clipped labels."""
     rows = []
     for p in dims:
         rng = np.random.default_rng(args.seed)
         result = _run_pipeline(args, data, p, epsilon_mu, epsilon_sigma, rng)
-        rows.append({"p": p, **_sweep_metric(args, data, result)})
+        rows.append({"p": p, **_sweep_metric(args, data, truth, result)})
     metric = rows[0]["metric"]
     higher_is_better = metric == "accuracy" or metric == "silhouette"
     chooser = max if higher_is_better else min
@@ -306,9 +313,10 @@ def _dim_sweep(args, data: Dataset, dims: list[int], epsilon_mu: float,
     return {"mode": args.mode, "metric": metric, "sweep": rows, "best_p": best["p"]}
 
 
-def _sweep_metric(args, data: Dataset, result: SynthesisResult) -> dict:
+def _sweep_metric(args, data: Dataset, truth: np.ndarray | None,
+                  result: SynthesisResult) -> dict:
     if args.mode == "supervised":
-        return {"metric": "rmse", "value": ols_rmse(result, data.features, data.labels)}
+        return {"metric": "rmse", "value": ols_rmse(result, data.features, truth)}
     if args.mode == "gmm":
         acc = nearest_mean_accuracy(result, data.features, data.class_labels)
         return {"metric": "accuracy", "value": acc}

@@ -35,8 +35,9 @@ class Dataset:
 
     features has shape (m, n): m feature dimensions, n samples stored
     column-wise. labels (real-valued) and class_labels (categorical)
-    are mutually exclusive, each of length n when present. label_bound
-    declares the interval [-a, a] that real labels were clipped to.
+    are mutually exclusive, each of length n when present. Real labels
+    are kept as they were read: the supervised release clips them to its
+    own bound (``synthesis.synth_supervised``).
 
     Construction takes every column's squared norm once, with
     ``preprocessing.column_sq_norms``, and keeps it as sq_norms: the
@@ -53,7 +54,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray | None = None
     class_labels: np.ndarray | None = None
-    label_bound: float | None = None
     feature_names: tuple[str, ...] | None = None
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -85,18 +85,12 @@ class Dataset:
                 raise DataError(f"labels must have length {n}, got shape {labels.shape}")
             if not np.all(np.isfinite(labels)):
                 raise DataError("labels contain non-finite values")
-            if self.label_bound is not None and np.any(np.abs(labels) > self.label_bound):
-                raise DataError(
-                    f"labels exceed the declared bound {self.label_bound}; clip them first"
-                )
             object.__setattr__(self, "labels", labels)
         if self.class_labels is not None:
             cls = np.asarray(self.class_labels)
             if cls.shape != (n,):
                 raise DataError(f"class labels must have length {n}, got shape {cls.shape}")
             object.__setattr__(self, "class_labels", cls)
-        if self.label_bound is not None and self.label_bound <= 0:
-            raise DataError(f"label bound must be positive, got {self.label_bound}")
         if self.feature_names is not None:
             names = tuple(self.feature_names)
             if len(names) != m:
@@ -110,16 +104,6 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return self.features.shape[1]
-
-
-def clip_labels(labels: np.ndarray, a: float) -> tuple[np.ndarray, int]:
-    """Clamp labels to [-a, a]; returns the clipped vector and clip count."""
-    if a <= 0:
-        raise ValueError(f"label bound must be positive, got {a}")
-    labels = np.asarray(labels, dtype=float)
-    clipped = np.clip(labels, -a, a)
-    n_clipped = int(np.count_nonzero(clipped != labels))
-    return clipped, n_clipped
 
 
 def load_csv(path: str, label_column: str | None = None,

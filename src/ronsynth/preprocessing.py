@@ -250,11 +250,12 @@ def preprocess(X: np.ndarray, sq_norms: np.ndarray, epsilon_mu: float,
                                    zero_norm_rows_dropped=collapsed)
 
     proj = draw_projection(rngs[0])
-    Y = proj.W.T @ X
+    # every column's chart at once, by synthesis.mode_transform's arithmetic
+    Y = clip_to_unit_ball((proj.W.T @ X) * scale)
     charts, means = [], []
     for c, rng in enumerate(rngs):
         cols = np.flatnonzero(classes == c)
-        chart = clip_to_unit_ball(Y[:, cols] * scale[cols])
+        chart = Y[:, cols]
         charts.append(chart)
         means.append(_release_mean(chart.mean(axis=1), len(cols), epsilon_mu, rng))
     return PreprocessedDataset(mu_dp=np.column_stack(means), projection=proj,

@@ -27,7 +27,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .mechanism import BudgetLedger, laplace_perturb, record_spends
-from .preprocessing import centered_chart, column_sq_norms, inverse_norms, preprocess
+from .preprocessing import (centered_chart, clip_to_unit_ball, column_sq_norms,
+                            inverse_norms, preprocess)
 from .projection import RonProjection, generate_ron, project
 
 PSD_TOL = 1e-10
@@ -117,14 +118,13 @@ def estimate_cov(X_tilde: np.ndarray) -> np.ndarray:
     return (S + S.T) / 2.0
 
 
-def estimate_aug_cov(X_tilde: np.ndarray, y: np.ndarray,
-                     label_bound: float | None = None) -> np.ndarray:
+def estimate_aug_cov(X_tilde: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Second-moment matrix of samples stacked with their labels.
 
     Block form: the top-left p x p block is estimate_cov(X_tilde), the
     last column/row holds (1/n) * X y, and the corner scalar is
-    (1/n) * yᵀy. Labels must already be clipped to [-label_bound,
-    label_bound] when a bound is supplied.
+    (1/n) * yᵀy. The augmented sensitivity holds only for labels in
+    [-a, a]; a release passes labels it has clipped to its bound a.
     """
     X_tilde = np.asarray(X_tilde, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -133,11 +133,6 @@ def estimate_aug_cov(X_tilde: np.ndarray, y: np.ndarray,
     p, n = X_tilde.shape
     if y.shape != (n,):
         raise ValueError(f"labels must have length {n}, got shape {y.shape}")
-    if label_bound is not None and np.any(np.abs(y) > label_bound):
-        worst = float(np.max(np.abs(y)))
-        raise ValueError(
-            f"labels exceed the bound {label_bound} (max |y| = {worst}); clip them first"
-        )
     out = np.empty((p + 1, p + 1), dtype=float)
     out[:p, :p] = estimate_cov(X_tilde)
     cross = (X_tilde @ y) / n
@@ -227,14 +222,15 @@ def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     generator per class. Records every class's spends in a new ledger,
     preprocesses and projects every class onto one basis (the mixture's
     given ``projection``, or a fresh one for one class), then per class
-    estimates the second moment (augmented with ``data.labels`` when a
-    label bound is given) and Laplace-perturbs it at the recorded
-    sensitivity. One class is zero-mean; a mixture class is centred on
-    its chart's DP mean mu_c, and mu_c mu_cᵀ is subtracted from its
-    noisy moment. The result is repaired to the PSD cone, and n_synth
-    samples (default: the class's count) are drawn. Each generator
-    draws its mean noise (one class: then the basis) in ``preprocess``,
-    then covariance noise, then samples.
+    estimates the second moment (augmented with ``data.labels`` clipped
+    to [-label_bound, label_bound] when a bound is given) and
+    Laplace-perturbs it at the recorded sensitivity. One class is
+    zero-mean; a mixture class is centred on its chart's DP mean mu_c,
+    and mu_c mu_cᵀ is subtracted from its noisy moment. The result is
+    repaired to the PSD cone, and n_synth samples (default: the class's
+    count) are drawn. Each generator draws its mean noise (one class:
+    then the basis) in ``preprocess``, then covariance noise, then
+    samples.
     Returns (preprocessed, ledger, [(model, samples, repaired) per class]).
     """
     X = data.features
@@ -243,6 +239,7 @@ def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     ledger = BudgetLedger()
     cov_spends = [record_spends(ledger, m, p, n_c, epsilon_mu, epsilon_sigma,
                                 label_bound, classes is not None)[1] for n_c in counts]
+    labels = None if label_bound is None else np.clip(data.labels, -label_bound, label_bound)
 
     def draw(rng):
         return projection if projection is not None else generate_ron(m, p, rng)
@@ -250,10 +247,7 @@ def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     pre = preprocess(X, data.sq_norms, epsilon_mu, rngs, draw, classes)
     fits = []
     for c, (x_tilde, spend, rng) in enumerate(zip(pre.x_tilde, cov_spends, rngs)):
-        if label_bound is None:
-            second = estimate_cov(x_tilde)
-        else:
-            second = estimate_aug_cov(x_tilde, data.labels, label_bound=label_bound)
+        second = estimate_cov(x_tilde) if labels is None else estimate_aug_cov(x_tilde, labels)
         noisy = dp_perturb_cov(second, spend.sensitivity, epsilon_sigma, rng)
         mean = np.zeros(noisy.shape[0]) if classes is None else pre.mu_dp[:, c]
         # both terms are exactly symmetric, and so is their difference
@@ -276,24 +270,26 @@ def synth_unsupervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
 
 
 def synth_supervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
-                     n_synth: int | None = None,
+                     label_bound: float, n_synth: int | None = None,
                      rng: np.random.Generator | None = None) -> SynthesisResult:
     """Release synthetic features plus a real-valued label column.
 
-    The label is appended to the projected features as an extra
-    coordinate (never projected itself, so its meaning survives), the
-    (p+1)-dim second-moment matrix is perturbed at the augmented
-    sensitivity, and joint samples are drawn from the zero-mean
-    Gaussian. The last coordinate of each sample becomes the synthetic
-    label. Labels come out as unconstrained reals; classification users
-    should prefer synth_gmm.
+    The labels are clipped to [-label_bound, label_bound], the interval
+    the augmented sensitivity (p + 1 + 2a√p + a²)/n holds for;
+    ``data.labels`` is left as read. The clipped label is appended to
+    the projected features as an extra coordinate (never projected
+    itself, so its meaning survives), the (p+1)-dim second-moment matrix
+    is perturbed at the augmented sensitivity, and joint samples are
+    drawn from the zero-mean Gaussian. The last coordinate of each
+    sample becomes the synthetic label. Labels come out as unconstrained
+    reals; classification users should prefer synth_gmm.
     """
     if data.labels is None:
         raise ValueError("supervised synthesis needs real-valued labels")
-    if data.label_bound is None:
-        raise ValueError("supervised synthesis needs a declared label bound")
+    if label_bound is None:
+        raise ValueError("supervised synthesis needs a label bound")
     return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng,
-                              label_bound=data.label_bound)
+                              label_bound=label_bound)
 
 
 def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -386,13 +382,14 @@ def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
     """Map held-out data into one mixture mode's chart.
 
     Mixture modes are fit in this chart: the projection Wᵀx/||x|| of
-    the normalized sample, without centering. A release also clips each
-    training sample to the unit ball, which moves none by more than
-    rounding, so a class's held-out expectation in this chart is what
-    the mode's DP mean estimates.
+    the normalized sample, without centering, clipped to norm at most 1.
+    It is computed by the same GEMM and arithmetic as in training, so
+    the training data maps onto its class's chart bit for bit, and a
+    class's held-out expectation in this chart is what the mode's DP
+    mean estimates.
     """
     X = np.asarray(X, dtype=float)
-    return project(mode.projection, X) * inverse_norms(column_sq_norms(X))
+    return clip_to_unit_ball(project(mode.projection, X) * inverse_norms(column_sq_norms(X)))
 
 
 def _check_sizes(p: int, m: int, n_synth: int | None) -> None:

@@ -234,8 +234,8 @@ def test_criterion_07_budget_accounting():
     unsup = synth_unsupervised(Dataset(features=X), 3, eps_mu, eps_sigma,
                                rng=np.random.default_rng(0))
     y = np.clip(rng.normal(size=300), -1, 1)
-    sup = synth_supervised(Dataset(features=X, labels=y, label_bound=1.0), 3,
-                           eps_mu, eps_sigma, rng=np.random.default_rng(0))
+    sup = synth_supervised(Dataset(features=X, labels=y), 3, eps_mu, eps_sigma, 1.0,
+                           rng=np.random.default_rng(0))
 
     totals = {"unsupervised": unsup.ledger.total(), "supervised": sup.ledger.total()}
     gmm_totals = {}
@@ -281,10 +281,10 @@ def regression_experiment():
         (x_tr, y_tr), (x_te, y_te) = _regression_data(seed)
         real = rmse(ols_predict(ols_fit(x_tr, y_tr), x_te), y_te)
         eps_mu, eps_sigma = split_budget(1.0)
-        data = Dataset(features=x_tr, labels=y_tr, label_bound=1.0)
+        data = Dataset(features=x_tr, labels=y_tr)
         row = {"real": real}
         for p in REG_DIMS:
-            res = synth_supervised(data, p, eps_mu, eps_sigma,
+            res = synth_supervised(data, p, eps_mu, eps_sigma, 1.0,
                                    rng=np.random.default_rng(1000 + seed * 7 + p))
             row[p] = ols_rmse(res, x_te, y_te)
         rows.append(row)

@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from ronsynth import dataset, preprocessing, synthesis
 from ronsynth.cli import default_dim, main
-from ronsynth.dataset import Dataset
+from ronsynth.dataset import Dataset, load_csv
+from ronsynth.evaluation import ols_rmse
 from ronsynth.mechanism import split_budget
 from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 
@@ -279,6 +281,62 @@ class TestSynthCommand:
         assert [row["p"] for row in report["sweep"]] == [1, 2, 3]
         assert report["best_p"] in (1, 2, 3)
 
+    def test_supervised_dim_sweep_scores_against_clipped_labels(self, labeled_csv, capsys):
+        assert main(["synth", labeled_csv, "--mode", "supervised", "--label-col", "y",
+                     "--label-bound", "1.0", "--dim-sweep", "2", "--seed", "1"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["sweep"]
+        data = load_csv(labeled_csv, label_column="y", label_kind="real")
+        result = synth_supervised(data, 2, *split_budget(1.0, 0.3), 1.0,
+                                  rng=np.random.default_rng(1))
+        truth = np.clip(data.labels, -1.0, 1.0)
+        assert not np.array_equal(truth, data.labels)
+        assert row["value"] == ols_rmse(result, data.features, truth)
+
+    @pytest.mark.parametrize("flag", ["--save-projection", "--reconstruct"])
+    def test_dim_sweep_rejects_release_artifact_flags(self, tmp_path, flag, capsys):
+        # a sweep writes no release, so an artifact flag is one the mode ignores
+        out = tmp_path / "rel"
+        # had the input been read first, a missing file would exit 2
+        assert main(["synth", str(tmp_path / "ghost.csv"), "--dim-sweep", "1,2", flag,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} does not apply to --dim-sweep" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels,count", [([-2.0, 0.5, 3.0], 2), ([0.2, -0.9, 0.0], 0),
+                                              ([1.0, -1.0, 0.5], 0)],
+                             ids=["outside", "inside", "boundary"])
+    def test_stderr_counts_clipped_labels(self, tmp_path, labels, count, capsys):
+        rng = np.random.default_rng(6)
+        table = np.column_stack([rng.normal(size=(30, 4)), np.resize(labels, 30)])
+        path = tmp_path / "in.csv"
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header="f1,f2,f3,f4,y",
+                   comments="")
+        assert main(["synth", str(path), "--mode", "supervised", "--label-col", "y",
+                     "--label-bound", "1", "--dim", "2", "--seed", "1",
+                     "--out", str(tmp_path / "rel")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        # each label repeats 10 times; a label on the bound is not clipped
+        assert [ln for ln in err if ln.startswith("clipped")] == \
+            ([f"clipped {10 * count} label(s) to [-1.0, 1.0]"] if count else [])
+
+    def test_supervised_run_takes_the_input_norms_once(self, labeled_csv, tmp_path,
+                                                       monkeypatch):
+        shapes = []
+
+        def spy(X):
+            shapes.append(np.shape(X))
+            return np.einsum("ij,ij->j", X, X)
+
+        for module in (dataset, preprocessing, synthesis):
+            monkeypatch.setattr(module, "column_sq_norms", spy)
+        assert main(["synth", labeled_csv, "--mode", "supervised", "--label-col", "y",
+                     "--label-bound", "1.0", "--dim", "2", "--seed", "3",
+                     "--out", str(tmp_path / "rel")]) == 0
+        # one Dataset of the input and one of the release
+        assert shapes == [(4, 150), (2, 150)]
+
     def test_unsupervised_label_column_is_left_out(self, classed_csv, tmp_path):
         out = str(tmp_path / "rel")
         code = main(["synth", classed_csv, "--label-col", "cls", "--dim", "2",
@@ -402,8 +460,8 @@ class TestBudgetCommand:
                                eps_sigma, rng=rng)
             argv += ["--class-sizes", ",".join(map(str, sizes))]
         elif mode == "supervised":
-            data = Dataset(features=X, labels=rng.uniform(-2, 2, n), label_bound=2.0)
-            result = synth_supervised(data, p, eps_mu, eps_sigma, rng=rng)
+            data = Dataset(features=X, labels=rng.uniform(-2, 2, n))
+            result = synth_supervised(data, p, eps_mu, eps_sigma, 2.0, rng=rng)
             argv += ["--n", str(n), "--label-bound", "2"]
         else:
             result = synth_unsupervised(Dataset(features=X), p, eps_mu, eps_sigma, rng=rng)

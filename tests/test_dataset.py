@@ -10,7 +10,6 @@ from ronsynth import dataset, preprocessing, synthesis
 from ronsynth.dataset import (
     DataError,
     Dataset,
-    clip_labels,
     load_csv,
     write_dataset_csv,
     write_matrix_csv,
@@ -205,9 +204,10 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             Dataset(features=np.eye(2), labels=np.array([1.0]))
 
-    def test_rejects_out_of_bound_labels(self):
-        with pytest.raises(DataError, match="bound"):
-            Dataset(features=np.eye(2), labels=np.array([0.5, 2.0]), label_bound=1.0)
+    def test_keeps_labels_as_read(self):
+        # a Dataset declares no bound: the supervised release clips its labels
+        data = Dataset(features=np.eye(2), labels=np.array([0.5, 2.0]))
+        assert np.array_equal(data.labels, [0.5, 2.0])
 
     def test_rejects_both_label_kinds(self):
         with pytest.raises(DataError):
@@ -305,34 +305,13 @@ class TestOnePassValidation:
             data = Dataset(features=X, class_labels=np.repeat(["a", "b"], 30))
             res = synthesis.synth_gmm(data, p, 1.0, 1.0, rng=rng)
         elif mode == "supervised":
-            data = Dataset(features=X, labels=rng.uniform(-1, 1, n), label_bound=1.0)
-            res = synthesis.synth_supervised(data, p, 1.0, 1.0, rng=rng)
+            data = Dataset(features=X, labels=rng.uniform(-2, 2, n))
+            res = synthesis.synth_supervised(data, p, 1.0, 1.0, 1.0, rng=rng)
         else:
             data = Dataset(features=X)
             res = synthesis.synth_unsupervised(data, p, 1.0, 1.0, rng=rng)
         # one call builds the input Dataset and one the released one
         assert shapes == [(m, n), res.dataset.features.shape]
-
-
-class TestClipLabels:
-    def test_clips_and_counts(self):
-        clipped, count = clip_labels(np.array([-2.0, 0.5, 3.0]), 1.0)
-        assert np.array_equal(clipped, [-1.0, 0.5, 1.0])
-        assert count == 2
-
-    def test_in_range_untouched(self):
-        clipped, count = clip_labels(np.array([0.2, -0.9]), 1.0)
-        assert np.array_equal(clipped, [0.2, -0.9])
-        assert count == 0
-
-    def test_boundary_is_inclusive(self):
-        clipped, count = clip_labels(np.array([1.0]), 1.0)
-        assert np.array_equal(clipped, [1.0])
-        assert count == 0
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            clip_labels(np.array([0.0]), 0.0)
 
 
 class TestWriteRelease:

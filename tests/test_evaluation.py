@@ -163,6 +163,17 @@ def test_import_does_not_load_scipy(module):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+# pipeline stages a release calls; the package exports the releases, not them
+PIPELINE_INTERNALS = ("preprocess", "project", "estimate_cov", "estimate_aug_cov",
+                      "dp_perturb_cov", "psd_repair", "sample_gaussian", "laplace_perturb")
+
+
+def test_public_api_exports_no_pipeline_internals():
+    assert all(hasattr(ronsynth, name) for name in ronsynth.__all__)
+    assert not set(PIPELINE_INTERNALS) & set(ronsynth.__all__)
+    assert not any(hasattr(ronsynth, name) for name in PIPELINE_INTERNALS)
+
+
 class TestKmeans:
     def blobs(self, seed=0, n=100):
         rng = np.random.default_rng(seed)

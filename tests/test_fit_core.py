@@ -42,6 +42,8 @@ from ronsynth.synthesis import (
 ONE_CLASS_MODES = ["unsupervised", "supervised"]
 # projected norms may exceed 1 by the rounding of the clip's own division
 NORM_SLACK = 4 * np.finfo(float).eps
+# the supervised releases' bound; make_data's labels reach past it
+LABEL_BOUND = 1.0
 
 
 def explicit_chart(X, mu, W):
@@ -62,7 +64,7 @@ def reference_fit(X, p, eps_mu, eps_sigma, rng, projection=None, labels=None,
     if label_bound is None:
         second, sens = estimate_cov(x_tilde), cov_sensitivity(p, n)
     else:
-        second = estimate_aug_cov(x_tilde, labels, label_bound)
+        second = estimate_aug_cov(x_tilde, np.clip(labels, -label_bound, label_bound))
         sens = aug_cov_sensitivity(p, n, label_bound)
     cov, _ = psd_repair(dp_perturb_cov(second, sens, eps_sigma, rng))
     return mu, proj, cov
@@ -91,7 +93,7 @@ def make_data(mode, m=12, n=300, seed=40, column_major=False):
     if mode == "gmm":
         return Dataset(features=X, class_labels=rng.choice(["b", "a", "c"], size=n))
     if mode == "supervised":
-        return Dataset(features=X, labels=rng.uniform(-1.0, 1.0, size=n), label_bound=1.0)
+        return Dataset(features=X, labels=rng.uniform(-1.5, 1.5, size=n))
     return Dataset(features=X)
 
 
@@ -99,7 +101,7 @@ def release(mode, data, p, eps_mu, eps_sigma, rng):
     if mode == "gmm":
         return synth_gmm(data, p, eps_mu, eps_sigma, rng=rng)
     if mode == "supervised":
-        return synth_supervised(data, p, eps_mu, eps_sigma, rng=rng)
+        return synth_supervised(data, p, eps_mu, eps_sigma, LABEL_BOUND, rng=rng)
     return synth_unsupervised(data, p, eps_mu, eps_sigma, rng=rng)
 
 
@@ -116,7 +118,7 @@ def test_release_matches_explicit_per_class_reference(mode, column_major, eps_mu
     rng = np.random.default_rng(seed)
     ledger = BudgetLedger()
     if mode != "gmm":
-        bound = data.label_bound
+        bound = LABEL_BOUND if mode == "supervised" else None
         record_spends(ledger, m, p, n, eps_mu, eps_sigma, bound)
         mu, proj, cov = reference_fit(data.features, p, eps_mu, eps_sigma, rng,
                                       labels=data.labels, label_bound=bound)
@@ -174,8 +176,7 @@ def test_sample_at_the_mean_projects_to_zero(mode, monkeypatch):
     mu = np.zeros(m)
     mu[4] = 1.0
     X[:, 10] = 2.0 * mu  # normalizes exactly onto mu
-    data = Dataset(features=X, labels=data.labels, label_bound=data.label_bound,
-                   class_labels=data.class_labels)
+    data = Dataset(features=X, labels=data.labels, class_labels=data.class_labels)
     pin_mean(monkeypatch, mu)
     seen = spy_preprocess(monkeypatch)
     release(mode, data, p, 1.0, math.inf, np.random.default_rng(44))
@@ -199,8 +200,7 @@ def test_samples_near_the_mean_project_inside_the_unit_ball(mode, monkeypatch):
     deltas = [1e-9, 1e-8, 3e-8, 1e-7, 1e-6, 2e-6, 1e-5, 1e-4]
     for j, delta in enumerate(deltas):
         X[:, j] = 3.0 * (mu + delta * rng.normal(size=m))
-    data = Dataset(features=X, labels=data.labels, label_bound=data.label_bound,
-                   class_labels=data.class_labels)
+    data = Dataset(features=X, labels=data.labels, class_labels=data.class_labels)
     pin_mean(monkeypatch, mu)
     seen = spy_preprocess(monkeypatch)
     res = release(mode, data, p, 1.0, math.inf, np.random.default_rng(47))

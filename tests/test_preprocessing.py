@@ -158,8 +158,8 @@ class TestPreprocess:
 
         monkeypatch.setattr(synthesis, "preprocess", spy)
         unsup = synth_unsupervised(Dataset(features=X), p, math.inf, 1.0, rng=rng)
-        sup = synth_supervised(Dataset(features=X, labels=rng.uniform(-a, a, size=n),
-                                       label_bound=a), p, math.inf, 1.0, rng=rng)
+        sup = synth_supervised(Dataset(features=X, labels=rng.uniform(-a, a, size=n)), p,
+                               math.inf, 1.0, a, rng=rng)
         gmm = synth_gmm(Dataset(features=X, class_labels=np.repeat(["a", "b"], [15, 25])),
                         p, math.inf, 1.0, rng=rng)
         assert [pre.zero_norm_rows_dropped for pre in seen] == [n, n, 0]

@@ -76,11 +76,6 @@ class TestEstimateAugCov:
         y = rng.uniform(-1, 1, size=55)
         assert np.array_equal(estimate_aug_cov(X, y)[:7, :7], estimate_cov(X))
 
-    def test_rejects_out_of_bound_labels(self):
-        X = np.zeros((2, 3))
-        with pytest.raises(ValueError, match="clip"):
-            estimate_aug_cov(X, np.array([0.0, 2.0, 0.0]), label_bound=1.0)
-
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             estimate_aug_cov(np.zeros((2, 3)), np.zeros(4))
@@ -280,10 +275,10 @@ class TestSupervisedPipeline:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(10, n))
         y = np.clip(rng.normal(scale=0.4, size=n), -1, 1)
-        return Dataset(features=X, labels=y, label_bound=1.0)
+        return Dataset(features=X, labels=y)
 
     def test_budget_total_and_label_column(self):
-        res = synth_supervised(self.make_labeled(), 4, 0.3, 0.7,
+        res = synth_supervised(self.make_labeled(), 4, 0.3, 0.7, 1.0,
                                rng=np.random.default_rng(1))
         assert res.ledger.total() == 1.0
         assert res.dataset.features.shape == (4, 500)
@@ -297,20 +292,39 @@ class TestSupervisedPipeline:
         # at infinite budget the label block of the model is exactly
         # y'y/n, so the synthetic label second moment converges to it
         data = self.make_labeled(n=800, seed=7)
-        res = synth_supervised(data, 4, math.inf, math.inf, n_synth=200_000,
+        res = synth_supervised(data, 4, math.inf, math.inf, 1.0, n_synth=200_000,
                                rng=np.random.default_rng(8))
         target = float(data.labels @ data.labels) / 800
         assert res.model.covariance[4, 4] == pytest.approx(target, rel=1e-12)
         synth_second_moment = float(np.mean(res.dataset.labels**2))
         assert synth_second_moment == pytest.approx(target, rel=0.05)
 
-    def test_requires_labels_and_bound(self):
+    def test_requires_labels_and_bound(self, monkeypatch):
         with pytest.raises(ValueError, match="label"):
-            synth_supervised(make_data(), 3, 0.3, 0.7, rng=np.random.default_rng(0))
-        unbounded = Dataset(features=np.random.default_rng(1).normal(size=(5, 20)),
-                            labels=np.zeros(20))
-        with pytest.raises(ValueError, match="bound"):
-            synth_supervised(unbounded, 3, 0.3, 0.7, rng=np.random.default_rng(0))
+            synth_supervised(make_data(), 3, 0.3, 0.7, 1.0, rng=np.random.default_rng(0))
+        # a bound that is not positive and finite fails before any pass over X
+        monkeypatch.setattr(synthesis, "preprocess", None)
+        labeled = Dataset(features=np.random.default_rng(1).normal(size=(5, 20)),
+                          labels=np.zeros(20))
+        for bound in (None, 0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="label bound"):
+                synth_supervised(labeled, 3, 0.3, 0.7, bound, rng=np.random.default_rng(0))
+
+    def test_release_clips_labels_to_its_bound(self):
+        # labels past the bound release as if clipped in advance, bit for
+        # bit, and the caller's Dataset keeps the labels it was given
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(10, 300))
+        y = rng.normal(scale=2.0, size=300)
+        raw = Dataset(features=X, labels=y)
+        clipped = Dataset(features=X, labels=np.clip(y, -1.5, 1.5))
+        assert not np.array_equal(raw.labels, clipped.labels)
+        a, b = (synth_supervised(data, 4, 0.3, 0.7, 1.5, rng=np.random.default_rng(13))
+                for data in (raw, clipped))
+        assert np.array_equal(a.dataset.features, b.dataset.features)
+        assert np.array_equal(a.dataset.labels, b.dataset.labels)
+        assert np.array_equal(a.model.covariance, b.model.covariance)
+        assert np.array_equal(raw.labels, y)
 
 
 class TestGmmPipeline:
@@ -438,8 +452,8 @@ def test_every_noise_draw_uses_its_ledger_entry(mode, monkeypatch):
         data = Dataset(features=X, class_labels=np.repeat(["a", "b", "c"], [50, 100, 150]))
         res = synth_gmm(data, p, 0.4, 0.9, rng=rng)
     elif mode == "supervised":
-        data = Dataset(features=X, labels=rng.uniform(-1.5, 1.5, n), label_bound=1.5)
-        res = synth_supervised(data, p, 0.4, 0.9, rng=rng)
+        data = Dataset(features=X, labels=rng.uniform(-1.5, 1.5, n))
+        res = synth_supervised(data, p, 0.4, 0.9, 1.5, rng=rng)
     else:
         res = synth_unsupervised(Dataset(features=X), p, 0.4, 0.9, rng=rng)
     assert len(scales) == (6 if mode == "gmm" else 2)
@@ -486,15 +500,21 @@ class TestEmpiricalSensitivity:
             assert gap <= bound
 
 
+def spy_preprocess(monkeypatch):
+    """Record every PreprocessedDataset a release builds."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(preprocessing.preprocess(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(synthesis, "preprocess", spy)
+    return seen
+
+
 class TestTransforms:
     def test_transform_features_matches_training_chart(self, monkeypatch):
-        seen = []
-
-        def spy(*args, **kwargs):
-            seen.append(preprocessing.preprocess(*args, **kwargs))
-            return seen[-1]
-
-        monkeypatch.setattr(synthesis, "preprocess", spy)
+        seen = spy_preprocess(monkeypatch)
         rng = np.random.default_rng(15)
         data = make_data(seed=15)
         res = synth_unsupervised(data, 4, 0.5, math.inf, rng=rng)
@@ -504,6 +524,24 @@ class TestTransforms:
         (pre,) = seen
         assert np.array_equal(feats, pre.x_tilde[0])
         assert np.allclose(estimate_cov(feats), res.model.covariance)
+
+    def test_mode_transform_matches_training_chart(self, monkeypatch):
+        # columns in span(W) project to norm 1, which rounding moves either
+        # way; the release clips its training charts to the unit ball, and
+        # the held-out transform must too to map them back bit for bit
+        m, p, n, seed = 10, 3, 400, 18
+        W = generate_ron(m, p, np.random.default_rng(seed)).W  # the release's basis
+        rng = np.random.default_rng(19)
+        X = W @ rng.normal(size=(p, n))
+        assert np.any(np.linalg.norm(W.T @ (X / np.linalg.norm(X, axis=0)), axis=0) > 1.0)
+        data = Dataset(features=X, class_labels=rng.choice(["a", "b"], size=n))
+        seen = spy_preprocess(monkeypatch)
+        res = synth_gmm(data, p, 0.5, math.inf, rng=np.random.default_rng(seed))
+        assert np.array_equal(res.projection.W, W)
+        (pre,) = seen
+        for c, mode in enumerate(res.model.modes):
+            chart = mode_transform(mode, data.features)[:, data.class_labels == mode.label]
+            assert np.array_equal(chart, pre.x_tilde[c])
 
     def test_transform_features_rejects_a_wrong_row_count(self):
         rng = np.random.default_rng(17)
