@@ -299,14 +299,20 @@ class TestSupervisedPipeline:
         synth_second_moment = float(np.mean(res.dataset.labels**2))
         assert synth_second_moment == pytest.approx(target, rel=0.05)
 
-    def test_requires_labels_and_bound(self, monkeypatch):
+    def test_requires_labels_and_bound(self):
         with pytest.raises(ValueError, match="label"):
             synth_supervised(make_data(), 3, 0.3, 0.7, 1.0, rng=np.random.default_rng(0))
+        unbounded = Dataset(features=np.random.default_rng(1).normal(size=(5, 20)),
+                            labels=np.zeros(20))
+        with pytest.raises(ValueError, match="label bound"):
+            synth_supervised(unbounded, 3, 0.3, 0.7, None, rng=np.random.default_rng(0))
+
+    def test_rejects_nonpositive_bound(self, monkeypatch):
         # a bound that is not positive and finite fails before any pass over X
         monkeypatch.setattr(synthesis, "preprocess", None)
         labeled = Dataset(features=np.random.default_rng(1).normal(size=(5, 20)),
                           labels=np.zeros(20))
-        for bound in (None, 0.0, -1.0, math.nan, math.inf):
+        for bound in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="label bound"):
                 synth_supervised(labeled, 3, 0.3, 0.7, bound, rng=np.random.default_rng(0))
 
