@@ -316,9 +316,10 @@ def _dim_sweep(args, data: Dataset, truth: np.ndarray | None, dims: list[int],
 def _sweep_metric(args, data: Dataset, truth: np.ndarray | None,
                   result: SynthesisResult) -> dict:
     if args.mode == "supervised":
-        return {"metric": "rmse", "value": ols_rmse(result, data.features, truth)}
+        return {"metric": "rmse",
+                "value": ols_rmse(result, data.features, truth, data.sq_norms)}
     if args.mode == "gmm":
-        acc = nearest_mean_accuracy(result, data.features, data.class_labels)
+        acc = nearest_mean_accuracy(result, data.features, data.class_labels, data.sq_norms)
         return {"metric": "accuracy", "value": acc}
     # unsupervised: cluster the release and score the clustering
     best_k, sweep, _ = silhouette_sweep(result.dataset.features, range(2, 7),

@@ -4,21 +4,36 @@ Files are conventional tabular CSVs: one row per sample, first row a
 header. Numbers use the plain float syntax, in ASCII and without
 digit-group underscores. Every line is data: a line starting with "#" is
 not a comment, and a blank line is an error unless only blank lines
-follow it. Internally, all math in this package runs on the transposed
-layout where samples are *columns* of an m x n matrix, so the covariance
-and sensitivity formulas read exactly as derived. This module owns that
+follow it. A UTF-8 byte-order mark before the header is dropped.
+Internally, all math in this package runs on the transposed layout where
+samples are *columns* of an m x n matrix, so the covariance and
+sensitivity formulas read exactly as derived. This module owns that
 transpose; nothing outside it should ever flip orientation.
+
+Parsing and formatting CSV text is most of a release's time, so large
+files use two processes. A file of more than SPLIT_BYTES bytes is
+parsed in two byte ranges, split at a line end, the second in a forked
+child that hands its table back through a pipe; a table of more than
+SPLIT_CELLS cells is written in two halves, the second formatted by a
+child into a temporary file beside the output and appended to it. The
+loaded Dataset, every DataError message and the written bytes are those
+of one process: a two-process parse whose counts do not add up, or whose
+child fails, is redone whole in one process, and a failed child's half
+is formatted by the parent. Where there is no os.fork, or no "\n" ends a
+line in the second half of the file (lines that end in "\r" alone), one
+process does all of it.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -123,33 +138,36 @@ def load_csv(path: str, label_column: str | None = None,
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
+    with open(path, "rb") as raw:
+        bom = raw.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        head: list[str] = []
+        lines = (head.append(line) or line for line in fh)
+        header = [h.strip() for h in next(csv.reader(lines), [])]
         first = next(fh, "")
-        has_label = label_column is not None
-        if ((has_label and label_column not in header) or len(header) == has_label
-                or first in _BLANK_LINES):
-            _raise_first_error(path, label_column, label_kind,
-                               "a header fault, or no data row before the first blank line")
-        label_idx = header.index(label_column) if has_label else None
+    # the data start past the header's bytes, which its lines re-encode to
+    # exactly (tell() is no byte offset after a line that ends in "\r")
+    start = len(codecs.BOM_UTF8) * bom + len("".join(head).encode("utf-8"))
+    has_label = label_column is not None
+    if ((has_label and label_column not in header) or len(header) == has_label
+            or first in _BLANK_LINES):
+        _raise_first_error(path, label_column, label_kind,
+                           "a header fault, or no data row before the first blank line")
+    label_idx = header.index(label_column) if has_label else None
+    codes_col = label_idx if label_kind == "categorical" else None
 
-        codes: dict[str, int] = {}
-        converters = None
-        if label_kind == "categorical":
-            converters = {label_idx: lambda cell: codes.setdefault(cell.strip(), len(codes))}
-        counted = _CountedLines(itertools.chain([first], fh))
+    table = None
+    split = _split_point(path, start)
+    if split is not None:
         try:
-            # loadtxt skips blank lines, so its row count is checked
-            # against the number of lines up to the last non-blank one.
-            # An explicit encoding hands converters str: numpy 1.x
-            # defaults to "bytes" and would pass them latin-1 bytes.
-            table = np.loadtxt(counted, delimiter=",", ndmin=2, comments=None,
-                               quotechar='"', converters=converters, encoding="utf-8")
+            table, names = _parse(path, [start, split], len(header), codes_col)
+        except (ValueError, OSError):
+            pass  # the one-process parse below gives this file's one answer
+    if table is None:
+        try:
+            table, names = _parse(path, [start], len(header), codes_col)
         except ValueError as err:
             _raise_first_error(path, label_column, label_kind, str(err))
-        if table.shape != (counted.rows, len(header)):
-            _raise_first_error(path, label_column, label_kind,
-                               "a quoted cell spans more than one line")
 
     labels = None
     class_labels = None
@@ -158,7 +176,7 @@ def load_csv(path: str, label_column: str | None = None,
         if label_kind == "real":
             labels = table[:, label_idx].copy()
         else:
-            class_labels = np.array(list(codes))[table[:, label_idx].astype(np.intp)]
+            class_labels = np.array(names)[table[:, label_idx].astype(np.intp)]
         table = table[:, feature_idx]
 
     return Dataset(
@@ -172,23 +190,130 @@ def load_csv(path: str, label_column: str | None = None,
     )
 
 
+# Files of more bytes are parsed, and tables of more cells formatted, in
+# two processes. Below them the fork and the hand-over cost more than the
+# second core saves: on a 2-core x86-64 VM, one and two processes broke
+# even near 0.8 MB of CSV and 16k cells.
+SPLIT_BYTES = 1 << 20
+SPLIT_CELLS = 1 << 15
+
 _BLANK_LINES = ("", "\n", "\r\n", "\r")
 
 
+def _split_point(path: str, start: int) -> int | None:
+    """Where the data lines from byte start on split between two processes.
+
+    That is just past the first "\n" from their middle byte on. None,
+    for one process, when there is no os.fork, the file has at most
+    SPLIT_BYTES bytes or no "\n" ends a line before its last byte.
+    """
+    size = os.path.getsize(path)
+    if not hasattr(os, "fork") or size <= SPLIT_BYTES:
+        return None
+    with open(path, "rb") as fh:
+        fh.seek((start + size) // 2)
+        while chunk := fh.read(1 << 16):
+            end = chunk.find(b"\n")
+            if end >= 0:
+                split = fh.tell() - len(chunk) + end + 1
+                return split if split < size else None
+    return None
+
+
+class _Range(NamedTuple):
+    """The table np.loadtxt parsed from a byte range, and the range's lines."""
+
+    table: np.ndarray
+    lines: int
+    trailing_blank: int
+    last: str  # the last non-blank line
+    names: list[str]  # class names in the order of their codes
+
+
+def _parse(path: str, starts: list[int], ncols: int,
+           codes_col: int | None) -> tuple[np.ndarray, list[str]]:
+    """Parse the data lines from starts[0] on into one C-ordered table.
+
+    Range i runs from starts[i] to starts[i + 1], the last one to the
+    end of the file; with two, ``forked.parse_two`` parses them. Column
+    codes_col, if set, holds categorical names, which the table codes in
+    the order they first appear. Returns the table and those names.
+    Raises ValueError with np.loadtxt's message, when the ranges' counts
+    do not add up to one table of ncols columns, or when the child fails.
+    """
+    if len(starts) == 1:
+        ranges = [_parse_range(_open_at(path, starts[0]), codes_col)]
+    else:
+        from .forked import parse_two  # loaded for files above SPLIT_BYTES only
+        ranges = parse_two(path, *starts, codes_col)
+
+    # loadtxt skips blank lines, so its rows must number the lines up to
+    # the last non-blank one
+    trailing = 0
+    for part in reversed(ranges):
+        trailing += part.trailing_blank
+        if part.trailing_blank < part.lines:
+            break
+    rows = sum(part.lines for part in ranges) - trailing
+    if (sum(len(part.table) for part in ranges) != rows
+            or any(part.table.shape[1] != ncols for part in ranges if len(part.table))):
+        raise ValueError("a quoted cell spans more than one line")
+
+    tables = [part.table for part in ranges if len(part.table)]
+    names = list(ranges[0].names)
+    if len(tables) > 1 and codes_col is not None:
+        # re-key the child's codes to the order of first appearance in the file
+        index = {name: code for code, name in enumerate(names)}
+        recode = np.array([index.setdefault(name, len(index)) for name in ranges[1].names])
+        tables[1][:, codes_col] = recode[tables[1][:, codes_col].astype(np.intp)]
+        names = list(index)
+    return (tables[0] if len(tables) == 1 else np.concatenate(tables)), names
+
+
+def _parse_range(raw, codes_col: int | None) -> _Range:
+    """np.loadtxt of the lines of a binary stream, from where it stands to its end."""
+    codes: dict[str, int] = {}
+    converters = None
+    if codes_col is not None:
+        converters = {codes_col: lambda cell: codes.setdefault(cell.strip(), len(codes))}
+    # newline="" splits lines as the header's reader did, keeping their ends
+    with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
+        lines = _CountedLines(text)
+        # An explicit encoding hands converters str: numpy 1.x defaults
+        # to "bytes" and would pass them latin-1 bytes.
+        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
+                           quotechar='"', converters=converters, encoding="utf-8")
+    return _Range(table, lines.lines, lines.trailing_blank, lines.last, list(codes))
+
+
+def _open_at(path: str, start: int):
+    """path opened for binary reading at byte start."""
+    raw = open(path, "rb")
+    raw.seek(start)
+    return raw
+
+
 class _CountedLines:
-    """Iterate over lines, counting those up to the last non-blank one."""
+    """Iterate over lines, counting them and the blank ones at the end, and
+    keeping the last non-blank one."""
 
     def __init__(self, lines):
         self._lines = lines
-        self.rows = 0
+        self.lines = self.trailing_blank = 0
+        self.last = ""
 
     def __iter__(self):
         total = trailing_blank = 0
+        last = ""
         for line in self._lines:
             total += 1
-            trailing_blank = trailing_blank + 1 if line in _BLANK_LINES else 0
+            if line in _BLANK_LINES:
+                trailing_blank += 1
+            else:
+                trailing_blank = 0
+                last = line
             yield line
-        self.rows = total - trailing_blank
+        self.lines, self.trailing_blank, self.last = total, trailing_blank, last
 
 
 def _raise_first_error(path: str, label_column: str | None, label_kind: str | None,
@@ -199,7 +324,7 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
     messages name the row (counted in records, the header being row 1)
     and the column. It never returns data.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -325,24 +450,43 @@ def write_matrix_csv(matrix: np.ndarray, path: str) -> str:
 def _write_table(path: str, header: list[str], table: np.ndarray,
                  last: np.ndarray | None = None) -> str:
     """Write header and rows; ``last`` is an optional trailing column of
-    real labels or of already quoted class cells (an object array)."""
+    real labels or of already quoted class cells (an object array).
+
+    A table of more than SPLIT_CELLS cells is formatted in two halves,
+    the second by a forked child (``forked.write_halves``). If writing
+    fails, no file is left at path.
+    """
     # 17 significant digits round-trip any IEEE double exactly; rows end
     # in CRLF like csv.writer's, which writes the (quoted) header
     cells = ["%.17g"] * table.shape[1]
     if last is not None:
         cells.append("%s" if last.dtype == object else "%.17g")
     row = ",".join(cells) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        # one % per block of rows; tolist hands it Python floats, which
-        # format faster than numpy scalars
-        for start in range(0, table.shape[0], WRITE_BLOCK):
-            rows = table[start:start + WRITE_BLOCK].tolist()
-            if last is not None:
-                for values, cell in zip(rows, last[start:start + WRITE_BLOCK].tolist()):
-                    values.append(cell)
-            fh.write(row * len(rows) % tuple(itertools.chain.from_iterable(rows)))
+    fh = open(path, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            csv.writer(fh).writerow(header)
+            if hasattr(os, "fork") and table.size > SPLIT_CELLS:
+                from .forked import write_halves  # loaded for large tables only
+                write_halves(fh, path, row, table, last)
+            else:
+                _format_rows(fh, row, table, last)
+    except BaseException:
+        os.remove(path)
+        raise
     return path
+
+
+def _format_rows(fh, row: str, table: np.ndarray, last: np.ndarray | None) -> None:
+    """Write one ``row`` per row of table, with last's cell appended when given."""
+    # one % per block of rows; tolist hands it Python floats, which
+    # format faster than numpy scalars
+    for start in range(0, table.shape[0], WRITE_BLOCK):
+        rows = table[start:start + WRITE_BLOCK].tolist()
+        if last is not None:
+            for values, cell in zip(rows, last[start:start + WRITE_BLOCK].tolist()):
+                values.append(cell)
+        fh.write(row * len(rows) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _csv_field(text: str) -> str:

@@ -184,25 +184,30 @@ def ols_predict(coef: np.ndarray, features: np.ndarray) -> np.ndarray:
     return design @ coef
 
 
-def ols_rmse(result: SynthesisResult, features: np.ndarray, labels: np.ndarray) -> float:
+def ols_rmse(result: SynthesisResult, features: np.ndarray, labels: np.ndarray,
+             sq_norms: np.ndarray | None = None) -> float:
     """RMSE on real data of least squares trained on a supervised release.
 
     The real features (columns) are mapped into the release's chart by
-    ``transform_features`` before prediction.
+    ``transform_features`` before prediction; sq_norms, when given, are
+    their squared column norms, as a Dataset holds them.
     """
     release = result.dataset
     coef = ols_fit(release.features, release.labels)
-    feats = transform_features(result.mu_dp, result.projection, features)
+    feats = transform_features(result.mu_dp, result.projection, features, sq_norms)
     return rmse(ols_predict(coef, feats), labels)
 
 
 def nearest_mean_accuracy(result: SynthesisResult, features: np.ndarray,
-                          labels: np.ndarray) -> float:
-    """Accuracy on the real data of nearest release class mean, in the release's chart."""
+                          labels: np.ndarray, sq_norms: np.ndarray | None = None) -> float:
+    """Accuracy on the real data of nearest release class mean, in the release's chart.
+
+    sq_norms is as in ``ols_rmse``.
+    """
     release = result.dataset
     modes = result.model.modes
     # every mode holds the release's one basis, so one chart serves them all
-    chart = mode_transform(modes[0], features)
+    chart = mode_transform(modes[0], features, sq_norms)
     dists = []
     for mode in modes:
         mean = release.features[:, release.class_labels == mode.label].mean(axis=1)

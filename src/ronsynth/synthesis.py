@@ -357,7 +357,7 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
 
 
 def transform_features(mu_dp: np.ndarray, proj: RonProjection,
-                       X: np.ndarray) -> np.ndarray:
+                       X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
     """Map held-out data into the space synthetic features live in.
 
     Applies the released mean's normalize/center/re-normalize transform
@@ -367,7 +367,9 @@ def transform_features(mu_dp: np.ndarray, proj: RonProjection,
     release's own chart bit for bit. Every column is clipped to norm at
     most 1. Both inputs are DP-safe, so this spends nothing. Returns one
     projected column per input column; a sample that collapses onto the
-    mean projects to zero, as in training.
+    mean projects to zero, as in training. sq_norms, when given, holds
+    X's squared column norms (a Dataset's ``sq_norms``), which are then
+    not taken again.
     """
     mu_dp = np.asarray(mu_dp, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -375,10 +377,11 @@ def transform_features(mu_dp: np.ndarray, proj: RonProjection,
         raise ValueError(f"mean has shape {mu_dp.shape}, expected ({proj.m},)")
     if X.ndim != 2 or X.shape[0] != proj.m:
         raise ValueError(f"expected a matrix with {proj.m} rows, got shape {X.shape}")
-    return centered_chart(X, inverse_norms(column_sq_norms(X)), mu_dp, proj)[0]
+    return centered_chart(X, inverse_norms(_sq_norms(X, sq_norms)), mu_dp, proj)[0]
 
 
-def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
+def mode_transform(mode: GmmMode, X: np.ndarray,
+                   sq_norms: np.ndarray | None = None) -> np.ndarray:
     """Map held-out data into one mixture mode's chart.
 
     Mixture modes are fit in this chart: the projection Wᵀx/||x|| of
@@ -386,10 +389,21 @@ def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
     It is computed by the same GEMM and arithmetic as in training, so
     the training data maps onto its class's chart bit for bit, and a
     class's held-out expectation in this chart is what the mode's DP
-    mean estimates.
+    mean estimates. sq_norms is as in ``transform_features``.
     """
     X = np.asarray(X, dtype=float)
-    return clip_to_unit_ball(project(mode.projection, X) * inverse_norms(column_sq_norms(X)))
+    scale = inverse_norms(_sq_norms(X, sq_norms))
+    return clip_to_unit_ball(project(mode.projection, X) * scale)
+
+
+def _sq_norms(X: np.ndarray, sq_norms: np.ndarray | None) -> np.ndarray:
+    """sq_norms, X's squared column norms, or column_sq_norms(X) when None."""
+    if sq_norms is None:
+        return column_sq_norms(X)
+    if np.shape(sq_norms) != X.shape[1:]:
+        raise ValueError(f"expected {X.shape[1]} squared norms, got shape "
+                         f"{np.shape(sq_norms)}")
+    return sq_norms
 
 
 def _check_sizes(p: int, m: int, n_synth: int | None) -> None:

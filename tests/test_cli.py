@@ -10,7 +10,7 @@ import pytest
 from ronsynth import dataset, preprocessing, synthesis
 from ronsynth.cli import default_dim, main
 from ronsynth.dataset import Dataset, load_csv
-from ronsynth.evaluation import ols_rmse
+from ronsynth.evaluation import nearest_mean_accuracy, ols_rmse
 from ronsynth.mechanism import split_budget
 from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 
@@ -336,6 +336,47 @@ class TestSynthCommand:
                      "--out", str(tmp_path / "rel")]) == 0
         # one Dataset of the input and one of the release
         assert shapes == [(4, 150), (2, 150)]
+
+    def test_gmm_dim_sweep_takes_the_input_norms_once(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(7)
+        rows = "".join(",".join(f"{v:.17g}" for v in x) + f",c{i % 3}\n"
+                       for i, x in enumerate(rng.normal(size=(400, 12))))
+        path = tmp_path / "in.csv"
+        path.write_text(",".join(f"f{j}" for j in range(12)) + ",cls\n" + rows)
+        shapes = []
+
+        def spy(X):
+            shapes.append(np.shape(X))
+            return np.einsum("ij,ij->j", X, X)
+
+        for module in (dataset, preprocessing, synthesis):
+            monkeypatch.setattr(module, "column_sq_norms", spy)
+        assert main(["synth", str(path), "--mode", "gmm", "--label-col", "cls",
+                     "--dim-sweep", "1,2,4", "--seed", "1"]) == 0
+        # the Dataset's; each swept release's own Dataset takes (p, 400)
+        assert shapes == [(12, 400), (1, 400), (2, 400), (4, 400)]
+        monkeypatch.undo()
+        report = json.loads(capsys.readouterr().out)
+        data = load_csv(str(path), label_column="cls", label_kind="categorical")
+        for row in report["sweep"]:
+            result = synth_gmm(data, row["p"], *split_budget(1.0, 0.3),
+                               rng=np.random.default_rng(1))
+            # the scorer that takes the norms itself gives the same value
+            assert row["value"] == nearest_mean_accuracy(result, data.features,
+                                                         data.class_labels)
+
+    def test_label_col_on_a_first_column_after_a_byte_order_mark(self, tmp_path):
+        rng = np.random.default_rng(2)
+        rows = "".join(",".join(f"{v:.17g}" for v in x) + "\n"
+                       for x in rng.normal(size=(40, 4)))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeffy,f1,f2,f3\n" + rows).encode("utf-8"))
+        out = str(tmp_path / "rel")
+        assert main(["synth", str(path), "--mode", "supervised", "--label-col", "y",
+                     "--label-bound", "1", "--dim", "2", "--seed", "1", "--reconstruct",
+                     "--out", out]) == 0
+        with open(os.path.join(out, "reconstructed.csv"), "rb") as fh:
+            assert fh.readline() == b"f1,f2,f3,label\r\n"
 
     def test_unsupervised_label_column_is_left_out(self, classed_csv, tmp_path):
         out = str(tmp_path / "rel")

@@ -119,6 +119,17 @@ class TestLoadCsvEdgeCases:
             load_csv(path, label_column=column, label_kind=kind)
         assert str(err.value) == f"{path}: {message}"
 
+    def test_header_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffa,b\n1,2\n3,4\n".encode("utf-8"))
+        assert load_csv(str(path)).feature_names == ("a", "b")
+        data = load_csv(str(path), label_column="a", label_kind="real")
+        assert data.feature_names == ("b",) and data.labels.tolist() == [1.0, 3.0]
+        path.write_bytes("\ufeffa,b\n1,2\nx,4\n".encode("utf-8"))
+        with pytest.raises(DataError) as err:
+            load_csv(str(path))
+        assert str(err.value) == f"{path}: non-numeric value 'x' at row 3, column 'a'"
+
     def test_trailing_blank_crlf_lines_tolerated(self, tmp_path):
         path = _write(tmp_path, "f1,f2\r\n1,2\r\n3,4\r\n\r\n\r\n")
         assert np.array_equal(load_csv(path).features, [[1.0, 3.0], [2.0, 4.0]])

@@ -530,6 +530,9 @@ class TestTransforms:
         (pre,) = seen
         assert np.array_equal(feats, pre.x_tilde[0])
         assert np.allclose(estimate_cov(feats), res.model.covariance)
+        # so it is with the norms the Dataset already holds
+        assert np.array_equal(feats, transform_features(res.mu_dp, res.projection,
+                                                        data.features, data.sq_norms))
 
     def test_mode_transform_matches_training_chart(self, monkeypatch):
         # columns in span(W) project to norm 1, which rounding moves either
@@ -546,14 +549,28 @@ class TestTransforms:
         assert np.array_equal(res.projection.W, W)
         (pre,) = seen
         for c, mode in enumerate(res.model.modes):
-            chart = mode_transform(mode, data.features)[:, data.class_labels == mode.label]
-            assert np.array_equal(chart, pre.x_tilde[c])
+            for sq_norms in (None, data.sq_norms):
+                chart = mode_transform(mode, data.features, sq_norms)
+                assert np.array_equal(chart[:, data.class_labels == mode.label],
+                                      pre.x_tilde[c])
 
     def test_transform_features_rejects_a_wrong_row_count(self):
         rng = np.random.default_rng(17)
         proj = generate_ron(6, 2, rng)
         with pytest.raises(ValueError, match="expected a matrix with 6 rows"):
             transform_features(np.zeros(6), proj, rng.normal(size=(5, 10)))
+
+    def test_transforms_reject_norms_of_another_sample_count(self):
+        rng = np.random.default_rng(17)
+        data = make_data(seed=17)
+        res = synth_unsupervised(data, 2, 1.0, 1.0, rng=rng)
+        with pytest.raises(ValueError, match=f"expected {data.n_samples} squared norms"):
+            transform_features(res.mu_dp, res.projection, data.features, data.sq_norms[1:])
+        gmm = synth_gmm(Dataset(features=data.features,
+                                class_labels=np.resize(["a", "b"], data.n_samples)),
+                        2, 1.0, 1.0, rng=rng)
+        with pytest.raises(ValueError, match=f"expected {data.n_samples} squared norms"):
+            mode_transform(gmm.model.modes[0], data.features, data.sq_norms[:1])
 
     def test_mode_transform_centers_on_mode_mean(self):
         rng = np.random.default_rng(16)
