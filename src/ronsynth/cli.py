@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--k-sweep", default=None, metavar="LO:HI",
                     help="silhouette: try every k in [LO, HI] (one k: K:K) and "
                          "report the best")
-    ev.add_argument("--orig-dim", type=int, default=None,
+    ev.add_argument("--orig-dim", type=_positive_int, default=None,
                     help="original dimension m (adds the expected marginal scale)")
     ev.add_argument("--seed", type=_seed, default=0)
 
@@ -316,10 +316,9 @@ def _dim_sweep(args, data: Dataset, truth: np.ndarray | None, dims: list[int],
 def _sweep_metric(args, data: Dataset, truth: np.ndarray | None,
                   result: SynthesisResult) -> dict:
     if args.mode == "supervised":
-        return {"metric": "rmse",
-                "value": ols_rmse(result, data.features, truth, data.sq_norms)}
+        return {"metric": "rmse", "value": ols_rmse(result, data, truth)}
     if args.mode == "gmm":
-        acc = nearest_mean_accuracy(result, data.features, data.class_labels, data.sq_norms)
+        acc = nearest_mean_accuracy(result, data, data.class_labels)
         return {"metric": "accuracy", "value": acc}
     # unsupervised: cluster the release and score the clustering
     best_k, sweep, _ = silhouette_sweep(result.dataset.features, range(2, 7),

@@ -322,24 +322,27 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
 
     load_csv calls this once its vectorized parse has failed, so the
     messages name the row (counted in records, the header being row 1)
-    and the column. It never returns data.
+    and the column. The records are streamed, never held: one pass finds
+    the blank ones and the row count, and after the header checks a
+    second pass checks the cells. It never returns data.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
-        header = [h.strip() for h in header]
-        rows = list(reader)
-
-    # trailing blank lines are tolerated; an interior one hides a record
-    # and is an error, never a silent drop
-    while rows and not rows[-1]:
-        rows.pop()
-    for i, row in enumerate(rows):
-        if not row:
-            raise DataError(f"{path}: blank line at row {i + 2}")
+        # trailing blank lines are tolerated; an interior one hides a record
+        # and is an error, never a silent drop
+        rows = 0  # records up to the last non-blank one
+        blank = None  # the first blank record that a non-blank one follows
+        for i, row in enumerate(reader):
+            if row:
+                if blank is None and i > rows:
+                    blank = rows
+                rows = i + 1
+    if blank is not None:
+        raise DataError(f"{path}: blank line at row {blank + 2}")
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -353,24 +356,29 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
     if len(header) == (label_idx is not None):
         raise DataError(f"{path}: no feature columns left after removing the label")
 
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}"
-            )
-        for j, cell in enumerate(row):
-            if j != label_idx and not _is_float(cell.strip()):
+    # every feature cell is checked before any label
+    bad_label = None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for i, row in enumerate(itertools.islice(reader, rows)):
+            if len(row) != len(header):
                 raise DataError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {i + 2}, "
-                    f"column {header[j]!r}"
+                    f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}"
                 )
-    if label_kind == "real":
-        for row in rows:
-            if not _is_float(row[label_idx].strip()):
-                raise DataError(
-                    f"{path}: non-numeric label value {row[label_idx].strip()!r} "
-                    f"in column {label_column!r}"
-                )
+            for j, cell in enumerate(row):
+                if j != label_idx and not _is_float(cell.strip()):
+                    raise DataError(
+                        f"{path}: non-numeric value {cell.strip()!r} at row {i + 2}, "
+                        f"column {header[j]!r}"
+                    )
+            if (label_kind == "real" and bad_label is None
+                    and not _is_float(row[label_idx].strip())):
+                bad_label = row[label_idx].strip()
+    if bad_label is not None:
+        raise DataError(
+            f"{path}: non-numeric label value {bad_label!r} in column {label_column!r}"
+        )
     raise DataError(f"{path}: cannot read as a numeric table: {cause}")
 
 

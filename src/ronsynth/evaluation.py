@@ -5,7 +5,8 @@ are columns. The paper judges a release by three downstream tasks, and
 each release mode has one scorer here: ``silhouette_sweep`` clusters an
 unsupervised release, ``ols_rmse`` trains least squares on a supervised
 release and ``nearest_mean_accuracy`` classifies with a gmm release's
-class means, both scored on real data. The normality diagnostic
+class means, both scored on a real ``Dataset`` mapped into the release's
+chart by ``synthesis.transform_features``. The normality diagnostic
 quantifies how Gaussian each projected coordinate looks, which is the
 property the low-dimensional projection is supposed to buy.
 
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .synthesis import SynthesisResult, mode_transform, transform_features
+from .dataset import Dataset
+from .synthesis import SynthesisResult, transform_features
 
 # cells of the distance accumulator filled per block: 512 KiB of
 # float64, small enough to stay in cache across the coordinate loop
@@ -184,30 +186,27 @@ def ols_predict(coef: np.ndarray, features: np.ndarray) -> np.ndarray:
     return design @ coef
 
 
-def ols_rmse(result: SynthesisResult, features: np.ndarray, labels: np.ndarray,
-             sq_norms: np.ndarray | None = None) -> float:
-    """RMSE on real data of least squares trained on a supervised release.
+def ols_rmse(result: SynthesisResult, data: Dataset, labels: np.ndarray) -> float:
+    """RMSE against labels of least squares trained on a supervised release.
 
-    The real features (columns) are mapped into the release's chart by
-    ``transform_features`` before prediction; sq_norms, when given, are
-    their squared column norms, as a Dataset holds them.
+    The real data is mapped into the release's chart by
+    ``transform_features`` before prediction.
     """
     release = result.dataset
     coef = ols_fit(release.features, release.labels)
-    feats = transform_features(result.mu_dp, result.projection, features, sq_norms)
-    return rmse(ols_predict(coef, feats), labels)
+    return rmse(ols_predict(coef, transform_features(result, data)), labels)
 
 
-def nearest_mean_accuracy(result: SynthesisResult, features: np.ndarray,
-                          labels: np.ndarray, sq_norms: np.ndarray | None = None) -> float:
-    """Accuracy on the real data of nearest release class mean, in the release's chart.
+def nearest_mean_accuracy(result: SynthesisResult, data: Dataset,
+                          labels: np.ndarray) -> float:
+    """Accuracy against labels of the nearest release class mean.
 
-    sq_norms is as in ``ols_rmse``.
+    The real data is mapped into the release's chart, which every mode
+    shares, by ``transform_features``.
     """
     release = result.dataset
     modes = result.model.modes
-    # every mode holds the release's one basis, so one chart serves them all
-    chart = mode_transform(modes[0], features, sq_norms)
+    chart = transform_features(result, data)
     dists = []
     for mode in modes:
         mean = release.features[:, release.class_labels == mode.label].mean(axis=1)
@@ -236,9 +235,11 @@ def normality_diagnostic(X_tilde: np.ndarray, orig_dim: int | None = None) -> No
     standardized; they are flagged and assigned the KS distance 0.5 of
     a point mass at the normal's median. When the original dimension m
     is supplied, the report includes 1/sqrt(m), the marginal scale that
-    unit-norm data is expected to project to.
+    unit-norm data is expected to project to; m must be positive.
     """
     X_tilde = np.asarray(X_tilde, dtype=float)
+    if orig_dim is not None and orig_dim < 1:
+        raise ValueError(f"orig_dim must be positive, got {orig_dim}")
     if X_tilde.ndim != 2:
         raise ValueError(f"expected a p x n matrix, got shape {X_tilde.shape}")
     n = X_tilde.shape[1]
@@ -262,7 +263,7 @@ def normality_diagnostic(X_tilde: np.ndarray, orig_dim: int | None = None) -> No
         mean_ks=float(np.mean(distances)),
         n_samples=n,
         degenerate_coords=tuple(degenerate),
-        expected_sigma=1.0 / math.sqrt(orig_dim) if orig_dim else None,
+        expected_sigma=None if orig_dim is None else 1.0 / math.sqrt(orig_dim),
     )
 
 

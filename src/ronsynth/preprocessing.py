@@ -250,7 +250,7 @@ def preprocess(X: np.ndarray, sq_norms: np.ndarray, epsilon_mu: float,
                                    zero_norm_rows_dropped=collapsed)
 
     proj = draw_projection(rngs[0])
-    # every column's chart at once, by synthesis.mode_transform's arithmetic
+    # every column's chart at once, by synthesis.transform_features's arithmetic
     Y = clip_to_unit_ball((proj.W.T @ X) * scale)
     charts, means = [], []
     for c, rng in enumerate(rngs):

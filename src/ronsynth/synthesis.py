@@ -66,9 +66,9 @@ class GaussianModel:
 class GmmMode:
     """One class of a mixture: its released model and transform.
 
-    The model is fit in the chart ``mode_transform`` maps samples into.
-    Every mode of a release holds the same projection, the release's
-    one basis.
+    The model is fit in the mixture's chart, which ``transform_features``
+    maps held-out data into. Every mode of a release holds the same
+    projection, the release's one basis.
     """
 
     label: object
@@ -94,17 +94,17 @@ class GmmModel:
 class SynthesisResult:
     """A synthetic release plus everything needed to audit or reuse it.
 
-    mu_dp and projection are DP-safe and define the transform that maps
-    held-out real data into the release's space; a mixture has no mu_dp,
-    its one projection is every mode's, and each mode maps data by
-    ``mode_transform``.
+    projection, the release's one basis, and mu_dp are DP-safe and
+    define ``transform_features``, the map of held-out real data into the
+    release's chart. A mixture has no mu_dp: its chart is uncentered, and
+    its projection is every mode's.
     """
 
     dataset: Dataset
     model: GaussianModel | GmmModel
     ledger: BudgetLedger
     psd_repair_applied: bool
-    projection: RonProjection | None = None
+    projection: RonProjection
     mu_dp: np.ndarray | None = None
 
 
@@ -317,7 +317,7 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     the per-class generators are spawned, so all classes share one
     feature space. Each class is modeled independently on its disjoint
     slice of the data, in the uncentered chart clip₁(Wᵀx/||x||) (see
-    ``mode_transform``). The mode mean is the DP mean of that chart, at
+    ``transform_features``). The mode mean is the DP mean of that chart, at
     the p-dimensional sensitivity 2*sqrt(p)/n_c, so classes land in
     separate locations; the covariance is the noisy second moment minus
     the mean's outer product, repaired to the PSD cone. Unlike the
@@ -356,54 +356,37 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                            projection=projection)
 
 
-def transform_features(mu_dp: np.ndarray, proj: RonProjection,
-                       X: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
-    """Map held-out data into the space synthetic features live in.
+def transform_features(result: SynthesisResult, data: Dataset) -> np.ndarray:
+    """Map held-out data into the chart the release's model is fit in.
 
-    Applies the released mean's normalize/center/re-normalize transform
-    followed by the projection -- the same chart the unsupervised and
-    supervised models are fit in, computed by the same GEMM [W, mu]ᵀX and
-    arithmetic as in training, so the training data maps onto the
-    release's own chart bit for bit. Every column is clipped to norm at
-    most 1. Both inputs are DP-safe, so this spends nothing. Returns one
-    projected column per input column; a sample that collapses onto the
-    mean projects to zero, as in training. sq_norms, when given, holds
-    X's squared column norms (a Dataset's ``sq_norms``), which are then
-    not taken again.
+    A one-class release's chart is centred on its released mean
+    (``preprocessing.centered_chart``); a mixture's (``mu_dp`` None) is
+    the uncentered clip₁(Wᵀx/||x||) every mode shares. Either is computed
+    from ``data.sq_norms`` by the same GEMM and arithmetic as in
+    training, so the training data maps onto the release's own chart bit
+    for bit, every column clipped to norm at most 1; a sample that
+    collapses onto the mean projects to zero, as in training. The mean
+    and the projection are DP-safe, so this spends nothing. Returns one
+    chart column per sample of data.
     """
-    mu_dp = np.asarray(mu_dp, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if mu_dp.shape != (proj.m,):
-        raise ValueError(f"mean has shape {mu_dp.shape}, expected ({proj.m},)")
-    if X.ndim != 2 or X.shape[0] != proj.m:
-        raise ValueError(f"expected a matrix with {proj.m} rows, got shape {X.shape}")
-    return centered_chart(X, inverse_norms(_sq_norms(X, sq_norms)), mu_dp, proj)[0]
+    proj = result.projection
+    if data.n_features != proj.m:
+        raise ValueError(f"expected data with {proj.m} features, got {data.n_features}")
+    scale = inverse_norms(data.sq_norms)
+    if result.mu_dp is None:
+        return clip_to_unit_ball((proj.W.T @ data.features) * scale)
+    return centered_chart(data.features, scale, result.mu_dp, proj)[0]
 
 
-def mode_transform(mode: GmmMode, X: np.ndarray,
-                   sq_norms: np.ndarray | None = None) -> np.ndarray:
-    """Map held-out data into one mixture mode's chart.
+def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
+    """Map held-out data, an m x n array, into one mixture mode's chart.
 
-    Mixture modes are fit in this chart: the projection Wᵀx/||x|| of
-    the normalized sample, without centering, clipped to norm at most 1.
-    It is computed by the same GEMM and arithmetic as in training, so
-    the training data maps onto its class's chart bit for bit, and a
-    class's held-out expectation in this chart is what the mode's DP
-    mean estimates. sq_norms is as in ``transform_features``.
+    The chart of ``transform_features`` for a mixture, clip₁(Wᵀx/||x||),
+    with X's column norms taken here. A class's held-out expectation in
+    this chart is what the mode's DP mean estimates.
     """
     X = np.asarray(X, dtype=float)
-    scale = inverse_norms(_sq_norms(X, sq_norms))
-    return clip_to_unit_ball(project(mode.projection, X) * scale)
-
-
-def _sq_norms(X: np.ndarray, sq_norms: np.ndarray | None) -> np.ndarray:
-    """sq_norms, X's squared column norms, or column_sq_norms(X) when None."""
-    if sq_norms is None:
-        return column_sq_norms(X)
-    if np.shape(sq_norms) != X.shape[1:]:
-        raise ValueError(f"expected {X.shape[1]} squared norms, got shape "
-                         f"{np.shape(sq_norms)}")
-    return sq_norms
+    return clip_to_unit_ball(project(mode.projection, X) * inverse_norms(column_sq_norms(X)))
 
 
 def _check_sizes(p: int, m: int, n_synth: int | None) -> None:

@@ -282,11 +282,12 @@ def regression_experiment():
         real = rmse(ols_predict(ols_fit(x_tr, y_tr), x_te), y_te)
         eps_mu, eps_sigma = split_budget(1.0)
         data = Dataset(features=x_tr, labels=y_tr)
+        held_out = Dataset(features=x_te)
         row = {"real": real}
         for p in REG_DIMS:
             res = synth_supervised(data, p, eps_mu, eps_sigma, 1.0,
                                    rng=np.random.default_rng(1000 + seed * 7 + p))
-            row[p] = ols_rmse(res, x_te, y_te)
+            row[p] = ols_rmse(res, held_out, y_te)
         rows.append(row)
     return rows, time.monotonic() - start
 
@@ -328,7 +329,7 @@ def test_criterion_09_classification_utility():
         eps_mu, eps_sigma = split_budget(1.0)
         res = synth_gmm(Dataset(features=x_tr, class_labels=y_tr), m - 1,
                         eps_mu, eps_sigma, rng=np.random.default_rng(500 + seed))
-        acc_synth.append(nearest_mean_accuracy(res, x_te, y_te))
+        acc_synth.append(nearest_mean_accuracy(res, Dataset(features=x_te), y_te))
 
     real = float(np.mean(acc_real))
     synth = float(np.mean(acc_synth))

@@ -290,7 +290,7 @@ class TestSynthCommand:
                                   rng=np.random.default_rng(1))
         truth = np.clip(data.labels, -1.0, 1.0)
         assert not np.array_equal(truth, data.labels)
-        assert row["value"] == ols_rmse(result, data.features, truth)
+        assert row["value"] == ols_rmse(result, data, truth)
 
     @pytest.mark.parametrize("flag", ["--save-projection", "--reconstruct"])
     def test_dim_sweep_rejects_release_artifact_flags(self, tmp_path, flag, capsys):
@@ -337,6 +337,21 @@ class TestSynthCommand:
         # one Dataset of the input and one of the release
         assert shapes == [(4, 150), (2, 150)]
 
+    def test_supervised_dim_sweep_takes_the_input_norms_once(self, labeled_csv,
+                                                             monkeypatch):
+        shapes = []
+
+        def spy(X):
+            shapes.append(np.shape(X))
+            return np.einsum("ij,ij->j", X, X)
+
+        for module in (dataset, preprocessing, synthesis):
+            monkeypatch.setattr(module, "column_sq_norms", spy)
+        assert main(["synth", labeled_csv, "--mode", "supervised", "--label-col", "y",
+                     "--label-bound", "1.0", "--dim-sweep", "1,2,3", "--seed", "1"]) == 0
+        # the input Dataset's, which the scorer reuses, then each swept release's
+        assert shapes == [(4, 150), (1, 150), (2, 150), (3, 150)]
+
     def test_gmm_dim_sweep_takes_the_input_norms_once(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(7)
         rows = "".join(",".join(f"{v:.17g}" for v in x) + f",c{i % 3}\n"
@@ -361,9 +376,7 @@ class TestSynthCommand:
         for row in report["sweep"]:
             result = synth_gmm(data, row["p"], *split_budget(1.0, 0.3),
                                rng=np.random.default_rng(1))
-            # the scorer that takes the norms itself gives the same value
-            assert row["value"] == nearest_mean_accuracy(result, data.features,
-                                                         data.class_labels)
+            assert row["value"] == nearest_mean_accuracy(result, data, data.class_labels)
 
     def test_label_col_on_a_first_column_after_a_byte_order_mark(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -420,6 +433,14 @@ class TestEvalCommand:
         report = json.loads(capsys.readouterr().out)
         assert len(report["params"]["ks_distances"]) == 6
         assert report["params"]["expected_sigma"] == 0.1
+
+    @pytest.mark.parametrize("value", ["0", "-4", "1.5"])
+    def test_normality_rejects_an_orig_dim_that_is_not_positive(self, numeric_csv, value,
+                                                                capsys):
+        assert main(["eval", "normality", "--data", numeric_csv, "--orig-dim", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--orig-dim: must be a positive integer, got {value!r}" in captured.err
 
     def test_missing_inputs_are_usage_errors(self, numeric_csv, capsys):
         assert main(["eval", "rmse", "--pred", numeric_csv]) == 1

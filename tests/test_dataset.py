@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,12 +95,14 @@ MALFORMED = [
     ("f1,f2\n1,2\n3\n", None, None, "row 3 has 1 cells, header has 2"),
     ("f1,f2\r\n1,2\r\n\r\n3,4\r\n", None, None, "blank line at row 3"),
     ("f1,f2\n\n1,2\n", None, None, "blank line at row 2"),
+    ("f1\n1\n\n\n2\n\n3\n\n", None, None, "blank line at row 3"),
     ("f1,f2\n1,2\n   \n3,4\n", None, None, "row 3 has 1 cells, header has 2"),
     ("f1\n1\n \t \n2\n", None, None, "non-numeric value '' at row 3, column 'f1'"),
     ("f1,f2\n1,2\n#3,4\n", None, None, "non-numeric value '#3' at row 3, column 'f1'"),
     ("f1,f2\n#1,2\n", None, None, "non-numeric value '#1' at row 2, column 'f1'"),
     ("f1,f2\n1,2\n3,\n", None, None, "non-numeric value '' at row 3, column 'f2'"),
     ("f1,y\n1,2\n3,x\n", "y", "real", "non-numeric label value 'x' in column 'y'"),
+    ("f1,y\n1,x\n2,w\n", "y", "real", "non-numeric label value 'x' in column 'y'"),
     # every feature cell is checked before any label
     ("f1,y\n1,x\nz,2\n", "y", "real", "non-numeric value 'z' at row 3, column 'f1'"),
     ("f1,cls\n1,a\n2\n", "cls", "categorical", "row 3 has 1 cells, header has 2"),
@@ -129,6 +132,26 @@ class TestLoadCsvEdgeCases:
         with pytest.raises(DataError) as err:
             load_csv(str(path))
         assert str(err.value) == f"{path}: non-numeric value 'x' at row 3, column 'a'"
+
+    def test_fault_finder_streams_the_file(self, tmp_path):
+        # a fault in the last cell is named without holding the file's rows
+        buf = io.StringIO()
+        np.savetxt(buf, np.random.default_rng(3).normal(size=(10_000, 10)), fmt="%.17g",
+                   delimiter=",", header=",".join(f"x{j}" for j in range(10)), comments="")
+        text = buf.getvalue()
+        path = tmp_path / "bad.csv"
+        path.write_text(text[:text.rindex(",") + 1] + "oops\n")
+        size = path.stat().st_size
+        assert size > 2_000_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError) as err:
+                dataset._raise_first_error(str(path), None, None, "a bad cell")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == f"{path}: non-numeric value 'oops' at row 10001, column 'x9'"
+        assert peak < size / 10
 
     def test_trailing_blank_crlf_lines_tolerated(self, tmp_path):
         path = _write(tmp_path, "f1,f2\r\n1,2\r\n3,4\r\n\r\n\r\n")

@@ -274,9 +274,9 @@ def test_nearest_mean_accuracy_matches_the_benchmark_copy(column_major):
     # at epsilon 1 the modes' p-dimensional means leave both right and
     # wrong predictions to compare (epsilon 10 gets nearly all right)
     eps_mu, eps_sigma = split_budget(1.0)
-    result = synth_gmm(Dataset(features=features, class_labels=labels), 8, eps_mu,
-                       eps_sigma, rng=rng)
-    accuracy = nearest_mean_accuracy(result, features, labels)
+    data = Dataset(features=features, class_labels=labels)
+    result = synth_gmm(data, 8, eps_mu, eps_sigma, rng=rng)
+    accuracy = nearest_mean_accuracy(result, data, labels)
     assert 1 / k < accuracy < 1.0
     assert accuracy == _benchmark_checks().nearest_mean_accuracy(result, features, labels)
 
@@ -303,6 +303,12 @@ class TestNormalityDiagnostic:
         report = normality_diagnostic(rng.normal(size=(2, 64)), orig_dim=400)
         assert report.expected_sigma == 0.05
         assert normality_diagnostic(rng.normal(size=(2, 64))).expected_sigma is None
+
+    @pytest.mark.parametrize("orig_dim", [0, -4])
+    def test_non_positive_orig_dim_rejected(self, orig_dim):
+        with pytest.raises(ValueError, match=f"orig_dim must be positive, got {orig_dim}"):
+            normality_diagnostic(np.random.default_rng(14).normal(size=(2, 64)),
+                                 orig_dim=orig_dim)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="30"):

@@ -270,17 +270,21 @@ def test_clip_absorbs_the_rounding_of_the_expanded_norm():
 
 
 def test_held_out_transforms_match_the_explicit_stage():
+    # held-out data is not the training data: the chart is taken on a
+    # second sample, with the released mean and basis
     rng = np.random.default_rng(48)
     m, p = 10, 4
-    X = rng.normal(size=(m, 200)) + 0.5
-    mu = rng.normal(size=m) * 0.1
-    proj = generate_ron(m, p, rng)
-    assert np.max(np.abs(transform_features(mu, proj, X) - explicit_chart(X, mu, proj.W))) \
-        <= 1e-12
-    mode = synthesis.GmmMode(label="a", model=synthesis.GaussianModel(np.zeros(p), np.eye(p)),
-                             projection=proj)
-    expected = proj.W.T @ (X / np.linalg.norm(X, axis=0))
-    assert np.max(np.abs(mode_transform(mode, X) - expected)) <= 1e-12
+    train = Dataset(features=rng.normal(size=(m, 200)) + 0.5,
+                    class_labels=np.resize(["a", "b"], 200))
+    data = Dataset(features=rng.normal(size=(m, 200)) + 0.5)
+    X = data.features
+    res = synth_unsupervised(train, p, 1.0, 1.0, rng=rng)
+    assert np.max(np.abs(transform_features(res, data)
+                         - explicit_chart(X, res.mu_dp, res.projection.W))) <= 1e-12
+    gmm = synth_gmm(train, p, 1.0, 1.0, rng=rng)
+    expected = gmm.projection.W.T @ (X / np.linalg.norm(X, axis=0))
+    assert np.max(np.abs(transform_features(gmm, data) - expected)) <= 1e-12
+    assert np.max(np.abs(mode_transform(gmm.model.modes[0], X) - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["unsupervised", "gmm"])

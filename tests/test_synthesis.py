@@ -524,15 +524,12 @@ class TestTransforms:
         rng = np.random.default_rng(15)
         data = make_data(seed=15)
         res = synth_unsupervised(data, 4, 0.5, math.inf, rng=rng)
-        feats = transform_features(res.mu_dp, res.projection, data.features)
+        feats = transform_features(res, data)
         # the training data pushed through its own transform is the chart
         # the model was fit on, bit for bit
         (pre,) = seen
         assert np.array_equal(feats, pre.x_tilde[0])
         assert np.allclose(estimate_cov(feats), res.model.covariance)
-        # so it is with the norms the Dataset already holds
-        assert np.array_equal(feats, transform_features(res.mu_dp, res.projection,
-                                                        data.features, data.sq_norms))
 
     def test_mode_transform_matches_training_chart(self, monkeypatch):
         # columns in span(W) project to norm 1, which rounding moves either
@@ -548,29 +545,23 @@ class TestTransforms:
         res = synth_gmm(data, p, 0.5, math.inf, rng=np.random.default_rng(seed))
         assert np.array_equal(res.projection.W, W)
         (pre,) = seen
+        chart = transform_features(res, data)
         for c, mode in enumerate(res.model.modes):
-            for sq_norms in (None, data.sq_norms):
-                chart = mode_transform(mode, data.features, sq_norms)
-                assert np.array_equal(chart[:, data.class_labels == mode.label],
-                                      pre.x_tilde[c])
+            cols = data.class_labels == mode.label
+            assert np.array_equal(chart[:, cols], pre.x_tilde[c])
+            assert np.array_equal(mode_transform(mode, data.features)[:, cols], pre.x_tilde[c])
 
-    def test_transform_features_rejects_a_wrong_row_count(self):
+    @pytest.mark.parametrize("mode", ["unsupervised", "gmm"])
+    def test_transform_features_rejects_a_wrong_feature_count(self, mode):
         rng = np.random.default_rng(17)
-        proj = generate_ron(6, 2, rng)
-        with pytest.raises(ValueError, match="expected a matrix with 6 rows"):
-            transform_features(np.zeros(6), proj, rng.normal(size=(5, 10)))
-
-    def test_transforms_reject_norms_of_another_sample_count(self):
-        rng = np.random.default_rng(17)
-        data = make_data(seed=17)
-        res = synth_unsupervised(data, 2, 1.0, 1.0, rng=rng)
-        with pytest.raises(ValueError, match=f"expected {data.n_samples} squared norms"):
-            transform_features(res.mu_dp, res.projection, data.features, data.sq_norms[1:])
-        gmm = synth_gmm(Dataset(features=data.features,
-                                class_labels=np.resize(["a", "b"], data.n_samples)),
-                        2, 1.0, 1.0, rng=rng)
-        with pytest.raises(ValueError, match=f"expected {data.n_samples} squared norms"):
-            mode_transform(gmm.model.modes[0], data.features, data.sq_norms[:1])
+        X = rng.normal(size=(6, 40))
+        if mode == "gmm":
+            res = synth_gmm(Dataset(features=X, class_labels=np.resize(["a", "b"], 40)),
+                            2, 1.0, 1.0, rng=rng)
+        else:
+            res = synth_unsupervised(Dataset(features=X), 2, 1.0, 1.0, rng=rng)
+        with pytest.raises(ValueError, match="expected data with 6 features, got 5"):
+            transform_features(res, Dataset(features=X[:5]))
 
     def test_mode_transform_centers_on_mode_mean(self):
         rng = np.random.default_rng(16)
