@@ -1,7 +1,8 @@
 """Command-line interface: synth, eval, and budget subcommands.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-No output file is written unless the whole pipeline succeeded.
+Exit codes: 0 success, 1 usage error or a release that cannot be
+written, 2 data error, 3 numeric failure. No output file is written
+unless the whole pipeline succeeded.
 """
 
 from __future__ import annotations
@@ -443,7 +444,8 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, FloatingPointError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
+    except (ValueError, OSError) as err:
+        # OSError: the release cannot be written (a full disk, an --out that is a file)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,15 +13,16 @@ transpose; nothing outside it should ever flip orientation.
 Parsing and formatting CSV text is most of a release's time, so large
 files use two processes. A file of more than SPLIT_BYTES bytes is
 parsed in two byte ranges, split at a line end, the second in a forked
-child that hands its table back through a pipe; a table of more than
-SPLIT_CELLS cells is written in two halves, the second formatted by a
-child into a temporary file beside the output and appended to it. The
-loaded Dataset, every DataError message and the written bytes are those
-of one process: a two-process parse whose counts do not add up, or whose
-child fails, is redone whole in one process, and a failed child's half
-is formatted by the parent. Where there is no os.fork, or no "\n" ends a
-line in the second half of the file (lines that end in "\r" alone), one
-process does all of it.
+child; a table of more than SPLIT_CELLS cells is written in two halves,
+the second formatted by a child. Each child hands its half back through
+an unnamed temporary file (the write's is on the output's filesystem),
+which the parent reads once the child has exited. The loaded Dataset,
+every DataError message and the written bytes are those of one process:
+a two-process parse whose counts do not add up, or whose child fails,
+is redone whole in one process, and a failed child's half is formatted
+by the parent. Where there is no os.fork, or no "\n" ends a line in the
+second half of the file (lines that end in "\r" alone), one process
+does all of it.
 """
 
 from __future__ import annotations
@@ -135,16 +136,21 @@ def load_csv(path: str, label_column: str | None = None,
         raise ValueError(f"label_kind must be 'real' or 'categorical', got {label_kind!r}")
     if label_kind is not None and label_column is None:
         raise ValueError("label_kind given without label_column")
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-
-    with open(path, "rb") as raw:
-        bom = raw.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        head: list[str] = []
-        lines = (head.append(line) or line for line in fh)
-        header = [h.strip() for h in next(csv.reader(lines), [])]
-        first = next(fh, "")
+    try:
+        with open(path, "rb") as raw:
+            bom = raw.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            head: list[str] = []
+            lines = (head.append(line) or line for line in fh)
+            header = [h.strip() for h in next(csv.reader(lines), [])]
+            first = next(fh, "")
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except OSError as err:
+        raise DataError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        # the reader decodes 8 KiB at a time, so this byte may lie in any early row
+        _raise_first_error(path, label_column, label_kind, str(err))
     # the data start past the header's bytes, which its lines re-encode to
     # exactly (tell() is no byte offset after a line that ends in "\r")
     start = len(codecs.BOM_UTF8) * bom + len("".join(head).encode("utf-8"))
@@ -322,59 +328,56 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
 
     load_csv calls this once its vectorized parse has failed, so the
     messages name the row (counted in records, the header being row 1)
-    and the column. The records are streamed, never held: one pass finds
-    the blank ones and the row count, and after the header checks a
-    second pass checks the cells. It never returns data.
+    and the column. One pass streams the records, never holding them,
+    and notes the first fault of each kind. They are raised after it in
+    this order: an interior blank line, no data rows, a header fault, a
+    row's width or feature cell, a real label. A byte that is not UTF-8
+    reads as a lone surrogate, which no number contains. It never
+    returns data.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
-        # trailing blank lines are tolerated; an interior one hides a record
-        # and is an error, never a silent drop
+        label_idx = None
+        fault = None  # the first header or row fault; every feature cell outranks a label
+        if label_column is not None:
+            if label_column in header:
+                label_idx = header.index(label_column)
+            else:
+                fault = f"label column {label_column!r} not found in header {header}"
+        if fault is None and len(header) == (label_idx is not None):
+            fault = "no feature columns left after removing the label"
+        bad_label = None
         rows = 0  # records up to the last non-blank one
-        blank = None  # the first blank record that a non-blank one follows
         for i, row in enumerate(reader):
-            if row:
-                if blank is None and i > rows:
-                    blank = rows
-                rows = i + 1
-    if blank is not None:
-        raise DataError(f"{path}: blank line at row {blank + 2}")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    label_idx = None
-    if label_column is not None:
-        if label_column not in header:
-            raise DataError(
-                f"{path}: label column {label_column!r} not found in header {header}"
-            )
-        label_idx = header.index(label_column)
-    if len(header) == (label_idx is not None):
-        raise DataError(f"{path}: no feature columns left after removing the label")
-
-    # every feature cell is checked before any label
-    bad_label = None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for i, row in enumerate(itertools.islice(reader, rows)):
+            if not row:
+                continue
+            if i > rows:
+                # a blank record that a non-blank one follows hides a record;
+                # trailing blank lines are tolerated
+                raise DataError(f"{path}: blank line at row {rows + 2}")
+            rows = i + 1
+            if fault is not None:
+                continue
             if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}"
-                )
+                fault = f"row {i + 2} has {len(row)} cells, header has {len(header)}"
+                continue
             for j, cell in enumerate(row):
                 if j != label_idx and not _is_float(cell.strip()):
-                    raise DataError(
-                        f"{path}: non-numeric value {cell.strip()!r} at row {i + 2}, "
-                        f"column {header[j]!r}"
-                    )
-            if (label_kind == "real" and bad_label is None
-                    and not _is_float(row[label_idx].strip())):
-                bad_label = row[label_idx].strip()
+                    fault = (f"non-numeric value {cell.strip()!r} at row {i + 2}, "
+                             f"column {header[j]!r}")
+                    break
+            else:
+                if (label_kind == "real" and bad_label is None
+                        and not _is_float(row[label_idx].strip())):
+                    bad_label = row[label_idx].strip()
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    if fault is not None:
+        raise DataError(f"{path}: {fault}")
     if bad_label is not None:
         raise DataError(
             f"{path}: non-numeric label value {bad_label!r} in column {label_column!r}"

@@ -160,6 +160,25 @@ class TestSynthCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "ghost.csv")]) == 2
 
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys):
+        assert main(["synth", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot read {tmp_path}: Is a directory\n"
+
+    def test_out_naming_a_file_is_one_error_line(self, numeric_csv, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["synth", numeric_csv, "--dim", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == "kept\n"
+
+    def test_non_utf8_cell_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,2\n3,\xe94\n")
+        assert main(["synth", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: non-numeric value '\\udce94' at row 3, column 'b'\n")
+
     def test_unseeded_release_says_so(self, numeric_csv, tmp_path):
         out = str(tmp_path / "rel")
         assert main(["synth", numeric_csv, "--dim", "2", "--out", out]) == 0

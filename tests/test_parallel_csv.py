@@ -243,6 +243,42 @@ class TestLoadParity:
         assert parses == [(1, True), (2, False), (1, True)]
 
 
+class TestNonUtf8:
+    """A byte that is not UTF-8 is a data error, in the header, in a row of
+    the first 8 KiB that load_csv's header read decodes, or in either range."""
+
+    LINES = [b"a,b,cls\n"] + [f"{i},{i % 7},c{i % 3}\n".encode() for i in range(3000)]
+    GENERIC = "cannot read as a numeric table: 'utf-8' codec can't decode byte 0xe9"
+
+    def _path(self, tmp_path, at, col):
+        """The file of LINES whose line at has 0xe9 before its cell col."""
+        lines = list(self.LINES)
+        cells = lines[at].split(b",")
+        cells[col] = b"\xe9" + cells[col]
+        lines[at] = b",".join(cells)
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"".join(lines))
+        return str(path), len(b"".join(lines[:at]))
+
+    @pytest.mark.parametrize("at,col,where", [
+        (0, 1, "header"), (3, 1, "early row"), (1100, 1, "first range"),
+        (2900, 1, "second range"), (2900, 2, "class name"),
+    ])
+    def test_bad_byte(self, tmp_path, monkeypatch, parses, at, col, where):
+        path, offset = self._path(tmp_path, at, col)
+        assert (offset < 8192) == (where in ("header", "early row"))
+        # line at is data line at - 1
+        second = _data_lines(monkeypatch, path)[1]
+        assert (at - 1 >= second) == (where in ("second range", "class name"))
+        message = _check_parity(monkeypatch, path, "cls", "categorical")
+        if col == 1 and at:
+            cell = "\udce9" + self.LINES[at].split(b",")[1].decode()
+            assert message == f"{path}: non-numeric value {cell!r} at row {at + 1}, column 'b'"
+        else:
+            assert message.startswith(f"{path}: {self.GENERIC}")
+        assert parses == ([] if offset < 8192 else SPLIT_AND_REJECTED)
+
+
 def _write_both(monkeypatch, tmp_path, write, *args):
     """The bytes write(*args, path) gives with one and with two processes."""
     out = []
@@ -281,6 +317,22 @@ class TestWriteParity:
         assert one == two
         assert waits == [True]
 
+    def test_the_child_half_has_no_name(self, tmp_path, monkeypatch, waits):
+        # a release killed while it writes leaves no file beside data.csv
+        parent = os.getpid()
+        format_rows = dataset._format_rows
+
+        def list_in_child(*args):
+            if os.getpid() != parent and os.listdir(tmp_path) != ["out.csv"]:
+                raise OSError(f"the output's directory holds {os.listdir(tmp_path)}")
+            return format_rows(*args)
+
+        monkeypatch.setattr(dataset, "SPLIT_CELLS", 0)
+        monkeypatch.setattr(dataset, "_format_rows", list_in_child)
+        path = str(tmp_path / "out.csv")
+        assert write_matrix_csv(self.FEATURES, path) == path
+        assert waits == [True]
+
     def test_a_failed_child_half_is_formatted_here(self, tmp_path, monkeypatch, waits):
         parent = os.getpid()
         format_rows = dataset._format_rows
@@ -305,15 +357,16 @@ class TestWriteFailure:
                    header="a,b,c,d,e", comments="")
         return str(path)
 
-    def test_failed_formatter_leaves_no_file(self, tmp_path, monkeypatch):
+    def test_failed_formatter_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         def fail(*args):
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(dataset, "SPLIT_CELLS", 0)
         monkeypatch.setattr(dataset, "_format_rows", fail)
         out = tmp_path / "rel"
-        with pytest.raises(OSError, match="No space left"):
-            main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1", "--out", str(out)])
+        assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert os.listdir(out) == []
 
     def test_synth_exits_non_zero_and_leaves_no_file(self, tmp_path):
