@@ -10,15 +10,6 @@ composition.
 """
 
 from .dataset import DataError, Dataset, load_csv, write_release
-from .evaluation import (
-    NormalityReport,
-    kmeans,
-    nearest_mean_accuracy,
-    normality_diagnostic,
-    ols_rmse,
-    rmse,
-    silhouette,
-)
 from .mechanism import (
     BudgetLedger,
     LedgerEntry,
@@ -41,6 +32,24 @@ from .synthesis import (
 )
 
 __version__ = "0.1.0"
+
+# a release never scores itself, so the scorers load on first use
+_EVALUATION = frozenset({
+    "NormalityReport",
+    "kmeans",
+    "nearest_mean_accuracy",
+    "normality_diagnostic",
+    "ols_rmse",
+    "rmse",
+    "silhouette",
+})
+
+
+def __getattr__(name):
+    if name in _EVALUATION:
+        from . import evaluation
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BudgetLedger",

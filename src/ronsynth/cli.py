@@ -26,13 +26,6 @@ from .dataset import (
     write_matrix_csv,
     write_release,
 )
-from .evaluation import (
-    nearest_mean_accuracy,
-    normality_diagnostic,
-    ols_rmse,
-    rmse,
-    silhouette_sweep,
-)
 from .mechanism import BudgetLedger, record_spends, split_budget
 from .projection import SMALL_M, dimension_guidance, reconstruct
 from .synthesis import (
@@ -316,6 +309,9 @@ def _dim_sweep(args, data: Dataset, truth: np.ndarray | None, dims: list[int],
 
 def _sweep_metric(args, data: Dataset, truth: np.ndarray | None,
                   result: SynthesisResult) -> dict:
+    # a release alone never loads the scorers
+    from .evaluation import nearest_mean_accuracy, ols_rmse, silhouette_sweep
+
     if args.mode == "supervised":
         return {"metric": "rmse", "value": ols_rmse(result, data, truth)}
     if args.mode == "gmm":
@@ -348,6 +344,8 @@ def _print_report(metric: str, value: float, n_points: int, params: dict) -> int
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import normality_diagnostic, rmse, silhouette_sweep
+
     if args.metric == "rmse":
         if not args.pred or not args.truth:
             raise _UsageError("rmse needs --pred and --truth")

@@ -10,6 +10,11 @@ samples are *columns* of an m x n matrix, so the covariance and
 sensitivity formulas read exactly as derived. This module owns that
 transpose; nothing outside it should ever flip orientation.
 
+A release (data.csv, reconstructed.csv) is written with RELEASE_DIGITS
+significant digits: its values are noisy draws, and rounding them is
+post-processing. A bare matrix (projection.csv) is written with 17,
+which round-trip every double exactly.
+
 Parsing and formatting CSV text is most of a release's time, so large
 files use two processes. A file of more than SPLIT_BYTES bytes is
 parsed in two byte ranges, split at a line end, the second in a forked
@@ -199,7 +204,9 @@ def load_csv(path: str, label_column: str | None = None,
 # Files of more bytes are parsed, and tables of more cells formatted, in
 # two processes. Below them the fork and the hand-over cost more than the
 # second core saves: on a 2-core x86-64 VM, one and two processes broke
-# even near 0.8 MB of CSV and 16k cells.
+# even near 0.8 MB of CSV, and near 25k cells of a release written at
+# RELEASE_DIGITS (two/one 1.05-1.07 at 20k cells, 0.87-0.90 at 32k;
+# 9-column tables, median of 31 alternating writes).
 SPLIT_BYTES = 1 << 20
 SPLIT_CELLS = 1 << 15
 
@@ -331,9 +338,10 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
     and the column. One pass streams the records, never holding them,
     and notes the first fault of each kind. They are raised after it in
     this order: an interior blank line, no data rows, a header fault, a
-    row's width or feature cell, a real label. A byte that is not UTF-8
-    reads as a lone surrogate, which no number contains. It never
-    returns data.
+    row's width, feature cell or class name, a real label. A byte that
+    is not UTF-8 reads as a lone surrogate, which no number contains;
+    one in a header cell or class name is named by its row and column.
+    It never returns data.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -342,11 +350,16 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
         except StopIteration:
             raise DataError(f"{path}: file is empty, expected a header row") from None
         label_idx = None
-        fault = None  # the first header or row fault; every feature cell outranks a label
+        fault = None  # the first header or row fault; every one outranks a real label
+        for j, name in enumerate(header):
+            byte = _non_utf8_byte(name)
+            if byte is not None:
+                fault = f"{byte} in header cell {name!r} at row 1, column {j + 1}"
+                break
         if label_column is not None:
             if label_column in header:
                 label_idx = header.index(label_column)
-            else:
+            elif fault is None:
                 fault = f"label column {label_column!r} not found in header {header}"
         if fault is None and len(header) == (label_idx is not None):
             fault = "no feature columns left after removing the label"
@@ -370,6 +383,12 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
                     fault = (f"non-numeric value {cell.strip()!r} at row {i + 2}, "
                              f"column {header[j]!r}")
                     break
+                if j == label_idx and label_kind == "categorical":
+                    byte = _non_utf8_byte(cell)
+                    if byte is not None:
+                        fault = (f"{byte} in class name {cell.strip()!r} at row {i + 2}, "
+                                 f"column {header[j]!r}")
+                        break
             else:
                 if (label_kind == "real" and bad_label is None
                         and not _is_float(row[label_idx].strip())):
@@ -383,6 +402,16 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
             f"{path}: non-numeric label value {bad_label!r} in column {label_column!r}"
         )
     raise DataError(f"{path}: cannot read as a numeric table: {cause}")
+
+
+def _non_utf8_byte(text: str) -> str | None:
+    """Name the first byte that is not UTF-8 in text, read with
+    surrogateescape (as a lone surrogate), or None if there is none."""
+    if not text.isascii():
+        for char in text:
+            if "\udc80" <= char <= "\udcff":
+                return f"byte 0x{ord(char) - 0xdc00:02x} that is not UTF-8"
+    return None
 
 
 def _is_float(text: str) -> bool:
@@ -399,6 +428,15 @@ def _is_float(text: str) -> bool:
 # rows that _write_table formats at a time
 WRITE_BLOCK = 256
 
+# Significant digits of every value in data.csv and reconstructed.csv.
+# The values are draws from a noisy Gaussian, so rounding them is
+# post-processing and spends no privacy; digits past the ninth sit some
+# 10^7 times below the sampling spread. A 9-digit decimal survives a
+# trip through a double, so re-writing a reloaded release gives its
+# bytes again (outside the subnormal range). %.9g formats about twice
+# as fast as the exact %.17g.
+RELEASE_DIGITS = 9
+
 REQUIRED_METADATA_KEYS = (
     "mode", "m", "p", "n", "n_synth", "epsilon_total", "epsilon_mu",
     "epsilon_sigma", "split_ratio", "label_bound", "seeded",
@@ -409,9 +447,9 @@ REQUIRED_METADATA_KEYS = (
 def write_dataset_csv(dataset: Dataset, path: str) -> str:
     """Write a Dataset back to rows-as-samples CSV.
 
-    Floats are serialized with 17 significant digits, enough to
-    round-trip IEEE doubles exactly. Real labels go in a trailing
-    "label" column, categorical ones in a "class" column.
+    Floats are written with RELEASE_DIGITS significant digits. Real
+    labels go in a trailing "label" column, categorical ones in a
+    "class" column.
     """
     m = dataset.n_features
     names = list(dataset.feature_names) if dataset.feature_names else [
@@ -428,7 +466,7 @@ def write_dataset_csv(dataset: Dataset, path: str) -> str:
         # each distinct class name is quoted once
         names, inverse = np.unique(dataset.class_labels, return_inverse=True)
         last = np.array([_csv_field(str(name)) for name in names], dtype=object)[inverse]
-    return _write_table(path, header, dataset.features.T, last)
+    return _write_table(path, header, dataset.features.T, RELEASE_DIGITS, last)
 
 
 def write_release(synthetic: Dataset, metadata: dict, out_dir: str) -> tuple[str, str]:
@@ -453,25 +491,31 @@ def write_release(synthetic: Dataset, metadata: dict, out_dir: str) -> tuple[str
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> str:
-    """Write a bare numeric matrix as CSV with the header c1, c2, ..."""
+    """Write a bare numeric matrix as CSV with the header c1, c2, ...
+
+    Floats are written with 17 significant digits, which round-trip any
+    IEEE double exactly: a reader of projection.csv can check that W is
+    orthonormal to the last bit.
+    """
     matrix = np.asarray(matrix, dtype=float)
-    return _write_table(path, [f"c{j + 1}" for j in range(matrix.shape[1])], matrix)
+    return _write_table(path, [f"c{j + 1}" for j in range(matrix.shape[1])], matrix, 17)
 
 
-def _write_table(path: str, header: list[str], table: np.ndarray,
+def _write_table(path: str, header: list[str], table: np.ndarray, digits: int,
                  last: np.ndarray | None = None) -> str:
-    """Write header and rows; ``last`` is an optional trailing column of
-    real labels or of already quoted class cells (an object array).
+    """Write header and rows, each number with digits significant digits;
+    ``last`` is an optional trailing column of real labels or of already
+    quoted class cells (an object array).
 
     A table of more than SPLIT_CELLS cells is formatted in two halves,
     the second by a forked child (``forked.write_halves``). If writing
     fails, no file is left at path.
     """
-    # 17 significant digits round-trip any IEEE double exactly; rows end
-    # in CRLF like csv.writer's, which writes the (quoted) header
-    cells = ["%.17g"] * table.shape[1]
+    # rows end in CRLF like csv.writer's, which writes the (quoted) header
+    number = f"%.{digits}g"
+    cells = [number] * table.shape[1]
     if last is not None:
-        cells.append("%s" if last.dtype == object else "%.17g")
+        cells.append("%s" if last.dtype == object else number)
     row = ",".join(cells) + "\r\n"
     fh = open(path, "w", newline="", encoding="utf-8")
     try:

@@ -157,6 +157,28 @@ class TestSynthCommand:
                        ndmin=2)
         assert W.shape == (4, 2)
 
+    def test_release_has_nine_digits_and_projection_is_exact(self, labeled_csv, tmp_path):
+        out = str(tmp_path / "rel")
+        assert main(["synth", labeled_csv, "--mode", "supervised", "--label-col", "y",
+                     "--label-bound", "1.0", "--dim", "2", "--seed", "3", "--out", out,
+                     "--save-projection", "--reconstruct"]) == 0
+        data = load_csv(labeled_csv, label_column="y", label_kind="real")
+        result = synth_supervised(data, 2, *split_budget(1.0, 0.3), 1.0,
+                                  rng=np.random.default_rng(3))
+        release = result.dataset
+        rows = open(os.path.join(out, "data.csv")).read().splitlines()[1:]
+        cells = [cell for row in rows for cell in row.split(",")]
+        assert cells == [format(v, ".9g")
+                         for v in np.column_stack([release.features.T, release.labels]).flat]
+        rec_rows = open(os.path.join(out, "reconstructed.csv")).read().splitlines()[1:]
+        for cell in cells + [cell for row in rec_rows for cell in row.split(",")]:
+            number = re.fullmatch(r"-?(\d+)(?:\.(\d+))?(?:e[+-]\d+)?", cell)
+            assert number and len((number[1] + (number[2] or "")).lstrip("0")) <= 9, cell
+        # projection.csv keeps 17 digits, so W reloads bit for bit
+        W = np.loadtxt(os.path.join(out, "projection.csv"), delimiter=",", skiprows=1,
+                       ndmin=2)
+        assert W.tobytes() == result.projection.W.tobytes()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "ghost.csv")]) == 2
 

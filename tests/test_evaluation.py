@@ -163,6 +163,21 @@ def test_import_does_not_load_scipy(module):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_leaves_the_scorers_unloaded():
+    # a plain release never scores itself; the package loads the scorers on first use
+    src = os.path.dirname(os.path.dirname(ronsynth.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, ronsynth.cli\n"
+            "if 'ronsynth.evaluation' in sys.modules: sys.exit('loaded by import')\n"
+            "from ronsynth import ols_rmse\n"
+            "from ronsynth.evaluation import ols_rmse as scorer\n"
+            "sys.exit(ols_rmse is not scorer)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 # pipeline stages a release calls; the package exports the releases, not them
 PIPELINE_INTERNALS = ("preprocess", "project", "estimate_cov", "estimate_aug_cov",
                       "dp_perturb_cov", "psd_repair", "sample_gaussian", "laplace_perturb")

@@ -248,7 +248,6 @@ class TestNonUtf8:
     the first 8 KiB that load_csv's header read decodes, or in either range."""
 
     LINES = [b"a,b,cls\n"] + [f"{i},{i % 7},c{i % 3}\n".encode() for i in range(3000)]
-    GENERIC = "cannot read as a numeric table: 'utf-8' codec can't decode byte 0xe9"
 
     def _path(self, tmp_path, at, col):
         """The file of LINES whose line at has 0xe9 before its cell col."""
@@ -275,7 +274,11 @@ class TestNonUtf8:
             cell = "\udce9" + self.LINES[at].split(b",")[1].decode()
             assert message == f"{path}: non-numeric value {cell!r} at row {at + 1}, column 'b'"
         else:
-            assert message.startswith(f"{path}: {self.GENERIC}")
+            cell = "\udce9" + self.LINES[at].split(b",")[col].decode().strip()
+            what = "header cell" if at == 0 else "class name"
+            column = col + 1 if at == 0 else "'cls'"
+            assert message == (f"{path}: byte 0xe9 that is not UTF-8 in {what} {cell!r} "
+                               f"at row {at + 1}, column {column}")
         assert parses == ([] if offset < 8192 else SPLIT_AND_REJECTED)
 
 
