@@ -22,12 +22,12 @@ child; a table of more than SPLIT_CELLS cells is written in two halves,
 the second formatted by a child. Each child hands its half back through
 an unnamed temporary file (the write's is on the output's filesystem),
 which the parent reads once the child has exited. The loaded Dataset,
-every DataError message and the written bytes are those of one process:
-a two-process parse whose counts do not add up, or whose child fails,
-is redone whole in one process, and a failed child's half is formatted
-by the parent. Where there is no os.fork, or no "\n" ends a line in the
-second half of the file (lines that end in "\r" alone), one process
-does all of it.
+every DataError message and the written bytes are those of one process.
+A file is parsed once; if it is rejected, the fault finder checks cells
+only from the line np.loadtxt rejected on. A child that fails, or that
+no fork or temporary file was made for, leaves its half to the parent.
+Where there is no os.fork, or no "\n" ends a line in the second half of
+the file (lines that end in "\r" alone), one process does all of it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import csv
 import io
 import itertools
 import json
+import mmap
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
@@ -167,18 +168,13 @@ def load_csv(path: str, label_column: str | None = None,
     label_idx = header.index(label_column) if has_label else None
     codes_col = label_idx if label_kind == "categorical" else None
 
-    table = None
     split = _split_point(path, start)
-    if split is not None:
-        try:
-            table, names = _parse(path, [start, split], len(header), codes_col)
-        except (ValueError, OSError):
-            pass  # the one-process parse below gives this file's one answer
-    if table is None:
-        try:
-            table, names = _parse(path, [start], len(header), codes_col)
-        except ValueError as err:
-            _raise_first_error(path, label_column, label_kind, str(err))
+    try:
+        table, names = _parse(path, [start] if split is None else [start, split],
+                              len(header), codes_col)
+    except ValueError as err:
+        _raise_first_error(path, label_column, label_kind, str(err),
+                           len(head) + getattr(err, "lines", 0))
 
     labels = None
     class_labels = None
@@ -223,14 +219,9 @@ def _split_point(path: str, start: int) -> int | None:
     size = os.path.getsize(path)
     if not hasattr(os, "fork") or size <= SPLIT_BYTES:
         return None
-    with open(path, "rb") as fh:
-        fh.seek((start + size) // 2)
-        while chunk := fh.read(1 << 16):
-            end = chunk.find(b"\n")
-            if end >= 0:
-                split = fh.tell() - len(chunk) + end + 1
-                return split if split < size else None
-    return None
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        split = data.find(b"\n", (start + size) // 2) + 1
+    return split if 0 < split < size else None
 
 
 class _Range(NamedTuple):
@@ -238,7 +229,7 @@ class _Range(NamedTuple):
 
     table: np.ndarray
     lines: int
-    trailing_blank: int
+    filled: int  # lines through the last non-blank one
     last: str  # the last non-blank line
     names: list[str]  # class names in the order of their codes
 
@@ -251,23 +242,23 @@ def _parse(path: str, starts: list[int], ncols: int,
     end of the file; with two, ``forked.parse_two`` parses them. Column
     codes_col, if set, holds categorical names, which the table codes in
     the order they first appear. Returns the table and those names.
-    Raises ValueError with np.loadtxt's message, when the ranges' counts
-    do not add up to one table of ncols columns, or when the child fails.
+    Raises _parse_range's ValueError, its ``lines`` counted from
+    starts[0]; or one without ``lines`` when the ranges' counts do not
+    add up to one table of ncols columns.
     """
     if len(starts) == 1:
-        ranges = [_parse_range(_open_at(path, starts[0]), codes_col)]
+        ranges = [_parse_range(path, starts[0], codes_col)]
     else:
         from .forked import parse_two  # loaded for files above SPLIT_BYTES only
         ranges = parse_two(path, *starts, codes_col)
 
     # loadtxt skips blank lines, so its rows must number the lines up to
     # the last non-blank one
-    trailing = 0
-    for part in reversed(ranges):
-        trailing += part.trailing_blank
-        if part.trailing_blank < part.lines:
-            break
-    rows = sum(part.lines for part in ranges) - trailing
+    rows = before = 0
+    for part in ranges:
+        if part.filled:
+            rows = before + part.filled
+        before += part.lines
     if (sum(len(part.table) for part in ranges) != rows
             or any(part.table.shape[1] != ncols for part in ranges if len(part.table))):
         raise ValueError("a quoted cell spans more than one line")
@@ -283,54 +274,81 @@ def _parse(path: str, starts: list[int], ncols: int,
     return (tables[0] if len(tables) == 1 else np.concatenate(tables)), names
 
 
-def _parse_range(raw, codes_col: int | None) -> _Range:
-    """np.loadtxt of the lines of a binary stream, from where it stands to its end."""
+def _parse_range(path: str, start: int, codes_col: int | None,
+                 stop: int | None = None) -> _Range:
+    """np.loadtxt of the lines of path in bytes [start, stop), or to its end.
+
+    A ValueError it raises (a cell np.loadtxt rejects, or a byte that is
+    not UTF-8) carries in ``lines`` the count of lines pulled so far: the
+    fault is in the last of them or past it. It is 0 if the range ended
+    inside the record np.loadtxt rejected.
+    """
     codes: dict[str, int] = {}
     converters = None
     if codes_col is not None:
         converters = {codes_col: lambda cell: codes.setdefault(cell.strip(), len(codes))}
+    raw = open(path, "rb")
+    raw.seek(start)
+    if stop is not None:
+        raw = io.BufferedReader(_Span(raw, stop - start), 1 << 16)
     # newline="" splits lines as the header's reader did, keeping their ends
     with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
         lines = _CountedLines(text)
-        # An explicit encoding hands converters str: numpy 1.x defaults
-        # to "bytes" and would pass them latin-1 bytes.
-        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
-                           quotechar='"', converters=converters, encoding="utf-8")
-    return _Range(table, lines.lines, lines.trailing_blank, lines.last, list(codes))
+        try:
+            # An explicit encoding hands converters str: numpy 1.x defaults
+            # to "bytes" and would pass them latin-1 bytes.
+            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
+                               quotechar='"', converters=converters, encoding="utf-8")
+        except ValueError as err:
+            if lines.ended:  # inside a quoted cell, which in a whole file may run on
+                err = ValueError("a quoted cell spans more than one line")
+            err.lines = 0 if lines.ended else lines.lines
+            raise err
+    return _Range(table, lines.lines, lines.filled, lines.last, list(codes))
 
 
-def _open_at(path: str, start: int):
-    """path opened for binary reading at byte start."""
-    raw = open(path, "rb")
-    raw.seek(start)
-    return raw
+class _Span(io.RawIOBase):
+    """The next size bytes of a binary file, as a raw stream that owns it."""
+
+    def __init__(self, file, size: int):
+        self._file = file
+        self._left = size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        count = self._file.readinto(memoryview(buf)[:self._left])
+        self._left -= count
+        return count
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
 
 
 class _CountedLines:
-    """Iterate over lines, counting them and the blank ones at the end, and
-    keeping the last non-blank one."""
+    """Iterate over lines, counting them as they are yielded, noting the
+    last non-blank one and how many lines run through it, and whether
+    the lines ran out."""
 
     def __init__(self, lines):
         self._lines = lines
-        self.lines = self.trailing_blank = 0
+        self.lines = self.filled = 0
         self.last = ""
+        self.ended = False
 
     def __iter__(self):
-        total = trailing_blank = 0
-        last = ""
         for line in self._lines:
-            total += 1
-            if line in _BLANK_LINES:
-                trailing_blank += 1
-            else:
-                trailing_blank = 0
-                last = line
+            self.lines += 1
+            if line not in _BLANK_LINES:
+                self.filled, self.last = self.lines, line
             yield line
-        self.lines, self.trailing_blank, self.last = total, trailing_blank, last
+        self.ended = True
 
 
 def _raise_first_error(path: str, label_column: str | None, label_kind: str | None,
-                       cause: str) -> NoReturn:
+                       cause: str, from_line: int = 0) -> NoReturn:
     """Re-read path with csv.reader and raise a DataError for its first fault.
 
     load_csv calls this once its vectorized parse has failed, so the
@@ -338,10 +356,13 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
     and the column. One pass streams the records, never holding them,
     and notes the first fault of each kind. They are raised after it in
     this order: an interior blank line, no data rows, a header fault, a
-    row's width, feature cell or class name, a real label. A byte that
-    is not UTF-8 reads as a lone surrogate, which no number contains;
-    one in a header cell or class name is named by its row and column.
-    It never returns data.
+    row's width, feature cell or class name, a real label. Every row's
+    width is checked, but its cells only if the row ends on line
+    from_line of the file or past it: np.loadtxt accepted every line
+    before the one it rejected. A byte that is not UTF-8 reads as a lone
+    surrogate, which no number contains; one in a header cell or class
+    name is named by its row and column. If no fault is found, the
+    message gives cause. It never returns data.
     """
     with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -378,6 +399,8 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
             if len(row) != len(header):
                 fault = f"row {i + 2} has {len(row)} cells, header has {len(header)}"
                 continue
+            if reader.line_num < from_line:
+                continue
             for j, cell in enumerate(row):
                 if j != label_idx and not _is_float(cell.strip()):
                     fault = (f"non-numeric value {cell.strip()!r} at row {i + 2}, "
@@ -392,16 +415,11 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
             else:
                 if (label_kind == "real" and bad_label is None
                         and not _is_float(row[label_idx].strip())):
-                    bad_label = row[label_idx].strip()
+                    bad_label = (f"non-numeric label value {row[label_idx].strip()!r} "
+                                 f"at row {i + 2}, column {label_column!r}")
     if not rows:
         raise DataError(f"{path}: no data rows")
-    if fault is not None:
-        raise DataError(f"{path}: {fault}")
-    if bad_label is not None:
-        raise DataError(
-            f"{path}: non-numeric label value {bad_label!r} in column {label_column!r}"
-        )
-    raise DataError(f"{path}: cannot read as a numeric table: {cause}")
+    raise DataError(f"{path}: {fault or bad_label or 'cannot read as a numeric table: ' + cause}")
 
 
 def _non_utf8_byte(text: str) -> str | None:
@@ -451,11 +469,7 @@ def write_dataset_csv(dataset: Dataset, path: str) -> str:
     labels go in a trailing "label" column, categorical ones in a
     "class" column.
     """
-    m = dataset.n_features
-    names = list(dataset.feature_names) if dataset.feature_names else [
-        f"z{j + 1}" for j in range(m)
-    ]
-    header = list(names)
+    header = list(dataset.feature_names or (f"z{j + 1}" for j in range(dataset.n_features)))
     if dataset.labels is not None:
         header.append("label")
     elif dataset.class_labels is not None:

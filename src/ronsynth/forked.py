@@ -6,13 +6,13 @@ parent made before the fork and reads once it has reaped a child that
 exited 0. The file has no name, so a killed release leaves none behind.
 The dataset module imports this one only for a file above SPLIT_BYTES
 or a table above SPLIT_CELLS, so a release of small inputs never loads
-it. What the halves must add up to, and the one-process path that every
-failure falls back to, stay in the dataset module.
+it. What the halves must add up to, and the fault finder that a
+rejected file goes to, stay in the dataset module.
 """
 
 from __future__ import annotations
 
-import io
+import contextlib
 import os
 import pickle
 import shutil
@@ -25,80 +25,88 @@ import numpy as np
 from . import dataset
 
 
-class Child:
-    """work(*args) run in a forked child, as a context manager.
+class Child(contextlib.AbstractContextManager):
+    """work(fd, *args) run in a forked child, as a context manager, with fd
+    an unnamed temporary file made in dir before the fork; the parent
+    reads it as ``out``.
 
     The work parses or formats text: it makes no BLAS call and writes
-    only to the temporary file whose descriptor the parent hands it. The
-    child leaves through os._exit, 0 if work returned and 1 if it
-    raised, so it runs none of its parent's atexit hooks (nor a test
-    runner's), flushes no stdio buffer it inherited and prints no
-    warning or traceback. A fork that fails counts as a failed child;
-    the caller then does the work itself. Leaving the block reaps the
-    child, which is killed first if wait() has not reaped it.
+    only to that file. The child leaves through os._exit, 0 if work
+    returned and 1 if it raised, so it runs none of its parent's atexit
+    hooks (nor a test runner's), flushes no stdio buffer it inherited
+    and prints no warning or traceback. A fork that fails, or a
+    temporary file that cannot be made, counts as a failed child; the
+    caller then does the work itself. Leaving the block reaps the child,
+    which is killed first if wait() has not reaped it, and closes out.
     """
 
-    def __init__(self, work, *args):
+    def __init__(self, work, *args, dir=None):
+        self.pid = self.out = self._status = None
         try:
+            self.out = tempfile.TemporaryFile(dir=dir)
             self.pid = os.fork()
         except OSError:
-            self.pid = None
+            return
         if self.pid == 0:
             code = 1
             try:
                 warnings.simplefilter("ignore")
-                work(*args)
+                work(self.out.fileno(), *args)
                 code = 0
             finally:
                 os._exit(code)
-        self._status = None
 
     def wait(self) -> bool:
-        """Reap the child; True if it exited with status 0."""
+        """Reap the child; True if it exited with status 0, with out rewound."""
         if self.pid is None:
             return False
         if self._status is None:
             self._status = os.waitpid(self.pid, 0)[1]
+            self.out.seek(0)  # the child's writes moved the offset the two share
         return os.waitstatus_to_exitcode(self._status) == 0
-
-    def __enter__(self):
-        return self
 
     def __exit__(self, *exc):
         if self.pid is not None and self._status is None:
             os.kill(self.pid, signal.SIGKILL)
             self.wait()
+        if self.out is not None:
+            self.out.close()
 
 
 def parse_two(path: str, start: int, split: int, codes_col: int | None) -> list[dataset._Range]:
     """dataset._parse_range of bytes [start, split) of path here, and of
-    [split, end) in a forked child.
+    [split, end) in a forked child, or here too if the child fails.
 
-    Raises ValueError when the child fails, or when the first range ends
-    inside a quoted cell: in the whole file that record runs on past the
-    split, though each range alone may parse. Raises OSError when the
-    temporary file cannot be made.
+    Raises the ValueError of either range, the second's ``lines``
+    counted from start. Raises ValueError without ``lines`` when the
+    first range ends inside a quoted cell: in the whole file that record
+    runs on past the split, though each range alone may parse.
     """
     # the default temporary directory: the input's own may be read-only
-    with tempfile.TemporaryFile() as out:
-        with Child(_send_range, out.fileno(), path, split, codes_col) as child:
-            span = _Span(dataset._open_at(path, start), split - start)
-            first = dataset._parse_range(io.BufferedReader(span, 1 << 16), codes_col)
-            if not child.wait():
-                raise ValueError("the second range's parse failed")
-        out.seek(0)
+    with Child(_send_range, path, split, codes_col) as child:
+        first = dataset._parse_range(path, start, codes_col, split)
         # protocol 5 reads the table into one buffer that the array then wraps
-        ranges = [first, pickle.load(out)]
+        second = pickle.load(child.out) if child.wait() else _range(path, split, codes_col)
     if _ends_in_quote(first.last):
-        raise ValueError("a quoted cell spans the split")
-    return ranges
+        raise ValueError("a quoted cell spans more than one line")
+    if isinstance(second, ValueError):
+        second.lines += first.lines
+        raise second
+    return [first, second]
+
+
+def _range(path: str, start: int, codes_col: int | None) -> dataset._Range | ValueError:
+    """The _parse_range of path from byte start on, or the ValueError it raised."""
+    try:
+        return dataset._parse_range(path, start, codes_col)
+    except ValueError as err:
+        return err
 
 
 def _send_range(fd: int, path: str, start: int, codes_col: int | None) -> None:
-    """Pickle the _parse_range of path from byte start on into the file fd."""
-    part = dataset._parse_range(dataset._open_at(path, start), codes_col)
+    """Pickle _range(path, start, codes_col) into the file fd."""
     with open(fd, "wb", closefd=False) as out:
-        pickle.dump(part, out, protocol=5)
+        pickle.dump(_range(path, start, codes_col), out, protocol=5)
 
 
 def _ends_in_quote(line: str) -> bool:
@@ -125,14 +133,11 @@ def write_halves(fh, path: str, row: str, table: np.ndarray,
     split = len(table) // 2
     head = table[:split], None if last is None else last[:split]
     tail = table[split:], None if last is None else last[split:]
-    with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as part:
-        with Child(_format_file, part.fileno(), row, *tail) as child:
-            dataset._format_rows(fh, row, *head)
-            formatted = child.wait()
-        if formatted:
+    with Child(_format_file, row, *tail, dir=os.path.dirname(os.path.abspath(path))) as child:
+        dataset._format_rows(fh, row, *head)
+        if child.wait():
             fh.flush()
-            part.seek(0)
-            shutil.copyfileobj(part, fh.buffer, 1 << 20)
+            shutil.copyfileobj(child.out, fh.buffer, 1 << 20)
         else:
             dataset._format_rows(fh, row, *tail)
 
@@ -140,23 +145,3 @@ def write_halves(fh, path: str, row: str, table: np.ndarray,
 def _format_file(fd: int, row: str, table: np.ndarray, last: np.ndarray | None) -> None:
     with open(fd, "w", newline="", encoding="utf-8", closefd=False) as fh:
         dataset._format_rows(fh, row, table, last)
-
-
-class _Span(io.RawIOBase):
-    """The next size bytes of a binary file, as a raw stream that owns it."""
-
-    def __init__(self, file, size: int):
-        self._file = file
-        self._left = size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        count = self._file.readinto(memoryview(buf)[:self._left])
-        self._left -= count
-        return count
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()

@@ -101,8 +101,8 @@ MALFORMED = [
     ("f1,f2\n1,2\n#3,4\n", None, None, "non-numeric value '#3' at row 3, column 'f1'"),
     ("f1,f2\n#1,2\n", None, None, "non-numeric value '#1' at row 2, column 'f1'"),
     ("f1,f2\n1,2\n3,\n", None, None, "non-numeric value '' at row 3, column 'f2'"),
-    ("f1,y\n1,2\n3,x\n", "y", "real", "non-numeric label value 'x' in column 'y'"),
-    ("f1,y\n1,x\n2,w\n", "y", "real", "non-numeric label value 'x' in column 'y'"),
+    ("f1,y\n1,2\n3,x\n", "y", "real", "non-numeric label value 'x' at row 3, column 'y'"),
+    ("f1,y\n1,x\n2,w\n", "y", "real", "non-numeric label value 'x' at row 2, column 'y'"),
     # every feature cell is checked before any label
     ("f1,y\n1,x\nz,2\n", "y", "real", "non-numeric value 'z' at row 3, column 'f1'"),
     ("f1,cls\n1,a\n2\n", "cls", "categorical", "row 3 has 1 cells, header has 2"),

@@ -7,6 +7,7 @@ processes on small inputs, and to a size no file reaches for one.
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -57,10 +58,10 @@ def waits(monkeypatch):
     return calls
 
 
-# a file parsed at once in one process and then in two; two processes
-# whose parse does not add up, and one process, then reach the same error
+# a file parsed at once in one process and then in two; a rejected file
+# goes from either parse straight to the fault finder
 SPLIT_AND_ACCEPTED = [(1, True), (2, True)]
-SPLIT_AND_REJECTED = [(1, False), (2, False), (1, False)]
+SPLIT_AND_REJECTED = [(1, False), (2, False)]
 
 
 def _write(tmp_path, text, name="in.csv"):
@@ -173,10 +174,32 @@ class TestLoadParity:
         assert _check_parity(monkeypatch, path) == (text if nan else f"{path}: {text}")
         assert parses == (SPLIT_AND_ACCEPTED if nan else SPLIT_AND_REJECTED)
 
-    @pytest.mark.parametrize("quoted", [['1,0,"2\n', '"\n'], ['1,0,"2\n']],
-                             ids=["closed on the next line", "never closed"])
+    @pytest.mark.parametrize("at", [1, len(ROWS) - 1], ids=["first range", "second range"])
+    def test_a_bad_cell_is_parsed_once_and_checked_from_its_row(self, tmp_path, monkeypatch,
+                                                                parses, at):
+        rows = list(ROWS)
+        rows[at] = rows[at].split(",")[0] + ",oops\n"
+        path = _write(tmp_path, "f1,f2\n" + "".join(rows))
+        assert (at >= _data_lines(monkeypatch, path)[1]) == (at == len(ROWS) - 1)
+        seen = []
+        is_float = dataset._is_float
+
+        def spy(text):
+            seen.append(text)
+            return is_float(text)
+
+        monkeypatch.setattr(dataset, "_is_float", spy)
+        message = f"{path}: non-numeric value 'oops' at row {at + 2}, column 'f2'"
+        assert _load(monkeypatch, 0, path) == message
+        assert parses == [(2, False)]
+        # np.loadtxt accepted every row before the bad one
+        assert seen == [rows[at].split(",")[0], "oops"]
+
+    @pytest.mark.parametrize("quoted", [['1,0,"2\n', '"\n'], ['1,0,"2\n'], ['1,"2\n', '",0\n']],
+                             ids=["closed on the next line", "never closed", "cut short"])
     def test_quote_open_at_the_split(self, tmp_path, monkeypatch, quoted):
-        # each range alone can parse, but in the whole file the quote joins lines
+        # each range alone can parse, or the first one ends inside a record
+        # with too few cells, but in the whole file the quote joins lines
         spanned = False
         for at in range(1, len(ROWS)):
             rows = [r[:-1] + ",0\n" for r in ROWS]
@@ -211,17 +234,18 @@ class TestLoadParity:
         assert parses == SPLIT_AND_ACCEPTED
 
     def test_a_failed_child_leaves_the_one_process_parse(self, tmp_path, monkeypatch,
-                                                        parses):
+                                                        parses, waits):
         def fail(*args):
             raise OSError("the child cannot parse")
 
         monkeypatch.setattr(forked, "_send_range", fail)
         path = _write(tmp_path, "f1,cls\n" + "".join(f"{i},c{i % 3}\n" for i in range(40)))
         _check_parity(monkeypatch, path, "cls", "categorical")
-        assert parses == [(1, True), (2, False), (1, True)]
+        assert parses == SPLIT_AND_ACCEPTED
+        assert waits == [False]
 
     def test_a_child_failing_after_it_sent_leaves_the_one_process_parse(
-            self, tmp_path, monkeypatch, parses):
+            self, tmp_path, monkeypatch, parses, waits):
         send_range = forked._send_range
 
         def send_and_fail(*args):
@@ -231,16 +255,30 @@ class TestLoadParity:
         monkeypatch.setattr(forked, "_send_range", send_and_fail)
         path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
         _check_parity(monkeypatch, path)
-        assert parses == [(1, True), (2, False), (1, True)]
+        assert parses == SPLIT_AND_ACCEPTED
+        assert waits == [False]
 
-    def test_a_failed_fork_leaves_the_one_process_parse(self, tmp_path, monkeypatch, parses):
+    def test_a_failed_fork_leaves_the_one_process_parse(self, tmp_path, monkeypatch, parses,
+                                                        waits):
         def no_fork():
             raise BlockingIOError("no process can be started")
 
         monkeypatch.setattr(os, "fork", no_fork)
         path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
         _check_parity(monkeypatch, path)
-        assert parses == [(1, True), (2, False), (1, True)]
+        assert parses == SPLIT_AND_ACCEPTED
+        assert waits == [False]
+
+    def test_no_temporary_file_leaves_the_one_process_parse(self, tmp_path, monkeypatch,
+                                                            parses, waits):
+        def no_file(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
+        assert isinstance(_check_parity(monkeypatch, path), Dataset)
+        assert parses == SPLIT_AND_ACCEPTED
+        assert waits == [False]
 
 
 class TestNonUtf8:
@@ -348,6 +386,16 @@ class TestWriteParity:
         ds = Dataset(features=self.FEATURES, labels=self.RNG.normal(size=11))
         monkeypatch.setattr(dataset, "_format_rows", fail_in_child)
         one, two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
+        assert one == two
+        assert waits == [False]
+
+    def test_no_temporary_file_leaves_the_half_to_the_parent(self, tmp_path, monkeypatch,
+                                                             waits):
+        def no_file(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        one, two = _write_both(monkeypatch, tmp_path, write_matrix_csv, self.FEATURES)
         assert one == two
         assert waits == [False]
 
