@@ -40,9 +40,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# silhouette is quadratic in the point count; larger inputs are subsampled to this
-SILHOUETTE_MAX_POINTS = 2000
-
 
 class _Parser(argparse.ArgumentParser):
     # a flag prefix such as --samp is an error, not an alias of the flag
@@ -318,8 +315,7 @@ def _sweep_metric(args, data: Dataset, truth: np.ndarray | None,
         acc = nearest_mean_accuracy(result, data, data.class_labels)
         return {"metric": "accuracy", "value": acc}
     # unsupervised: cluster the release and score the clustering
-    best_k, sweep, _ = silhouette_sweep(result.dataset.features, range(2, 7),
-                                        SILHOUETTE_MAX_POINTS, args.seed)
+    best_k, sweep, _ = silhouette_sweep(result.dataset.features, range(2, 7), args.seed)
     return {"metric": "silhouette", "value": sweep[best_k], "k": best_k}
 
 
@@ -372,8 +368,7 @@ def cmd_eval(args) -> int:
     lo, hi = int(match.group(1)), int(match.group(2))
     if lo < 2 or hi < lo:
         raise _UsageError(f"--k-sweep needs 2 <= LO <= HI, got {args.k_sweep!r}")
-    best_k, sweep, n_points = silhouette_sweep(data.features, range(lo, hi + 1),
-                                               SILHOUETTE_MAX_POINTS, args.seed)
+    best_k, sweep, n_points = silhouette_sweep(data.features, range(lo, hi + 1), args.seed)
     return _print_report("silhouette", sweep[best_k], n_points,
                          {"k": best_k, "sweep": {str(k): v for k, v in sweep.items()}})
 

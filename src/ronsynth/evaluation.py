@@ -29,6 +29,8 @@ from .synthesis import SynthesisResult, transform_features
 # cells of the distance accumulator filled per block: 512 KiB of
 # float64, small enough to stay in cache across the coordinate loop
 _BLOCK_CELLS = 1 << 16
+# silhouette is quadratic in the point count; larger inputs are subsampled to this
+SILHOUETTE_MAX_POINTS = 2000
 
 
 def silhouette(X: np.ndarray, assignments: np.ndarray) -> float:
@@ -94,19 +96,19 @@ def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def silhouette_sweep(X: np.ndarray, ks, max_samples: int, seed) -> tuple[int, dict, int]:
+def silhouette_sweep(X: np.ndarray, ks, seed) -> tuple[int, dict, int]:
     """Cluster X by k-means for each k in ks and score each clustering.
 
-    X is first subsampled to max_samples columns. Every k above the
-    point count is skipped; none left is a ValueError. The pairwise
-    distances are computed once and shared by every k. Returns the best
-    k, the silhouette of every feasible k, and the number of points
-    scored.
+    X is first subsampled to SILHOUETTE_MAX_POINTS columns. Every k
+    above the point count is skipped; none left is a ValueError. The
+    pairwise distances are computed once and shared by every k. Returns
+    the best k, the silhouette of every feasible k, and the number of
+    points scored.
     """
     X = np.asarray(X, dtype=float)
     rng = np.random.default_rng(seed)
-    if X.shape[1] > max_samples:
-        X = X[:, rng.choice(X.shape[1], size=max_samples, replace=False)]
+    if X.shape[1] > SILHOUETTE_MAX_POINTS:
+        X = X[:, rng.choice(X.shape[1], size=SILHOUETTE_MAX_POINTS, replace=False)]
     ks = [k for k in ks if k <= X.shape[1]]
     if not ks:
         raise ValueError("no feasible k: fewer samples than clusters")

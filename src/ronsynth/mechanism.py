@@ -1,10 +1,12 @@
 """Laplace mechanism, L1-sensitivities, and privacy-budget accounting.
 
-Every noise draw in the pipeline is calibrated here. The sensitivity
-formulas assume sample-wise normalized data (each sample has unit
-Euclidean norm), which the preprocessing stage guarantees, and the
-bounded neighboring notion: two datasets of the same publicly-known
-size n that differ in the values of a single sample.
+Every noise draw in the pipeline is calibrated here, at the
+``noise_scale`` of the ledger entry that records its spend. The
+sensitivity formulas assume samples of Euclidean norm at most 1 (a
+sample that collapses onto the mean is the zero vector, and projected
+samples are clipped to the unit ball), which the preprocessing stage
+guarantees, and the bounded neighboring notion: two datasets of the
+same publicly-known size n that differ in the values of a single sample.
 
 WARNING: deterministic, seeded noise exists so that pipelines are
 bit-reproducible for testing and review. A seeded run is NOT
@@ -107,10 +109,15 @@ class LedgerEntry:
     epsilon: float
     group: str | None = None  # entries sharing a group compose in parallel
 
+    @property
+    def noise_scale(self) -> float:
+        """The Laplace scale b of the draw this entry pays for; 0 at epsilon = inf."""
+        return self.sensitivity / self.epsilon
+
     def as_dict(self) -> dict:
         """The row ``ronsynth budget`` prints; ``group`` only when set."""
         row = {"query": self.query, "sensitivity": self.sensitivity, "epsilon": self.epsilon,
-               "noise_scale": self.sensitivity / self.epsilon}
+               "noise_scale": self.noise_scale}
         if self.group is not None:
             row["group"] = self.group
         return row
@@ -184,7 +191,8 @@ def record_spends(ledger: BudgetLedger, m: int, p: int, n: int, epsilon_mu: floa
     selects the label-augmented covariance. ``per_class`` marks a gmm
     class: its mean is taken in the p-dimensional chart, and both spends
     go in the parallel-composition groups. Releases and ``ronsynth
-    budget`` account only here. Returns both entries.
+    budget`` account only here. Returns both entries; every draw takes
+    its scale from its entry's ``noise_scale``.
     """
     groups = (GMM_MEAN_GROUP, GMM_COV_GROUP) if per_class else (None, None)
     mean = ledger.record("mean", mean_sensitivity(p if per_class else m, n), epsilon_mu,

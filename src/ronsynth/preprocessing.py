@@ -6,7 +6,7 @@ four steps:
 1. pre-normalize it to unit Euclidean norm, x1_j = s_j x_j with
    s_j = 1/||x_j||,
 2. take a DP estimate mu of the mean of the x1_j, with Laplace noise at
-   scale 2*sqrt(m)/(n * epsilon_mu),
+   the ``noise_scale`` of its ledger entry, 2*sqrt(m)/(n * epsilon_mu),
 3. subtract mu,
 4. re-normalize the centered column to unit norm; a column that
    collapses onto the mean becomes the zero vector instead.
@@ -45,8 +45,8 @@ out explicitly, for tests to compare against; a release never builds it.
 A mixture skips steps 2 to 4. Every class shares one basis W, and class
 c keeps the uncentered chart v_j = clip₁(s_j Wᵀx_j) of its columns, from
 the Dataset's column norms and one GEMM WᵀX. Its DP mean is taken of the
-v_j in R^p, at scale 2*sqrt(p)/(n_c * epsilon_mu): no m-dimensional mean
-is released or noised.
+v_j in R^p, at its entry's scale 2*sqrt(p)/(n_c * epsilon_mu): no
+m-dimensional mean is released or noised.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mechanism import laplace_perturb, mean_sensitivity
+from .mechanism import BudgetLedger, LedgerEntry, laplace_perturb, mean_sensitivity
 from .projection import RonProjection
 
 UNIT_NORM_TOL = 1e-9
@@ -130,14 +130,13 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float,
             rng: np.random.Generator) -> np.ndarray:
     """Laplace-perturbed column mean of unit-norm data.
 
-    Noise scale is 2*sqrt(m)/(n * epsilon_mu). Passing
-    epsilon_mu=math.inf disables the noise (research mode). The caller
-    records the spend (``mechanism.record_spends``).
+    Noise scale is 2*sqrt(m)/(n * epsilon_mu), the ``noise_scale`` of
+    the mean entry built here. Passing epsilon_mu=math.inf disables the
+    noise (research mode).
     """
     X = np.asarray(X_normalized, dtype=float)
-    if not epsilon_mu > 0:
-        raise ValueError(f"epsilon_mu must be positive, got {epsilon_mu}")
-    n = X.shape[1]
+    m, n = X.shape
+    spend = BudgetLedger().record("mean", mean_sensitivity(m, n), epsilon_mu)
     # squared norms need no m x n temporary; |n^2 - 1| is about 2|n - 1|
     sq_norms = np.einsum("ij,ij->j", X, X)
     if np.any(np.abs(sq_norms - 1.0) > 2 * UNIT_NORM_TOL):
@@ -146,19 +145,19 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float,
             f"input is not sample-normalized: column {idx} has norm "
             f"{math.sqrt(sq_norms[idx])!r}"
         )
-    return _release_mean(X.mean(axis=1), n, epsilon_mu, rng)
+    return _release_mean(X.mean(axis=1), spend, rng)
 
 
-def _release_mean(mean: np.ndarray, n: int, epsilon_mu: float,
+def _release_mean(mean: np.ndarray, spend: LedgerEntry,
                   rng: np.random.Generator) -> np.ndarray:
-    """The mean of n samples of norm at most 1 plus its Laplace noise.
+    """A mean of samples of norm at most 1 plus its Laplace noise.
 
-    The noise scale is mean_sensitivity(len(mean), n)/epsilon_mu;
-    epsilon_mu=math.inf returns the mean as it is.
+    The noise scale is the mean entry's ``noise_scale``; an entry with
+    epsilon=math.inf returns the mean as it is.
     """
-    if math.isinf(epsilon_mu):
+    if math.isinf(spend.epsilon):
         return mean
-    return laplace_perturb(mean, mean_sensitivity(mean.shape[0], n) / epsilon_mu, rng)
+    return laplace_perturb(mean, spend.noise_scale, rng)
 
 
 def clip_to_unit_ball(Y: np.ndarray) -> np.ndarray:
@@ -214,17 +213,18 @@ def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> np.ndarray:
                      where=norms > DEGENERATE_NORM)
 
 
-def preprocess(X: np.ndarray, sq_norms: np.ndarray, epsilon_mu: float,
+def preprocess(X: np.ndarray, sq_norms: np.ndarray, mean_spends: Sequence[LedgerEntry],
                rngs: Sequence[np.random.Generator],
                draw_projection: Callable[[np.random.Generator], RonProjection],
                classes: np.ndarray | None = None) -> PreprocessedDataset:
     """Run the full preprocessing stage and the projection.
 
     ``sq_norms`` holds every column's squared norm, ``column_sq_norms(X)``
-    (a release passes ``Dataset.sq_norms``). ``rngs`` holds one generator
-    per class and ``classes`` each column's class (0..k-1); without it
-    all columns form one class. ``draw_projection(rngs[0])`` is called
-    once for the basis every class shares.
+    (a release passes ``Dataset.sq_norms``). Class c draws its mean noise
+    from ``rngs[c]`` at the ``noise_scale`` of its entry ``mean_spends[c]``;
+    ``classes`` holds each column's class (0..k-1), and without it all
+    columns form one class. ``draw_projection(rngs[0])`` is called once
+    for the basis every class shares.
 
     One class gets the paper's centered chart: the DP mean of the unit
     columns is drawn, then the basis, and the columns are centered,
@@ -237,13 +237,10 @@ def preprocess(X: np.ndarray, sq_norms: np.ndarray, epsilon_mu: float,
     columns, and its DP mean is taken in R^p.
     """
     X = np.asarray(X, dtype=float)
-    if not epsilon_mu > 0:
-        raise ValueError(f"epsilon_mu must be positive, got {epsilon_mu}")
     scale = inverse_norms(sq_norms)
     if classes is None:
-        (rng,) = rngs
-        n = X.shape[1]
-        mu = _release_mean((X @ (scale / n)[:, None])[:, 0], n, epsilon_mu, rng)
+        (spend,), (rng,) = mean_spends, rngs
+        mu = _release_mean((X @ (scale / X.shape[1])[:, None])[:, 0], spend, rng)
         proj = draw_projection(rng)
         chart, collapsed = centered_chart(X, scale, mu, proj)
         return PreprocessedDataset(mu_dp=mu[:, None], projection=proj, x_tilde=(chart,),
@@ -253,10 +250,9 @@ def preprocess(X: np.ndarray, sq_norms: np.ndarray, epsilon_mu: float,
     # every column's chart at once, by synthesis.transform_features's arithmetic
     Y = clip_to_unit_ball((proj.W.T @ X) * scale)
     charts, means = [], []
-    for c, rng in enumerate(rngs):
-        cols = np.flatnonzero(classes == c)
-        chart = Y[:, cols]
+    for c, (spend, rng) in enumerate(zip(mean_spends, rngs)):
+        chart = Y[:, classes == c]
         charts.append(chart)
-        means.append(_release_mean(chart.mean(axis=1), len(cols), epsilon_mu, rng))
+        means.append(_release_mean(chart.mean(axis=1), spend, rng))
     return PreprocessedDataset(mu_dp=np.column_stack(means), projection=proj,
                                x_tilde=tuple(charts), zero_norm_rows_dropped=0)

@@ -4,7 +4,7 @@ All three release modes fit and sample through one core, in which
 unsupervised and supervised releases are the one-class case of the
 mixture: preprocess and project every class from a fixed number of
 passes over the data, then per class estimate a second-moment matrix,
-add Laplace noise calibrated to its sensitivity, repair the noisy matrix
+add Laplace noise at its ledger entry's scale, repair the noisy matrix
 to the PSD cone and sample the fitted Gaussian. Each mode only
 assembles the samples into its release.
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .mechanism import BudgetLedger, laplace_perturb, record_spends
+from .mechanism import BudgetLedger, LedgerEntry, laplace_perturb, record_spends
 from .preprocessing import (centered_chart, clip_to_unit_ball, column_sq_norms,
                             inverse_norms, preprocess)
 from .projection import RonProjection, generate_ron, project
@@ -142,22 +142,20 @@ def estimate_aug_cov(X_tilde: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def dp_perturb_cov(cov: np.ndarray, sensitivity: float, epsilon_sigma: float,
+def dp_perturb_cov(cov: np.ndarray, spend: LedgerEntry,
                    rng: np.random.Generator) -> np.ndarray:
     """Laplace-perturb the upper triangle of a covariance and mirror it.
 
-    Each entry i <= j, the entries the sensitivity covers, gets noise of
-    scale sensitivity/epsilon_sigma once; the lower triangle copies it.
-    epsilon_sigma=math.inf disables the noise. The caller records the
-    spend (``mechanism.record_spends``).
+    ``spend`` is the covariance's ledger entry (``mechanism.record_spends``).
+    Each entry i <= j, the entries its sensitivity covers, gets noise at
+    the entry's ``noise_scale`` once; the lower triangle copies it. An
+    entry with epsilon=math.inf disables the noise.
     """
     cov = np.asarray(cov, dtype=float)
-    if not epsilon_sigma > 0:
-        raise ValueError(f"epsilon_sigma must be positive, got {epsilon_sigma}")
     upper = np.triu_indices(cov.shape[0])
     values = cov[upper]
-    if not math.isinf(epsilon_sigma):
-        values = laplace_perturb(values, sensitivity / epsilon_sigma, rng)
+    if not math.isinf(spend.epsilon):
+        values = laplace_perturb(values, spend.noise_scale, rng)
     noisy = np.empty_like(cov)
     noisy[upper] = values
     noisy.T[upper] = values
@@ -213,18 +211,19 @@ def _released_names(p: int) -> tuple[str, ...]:
 
 def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
          rngs: list[np.random.Generator], n_synth: int | None,
-         classes: np.ndarray | None = None, projection: RonProjection | None = None,
+         classes: np.ndarray | None = None, basis_rng: np.random.Generator | None = None,
          label_bound: float | None = None):
     """The fitting and sampling core of every release mode.
 
     One class (``classes`` None, one generator) is the unsupervised and
-    supervised case; the mixture passes each column's class and one
-    generator per class. Records every class's spends in a new ledger,
-    preprocesses and projects every class onto one basis (the mixture's
-    given ``projection``, or a fresh one for one class), then per class
+    supervised case; the mixture passes each column's class, one
+    generator per class and ``basis_rng``, the generator its basis is
+    drawn from. Records every class's spends in a new ledger before any
+    draw, preprocesses and projects every class onto one basis, drawing
+    each class's mean noise at its mean entry's scale, then per class
     estimates the second moment (augmented with ``data.labels`` clipped
     to [-label_bound, label_bound] when a bound is given) and
-    Laplace-perturbs it at the recorded sensitivity. One class is
+    Laplace-perturbs it at its covariance entry's scale. One class is
     zero-mean; a mixture class is centred on its chart's DP mean mu_c,
     and mu_c mu_cᵀ is subtracted from its noisy moment. The result is
     repaired to the PSD cone, and n_synth samples (default: the class's
@@ -237,18 +236,18 @@ def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     m, n = X.shape
     counts = [n] if classes is None else np.bincount(classes).tolist()
     ledger = BudgetLedger()
-    cov_spends = [record_spends(ledger, m, p, n_c, epsilon_mu, epsilon_sigma,
-                                label_bound, classes is not None)[1] for n_c in counts]
+    spends = [record_spends(ledger, m, p, n_c, epsilon_mu, epsilon_sigma,
+                            label_bound, classes is not None) for n_c in counts]
     labels = None if label_bound is None else np.clip(data.labels, -label_bound, label_bound)
 
     def draw(rng):
-        return projection if projection is not None else generate_ron(m, p, rng)
+        return generate_ron(m, p, rng if basis_rng is None else basis_rng)
 
-    pre = preprocess(X, data.sq_norms, epsilon_mu, rngs, draw, classes)
+    pre = preprocess(X, data.sq_norms, [mean for mean, _ in spends], rngs, draw, classes)
     fits = []
-    for c, (x_tilde, spend, rng) in enumerate(zip(pre.x_tilde, cov_spends, rngs)):
+    for c, (x_tilde, (_, spend), rng) in enumerate(zip(pre.x_tilde, spends, rngs)):
         second = estimate_cov(x_tilde) if labels is None else estimate_aug_cov(x_tilde, labels)
-        noisy = dp_perturb_cov(second, spend.sensitivity, epsilon_sigma, rng)
+        noisy = dp_perturb_cov(second, spend, rng)
         mean = np.zeros(noisy.shape[0]) if classes is None else pre.mu_dp[:, c]
         # both terms are exactly symmetric, and so is their difference
         cov, repaired = psd_repair(noisy - np.outer(mean, mean))
@@ -313,11 +312,11 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
               rng: np.random.Generator | None = None) -> SynthesisResult:
     """Release class-labeled synthetic data from one Gaussian per class.
 
-    Every class is projected onto one basis W, drawn from ``rng`` before
-    the per-class generators are spawned, so all classes share one
-    feature space. Each class is modeled independently on its disjoint
-    slice of the data, in the uncentered chart clip₁(Wᵀx/||x||) (see
-    ``transform_features``). The mode mean is the DP mean of that chart, at
+    Every class is projected onto one basis W drawn from ``rng`` (spawning
+    the per-class generators leaves its stream alone), so all classes
+    share one feature space. Each class is modeled independently on its
+    disjoint slice of the data, in the uncentered chart clip₁(Wᵀx/||x||)
+    (see ``transform_features``). The mode mean is the DP mean of that chart, at
     the p-dimensional sensitivity 2*sqrt(p)/n_c, so classes land in
     separate locations; the covariance is the noisy second moment minus
     the mean's outer product, repaired to the PSD cone. Unlike the
@@ -339,11 +338,9 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     lookup = {name: c for c, name in enumerate(class_names)}
     classes = np.fromiter(map(lookup.__getitem__, names), dtype=np.intp, count=len(names))
 
-    projection = generate_ron(m, p, rng)
-    _, ledger, fits = _fit(data, p, epsilon_mu, epsilon_sigma, rng.spawn(len(class_names)),
-                           per_class_n_synth, classes, projection)
-
-    modes = tuple(GmmMode(label=name, model=model, projection=projection)
+    pre, ledger, fits = _fit(data, p, epsilon_mu, epsilon_sigma, rng.spawn(len(class_names)),
+                             per_class_n_synth, classes, rng)
+    modes = tuple(GmmMode(label=name, model=model, projection=pre.projection)
                   for name, (model, _, _) in zip(class_names, fits))
     release = Dataset(
         features=np.concatenate([samples for _, samples, _ in fits], axis=1),
@@ -353,7 +350,7 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     )
     return SynthesisResult(dataset=release, model=GmmModel(modes), ledger=ledger,
                            psd_repair_applied=any(repaired for _, _, repaired in fits),
-                           projection=projection)
+                           projection=pre.projection)
 
 
 def transform_features(result: SynthesisResult, data: Dataset) -> np.ndarray:

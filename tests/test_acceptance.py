@@ -22,6 +22,7 @@ from ronsynth.evaluation import (
     rmse,
 )
 from ronsynth.mechanism import (
+    LedgerEntry,
     aug_cov_sensitivity,
     cov_sensitivity,
     laplace_perturb,
@@ -216,7 +217,9 @@ def test_criterion_06_projected_normality():
     rng = np.random.default_rng(106)
     X = rng.uniform(-1.0, 1.0, size=(m, n))
     proj = generate_ron(m, p, np.random.default_rng(2))
-    pre = preprocess(X, column_sq_norms(X), 1.0, [np.random.default_rng(1)], lambda rng: proj)
+    spend = LedgerEntry("mean", mean_sensitivity(m, n), 1.0)
+    pre = preprocess(X, column_sq_norms(X), [spend], [np.random.default_rng(1)],
+                     lambda rng: proj)
     ks_projected = normality_diagnostic(pre.x_tilde[0]).mean_ks
     ks_raw = normality_diagnostic(X).mean_ks
     elapsed = time.monotonic() - start

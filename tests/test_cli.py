@@ -131,6 +131,52 @@ class TestSynthCommand:
         assert main(["synth", labeled_csv, "--mode", "supervised",
                      "--label-col", "y"]) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["synth", "ghost.csv", "--mode", "gmm"], "gmm mode needs --label-col"),
+        (["budget", "--m", "20"], "unsupervised budget plan needs --n"),
+        (["budget", "--m", "20", "--mode", "supervised", "--label-bound", "1"],
+         "supervised budget plan needs --n"),
+        (["budget", "--m", "20", "--mode", "supervised", "--n", "100"],
+         "supervised budget plan needs --label-bound"),
+    ], ids=["synth-gmm-label-col", "budget-n", "budget-supervised-n",
+            "budget-supervised-label-bound"])
+    def test_mode_without_a_needed_flag_is_a_usage_error(self, tmp_path, argv, message,
+                                                         capsys):
+        # synth reads no input first: a missing file would exit 2
+        argv = [str(tmp_path / arg) if arg == "ghost.csv" else arg for arg in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value,message", [
+        ("1,x", "--dim-sweep expects comma-separated integers, got '1,x'"),
+        (",", "--dim-sweep got an empty list"),
+        ("0,2,6", "--dim-sweep values must satisfy 1 <= p < m=6: [0, 6]"),
+    ], ids=["not-an-integer", "empty", "out-of-range"])
+    def test_bad_dim_sweep_is_a_usage_error(self, numeric_csv, tmp_path, value, message,
+                                            capsys):
+        out = tmp_path / "rel"
+        assert main(["synth", numeric_csv, "--dim-sweep", value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_numeric_failure_exits_3_without_output(self, numeric_csv, tmp_path,
+                                                    monkeypatch, capsys):
+        def rank_deficient(m, p, rng):
+            raise np.linalg.LinAlgError("random basis is rank-deficient")
+
+        monkeypatch.setattr(synthesis, "generate_ron", rank_deficient)
+        out = tmp_path / "rel"
+        assert main(["synth", numeric_csv, "--dim", "2", "--seed", "1",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numeric failure: random basis is rank-deficient\n"
+        assert not out.exists()
+
     def test_gmm_release_with_artifacts(self, classed_csv, tmp_path):
         out = str(tmp_path / "rel")
         code = main(["synth", classed_csv, "--mode", "gmm", "--label-col", "cls",
@@ -490,6 +536,37 @@ class TestEvalCommand:
         assert main(["eval", "silhouette", "--data", numeric_csv]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "--k-sweep" in captured.err
+
+    @pytest.mark.parametrize("value,message", [
+        ("2-4", "--k-sweep expects LO:HI, got '2-4'"),
+        ("1:3", "--k-sweep needs 2 <= LO <= HI, got '1:3'"),
+        ("4:2", "--k-sweep needs 2 <= LO <= HI, got '4:2'"),
+    ])
+    def test_bad_k_sweep_is_a_usage_error(self, numeric_csv, value, message, capsys):
+        assert main(["eval", "silhouette", "--data", numeric_csv, "--k-sweep", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("column,code,message", [
+        ("b", 0, None),
+        ("z", 2, "data error: {path}: column 'z' not found (have ['a', 'b'])"),
+        (None, 1, "error: {path} has 2 columns; pick one with --column"),
+    ], ids=["present", "missing", "unset"])
+    def test_rmse_column_selection(self, tmp_path, column, code, message, capsys):
+        pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+        pred.write_text("a,b\n0,1\n0,2\n0,3\n")
+        truth.write_text("a,b\n9,1\n9,2\n9,5\n")
+        argv = ["eval", "rmse", "--pred", str(pred), "--truth", str(truth)]
+        assert main(argv + ([] if column is None else ["--column", column])) == code
+        captured = capsys.readouterr()
+        if message is None:
+            report = json.loads(captured.out)
+            assert report["value"] == pytest.approx(math.sqrt(4 / 3), rel=1e-15)
+            assert report["n_points"] == 3
+        else:
+            assert captured.out == ""
+            assert captured.err == message.format(path=pred) + "\n"
 
     @pytest.mark.parametrize("flag", [["--k", "2"], ["--k-sweep", "2:3", "--max-points", "5"]])
     def test_removed_silhouette_flags_are_usage_errors(self, numeric_csv, capsys, flag):

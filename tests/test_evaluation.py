@@ -139,7 +139,8 @@ class TestSilhouetteSweep:
             return helper(A, B)
 
         monkeypatch.setattr(evaluation, "_distances", counting)
-        best_k, sweep, n_points = silhouette_sweep(X, range(2, 6), 400, seed=4)
+        monkeypatch.setattr(evaluation, "SILHOUETTE_MAX_POINTS", 400)
+        best_k, sweep, n_points = silhouette_sweep(X, range(2, 6), seed=4)
         assert pairwise == [400]
         assert n_points == 400 and list(sweep) == [2, 3, 4, 5]
         # each score is the one silhouette() gives on the same subsample
@@ -151,7 +152,7 @@ class TestSilhouetteSweep:
 
     def test_no_feasible_k_is_an_error(self):
         with pytest.raises(ValueError, match="no feasible k"):
-            silhouette_sweep(np.zeros((2, 3)), range(4, 6), 2000, seed=0)
+            silhouette_sweep(np.zeros((2, 3)), range(4, 6), seed=0)
 
 
 @pytest.mark.parametrize("module", ["ronsynth", "ronsynth.cli"])

@@ -19,6 +19,7 @@ from ronsynth import preprocessing, synthesis
 from ronsynth.dataset import Dataset
 from ronsynth.mechanism import (
     BudgetLedger,
+    LedgerEntry,
     aug_cov_sensitivity,
     cov_sensitivity,
     laplace_perturb,
@@ -66,7 +67,7 @@ def reference_fit(X, p, eps_mu, eps_sigma, rng, projection=None, labels=None,
     else:
         second = estimate_aug_cov(x_tilde, np.clip(labels, -label_bound, label_bound))
         sens = aug_cov_sensitivity(p, n, label_bound)
-    cov, _ = psd_repair(dp_perturb_cov(second, sens, eps_sigma, rng))
+    cov, _ = psd_repair(dp_perturb_cov(second, LedgerEntry("cov", sens, eps_sigma), rng))
     return mu, proj, cov
 
 
@@ -78,7 +79,8 @@ def reference_mode(X, proj, eps_mu, eps_sigma, rng):
     mu = chart.mean(axis=1)
     if not math.isinf(eps_mu):
         mu = laplace_perturb(mu, mean_sensitivity(p, n) / eps_mu, rng)
-    noisy = dp_perturb_cov(estimate_cov(chart), cov_sensitivity(p, n), eps_sigma, rng)
+    spend = LedgerEntry("cov", cov_sensitivity(p, n), eps_sigma)
+    noisy = dp_perturb_cov(estimate_cov(chart), spend, rng)
     cov, _ = psd_repair(noisy - np.outer(mu, mu))
     return mu, cov
 

@@ -210,6 +210,8 @@ class TestBudgetLedger:
         with pytest.raises(ValueError):
             ledger.record("mean", 0.1, 0.0)
         with pytest.raises(ValueError):
+            ledger.record("mean", 0.1, -1.0)
+        with pytest.raises(ValueError):
             ledger.record("mean", 0.0, 0.5)
         with pytest.raises(ValueError):
             ledger.record("mean", 0.1, math.nan)
@@ -223,3 +225,5 @@ class TestBudgetLedger:
         text = str(ledger)
         assert "mean" in text and "total epsilon" in text
         assert ledger.entries[0].as_dict()["epsilon"] == 0.25
+        assert ledger.entries[0].as_dict()["noise_scale"] == ledger.entries[0].noise_scale == 2.0
+        assert ledger.record("mean", 0.5, math.inf).noise_scale == 0.0

@@ -6,6 +6,7 @@ from scipy import stats
 
 from ronsynth.dataset import Dataset
 from ronsynth.mechanism import (
+    LedgerEntry,
     aug_cov_sensitivity,
     cov_sensitivity,
     laplace_perturb,
@@ -25,7 +26,8 @@ from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 
 def preprocess_one_class(X, epsilon_mu, rng, p=2):
     """preprocess for one class, projecting onto a fresh p-dim basis."""
-    return preprocess(X, column_sq_norms(X), epsilon_mu, [rng],
+    spend = LedgerEntry("mean", mean_sensitivity(*X.shape), epsilon_mu)
+    return preprocess(X, column_sq_norms(X), [spend], [rng],
                       lambda r: generate_ron(X.shape[0], p, r))
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ronsynth import preprocessing, synthesis
+from ronsynth import mechanism, preprocessing, synthesis
 from ronsynth.dataset import Dataset
 from ronsynth.mechanism import (
+    LedgerEntry,
     aug_cov_sensitivity,
     cov_sensitivity,
     laplace_perturb,
@@ -84,19 +85,19 @@ class TestEstimateAugCov:
 class TestDpPerturbCov:
     def test_output_exactly_symmetric(self):
         cov = estimate_cov(np.random.default_rng(4).normal(size=(5, 20)))
-        noisy = dp_perturb_cov(cov, 0.1, 0.7, np.random.default_rng(0))
+        noisy = dp_perturb_cov(cov, LedgerEntry("cov", 0.1, 0.7), np.random.default_rng(0))
         assert np.array_equal(noisy, noisy.T)
 
     def test_infinite_budget_is_identity(self):
         cov = estimate_cov(np.random.default_rng(5).normal(size=(4, 20)))
-        assert np.array_equal(dp_perturb_cov(cov, 0.1, math.inf,
+        assert np.array_equal(dp_perturb_cov(cov, LedgerEntry("cov", 0.1, math.inf),
                                              np.random.default_rng(0)), cov)
 
     def test_noise_drawn_once_per_upper_entry_and_mirrored(self):
         # one Laplace draw per entry i <= j, the entries the sensitivity
         # covers; the lower triangle repeats them
         cov = estimate_cov(np.random.default_rng(6).normal(size=(4, 20)))
-        noisy = dp_perturb_cov(cov, 0.1, 0.5, np.random.default_rng(2))
+        noisy = dp_perturb_cov(cov, LedgerEntry("cov", 0.1, 0.5), np.random.default_rng(2))
         upper = np.triu_indices(4)
         expected = laplace_perturb(cov[upper], 0.2, np.random.default_rng(2))
         assert np.array_equal(noisy[upper], expected)
@@ -105,11 +106,6 @@ class TestDpPerturbCov:
     def test_noise_scale_calibration(self):
         # p=9, n=100, eps_sigma=0.7 -> b = 0.1/0.7
         assert cov_sensitivity(9, 100) / 0.7 == pytest.approx(0.14285714285714285)
-
-    def test_rejects_nonpositive_epsilon(self):
-        for eps in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                dp_perturb_cov(np.eye(2), 0.1, eps, np.random.default_rng(0))
 
 
 class TestPsdRepair:
@@ -438,12 +434,41 @@ def test_empty_sample_count_is_rejected_before_fitting(mode, monkeypatch):
     assert repairs == []
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan], ids=["0", "-1", "nan"])
+@pytest.mark.parametrize("which", ["epsilon_mu", "epsilon_sigma"])
 @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "gmm"])
-def test_every_noise_draw_uses_its_ledger_entry(mode, monkeypatch):
+def test_nonpositive_epsilon_is_rejected_before_any_draw(mode, which, eps):
+    # the ledger is the one epsilon check: a release records its spends
+    # before it draws anything from its generator, the gmm basis included
+    X = make_data(n=40).features
+    budget = {"epsilon_mu": 0.3, "epsilon_sigma": 0.7, which: eps}
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="recorded epsilon must be positive"):
+        if mode == "gmm":
+            synth_gmm(Dataset(features=X, class_labels=np.repeat(["a", "b"], 20)), 2,
+                      **budget, rng=rng)
+        elif mode == "supervised":
+            synth_supervised(Dataset(features=X, labels=np.zeros(40)), 2, **budget,
+                             label_bound=1.0, rng=rng)
+        else:
+            synth_unsupervised(Dataset(features=X), 2, **budget, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("mode,factor", [
+    *(pytest.param(mode, factor, id=mode + ("-doubled_mean_sensitivity" if factor == 2 else ""))
+      for factor in (1, 2) for mode in ("unsupervised", "supervised", "gmm")),
+])
+def test_every_noise_draw_uses_its_ledger_entry(mode, factor, monkeypatch):
     # the epsilon the ledger prints is the one delivered: every Laplace
     # draw of a release has scale sensitivity / epsilon of its entry. A
     # fit draws every class's mean noise before any covariance noise.
+    # A calibration changed in mechanism alone (here: a doubled mean
+    # sensitivity) reaches the entries and every draw with them.
     scales = []
+    single = mechanism.mean_sensitivity
+    monkeypatch.setattr(mechanism, "mean_sensitivity", lambda m, n: factor * single(m, n))
 
     def capture(values, scale_b, rng):
         scales.append(scale_b)
@@ -465,6 +490,10 @@ def test_every_noise_draw_uses_its_ledger_entry(mode, monkeypatch):
     assert len(scales) == (6 if mode == "gmm" else 2)
     entries = sorted(res.ledger.entries, key=lambda e: e.query != "mean")  # stable
     assert scales == [e.sensitivity / e.epsilon for e in entries]
+    # the mean entries carry the (patched) calibration the draws followed
+    mean_dim, counts = (p, (50, 100, 150)) if mode == "gmm" else (m, (n,))
+    assert [e.sensitivity for e in entries if e.query == "mean"] == \
+        [factor * single(mean_dim, n_c) for n_c in counts]
 
 
 def upper_l1(A):
