@@ -1,8 +1,15 @@
 """Command-line interface: synth, eval, and budget subcommands.
 
+Every flag whose value can be checked without the data has an argparse
+type built by one rule, ``_flag_type``, so a bad value is a usage error
+before any input is read. Only p < m and a --label-col or --column that
+must be in the header are checked after the read.
+
 Exit codes: 0 success, 1 usage error or a release that cannot be
-written, 2 data error, 3 numeric failure. No output file is written
-unless the whole pipeline succeeded.
+written, 2 data error (a ``DataError``, found while the input is read or
+later, such as a sample of zero norm or too few rows to score), 3
+numeric failure. No output file is written unless the whole pipeline
+succeeded.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -56,37 +62,41 @@ class _UsageError(ValueError):
     pass
 
 
-def _positive_finite(text: str) -> float:
-    """argparse type of --label-bound: a positive, finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _flag_type(parse, ok, rule: str):
+    """An argparse type: parse the flag's text and test the value.
+
+    Text that does not parse, or a value that fails ``ok``, is the usage
+    error ``argument --flag: must be <rule>, got '<text>'``, raised
+    before any input is read.
+    """
+    def check(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return check
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count flags: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: a non-negative integer, as numpy seeds are."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+def _k_range(text: str) -> range:
+    lo, hi = map(int, text.split(":"))
+    return range(lo, hi + 1)
+
+
+_positive_finite = _flag_type(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_open_unit = _flag_type(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
+# numpy seeds are non-negative
+_seed = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
+_positive_ints = _flag_type(_int_list, lambda vs: min(vs) >= 1,
+                            "comma-separated positive integers")
+_k_sweep = _flag_type(_k_range, lambda ks: 2 <= ks.start < ks.stop, "LO:HI with 2 <= LO <= HI")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     release = _Parser(add_help=False)
     release.add_argument("--mode", choices=("unsupervised", "supervised", "gmm"),
                          default="unsupervised")
-    release.add_argument("--epsilon", type=float, default=1.0,
+    release.add_argument("--epsilon", type=_positive_finite, default=1.0,
                          help="total privacy budget (default 1.0)")
-    release.add_argument("--mu-ratio", type=float, default=0.3,
+    release.add_argument("--mu-ratio", type=_open_unit, default=0.3,
                          help="fraction of the budget spent on the mean (default 0.3)")
-    release.add_argument("--dim", type=int, default=None,
+    release.add_argument("--dim", type=_positive_int, default=None,
                          help="projected dimension p (default: dimension guidance)")
     release.add_argument("--label-bound", type=_positive_finite, default=None,
                          help="supervised: bound a; labels are clipped to [-a, a]")
@@ -110,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", parents=[release], help="generate a synthetic release",
                            description="Run the release pipeline on a CSV dataset.")
     synth.add_argument("input", help="input CSV (rows are samples, first row header)")
-    synth.add_argument("--dim-sweep", default=None, metavar="P1,P2,...",
+    synth.add_argument("--dim-sweep", type=_positive_ints, default=None, metavar="P1,P2,...",
                        help="report utility for each listed p instead of releasing; "
                             "sweeps consume no modeled budget and are for research use")
     synth.add_argument("--label-col", default=None,
@@ -137,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--column", default=None, help="column to read for rmse inputs")
     ev.add_argument("--label-col", default=None,
                     help="column to exclude from the features (e.g. 'class')")
-    ev.add_argument("--k-sweep", default=None, metavar="LO:HI",
+    ev.add_argument("--k-sweep", type=_k_sweep, default=None, metavar="LO:HI",
                     help="silhouette: try every k in [LO, HI] (one k: K:K) and "
                          "report the best")
     ev.add_argument("--orig-dim", type=_positive_int, default=None,
@@ -151,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--m", type=_positive_int, required=True, help="feature dimension")
     budget.add_argument("--n", type=_positive_int, default=None,
                         help="unsupervised, supervised: sample count")
-    budget.add_argument("--class-sizes", default=None, metavar="N1,N2,...",
+    budget.add_argument("--class-sizes", type=_positive_ints, default=None, metavar="N1,N2,...",
                         help="gmm: per-class sample counts")
     return parser
 
@@ -159,15 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 def default_dim(m: int) -> int:
     """Default projected dimension: the guidance value, in [1, m - 1]."""
     return max(1, min(dimension_guidance(m), m - 1))
-
-
-def _budget_split(args) -> tuple[float, float]:
-    """split_budget of the --epsilon and --mu-ratio flags; an error names the flag."""
-    try:
-        return split_budget(args.epsilon, args.mu_ratio)
-    except ValueError as err:
-        message = str(err).replace("epsilon_total", "--epsilon")
-        raise _UsageError(message.replace("mu_ratio", "--mu-ratio")) from None
 
 
 def _check_label_bound(args) -> None:
@@ -184,18 +185,8 @@ def _projected_dim(dim: int | None, m: int) -> int:
     return p
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}") from None
-    if not values:
-        raise _UsageError(f"{flag} got an empty list")
-    return values
-
-
 def cmd_synth(args) -> int:
-    epsilon_mu, epsilon_sigma = _budget_split(args)
+    epsilon_mu, epsilon_sigma = split_budget(args.epsilon, args.mu_ratio)
     _check_label_bound(args)
     if args.mode == "supervised" and (args.label_col is None or args.label_bound is None):
         raise _UsageError("supervised mode needs --label-col and --label-bound")
@@ -224,11 +215,10 @@ def cmd_synth(args) -> int:
                   f"{args.label_bound}]", file=sys.stderr)
 
     if args.dim_sweep is not None:
-        dims = _parse_int_list(args.dim_sweep, "--dim-sweep")
-        bad = [d for d in dims if not 1 <= d < m]
+        bad = [d for d in args.dim_sweep if d >= m]
         if bad:
             raise _UsageError(f"--dim-sweep values must satisfy 1 <= p < m={m}: {bad}")
-        report = _dim_sweep(args, data, truth, dims, epsilon_mu, epsilon_sigma)
+        report = _dim_sweep(args, data, truth, args.dim_sweep, epsilon_mu, epsilon_sigma)
         print(json.dumps(report, indent=2))
         return EXIT_OK
 
@@ -352,6 +342,8 @@ def cmd_eval(args) -> int:
 
     if not args.data:
         raise _UsageError(f"{args.metric} needs --data")
+    if args.metric == "silhouette" and args.k_sweep is None:
+        raise _UsageError("silhouette needs --k-sweep LO:HI")
     data = load_csv(args.data, label_column=args.label_col,
                     label_kind="categorical" if args.label_col else None)
 
@@ -359,22 +351,13 @@ def cmd_eval(args) -> int:
         rep = normality_diagnostic(data.features, orig_dim=args.orig_dim)
         return _print_report("normality_mean_ks", rep.mean_ks, rep.n_samples, asdict(rep))
 
-    # silhouette
-    if args.k_sweep is None:
-        raise _UsageError("silhouette needs --k-sweep LO:HI")
-    match = re.fullmatch(r"(\d+):(\d+)", args.k_sweep)
-    if not match:
-        raise _UsageError(f"--k-sweep expects LO:HI, got {args.k_sweep!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
-    if lo < 2 or hi < lo:
-        raise _UsageError(f"--k-sweep needs 2 <= LO <= HI, got {args.k_sweep!r}")
-    best_k, sweep, n_points = silhouette_sweep(data.features, range(lo, hi + 1), args.seed)
+    best_k, sweep, n_points = silhouette_sweep(data.features, args.k_sweep, args.seed)
     return _print_report("silhouette", sweep[best_k], n_points,
                          {"k": best_k, "sweep": {str(k): v for k, v in sweep.items()}})
 
 
 def cmd_budget(args) -> int:
-    epsilon_mu, epsilon_sigma = _budget_split(args)
+    epsilon_mu, epsilon_sigma = split_budget(args.epsilon, args.mu_ratio)
     _check_label_bound(args)
     p = _projected_dim(args.dim, args.m)
 
@@ -382,12 +365,9 @@ def cmd_budget(args) -> int:
     if per_class:
         if args.n is not None:
             raise _UsageError("--n does not apply to a gmm budget plan; use --class-sizes")
-        if not args.class_sizes:
+        if args.class_sizes is None:
             raise _UsageError("gmm budget plan needs --class-sizes N1,N2,...")
-        sizes = _parse_int_list(args.class_sizes, "--class-sizes")
-        for c, n in enumerate(sizes):
-            if n < 1:
-                raise _UsageError(f"--class-sizes: class {c} has size {n}")
+        sizes = args.class_sizes
         note = "per-class spends act on disjoint data and compose in parallel"
     else:
         if args.class_sizes is not None:
@@ -432,7 +412,9 @@ def main(argv=None) -> int:
             return cmd_eval(args)
         return cmd_budget(args)
     except DataError as err:
-        print(f"data error: {err}", file=sys.stderr)
+        # only an input's samples are named, and load_csv reads sample j from row j + 2
+        row = "" if err.sample is None else f" (row {err.sample + 2} of the input)"
+        print(f"data error: {err}{row}", file=sys.stderr)
         return EXIT_DATA
     except (np.linalg.LinAlgError, FloatingPointError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)

@@ -44,11 +44,26 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .preprocessing import column_sq_norms
-
 
 class DataError(ValueError):
-    """Problem with input data content (missing file, bad cell, ...)."""
+    """Problem with input data content (missing file, bad cell, ...).
+
+    ``sample``, when set, is the 0-based sample at fault: column j of
+    the m x n matrix, which a loaded CSV holds at row j + 2.
+    """
+
+    def __init__(self, message: str, sample: int | None = None):
+        super().__init__(message)
+        self.sample = sample
+
+
+def column_sq_norms(X: np.ndarray) -> np.ndarray:
+    """||x_j||² for every column of X, in one pass and without an m x n temporary.
+
+    A non-finite entry makes its column's value non-finite; a finite
+    column can also read inf, when its square overflows.
+    """
+    return np.einsum("ij,ij->j", X, X)
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,7 @@ class Dataset:
     own bound (``synthesis.synth_supervised``).
 
     Construction takes every column's squared norm once, with
-    ``preprocessing.column_sq_norms``, and keeps it as sq_norms: the
+    ``column_sq_norms``, and keeps it as sq_norms: the
     release normalizes every sample by these norms and reads no norm of
     X itself. The same pass checks that every feature is finite, since
     a non-finite entry makes its column's norm non-finite; only then is

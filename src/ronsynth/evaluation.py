@@ -14,6 +14,10 @@ The metrics need numpy alone. Pairwise distances add the squared
 coordinate differences one coordinate at a time, so every distance is
 bit for bit that of a per-pair loop adding squares in coordinate
 order; the KS statistic takes the normal CDF from ``math.erfc``.
+
+Data that cannot be scored (too few samples, vectors of unequal length)
+is a ``DataError``, which is a ValueError; a bad argument stays a plain
+ValueError.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
 from .synthesis import SynthesisResult, transform_features
 
 # cells of the distance accumulator filled per block: 512 KiB of
@@ -100,7 +104,7 @@ def silhouette_sweep(X: np.ndarray, ks, seed) -> tuple[int, dict, int]:
     """Cluster X by k-means for each k in ks and score each clustering.
 
     X is first subsampled to SILHOUETTE_MAX_POINTS columns. Every k
-    above the point count is skipped; none left is a ValueError. The
+    above the point count is skipped; none left is a DataError. The
     pairwise distances are computed once and shared by every k. Returns
     the best k, the silhouette of every feasible k, and the number of
     points scored.
@@ -111,7 +115,7 @@ def silhouette_sweep(X: np.ndarray, ks, seed) -> tuple[int, dict, int]:
         X = X[:, rng.choice(X.shape[1], size=SILHOUETTE_MAX_POINTS, replace=False)]
     ks = [k for k in ks if k <= X.shape[1]]
     if not ks:
-        raise ValueError("no feasible k: fewer samples than clusters")
+        raise DataError("no feasible k: fewer samples than clusters")
     dists = _distances(X, X)
     sweep = {k: _silhouette(dists, kmeans(X, k, rng=np.random.default_rng(seed)))
              for k in ks}
@@ -166,7 +170,7 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape or pred.ndim != 1 or pred.size == 0:
-        raise ValueError(
+        raise DataError(
             f"pred and truth must be equal-length non-empty vectors, got "
             f"{pred.shape} and {truth.shape}"
         )
@@ -246,7 +250,7 @@ def normality_diagnostic(X_tilde: np.ndarray, orig_dim: int | None = None) -> No
         raise ValueError(f"expected a p x n matrix, got shape {X_tilde.shape}")
     n = X_tilde.shape[1]
     if n < 30:
-        raise ValueError(f"need at least 30 samples for a meaningful test, got {n}")
+        raise DataError(f"need at least 30 samples for a meaningful test, got {n}")
 
     distances = []
     degenerate = []

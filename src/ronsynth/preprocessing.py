@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import DataError, column_sq_norms
 from .mechanism import BudgetLedger, LedgerEntry, laplace_perturb, mean_sensitivity
 from .projection import RonProjection
 
@@ -88,37 +89,28 @@ class PreprocessedDataset:
     zero_norm_rows_dropped: int
 
 
-def column_sq_norms(X: np.ndarray) -> np.ndarray:
-    """||x_j||² for every column of X, in one pass and without an m x n temporary.
-
-    A non-finite entry makes its column's value non-finite; a finite
-    column can also read inf, when its square overflows.
-    """
-    return np.einsum("ij,ij->j", X, X)
-
-
 def inverse_norms(sq_norms: np.ndarray) -> np.ndarray:
     """1/||x_j|| for every column, from the squared norms ``column_sq_norms`` takes.
 
-    Raises ValueError naming the first column that is (numerically) the
-    zero vector, or too large to square.
+    Raises DataError, with its ``sample`` set, naming the first column
+    that is (numerically) the zero vector, or too large to square.
     """
     zero = sq_norms <= ZERO_NORM ** 2
     if np.any(zero):
         idx = int(np.argmax(zero))
-        raise ValueError(f"sample {idx} has zero norm and cannot be normalized")
+        raise DataError(f"sample {idx} has zero norm and cannot be normalized", idx)
     if not np.all(np.isfinite(sq_norms)):
         idx = int(np.argmax(~np.isfinite(sq_norms)))
-        raise ValueError(f"sample {idx} is too large to normalize")
+        raise DataError(f"sample {idx} is too large to normalize", idx)
     return 1.0 / np.sqrt(sq_norms)
 
 
 def sample_normalize(X: np.ndarray) -> np.ndarray:
     """Divide every column by its Euclidean norm.
 
-    Raises ValueError naming the first offending column if any column
-    is (numerically) the zero vector; callers must drop or perturb such
-    samples before normalizing.
+    Raises DataError (a ValueError) naming the first offending column if
+    any column is (numerically) the zero vector; callers must drop or
+    perturb such samples before normalizing.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:

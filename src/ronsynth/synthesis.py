@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, column_sq_norms
 from .mechanism import BudgetLedger, LedgerEntry, laplace_perturb, record_spends
-from .preprocessing import (centered_chart, clip_to_unit_ball, column_sq_norms,
-                            inverse_norms, preprocess)
+from .preprocessing import centered_chart, clip_to_unit_ball, inverse_norms, preprocess
 from .projection import RonProjection, generate_ron, project
 
 PSD_TOL = 1e-10

@@ -150,9 +150,10 @@ class TestSynthCommand:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("value,message", [
-        ("1,x", "--dim-sweep expects comma-separated integers, got '1,x'"),
-        (",", "--dim-sweep got an empty list"),
-        ("0,2,6", "--dim-sweep values must satisfy 1 <= p < m=6: [0, 6]"),
+        ("1,x", "argument --dim-sweep: must be comma-separated positive integers, got '1,x'"),
+        (",", "argument --dim-sweep: must be comma-separated positive integers, got ','"),
+        # only p < m needs the data
+        ("2,6,7", "--dim-sweep values must satisfy 1 <= p < m=6: [6, 7]"),
     ], ids=["not-an-integer", "empty", "out-of-range"])
     def test_bad_dim_sweep_is_a_usage_error(self, numeric_csv, tmp_path, value, message,
                                             capsys):
@@ -160,7 +161,8 @@ class TestSynthCommand:
         assert main(["synth", numeric_csv, "--dim-sweep", value, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        # argparse prints its usage line first
+        assert captured.err.strip().splitlines()[-1] == f"error: {message}"
         assert not out.exists()
 
     def test_numeric_failure_exits_3_without_output(self, numeric_csv, tmp_path,
@@ -311,7 +313,7 @@ class TestSynthCommand:
     def test_bad_budget_error_names_the_flag(self, numeric_csv, command, flag, value, capsys):
         args = [numeric_csv] if command == "synth" else ["--m", "6", "--n", "200"]
         assert main([command, *args, flag, value]) == 1
-        assert f"error: {flag} must" in capsys.readouterr().err
+        assert f"error: argument {flag}: must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["synth", "budget"])
     @pytest.mark.parametrize("bound", ["nan", "inf", "0", "-1"])
@@ -537,16 +539,14 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "--k-sweep" in captured.err
 
-    @pytest.mark.parametrize("value,message", [
-        ("2-4", "--k-sweep expects LO:HI, got '2-4'"),
-        ("1:3", "--k-sweep needs 2 <= LO <= HI, got '1:3'"),
-        ("4:2", "--k-sweep needs 2 <= LO <= HI, got '4:2'"),
-    ])
-    def test_bad_k_sweep_is_a_usage_error(self, numeric_csv, value, message, capsys):
+    @pytest.mark.parametrize("value", ["2-4", "1:3", "4:2"])
+    def test_bad_k_sweep_is_a_usage_error(self, numeric_csv, value, capsys):
         assert main(["eval", "silhouette", "--data", numeric_csv, "--k-sweep", value]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        # argparse prints its usage line first
+        assert captured.err.strip().splitlines()[-1] == (
+            f"error: argument --k-sweep: must be LO:HI with 2 <= LO <= HI, got {value!r}")
 
     @pytest.mark.parametrize("column,code,message", [
         ("b", 0, None),
@@ -662,7 +662,7 @@ class TestBudgetCommand:
         (["--m", "6", "--n", "0"], "argument --n: must be a positive integer, got '0'"),
         (["--m", "6", "--n", "-3"], "argument --n: must be a positive integer, got '-3'"),
         (["--mode", "gmm", "--m", "20", "--class-sizes", "5,0"],
-         "--class-sizes: class 1 has size 0"),
+         "argument --class-sizes: must be comma-separated positive integers, got '5,0'"),
     ])
     def test_empty_size_error_names_the_flag(self, argv, message, capsys):
         assert main(["budget", *argv]) == 1
@@ -697,3 +697,60 @@ def test_default_dim_uses_guidance_capped_by_m():
         assert default_dim(10) == 1
     # guidance can exceed m-1 for small m; the cap wins
     assert default_dim(12) <= 11
+
+
+# text that does not parse, for each argparse type, and values of the
+# list and range flags that are out of range whatever the data
+@pytest.mark.parametrize("argv,flag", [
+    (["synth", "--dim", "0"], "--dim"),
+    (["synth", "--dim", "x"], "--dim"),
+    (["synth", "--dim-sweep", "1,x"], "--dim-sweep"),
+    (["synth", "--dim-sweep", "0,2"], "--dim-sweep"),
+    (["synth", "--epsilon", "x"], "--epsilon"),
+    (["synth", "--mu-ratio", "x"], "--mu-ratio"),
+    (["synth", "--seed", "x"], "--seed"),
+    (["eval", "silhouette", "--k-sweep", "2-4"], "--k-sweep"),
+    (["eval", "silhouette", "--k-sweep", "2:x"], "--k-sweep"),
+    (["eval", "silhouette"], "--k-sweep"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_data_free_flag_is_checked_before_reading(argv, flag, tmp_path, capsys):
+    # the input is missing: had it been read first, the exit would be 2
+    ghost = str(tmp_path / "ghost.csv")
+    command, *rest = argv
+    if command == "synth":
+        argv = [command, ghost, *rest, "--out", str(tmp_path / "rel")]
+    else:
+        argv = [command, rest[0], "--data", ghost, *rest[1:]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "data error" not in captured.err
+    assert flag in captured.err.strip().splitlines()[-1]
+    assert not (tmp_path / "rel").exists()
+
+
+@pytest.mark.parametrize("files,argv,message", [
+    ({"in.csv": "a,b,c\n1,2,3\n0,0,0\n4,5,7\n"}, ["synth", "in.csv"],
+     "sample 1 has zero norm and cannot be normalized (row 3 of the input)"),
+    ({"in.csv": "a,b,c\n1,2,3\n1e200,1e200,1e200\n4,5,7\n"}, ["synth", "in.csv"],
+     "sample 1 is too large to normalize (row 3 of the input)"),
+    ({"pred.csv": "v\n1\n2\n3\n", "truth.csv": "v\n1\n2\n"},
+     ["eval", "rmse", "--pred", "pred.csv", "--truth", "truth.csv"],
+     "pred and truth must be equal-length non-empty vectors, got (3,) and (2,)"),
+    ({"in.csv": "a,b\n1,2\n3,5\n"}, ["eval", "normality", "--data", "in.csv"],
+     "need at least 30 samples for a meaningful test, got 2"),
+    ({"in.csv": "a,b\n1,2\n3,5\n"},
+     ["eval", "silhouette", "--data", "in.csv", "--k-sweep", "3:4"],
+     "no feasible k: fewer samples than clusters"),
+], ids=["zero-row", "huge-row", "rmse-lengths", "normality-rows", "silhouette-rows"])
+def test_data_fault_found_after_the_parse_is_a_data_error(files, argv, message, tmp_path,
+                                                          capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "rel"
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    assert main([*argv, "--dim", "2", "--out", str(out)] if argv[0] == "synth" else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {message}\n"
+    assert not out.exists()

@@ -248,6 +248,16 @@ class TestDatasetInvariants:
             Dataset(features=np.eye(2), labels=np.array([0.0, 1.0]),
                     class_labels=np.array(["a", "b"]))
 
+    @pytest.mark.parametrize("parts,message", [
+        ({"features": np.zeros(3)}, "features must be a 2-D matrix, got ndim=1"),
+        ({"labels": np.array([0.0, np.inf])}, "labels contain non-finite values"),
+        ({"class_labels": np.array(["a"])}, "class labels must have length 2, got shape (1,)"),
+        ({"feature_names": ("a", "b", "c")}, "expected 2 feature names, got 3"),
+    ], ids=["ndim", "non-finite-label", "class-label-length", "feature-name-count"])
+    def test_rejects_a_malformed_part(self, parts, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Dataset(**{"features": np.eye(2), **parts})
+
 
 def _features(m=5, n=7, order="C"):
     X = np.random.default_rng(3).normal(size=(m, n))

@@ -120,6 +120,23 @@ class TestLaplacePerturb:
         with pytest.raises(ValueError, match="positive and finite"):
             laplace_perturb(np.zeros(3), math.inf, np.random.default_rng(0))
 
+    def test_edge_draw_is_redrawn(self):
+        class EdgeFirst:
+            """A generator whose first draw is 0.0, the edge u = -0.5, then 0.75."""
+
+            def __init__(self):
+                self.sizes = []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return np.full(size, 0.75 if len(self.sizes) > 1 else 0.0)
+
+        rng = EdgeFirst()
+        # kept, u = -0.5 would be log1p(-1): infinite noise
+        noise = laplace_perturb(np.zeros(3), 1.0, rng)
+        assert rng.sizes == [(3,), 3]
+        assert np.array_equal(noise, np.full(3, -math.log(0.5)))
+
     def test_moments_at_unit_scale(self):
         draws = laplace_perturb(np.zeros(10**6), 1.0, np.random.default_rng(11))
         assert abs(draws.mean()) <= 0.01

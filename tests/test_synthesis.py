@@ -15,6 +15,8 @@ from ronsynth.preprocessing import sample_normalize
 from ronsynth.projection import generate_ron
 from ronsynth.synthesis import (
     GaussianModel,
+    GmmMode,
+    GmmModel,
     dp_perturb_cov,
     estimate_aug_cov,
     estimate_cov,
@@ -196,6 +198,15 @@ class TestGaussianModelType:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             GaussianModel(np.zeros(3), np.eye(2))
+
+
+def test_mixture_labels_must_differ_as_written():
+    # 1 and "1" are distinct objects but would write the same class cell
+    proj = generate_ron(3, 1, np.random.default_rng(0))
+    modes = [GmmMode(label, GaussianModel(np.zeros(1), np.eye(1)), proj)
+             for label in (1, "1")]
+    with pytest.raises(ValueError, match="^class labels of mixture modes must be distinct$"):
+        GmmModel(modes)
 
 
 def make_data(m=12, n=400, seed=0):
