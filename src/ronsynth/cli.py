@@ -1,14 +1,18 @@
-"""Command-line interface: synth, eval, and budget subcommands.
+"""Command-line interface: synth and budget subcommands.
+
+``synth`` writes a release, or with --dim-sweep scores a release per p
+with the mode's scorer from ``evaluation``; ``budget`` prints a
+release's spend plan without reading data.
 
 Every flag whose value can be checked without the data has an argparse
 type built by one rule, ``_flag_type``, so a bad value is a usage error
-before any input is read. Only p < m and a --label-col or --column that
-must be in the header are checked after the read.
+before any input is read. Only p < m and a --label-col that must be in
+the header are checked after the read.
 
-Exit codes: 0 success, 1 usage error or a release that cannot be
-written, 2 data error (a ``DataError``, found while the input is read or
-later, such as a sample of zero norm or too few rows to score), 3
-numeric failure. No output file is written unless the whole pipeline
+Exit codes: 0 success, 1 usage error, a release that cannot be written
+or a closed stdout, 2 data error (a ``DataError``, found while the input
+is read or later, such as a non-finite cell or a sample of zero norm),
+3 numeric failure. No output file is written unless the whole pipeline
 succeeded.
 """
 
@@ -19,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,6 +31,7 @@ from .dataset import (
     DataError,
     Dataset,
     load_csv,
+    plain_number_syntax,
     write_dataset_csv,
     write_matrix_csv,
     write_release,
@@ -65,15 +69,17 @@ class _UsageError(ValueError):
 def _flag_type(parse, ok, rule: str):
     """An argparse type: parse the flag's text and test the value.
 
-    Text that does not parse, or a value that fails ``ok``, is the usage
-    error ``argument --flag: must be <rule>, got '<text>'``, raised
-    before any input is read.
+    Text that does not parse, is not in the plain ASCII syntax of a CSV
+    cell (``dataset.plain_number_syntax``), or gives a value that fails
+    ``ok`` is the usage error ``argument --flag: must be <rule>, got
+    '<text>'``, raised before any input is read.
     """
     def check(text: str):
         try:
-            value = parse(text)
-            if ok(value):
-                return value
+            if plain_number_syntax(text):
+                value = parse(text)
+                if ok(value):
+                    return value
         except ValueError:
             pass
         raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
@@ -84,11 +90,6 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def _k_range(text: str) -> range:
-    lo, hi = map(int, text.split(":"))
-    return range(lo, hi + 1)
-
-
 _positive_finite = _flag_type(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 _open_unit = _flag_type(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
@@ -96,7 +97,6 @@ _positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
 _seed = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
 _positive_ints = _flag_type(_int_list, lambda vs: min(vs) >= 1,
                             "comma-separated positive integers")
-_k_sweep = _flag_type(_k_range, lambda ks: 2 <= ks.start < ks.stop, "LO:HI with 2 <= LO <= HI")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,22 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the release embedded back in the original "
                             "feature space")
     synth.add_argument("--out", default="release", help="output directory")
-
-    ev = sub.add_parser("eval", help="score a dataset or release",
-                        description="Compute a utility metric; prints a JSON report.")
-    ev.add_argument("metric", choices=("silhouette", "rmse", "normality"))
-    ev.add_argument("--data", default=None, help="dataset CSV (silhouette, normality)")
-    ev.add_argument("--pred", default=None, help="predictions CSV (rmse)")
-    ev.add_argument("--truth", default=None, help="ground-truth CSV (rmse)")
-    ev.add_argument("--column", default=None, help="column to read for rmse inputs")
-    ev.add_argument("--label-col", default=None,
-                    help="column to exclude from the features (e.g. 'class')")
-    ev.add_argument("--k-sweep", type=_k_sweep, default=None, metavar="LO:HI",
-                    help="silhouette: try every k in [LO, HI] (one k: K:K) and "
-                         "report the best")
-    ev.add_argument("--orig-dim", type=_positive_int, default=None,
-                    help="original dimension m (adds the expected marginal scale)")
-    ev.add_argument("--seed", type=_seed, default=0)
 
     budget = sub.add_parser("budget", parents=[release],
                             help="print the spend plan without touching data",
@@ -195,8 +179,8 @@ def cmd_synth(args) -> int:
     if args.dim_sweep is not None and (args.save_projection or args.reconstruct):
         flag = "--save-projection" if args.save_projection else "--reconstruct"
         raise _UsageError(f"{flag} does not apply to --dim-sweep, which writes no release")
-    # the mode fixes the label kind; as in eval, an unsupervised label
-    # column is categorical and stays out of the features and the release
+    # the mode fixes the label kind; an unsupervised label column is
+    # categorical and stays out of the features and the release
     label_kind = ("real" if args.mode == "supervised"
                   else "categorical" if args.label_col else None)
 
@@ -309,53 +293,6 @@ def _sweep_metric(args, data: Dataset, truth: np.ndarray | None,
     return {"metric": "silhouette", "value": sweep[best_k], "k": best_k}
 
 
-def _load_vector(path: str, column: str | None) -> np.ndarray:
-    data = load_csv(path)
-    names = list(data.feature_names)
-    if column is not None:
-        if column not in names:
-            raise DataError(f"{path}: column {column!r} not found (have {names})")
-        return data.features[names.index(column), :]
-    if data.n_features != 1:
-        raise _UsageError(
-            f"{path} has {data.n_features} columns; pick one with --column"
-        )
-    return data.features[0, :]
-
-
-def _print_report(metric: str, value: float, n_points: int, params: dict) -> int:
-    report = {"metric": metric, "value": value, "n_points": n_points, "params": params}
-    print(json.dumps(report, indent=2))
-    return EXIT_OK
-
-
-def cmd_eval(args) -> int:
-    from .evaluation import normality_diagnostic, rmse, silhouette_sweep
-
-    if args.metric == "rmse":
-        if not args.pred or not args.truth:
-            raise _UsageError("rmse needs --pred and --truth")
-        pred = _load_vector(args.pred, args.column)
-        truth = _load_vector(args.truth, args.column)
-        return _print_report("rmse", rmse(pred, truth), len(pred),
-                             {"pred": args.pred, "truth": args.truth})
-
-    if not args.data:
-        raise _UsageError(f"{args.metric} needs --data")
-    if args.metric == "silhouette" and args.k_sweep is None:
-        raise _UsageError("silhouette needs --k-sweep LO:HI")
-    data = load_csv(args.data, label_column=args.label_col,
-                    label_kind="categorical" if args.label_col else None)
-
-    if args.metric == "normality":
-        rep = normality_diagnostic(data.features, orig_dim=args.orig_dim)
-        return _print_report("normality_mean_ks", rep.mean_ks, rep.n_samples, asdict(rep))
-
-    best_k, sweep, n_points = silhouette_sweep(data.features, args.k_sweep, args.seed)
-    return _print_report("silhouette", sweep[best_k], n_points,
-                         {"k": best_k, "sweep": {str(k): v for k, v in sweep.items()}})
-
-
 def cmd_budget(args) -> int:
     epsilon_mu, epsilon_sigma = split_budget(args.epsilon, args.mu_ratio)
     _check_label_bound(args)
@@ -406,11 +343,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        return cmd_budget(args)
+        code = cmd_synth(args) if args.command == "synth" else cmd_budget(args)
+        # a closed stdout shows at this flush, not at the interpreter's exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (| head): exit without a message, and with
+        # stdout on devnull so that no later flush fails (Python docs, signal)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except DataError as err:
         # only an input's samples are named, and load_csv reads sample j from row j + 2
         row = "" if err.sample is None else f" (row {err.sample + 2} of the input)"

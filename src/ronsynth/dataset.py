@@ -82,7 +82,10 @@ class Dataset:
     X itself. The same pass checks that every feature is finite, since
     a non-finite entry makes its column's norm non-finite; only then is
     X scanned again, to name the first bad (feature, sample), and a
-    finite column whose square overflows is accepted. features is a
+    finite column whose square overflows is accepted. A non-finite
+    feature or real label is a DataError whose ``sample`` is set; the
+    feature's message names its column when feature_names are given,
+    as a loaded CSV's are. features is a
     read-only view, so the norms cannot go stale through the Dataset.
     The caller's own array stays writable, but writing to it after
     construction is unsupported: the view and the norms would disagree.
@@ -101,14 +104,21 @@ class Dataset:
         m, n = feats.shape
         if m < 1 or n < 1:
             raise DataError(f"need at least one feature and one sample, got shape {feats.shape}")
+        if self.feature_names is not None:
+            names = tuple(self.feature_names)
+            if len(names) != m:
+                raise DataError(f"expected {m} feature names, got {len(names)}")
+            object.__setattr__(self, "feature_names", names)
         # a non-finite entry makes its column's norm non-finite, so only a
         # non-finite norm (or a finite column whose square overflows) rescans X
         sq_norms = column_sq_norms(feats)
         if not np.all(np.isfinite(sq_norms)):
             bad = np.argwhere(~np.isfinite(feats))
             if len(bad):
-                raise DataError(f"non-finite feature value at feature {bad[0, 0]}, "
-                                f"sample {bad[0, 1]}")
+                feature, sample = bad[0].tolist()
+                where = (f"at feature {feature}, sample {sample}" if self.feature_names is None
+                         else f"in column {self.feature_names[feature]!r}")
+                raise DataError(f"non-finite feature value {where}", sample=sample)
         feats = feats.view()
         feats.flags.writeable = False
         sq_norms.flags.writeable = False
@@ -120,19 +130,15 @@ class Dataset:
             labels = np.asarray(self.labels, dtype=float)
             if labels.shape != (n,):
                 raise DataError(f"labels must have length {n}, got shape {labels.shape}")
-            if not np.all(np.isfinite(labels)):
-                raise DataError("labels contain non-finite values")
+            bad = np.flatnonzero(~np.isfinite(labels))
+            if len(bad):
+                raise DataError("labels contain non-finite values", sample=int(bad[0]))
             object.__setattr__(self, "labels", labels)
         if self.class_labels is not None:
             cls = np.asarray(self.class_labels)
             if cls.shape != (n,):
                 raise DataError(f"class labels must have length {n}, got shape {cls.shape}")
             object.__setattr__(self, "class_labels", cls)
-        if self.feature_names is not None:
-            names = tuple(self.feature_names)
-            if len(names) != m:
-                raise DataError(f"expected {m} feature names, got {len(names)}")
-            object.__setattr__(self, "feature_names", names)
 
     @property
     def n_features(self) -> int:
@@ -447,9 +453,14 @@ def _non_utf8_byte(text: str) -> str | None:
     return None
 
 
+def plain_number_syntax(text: str) -> bool:
+    """Whether text keeps to loadtxt's number syntax, which float() and
+    int() widen with digit-group underscores and non-ASCII digits."""
+    return text.isascii() and "_" not in text
+
+
 def _is_float(text: str) -> bool:
-    # loadtxt's syntax: float()'s, without underscores or non-ASCII digits
-    if not text.isascii() or "_" in text:
+    if not plain_number_syntax(text):
         return False
     try:
         float(text)

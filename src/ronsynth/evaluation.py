@@ -230,22 +230,17 @@ class NormalityReport:
     mean_ks: float
     n_samples: int
     degenerate_coords: tuple[int, ...]
-    expected_sigma: float | None = None
 
 
-def normality_diagnostic(X_tilde: np.ndarray, orig_dim: int | None = None) -> NormalityReport:
+def normality_diagnostic(X_tilde: np.ndarray) -> NormalityReport:
     """Kolmogorov-Smirnov distance of each coordinate to the normal.
 
     Every row (coordinate) is standardized and compared against N(0, 1)
     with the one-sample KS statistic. Constant coordinates cannot be
     standardized; they are flagged and assigned the KS distance 0.5 of
-    a point mass at the normal's median. When the original dimension m
-    is supplied, the report includes 1/sqrt(m), the marginal scale that
-    unit-norm data is expected to project to; m must be positive.
+    a point mass at the normal's median.
     """
     X_tilde = np.asarray(X_tilde, dtype=float)
-    if orig_dim is not None and orig_dim < 1:
-        raise ValueError(f"orig_dim must be positive, got {orig_dim}")
     if X_tilde.ndim != 2:
         raise ValueError(f"expected a p x n matrix, got shape {X_tilde.shape}")
     n = X_tilde.shape[1]
@@ -269,7 +264,6 @@ def normality_diagnostic(X_tilde: np.ndarray, orig_dim: int | None = None) -> No
         mean_ks=float(np.mean(distances)),
         n_samples=n,
         degenerate_coords=tuple(degenerate),
-        expected_sigma=None if orig_dim is None else 1.0 / math.sqrt(orig_dim),
     )
 
 

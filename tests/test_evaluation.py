@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 import ronsynth
-from ronsynth import Dataset, evaluation, split_budget, synth_gmm
+from ronsynth import DataError, Dataset, evaluation, split_budget, synth_gmm
 from ronsynth.evaluation import (
     normality_diagnostic,
     kmeans,
@@ -153,6 +154,19 @@ class TestSilhouetteSweep:
     def test_no_feasible_k_is_an_error(self):
         with pytest.raises(ValueError, match="no feasible k"):
             silhouette_sweep(np.zeros((2, 3)), range(4, 6), seed=0)
+
+
+@pytest.mark.parametrize("score,message", [
+    (lambda: rmse(np.ones(3), np.ones(2)),
+     "pred and truth must be equal-length non-empty vectors, got (3,) and (2,)"),
+    (lambda: normality_diagnostic(np.random.default_rng(16).normal(size=(2, 29))),
+     "need at least 30 samples for a meaningful test, got 29"),
+    (lambda: silhouette_sweep(np.zeros((2, 3)), range(4, 6), seed=0),
+     "no feasible k: fewer samples than clusters"),
+], ids=["rmse-lengths", "normality-rows", "silhouette-rows"])
+def test_data_that_cannot_be_scored_is_a_data_error(score, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        score()
 
 
 @pytest.mark.parametrize("module", ["ronsynth", "ronsynth.cli"])
@@ -313,18 +327,6 @@ class TestNormalityDiagnostic:
         report = normality_diagnostic(X)
         assert report.degenerate_coords == (1,)
         assert report.ks_distances[1] == 0.5
-
-    def test_expected_sigma(self):
-        rng = np.random.default_rng(14)
-        report = normality_diagnostic(rng.normal(size=(2, 64)), orig_dim=400)
-        assert report.expected_sigma == 0.05
-        assert normality_diagnostic(rng.normal(size=(2, 64))).expected_sigma is None
-
-    @pytest.mark.parametrize("orig_dim", [0, -4])
-    def test_non_positive_orig_dim_rejected(self, orig_dim):
-        with pytest.raises(ValueError, match=f"orig_dim must be positive, got {orig_dim}"):
-            normality_diagnostic(np.random.default_rng(14).normal(size=(2, 64)),
-                                 orig_dim=orig_dim)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="30"):

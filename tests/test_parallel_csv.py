@@ -71,12 +71,12 @@ def _write(tmp_path, text, name="in.csv"):
 
 
 def _load(monkeypatch, split_bytes, path, column=None, kind=None):
-    """load_csv's Dataset, or its DataError's text."""
+    """load_csv's Dataset, or its DataError's text and the sample it names."""
     monkeypatch.setattr(dataset, "SPLIT_BYTES", split_bytes)
     try:
         return load_csv(path, label_column=column, label_kind=kind)
     except DataError as err:
-        return str(err)
+        return str(err) if err.sample is None else f"{err} (sample {err.sample})"
 
 
 def _assert_same(one, two):
@@ -163,7 +163,7 @@ class TestLoadParity:
     @pytest.mark.parametrize("bad,message", [
         ("3", "row {row} has 1 cells, header has 2"),
         ("3,abc", "non-numeric value 'abc' at row {row}, column 'f2'"),
-        ("3,nan", "non-finite feature value at feature 1, sample {sample}"),
+        ("3,nan", "non-finite feature value in column 'f2' (sample {sample})"),
     ])
     def test_faults_in_the_second_range(self, tmp_path, monkeypatch, parses, bad, message):
         rows = ROWS[:-1] + [bad + "\n"]
