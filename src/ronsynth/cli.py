@@ -2,7 +2,8 @@
 
 ``synth`` writes a release, or with --dim-sweep scores a release per p
 with the mode's scorer from ``evaluation``; ``budget`` prints a
-release's spend plan without reading data.
+release's spend plan without reading data. ``synth`` frees its input
+once ``synthesis.measure`` has read it, before the release is drawn.
 
 Every flag whose value can be checked without the data has an argparse
 type built by one rule, ``_flag_type``, so a bad value is a usage error
@@ -32,17 +33,18 @@ from .dataset import (
     Dataset,
     load_csv,
     plain_number_syntax,
-    write_dataset_csv,
-    write_matrix_csv,
     write_release,
 )
 from .mechanism import BudgetLedger, record_spends, split_budget
 from .projection import SMALL_M, dimension_guidance, reconstruct
 from .synthesis import (
     SynthesisResult,
-    synth_gmm,
-    synth_supervised,
-    synth_unsupervised,
+    measure,
+    # unused, but perfbench/tracer.py wraps them in each importing module
+    synth_gmm,  # noqa: F401
+    synth_supervised,  # noqa: F401
+    synth_unsupervised,  # noqa: F401
+    synthesize,
 )
 
 EXIT_OK = 0
@@ -210,8 +212,12 @@ def cmd_synth(args) -> int:
     if args.dim is None and m <= SMALL_M:
         print(f"m={m} is too small for dimension guidance; using p={p}", file=sys.stderr)
 
-    rng = np.random.default_rng(args.seed)
-    result = _run_pipeline(args, data, p, epsilon_mu, epsilon_sigma, rng)
+    measured = _measure(args, data, p, epsilon_mu, epsilon_sigma)
+    feature_names = data.feature_names
+    # the rest reads only the measurements: free the input before the
+    # draw and the write, the run's largest allocations
+    del data, truth
+    result = synthesize(measured, args.samples)
 
     metadata = {
         "mode": args.mode,
@@ -228,13 +234,12 @@ def cmd_synth(args) -> int:
         "psd_repair_applied": result.psd_repair_applied,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    data_path, meta_path = write_release(result.dataset, metadata, args.out)
-    written = [data_path, meta_path]
+    extras = []
     if args.save_projection:
-        written.append(write_matrix_csv(result.projection.W,
-                                        os.path.join(args.out, "projection.csv")))
+        extras.append(("projection.csv", result.projection.W))
     if args.reconstruct:
-        written.append(_write_reconstruction(result, data, args.out))
+        extras.append(("reconstructed.csv", _reconstruction(result, feature_names)))
+    written = write_release(result.dataset, metadata, args.out, extras)
 
     print(result.ledger)
     for path in written:
@@ -242,23 +247,17 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _run_pipeline(args, data: Dataset, p: int, epsilon_mu: float,
-                  epsilon_sigma: float, rng) -> SynthesisResult:
-    if args.mode == "gmm":
-        return synth_gmm(data, p, epsilon_mu, epsilon_sigma,
-                         per_class_n_synth=args.samples, rng=rng)
-    if args.mode == "supervised":
-        return synth_supervised(data, p, epsilon_mu, epsilon_sigma, args.label_bound,
-                                n_synth=args.samples, rng=rng)
-    return synth_unsupervised(data, p, epsilon_mu, epsilon_sigma, n_synth=args.samples, rng=rng)
+def _measure(args, data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float):
+    """The mode's ``synthesis.measure`` of data at p, seeded by --seed."""
+    return measure(data, p, epsilon_mu, epsilon_sigma, np.random.default_rng(args.seed),
+                   args.label_bound, by_class=args.mode == "gmm")
 
 
-def _write_reconstruction(result: SynthesisResult, source: Dataset, out_dir: str) -> str:
+def _reconstruction(result: SynthesisResult, feature_names: tuple[str, ...]) -> Dataset:
     release = result.dataset
-    rec = Dataset(features=reconstruct(result.projection, release.features),
-                  labels=release.labels, class_labels=release.class_labels,
-                  feature_names=source.feature_names)
-    return write_dataset_csv(rec, os.path.join(out_dir, "reconstructed.csv"))
+    return Dataset(features=reconstruct(result.projection, release.features),
+                   labels=release.labels, class_labels=release.class_labels,
+                   feature_names=feature_names)
 
 
 def _dim_sweep(args, data: Dataset, truth: np.ndarray | None, dims: list[int],
@@ -268,8 +267,7 @@ def _dim_sweep(args, data: Dataset, truth: np.ndarray | None, dims: list[int],
     A supervised sweep scores against ``truth``, the clipped labels."""
     rows = []
     for p in dims:
-        rng = np.random.default_rng(args.seed)
-        result = _run_pipeline(args, data, p, epsilon_mu, epsilon_sigma, rng)
+        result = synthesize(_measure(args, data, p, epsilon_mu, epsilon_sigma), args.samples)
         rows.append({"p": p, **_sweep_metric(args, data, truth, result)})
     metric = rows[0]["metric"]
     higher_is_better = metric == "accuracy" or metric == "silhouette"

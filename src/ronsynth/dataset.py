@@ -80,9 +80,10 @@ class Dataset:
     ``column_sq_norms``, and keeps it as sq_norms: the
     release normalizes every sample by these norms and reads no norm of
     X itself. The same pass checks that every feature is finite, since
-    a non-finite entry makes its column's norm non-finite; only then is
-    X scanned again, to name the first bad (feature, sample), and a
-    finite column whose square overflows is accepted. A non-finite
+    a non-finite entry makes its column's norm non-finite; only the
+    columns whose norm is not finite are scanned again, to name the
+    first bad cell in sample order (a CSV's order), and a finite column
+    whose square overflows is accepted. A non-finite
     feature or real label is a DataError whose ``sample`` is set; the
     feature's message names its column when feature_names are given,
     as a loaded CSV's are. features is a
@@ -109,13 +110,15 @@ class Dataset:
             if len(names) != m:
                 raise DataError(f"expected {m} feature names, got {len(names)}")
             object.__setattr__(self, "feature_names", names)
-        # a non-finite entry makes its column's norm non-finite, so only a
-        # non-finite norm (or a finite column whose square overflows) rescans X
+        # a non-finite entry makes its column's norm non-finite, so only the
+        # columns of a non-finite norm (or of a square that overflows) are rescanned
         sq_norms = column_sq_norms(feats)
-        if not np.all(np.isfinite(sq_norms)):
-            bad = np.argwhere(~np.isfinite(feats))
+        suspects = np.flatnonzero(~np.isfinite(sq_norms))
+        if len(suspects):
+            bad = np.argwhere(~np.isfinite(feats[:, suspects].T))
             if len(bad):
-                feature, sample = bad[0].tolist()
+                first, feature = bad[0].tolist()
+                sample = int(suspects[first])
                 where = (f"at feature {feature}, sample {sample}" if self.feature_names is None
                          else f"in column {self.feature_names[feature]!r}")
                 raise DataError(f"non-finite feature value {where}", sample=sample)
@@ -509,25 +512,36 @@ def write_dataset_csv(dataset: Dataset, path: str) -> str:
     return _write_table(path, header, dataset.features.T, RELEASE_DIGITS, last)
 
 
-def write_release(synthetic: Dataset, metadata: dict, out_dir: str) -> tuple[str, str]:
+def write_release(synthetic: Dataset, metadata: dict, out_dir: str,
+                  extras=()) -> tuple[str, ...]:
     """Write a synthetic dataset plus its metadata sidecar.
 
-    Produces out_dir/data.csv and out_dir/metadata.json; returns both
-    paths. The metadata must carry the full accounting key set so every
-    release is auditable on its own.
+    Produces out_dir/data.csv, out_dir/metadata.json and then a file per
+    (name, Dataset or matrix) pair of extras; returns their paths. The
+    metadata must carry the full accounting key set so every release is
+    auditable on its own. If any file cannot be written, none is left.
     """
     missing = [k for k in REQUIRED_METADATA_KEYS if k not in metadata]
     if missing:
         raise ValueError(f"metadata is missing required keys: {missing}")
 
     os.makedirs(out_dir, exist_ok=True)
-    data_path = write_dataset_csv(synthetic, os.path.join(out_dir, "data.csv"))
-    meta_path = os.path.join(out_dir, "metadata.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    return data_path, meta_path
+    written = []
+    try:
+        written.append(write_dataset_csv(synthetic, os.path.join(out_dir, "data.csv")))
+        written.append(os.path.join(out_dir, "metadata.json"))
+        with open(written[-1], "w", encoding="utf-8") as fh:
+            json.dump(metadata, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for name, table in extras:
+            write = write_dataset_csv if isinstance(table, Dataset) else write_matrix_csv
+            written.append(write(table, os.path.join(out_dir, name)))
+    except BaseException:
+        # a release is whole or absent; a table that failed removed itself
+        for path in filter(os.path.isfile, written):
+            os.remove(path)
+        raise
+    return tuple(written)
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> str:

@@ -1,12 +1,13 @@
 """Gaussian generative models over the projected space.
 
-All three release modes fit and sample through one core, in which
-unsupervised and supervised releases are the one-class case of the
-mixture: preprocess and project every class from a fixed number of
-passes over the data, then per class estimate a second-moment matrix,
-add Laplace noise at its ledger entry's scale, repair the noisy matrix
-to the PSD cone and sample the fitted Gaussian. Each mode only
-assembles the samples into its release.
+Every release mode is synthesize(measure(...)), and unsupervised and
+supervised releases are the one-class case of the mixture. ``measure``,
+the one step that reads the data, preprocesses and projects every class
+from a fixed number of passes over it, then per class estimates a
+second-moment matrix and adds Laplace noise at its ledger entry's scale.
+``synthesize`` repairs each noisy matrix to the PSD cone, samples the
+fitted Gaussian and assembles the release from the ``Measurements``
+alone: post-processing, which spends nothing.
 
 The covariance estimate deliberately skips mean subtraction. With
 samples of norm at most 1 after projection, replacing one sample moves
@@ -105,6 +106,24 @@ class SynthesisResult:
     psd_repair_applied: bool
     projection: RonProjection
     mu_dp: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class Measurements:
+    """What ``measure`` took from the data; ``synthesize`` reads nothing else.
+
+    moments[c] is class c's noisy second moment and mu_dp[:, c] its
+    noisy mean. public holds the data-derived values a release treats as
+    public: m, n and, for a mixture, class_sizes and class_names. rngs,
+    never published, holds each class's generator where ``measure`` left it.
+    """
+
+    ledger: BudgetLedger
+    projection: RonProjection
+    mu_dp: np.ndarray
+    moments: tuple[np.ndarray, ...]
+    public: dict
+    rngs: tuple[np.random.Generator, ...]
 
 
 def estimate_cov(X_tilde: np.ndarray) -> np.ndarray:
@@ -208,52 +227,94 @@ def _released_names(p: int) -> tuple[str, ...]:
     return tuple(f"z{j + 1}" for j in range(p))
 
 
-def _fit(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
-         rngs: list[np.random.Generator], n_synth: int | None,
-         classes: np.ndarray | None = None, basis_rng: np.random.Generator | None = None,
-         label_bound: float | None = None):
-    """The fitting and sampling core of every release mode.
+def measure(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
+            rng: np.random.Generator | None = None, label_bound: float | None = None,
+            by_class: bool = False) -> Measurements:
+    """The one step of a release that reads its data.
 
-    One class (``classes`` None, one generator) is the unsupervised and
-    supervised case; the mixture passes each column's class, one
-    generator per class and ``basis_rng``, the generator its basis is
-    drawn from. Records every class's spends in a new ledger before any
-    draw, preprocesses and projects every class onto one basis, drawing
-    each class's mean noise at its mean entry's scale, then per class
-    estimates the second moment (augmented with ``data.labels`` clipped
-    to [-label_bound, label_bound] when a bound is given) and
-    Laplace-perturbs it at its covariance entry's scale. One class is
-    zero-mean; a mixture class is centred on its chart's DP mean mu_c,
-    and mu_c mu_cᵀ is subtracted from its noisy moment. The result is
-    repaired to the PSD cone, and n_synth samples (default: the class's
-    count) are drawn. Each generator draws its mean noise (one class:
-    then the basis) in ``preprocess``, then covariance noise, then
-    samples.
-    Returns (preprocessed, ledger, [(model, samples, repaired) per class]).
+    One class is the unsupervised release, or with a label bound the
+    supervised one (labels clipped to [-label_bound, label_bound]);
+    ``by_class`` fits each class of ``data.class_labels`` on a generator
+    spawned from ``rng``, over one basis drawn from ``rng``. Every spend
+    is recorded before any draw; each generator then draws its mean
+    noise (one class: then the basis), then its covariance noise.
     """
+    rng = np.random.default_rng(rng)  # returns a given Generator unchanged
     X = data.features
     m, n = X.shape
-    counts = [n] if classes is None else np.bincount(classes).tolist()
+    if not 1 <= p < m:
+        raise ValueError(f"projected dimension must satisfy 1 <= p < m, got p={p}, m={m}")
+    public = {"m": m, "n": n}
+    classes, rngs = None, [rng]
+    if by_class:
+        if data.class_labels is None:
+            raise ValueError("mixture synthesis needs categorical class labels")
+        names = data.class_labels.tolist()
+        class_names = sorted(set(names), key=str)
+        lookup = {name: c for c, name in enumerate(class_names)}
+        classes = np.fromiter(map(lookup.__getitem__, names), dtype=np.intp, count=len(names))
+        # spawning the class generators leaves rng's own stream, the basis's, alone
+        rngs = rng.spawn(len(class_names))
+        public.update(class_sizes=np.bincount(classes).tolist(), class_names=class_names)
+    if label_bound is not None and data.labels is None:
+        raise ValueError("supervised synthesis needs real-valued labels")
+
     ledger = BudgetLedger()
-    spends = [record_spends(ledger, m, p, n_c, epsilon_mu, epsilon_sigma,
-                            label_bound, classes is not None) for n_c in counts]
+    spends = [record_spends(ledger, m, p, n_c, epsilon_mu, epsilon_sigma, label_bound,
+                            by_class) for n_c in public.get("class_sizes", [n])]
     labels = None if label_bound is None else np.clip(data.labels, -label_bound, label_bound)
+    pre = preprocess(X, data.sq_norms, [mean for mean, _ in spends], rngs,
+                     lambda _: generate_ron(m, p, rng), classes)
+    moments = tuple(
+        dp_perturb_cov(estimate_cov(x) if labels is None else estimate_aug_cov(x, labels),
+                       spend, class_rng)
+        for x, (_, spend), class_rng in zip(pre.x_tilde, spends, rngs))
+    return Measurements(ledger=ledger, projection=pre.projection, mu_dp=pre.mu_dp,
+                        moments=moments, public=public, rngs=tuple(rngs))
 
-    def draw(rng):
-        return generate_ron(m, p, rng if basis_rng is None else basis_rng)
 
-    pre = preprocess(X, data.sq_norms, [mean for mean, _ in spends], rngs, draw, classes)
+def synthesize(measured: Measurements, n_synth: int | None = None) -> SynthesisResult:
+    """PSD repair, sampling and assembly: post-processing of ``measured``.
+
+    A mixture class is centred on its DP mean mu_c, and mu_c mu_cᵀ is
+    subtracted from its noisy moment; one class is zero-mean, and a
+    moment wider than the basis carries the label last. n_synth samples
+    (default: the class's public size) are drawn per class, continuing
+    its generator, so a second call on one record draws a new release.
+    """
+    _check_n_synth(n_synth)
+    public = measured.public
+    mixture = "class_names" in public
+    sizes = public["class_sizes"] if mixture else [public["n"]]
     fits = []
-    for c, (x_tilde, (_, spend), rng) in enumerate(zip(pre.x_tilde, spends, rngs)):
-        second = estimate_cov(x_tilde) if labels is None else estimate_aug_cov(x_tilde, labels)
-        noisy = dp_perturb_cov(second, spend, rng)
-        mean = np.zeros(noisy.shape[0]) if classes is None else pre.mu_dp[:, c]
+    for c, (noisy, rng) in enumerate(zip(measured.moments, measured.rngs)):
+        mean = measured.mu_dp[:, c] if mixture else np.zeros(noisy.shape[0])
         # both terms are exactly symmetric, and so is their difference
         cov, repaired = psd_repair(noisy - np.outer(mean, mean))
         model = GaussianModel(mean, cov)
-        samples = sample_gaussian(model, counts[c] if n_synth is None else n_synth, rng)
+        samples = sample_gaussian(model, sizes[c] if n_synth is None else n_synth, rng)
         fits.append((model, samples, repaired))
-    return pre, ledger, fits
+    p = measured.projection.p
+    names = _released_names(p)
+    repaired = any(flag for _, _, flag in fits)
+    if not mixture:
+        [(model, samples, _)] = fits
+        labels = samples[p] if len(samples) > p else None
+        return SynthesisResult(
+            dataset=Dataset(features=samples[:p], feature_names=names, labels=labels),
+            model=model, ledger=measured.ledger, psd_repair_applied=repaired,
+            projection=measured.projection, mu_dp=measured.mu_dp[:, 0])
+    class_names = public["class_names"]
+    modes = tuple(GmmMode(label=name, model=model, projection=measured.projection)
+                  for name, (model, _, _) in zip(class_names, fits))
+    release = Dataset(
+        features=np.concatenate([samples for _, samples, _ in fits], axis=1),
+        class_labels=np.concatenate([np.full(samples.shape[1], name)
+                                     for name, (_, samples, _) in zip(class_names, fits)]),
+        feature_names=names,
+    )
+    return SynthesisResult(dataset=release, model=GmmModel(modes), ledger=measured.ledger,
+                           psd_repair_applied=repaired, projection=measured.projection)
 
 
 def synth_unsupervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -264,7 +325,8 @@ def synth_unsupervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: 
     Total privacy cost is epsilon_mu + epsilon_sigma (two serial
     spends). n_synth defaults to the source sample count.
     """
-    return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng)
+    _check_n_synth(n_synth)
+    return synthesize(measure(data, p, epsilon_mu, epsilon_sigma, rng), n_synth)
 
 
 def synth_supervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -282,28 +344,10 @@ def synth_supervised(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: fl
     sample becomes the synthetic label. Labels come out as unconstrained
     reals; classification users should prefer synth_gmm.
     """
-    if data.labels is None:
-        raise ValueError("supervised synthesis needs real-valued labels")
     if label_bound is None:
         raise ValueError("supervised synthesis needs a label bound")
-    return _zero_mean_release(data, p, epsilon_mu, epsilon_sigma, n_synth, rng,
-                              label_bound=label_bound)
-
-
-def _zero_mean_release(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
-                       n_synth: int | None, rng: np.random.Generator | None,
-                       label_bound: float | None = None) -> SynthesisResult:
-    """Fit and sample one zero-mean Gaussian; with a label bound, the
-    labels are its last coordinate."""
-    rng = np.random.default_rng(rng)  # returns a given Generator unchanged
-    _check_sizes(p, data.features.shape[0], n_synth)
-    pre, ledger, [(model, samples, repaired)] = _fit(
-        data, p, epsilon_mu, epsilon_sigma, [rng], n_synth, label_bound=label_bound)
-    release = Dataset(features=samples[:p], feature_names=_released_names(p),
-                      labels=None if label_bound is None else samples[p])
-    return SynthesisResult(dataset=release, model=model, ledger=ledger,
-                           psd_repair_applied=repaired, projection=pre.projection,
-                           mu_dp=pre.mu_dp[:, 0])
+    _check_n_synth(n_synth)
+    return synthesize(measure(data, p, epsilon_mu, epsilon_sigma, rng, label_bound), n_synth)
 
 
 def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
@@ -326,30 +370,15 @@ def synth_gmm(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
     per_class_n_synth sets one synthetic count for every class; by
     default each class keeps its source count.
     """
-    if data.class_labels is None:
-        raise ValueError("mixture synthesis needs categorical class labels")
-    rng = np.random.default_rng(rng)  # returns a given Generator unchanged
-    m = data.features.shape[0]
-    _check_sizes(p, m, per_class_n_synth)
+    _check_n_synth(per_class_n_synth)
+    return synthesize(measure(data, p, epsilon_mu, epsilon_sigma, rng, by_class=True),
+                      per_class_n_synth)
 
-    names = data.class_labels.tolist()
-    class_names = sorted(set(names), key=str)
-    lookup = {name: c for c, name in enumerate(class_names)}
-    classes = np.fromiter(map(lookup.__getitem__, names), dtype=np.intp, count=len(names))
 
-    pre, ledger, fits = _fit(data, p, epsilon_mu, epsilon_sigma, rng.spawn(len(class_names)),
-                             per_class_n_synth, classes, rng)
-    modes = tuple(GmmMode(label=name, model=model, projection=pre.projection)
-                  for name, (model, _, _) in zip(class_names, fits))
-    release = Dataset(
-        features=np.concatenate([samples for _, samples, _ in fits], axis=1),
-        class_labels=np.concatenate([np.full(samples.shape[1], name)
-                                     for name, (_, samples, _) in zip(class_names, fits)]),
-        feature_names=_released_names(p),
-    )
-    return SynthesisResult(dataset=release, model=GmmModel(modes), ledger=ledger,
-                           psd_repair_applied=any(repaired for _, _, repaired in fits),
-                           projection=pre.projection)
+def _check_n_synth(n_synth: int | None) -> None:
+    """Reject an empty sample count; the synth_* functions check before measuring."""
+    if n_synth is not None and n_synth < 1:
+        raise ValueError(f"n_synth must be positive, got {n_synth}")
 
 
 def transform_features(result: SynthesisResult, data: Dataset) -> np.ndarray:
@@ -383,12 +412,4 @@ def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     return clip_to_unit_ball(project(mode.projection, X) * inverse_norms(column_sq_norms(X)))
-
-
-def _check_sizes(p: int, m: int, n_synth: int | None) -> None:
-    """Reject a release's sizes before any of it is fitted."""
-    if not 1 <= p < m:
-        raise ValueError(f"projected dimension must satisfy 1 <= p < m, got p={p}, m={m}")
-    if n_synth is not None and n_synth < 1:
-        raise ValueError(f"n_synth must be positive, got {n_synth}")
 

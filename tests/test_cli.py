@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,12 +6,13 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import ronsynth
-from ronsynth import dataset, preprocessing, synthesis
+from ronsynth import cli, dataset, preprocessing, synthesis
 from ronsynth.cli import default_dim, main
 from ronsynth.dataset import Dataset, load_csv
 from ronsynth.evaluation import nearest_mean_accuracy, ols_rmse
@@ -492,6 +494,39 @@ class TestSynthCommand:
         with open(os.path.join(out, "data.csv")) as fh:
             assert "cls" not in fh.readline()
 
+    @pytest.mark.parametrize("mode,source,flags", [
+        ("unsupervised", "numeric_csv", []),
+        ("supervised", "labeled_csv", ["--label-col", "y", "--label-bound", "1"]),
+        ("gmm", "classed_csv", ["--label-col", "cls"]),
+    ])
+    def test_input_is_freed_before_the_release_is_drawn(self, mode, source, flags, request,
+                                                        tmp_path, monkeypatch):
+        # once measured, the input's arrays are dropped: the draw and the
+        # write, a release's largest allocations, run without them
+        inputs, freed = [], []
+        load, sample = cli.load_csv, synthesis.sample_gaussian
+
+        def spy_load(*args, **kwargs):
+            data = load(*args, **kwargs)
+            buffer = data.features
+            while buffer.base is not None:
+                buffer = buffer.base
+            inputs.extend(weakref.ref(a) for a in (data.features, buffer, data.labels)
+                          if a is not None)
+            return data
+
+        def spy_sample(*args):
+            gc.collect()
+            freed.append([ref() is None for ref in inputs])
+            return sample(*args)
+
+        monkeypatch.setattr(cli, "load_csv", spy_load)
+        monkeypatch.setattr(synthesis, "sample_gaussian", spy_sample)
+        assert main(["synth", request.getfixturevalue(source), "--mode", mode, *flags,
+                     "--dim", "2", "--seed", "1", "--out", str(tmp_path / "rel")]) == 0
+        assert len(inputs) == (3 if mode == "supervised" else 2)
+        assert freed == [[True] * len(inputs)] * (2 if mode == "gmm" else 1)
+
     def test_unsupervised_dim_sweep_scores_silhouette(self, numeric_csv, capsys):
         code = main(["synth", numeric_csv, "--dim-sweep", "2,3", "--seed", "1"])
         assert code == 0
@@ -668,10 +703,13 @@ def test_data_free_flag_is_checked_before_reading(argv, flag, tmp_path, capsys):
      "sample 1 is too large to normalize (row 3 of the input)"),
     ("a,b,c\n1,2,3\n4,5,nan\n6,7,8\n", [],
      "non-finite feature value in column 'c' (row 3 of the input)"),
+    # the first bad cell in file order, not in column order
+    ("a,b,c\n1,2,3\n4,5,nan\n6,7,8\nnan,1,2\n", [],
+     "non-finite feature value in column 'c' (row 3 of the input)"),
     ("a,b,c,y\n1,2,3,0\n4,5,7,0\n6,7,8,inf\n",
      ["--mode", "supervised", "--label-col", "y", "--label-bound", "1"],
      "labels contain non-finite values (row 4 of the input)"),
-], ids=["zero-row", "huge-row", "nan-feature", "inf-label"])
+], ids=["zero-row", "huge-row", "nan-feature", "nan-feature-file-order", "inf-label"])
 def test_data_fault_found_after_the_parse_is_a_data_error(text, flags, message, tmp_path,
                                                           capsys):
     path = tmp_path / "in.csv"

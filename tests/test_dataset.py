@@ -273,9 +273,9 @@ class TestOnePassValidation:
         ([(2, 3)], (2, 3)),
         ([(0, 0)], (0, 0)),
         ([(4, 6)], (4, 6)),
-        # an earlier row but a later column comes first
-        ([(3, 1), (0, 5)], (0, 5)),
-        ([(4, 6), (4, 0), (1, 2)], (1, 2)),
+        # an earlier sample (a CSV's row) comes first, whatever its feature
+        ([(3, 1), (0, 5)], (3, 1)),
+        ([(4, 6), (4, 0), (1, 2)], (4, 0)),
     ])
     def test_first_non_finite_cell_is_named(self, order, value, cells, first):
         X = _features(order=order)

@@ -438,3 +438,24 @@ class TestWriteFailure:
         assert proc.returncode != 0
         assert "No space left on device" in proc.stderr
         assert os.listdir(out) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("name", ["metadata.json", "projection.csv", "reconstructed.csv"])
+    def test_a_later_file_that_fails_leaves_no_release(self, name, tmp_path, monkeypatch,
+                                                       capsys):
+        # the file is made, then every write to it fails as on a full disk;
+        # the files written before it go too, so no release is left partial
+        real_open = open
+
+        def full_disk(path, *args, **kwargs):
+            if os.path.basename(path) != name:
+                return real_open(path, *args, **kwargs)
+            real_open(path, "w").close()
+            return real_open("/dev/full", *args, **kwargs)
+
+        monkeypatch.setattr(dataset, "open", full_disk, raising=False)
+        out = tmp_path / "rel"
+        assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
+                     "--save-projection", "--reconstruct", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert os.listdir(out) == []

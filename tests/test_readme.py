@@ -18,7 +18,7 @@ def library_blocks():
 
 def test_library_blocks_run():
     blocks = library_blocks()
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     # the names the examples leave to the reader: training and held-out
     # features as m x n matrices, real labels in [-1, 1] and class names
     rng = np.random.default_rng(0)
@@ -30,8 +30,15 @@ def test_library_blocks_run():
         "X_test": X_test, "y_test": np.tanh(w @ X_test),
         "names_test": np.where(X_test[0] > 0, "pos", "neg"),
     }
+    results = []
     for block in blocks:
         exec(compile(block, README, "exec"), namespace)
+        results.append(namespace["result"])
+    # measure, then synthesize, gives synth_supervised's release bit for bit
+    assert results[1] is not results[0]
+    for name in ("features", "labels"):
+        assert getattr(results[1].dataset, name).tobytes() == \
+            getattr(results[0].dataset, name).tobytes()
     assert namespace["result"].ledger.total() == 1.0
     assert namespace["feats"].shape == (4, n_test)
     assert namespace["gmm"].dataset.n_samples == n

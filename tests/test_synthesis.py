@@ -22,10 +22,12 @@ from ronsynth.synthesis import (
     estimate_cov,
     mode_transform,
     psd_repair,
+    measure,
     sample_gaussian,
     synth_gmm,
     synth_supervised,
     synth_unsupervised,
+    synthesize,
     transform_features,
 )
 
@@ -427,13 +429,14 @@ class TestGmmPipeline:
 
 @pytest.mark.parametrize("mode", ["unsupervised", "gmm"])
 def test_empty_sample_count_is_rejected_before_fitting(mode, monkeypatch):
-    repairs = []
+    # rejected before the data is measured, not only before the repair
+    stages = []
+    for name in ("preprocess", "psd_repair"):
+        def spy(*args, _stage=getattr(synthesis, name), **kwargs):
+            stages.append(_stage)
+            return _stage(*args, **kwargs)
 
-    def spy(cov):
-        repairs.append(cov)
-        return psd_repair(cov)
-
-    monkeypatch.setattr(synthesis, "psd_repair", spy)
+        monkeypatch.setattr(synthesis, name, spy)
     X = make_data(n=40).features
     with pytest.raises(ValueError, match="n_synth must be positive, got 0"):
         if mode == "gmm":
@@ -442,7 +445,7 @@ def test_empty_sample_count_is_rejected_before_fitting(mode, monkeypatch):
         else:
             synth_unsupervised(Dataset(features=X), 2, 0.3, 0.7, n_synth=0,
                                rng=np.random.default_rng(0))
-    assert repairs == []
+    assert stages == []
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan], ids=["0", "-1", "nan"])
@@ -612,3 +615,77 @@ class TestTransforms:
         (mode,) = res.model.modes
         projected = mode_transform(mode, X)
         assert np.max(np.abs(projected.mean(axis=1) - mode.model.mean)) <= 0.01
+
+
+def mode_release(mode, X, y, cls):
+    """(measure's arguments past the budget, synth_* function and its extra
+    arguments) of one mode on features X, real labels y or classes cls."""
+    if mode == "gmm":
+        return Dataset(features=X, class_labels=cls), {"by_class": True}, synth_gmm, {}
+    if mode == "supervised":
+        return (Dataset(features=X, labels=y), {"label_bound": 1.0}, synth_supervised,
+                {"label_bound": 1.0})
+    return Dataset(features=X), {}, synth_unsupervised, {}
+
+
+def mode_inputs(seed=41, m=9, n=240):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(m, n)), rng.uniform(-1.5, 1.5, n),
+            np.resize(np.array(["x", "y", "z"]), n))
+
+
+class TestMeasureThenSynthesize:
+    @pytest.mark.parametrize("mode", ["unsupervised", "supervised", "gmm"])
+    def test_synthesize_reads_nothing_of_the_data(self, mode):
+        # the firewall: once measured, the source may be destroyed and
+        # the release is the seeded release of the intact data
+        X, y, cls = mode_inputs()
+        data, how, synth, extra = mode_release(mode, X.copy(), y.copy(), cls.copy())
+        expected = synth(data, 3, 0.4, 0.9, **extra, rng=np.random.default_rng(8))
+        data, how, _, _ = mode_release(mode, X, y, cls)
+        measured = measure(data, 3, 0.4, 0.9, np.random.default_rng(8), **how)
+        X[...] = np.nan
+        y[...] = np.nan
+        cls[...] = "gone"
+        result = synthesize(measured)
+        got, want = result.dataset, expected.dataset
+        assert got.features.tobytes() == want.features.tobytes()
+        assert (got.labels is None) == (want.labels is None)
+        if want.labels is not None:
+            assert got.labels.tobytes() == want.labels.tobytes()
+        if want.class_labels is not None:
+            assert got.class_labels.tolist() == want.class_labels.tolist()
+        assert result.ledger.entries == expected.ledger.entries
+        assert result.projection.W.tobytes() == expected.projection.W.tobytes()
+
+    @pytest.mark.parametrize("mode,keys", [
+        ("unsupervised", {"m", "n"}),
+        ("supervised", {"m", "n"}),
+        ("gmm", {"m", "n", "class_sizes", "class_names"}),
+    ])
+    def test_public_lists_every_data_derived_value(self, mode, keys):
+        X, y, cls = mode_inputs()
+        data, how, _, _ = mode_release(mode, X, y, cls)
+        public = measure(data, 3, 0.4, 0.9, np.random.default_rng(8), **how).public
+        assert set(public) == keys
+        assert (public["m"], public["n"]) == (9, 240)
+        if mode == "gmm":
+            assert public["class_sizes"] == [80, 80, 80]
+            assert public["class_names"] == ["x", "y", "z"]
+
+    @pytest.mark.parametrize("n_synth", [0, -3])
+    def test_synthesize_rejects_an_empty_sample_count(self, n_synth):
+        data, how, _, _ = mode_release("unsupervised", *mode_inputs())
+        measured = measure(data, 3, 0.4, 0.9, np.random.default_rng(8), **how)
+        with pytest.raises(ValueError, match=f"n_synth must be positive, got {n_synth}"):
+            synthesize(measured, n_synth)
+
+    def test_each_synthesize_continues_the_generators(self):
+        # a record is not used up: a second call draws a fresh release of
+        # the same measurements, which spends nothing more
+        data, how, _, _ = mode_release("gmm", *mode_inputs())
+        measured = measure(data, 3, 0.4, 0.9, np.random.default_rng(8), **how)
+        first, second = synthesize(measured), synthesize(measured)
+        assert first.ledger.entries == second.ledger.entries
+        assert first.projection.W.tobytes() == second.projection.W.tobytes()
+        assert not np.array_equal(first.dataset.features, second.dataset.features)
