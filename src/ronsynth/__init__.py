@@ -18,7 +18,7 @@ from .mechanism import (
     mean_sensitivity,
     split_budget,
 )
-from .projection import RonProjection, dimension_guidance, generate_ron, reconstruct
+from .projection import RonProjection, dimension_guidance, generate_ron
 from .synthesis import (
     GaussianModel,
     GmmMode,
@@ -73,7 +73,6 @@ __all__ = [
     "nearest_mean_accuracy",
     "normality_diagnostic",
     "ols_rmse",
-    "reconstruct",
     "rmse",
     "silhouette",
     "split_budget",

@@ -13,8 +13,8 @@ the header are checked after the read.
 Exit codes: 0 success, 1 usage error, a release that cannot be written
 or a closed stdout, 2 data error (a ``DataError``, found while the input
 is read or later, such as a non-finite cell or a sample of zero norm),
-3 numeric failure. No output file is written unless the whole pipeline
-succeeded.
+3 numeric failure. No output file, and no --out directory the run
+made, is left unless the whole pipeline succeeded.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .dataset import (
     write_release,
 )
 from .mechanism import BudgetLedger, record_spends, split_budget
-from .projection import SMALL_M, dimension_guidance, reconstruct
+from .projection import SMALL_M, dimension_guidance
 from .synthesis import (
     SynthesisResult,
     measure,
@@ -135,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "NOT private -- leave unset for a real release")
     synth.add_argument("--save-projection", action="store_true",
                        help="also dump the projection matrix (data-independent, DP-safe)")
-    synth.add_argument("--reconstruct", action="store_true",
-                       help="also write the release embedded back in the original "
-                            "feature space")
     synth.add_argument("--out", default="release", help="output directory")
 
     budget = sub.add_parser("budget", parents=[release],
@@ -178,9 +175,9 @@ def cmd_synth(args) -> int:
         raise _UsageError("supervised mode needs --label-col and --label-bound")
     if args.mode == "gmm" and args.label_col is None:
         raise _UsageError("gmm mode needs --label-col")
-    if args.dim_sweep is not None and (args.save_projection or args.reconstruct):
-        flag = "--save-projection" if args.save_projection else "--reconstruct"
-        raise _UsageError(f"{flag} does not apply to --dim-sweep, which writes no release")
+    if args.dim_sweep is not None and args.save_projection:
+        raise _UsageError("--save-projection does not apply to --dim-sweep, "
+                          "which writes no release")
     # the mode fixes the label kind; an unsupervised label column is
     # categorical and stays out of the features and the release
     label_kind = ("real" if args.mode == "supervised"
@@ -213,7 +210,6 @@ def cmd_synth(args) -> int:
         print(f"m={m} is too small for dimension guidance; using p={p}", file=sys.stderr)
 
     measured = _measure(args, data, p, epsilon_mu, epsilon_sigma)
-    feature_names = data.feature_names
     # the rest reads only the measurements: free the input before the
     # draw and the write, the run's largest allocations
     del data, truth
@@ -234,12 +230,8 @@ def cmd_synth(args) -> int:
         "psd_repair_applied": result.psd_repair_applied,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    extras = []
-    if args.save_projection:
-        extras.append(("projection.csv", result.projection.W))
-    if args.reconstruct:
-        extras.append(("reconstructed.csv", _reconstruction(result, feature_names)))
-    written = write_release(result.dataset, metadata, args.out, extras)
+    projection = result.projection.W if args.save_projection else None
+    written = write_release(result.dataset, metadata, args.out, projection)
 
     print(result.ledger)
     for path in written:
@@ -251,13 +243,6 @@ def _measure(args, data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: floa
     """The mode's ``synthesis.measure`` of data at p, seeded by --seed."""
     return measure(data, p, epsilon_mu, epsilon_sigma, np.random.default_rng(args.seed),
                    args.label_bound, by_class=args.mode == "gmm")
-
-
-def _reconstruction(result: SynthesisResult, feature_names: tuple[str, ...]) -> Dataset:
-    release = result.dataset
-    return Dataset(features=reconstruct(result.projection, release.features),
-                   labels=release.labels, class_labels=release.class_labels,
-                   feature_names=feature_names)
 
 
 def _dim_sweep(args, data: Dataset, truth: np.ndarray | None, dims: list[int],

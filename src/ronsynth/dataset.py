@@ -10,10 +10,10 @@ samples are *columns* of an m x n matrix, so the covariance and
 sensitivity formulas read exactly as derived. This module owns that
 transpose; nothing outside it should ever flip orientation.
 
-A release (data.csv, reconstructed.csv) is written with RELEASE_DIGITS
-significant digits: its values are noisy draws, and rounding them is
-post-processing. A bare matrix (projection.csv) is written with 17,
-which round-trip every double exactly.
+A release's data.csv is written with RELEASE_DIGITS significant digits:
+its values are noisy draws, and rounding them is post-processing. A bare
+matrix (projection.csv) is written with 17, which round-trip every
+double exactly.
 
 Parsing and formatting CSV text is most of a release's time, so large
 files use two processes. A file of more than SPLIT_BYTES bytes is
@@ -72,9 +72,8 @@ class Dataset:
 
     features has shape (m, n): m feature dimensions, n samples stored
     column-wise. labels (real-valued) and class_labels (categorical)
-    are mutually exclusive, each of length n when present. Real labels
-    are kept as they were read: the supervised release clips them to its
-    own bound (``synthesis.synth_supervised``).
+    are mutually exclusive, each of length n when present. Real labels are
+    kept as read; ``synthesis.measure`` clips them to the release's bound.
 
     Construction takes every column's squared norm once, with
     ``column_sq_norms``, and keeps it as sq_norms: the
@@ -475,7 +474,7 @@ def _is_float(text: str) -> bool:
 # rows that _write_table formats at a time
 WRITE_BLOCK = 256
 
-# Significant digits of every value in data.csv and reconstructed.csv.
+# Significant digits of every value in data.csv.
 # The values are draws from a noisy Gaussian, so rounding them is
 # post-processing and spends no privacy; digits past the ninth sit some
 # 10^7 times below the sampling spread. A 9-digit decimal survives a
@@ -513,33 +512,38 @@ def write_dataset_csv(dataset: Dataset, path: str) -> str:
 
 
 def write_release(synthetic: Dataset, metadata: dict, out_dir: str,
-                  extras=()) -> tuple[str, ...]:
+                  projection: np.ndarray | None = None) -> tuple[str, ...]:
     """Write a synthetic dataset plus its metadata sidecar.
 
-    Produces out_dir/data.csv, out_dir/metadata.json and then a file per
-    (name, Dataset or matrix) pair of extras; returns their paths. The
-    metadata must carry the full accounting key set so every release is
-    auditable on its own. If any file cannot be written, none is left.
+    Produces out_dir/data.csv, out_dir/metadata.json and, given the m x p
+    basis, out_dir/projection.csv; returns their paths. The metadata must
+    carry the full accounting key set so every release is auditable on its
+    own. A write that fails leaves no file and no directory this call made.
     """
     missing = [k for k in REQUIRED_METADATA_KEYS if k not in metadata]
     if missing:
         raise ValueError(f"metadata is missing required keys: {missing}")
 
+    made = []  # the directories makedirs creates, deepest first
+    head = os.path.abspath(out_dir)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     try:
         written.append(write_dataset_csv(synthetic, os.path.join(out_dir, "data.csv")))
         written.append(os.path.join(out_dir, "metadata.json"))
         with open(written[-1], "w", encoding="utf-8") as fh:
-            json.dump(metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        for name, table in extras:
-            write = write_dataset_csv if isinstance(table, Dataset) else write_matrix_csv
-            written.append(write(table, os.path.join(out_dir, name)))
+            fh.write(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
+        if projection is not None:
+            written.append(write_matrix_csv(projection, os.path.join(out_dir, "projection.csv")))
     except BaseException:
         # a release is whole or absent; a table that failed removed itself
         for path in filter(os.path.isfile, written):
             os.remove(path)
+        for path in made:
+            os.rmdir(path)
         raise
     return tuple(written)
 

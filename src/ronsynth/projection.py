@@ -85,20 +85,6 @@ def project(proj: RonProjection, X_bar: np.ndarray) -> np.ndarray:
     return proj.W.T @ X_bar
 
 
-def reconstruct(proj: RonProjection, X_tilde: np.ndarray) -> np.ndarray:
-    """Embed projected samples back into the original m-dim space.
-
-    reconstruct(project(x)) equals the orthogonal projection of x onto
-    the column span of W, so norms never grow.
-    """
-    X_tilde = np.asarray(X_tilde, dtype=float)
-    if X_tilde.ndim != 2 or X_tilde.shape[0] != proj.p:
-        raise ValueError(
-            f"expected a matrix with {proj.p} rows, got shape {X_tilde.shape}"
-        )
-    return proj.W @ X_tilde
-
-
 def dimension_guidance(m: int) -> int:
     """Largest projected dimension for which near-Gaussian marginals are expected.
 

@@ -187,17 +187,13 @@ class TestSynthCommand:
     def test_gmm_release_with_artifacts(self, classed_csv, tmp_path):
         out = str(tmp_path / "rel")
         code = main(["synth", classed_csv, "--mode", "gmm", "--label-col", "cls",
-                     "--dim", "2", "--seed", "5", "--out", out,
-                     "--save-projection", "--reconstruct"])
+                     "--dim", "2", "--seed", "5", "--out", out, "--save-projection"])
         assert code == 0
         lines = open(os.path.join(out, "data.csv")).read().splitlines()
         assert lines[0].split(",")[-1] == "class"
         assert {ln.split(",")[-1] for ln in lines[1:]} == {"pos", "neg"}
         # every class shares one basis, saved once
-        assert sorted(os.listdir(out)) == ["data.csv", "metadata.json", "projection.csv",
-                                           "reconstructed.csv"]
-        rec = open(os.path.join(out, "reconstructed.csv")).readline().strip()
-        assert rec == "f1,f2,f3,f4,class"
+        assert sorted(os.listdir(out)) == ["data.csv", "metadata.json", "projection.csv"]
 
     def test_gmm_shared_projection_writes_one_matrix(self, classed_csv, tmp_path):
         # the classes' one shared basis is saved once, not once per class
@@ -214,7 +210,7 @@ class TestSynthCommand:
         out = str(tmp_path / "rel")
         assert main(["synth", labeled_csv, "--mode", "supervised", "--label-col", "y",
                      "--label-bound", "1.0", "--dim", "2", "--seed", "3", "--out", out,
-                     "--save-projection", "--reconstruct"]) == 0
+                     "--save-projection"]) == 0
         data = load_csv(labeled_csv, label_column="y", label_kind="real")
         result = synth_supervised(data, 2, *split_budget(1.0, 0.3), 1.0,
                                   rng=np.random.default_rng(3))
@@ -223,8 +219,7 @@ class TestSynthCommand:
         cells = [cell for row in rows for cell in row.split(",")]
         assert cells == [format(v, ".9g")
                          for v in np.column_stack([release.features.T, release.labels]).flat]
-        rec_rows = open(os.path.join(out, "reconstructed.csv")).read().splitlines()[1:]
-        for cell in cells + [cell for row in rec_rows for cell in row.split(",")]:
+        for cell in cells:
             number = re.fullmatch(r"-?(\d+)(?:\.(\d+))?(?:e[+-]\d+)?", cell)
             assert number and len((number[1] + (number[2] or "")).lstrip("0")) <= 9, cell
         # projection.csv keeps 17 digits, so W reloads bit for bit
@@ -289,7 +284,7 @@ class TestSynthCommand:
         assert main(["synth", numeric_csv, "--frobnicate"]) == 1
 
     @pytest.mark.parametrize("flag", [["--psd-floor", "0"], ["--label-kind", "categorical"],
-                                      ["--shared-projection"]])
+                                      ["--shared-projection"], ["--reconstruct"]])
     def test_removed_flags_are_usage_errors(self, classed_csv, tmp_path, flag):
         out = str(tmp_path / "rel")
         assert main(["synth", classed_csv, "--label-col", "cls", "--dim", "2", *flag,
@@ -385,7 +380,7 @@ class TestSynthCommand:
         assert not np.array_equal(truth, data.labels)
         assert row["value"] == ols_rmse(result, data, truth)
 
-    @pytest.mark.parametrize("flag", ["--save-projection", "--reconstruct"])
+    @pytest.mark.parametrize("flag", ["--save-projection"])
     def test_dim_sweep_rejects_release_artifact_flags(self, tmp_path, flag, capsys):
         # a sweep writes no release, so an artifact flag is one the mode ignores
         out = tmp_path / "rel"
@@ -479,10 +474,9 @@ class TestSynthCommand:
         path.write_bytes(("\ufeffy,f1,f2,f3\n" + rows).encode("utf-8"))
         out = str(tmp_path / "rel")
         assert main(["synth", str(path), "--mode", "supervised", "--label-col", "y",
-                     "--label-bound", "1", "--dim", "2", "--seed", "1", "--reconstruct",
-                     "--out", out]) == 0
-        with open(os.path.join(out, "reconstructed.csv"), "rb") as fh:
-            assert fh.readline() == b"f1,f2,f3,label\r\n"
+                     "--label-bound", "1", "--dim", "2", "--seed", "1", "--out", out]) == 0
+        with open(os.path.join(out, "metadata.json")) as fh:
+            assert json.load(fh)["m"] == 3  # f1..f3; y is the label
 
     def test_unsupervised_label_column_is_left_out(self, classed_csv, tmp_path):
         out = str(tmp_path / "rel")

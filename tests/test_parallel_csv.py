@@ -408,17 +408,35 @@ class TestWriteFailure:
                    header="a,b,c,d,e", comments="")
         return str(path)
 
-    def test_failed_formatter_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
         def fail(*args):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(dataset, "SPLIT_CELLS", 0)
         monkeypatch.setattr(dataset, "_format_rows", fail)
+
+    def test_failed_formatter_leaves_no_file(self, tmp_path, monkeypatch, full_disk, capsys):
+        monkeypatch.setattr(dataset, "SPLIT_CELLS", 0)
         out = tmp_path / "rel"
         assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-        assert os.listdir(out) == []
+        assert not out.exists()
+
+    def test_failed_write_removes_every_directory_it_made(self, tmp_path, full_disk):
+        out = tmp_path / "new" / "rel"
+        assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_write_keeps_an_existing_out_and_its_files(self, tmp_path, full_disk):
+        out = tmp_path / "rel"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert os.listdir(out) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
 
     def test_synth_exits_non_zero_and_leaves_no_file(self, tmp_path):
         out = tmp_path / "rel"
@@ -437,10 +455,10 @@ class TestWriteFailure:
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "No space left on device" in proc.stderr
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("name", ["metadata.json", "projection.csv", "reconstructed.csv"])
+    @pytest.mark.parametrize("name", ["metadata.json", "projection.csv"])
     def test_a_later_file_that_fails_leaves_no_release(self, name, tmp_path, monkeypatch,
                                                        capsys):
         # the file is made, then every write to it fails as on a full disk;
@@ -456,6 +474,6 @@ class TestWriteFailure:
         monkeypatch.setattr(dataset, "open", full_disk, raising=False)
         out = tmp_path / "rel"
         assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
-                     "--save-projection", "--reconstruct", "--out", str(out)]) == 1
+                     "--save-projection", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-        assert os.listdir(out) == []
+        assert not out.exists()

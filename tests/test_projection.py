@@ -11,7 +11,6 @@ from ronsynth.projection import (
     dimension_guidance,
     generate_ron,
     project,
-    reconstruct,
 )
 
 
@@ -113,39 +112,6 @@ class TestProject:
         Xp[:, 13] += 1.0
         diff = np.any(project(proj, X) != project(proj, Xp), axis=0)
         assert list(np.flatnonzero(diff)) == [13]
-
-
-class TestReconstruct:
-    def test_round_trip_in_span_recovers_vector(self):
-        rng = np.random.default_rng(9)
-        proj = generate_ron(20, 6, rng)
-        x = proj.W @ rng.normal(size=(6, 3))
-        back = reconstruct(proj, project(proj, x))
-        assert np.max(np.abs(back - x)) <= 1e-10
-
-    def test_zero_maps_to_zero(self):
-        proj = generate_ron(8, 2, np.random.default_rng(10))
-        assert np.array_equal(reconstruct(proj, np.zeros((2, 5))), np.zeros((8, 5)))
-
-    def test_projection_never_grows_norms(self):
-        rng = np.random.default_rng(11)
-        proj = generate_ron(30, 9, rng)
-        X = rng.normal(size=(30, 500))
-        back = reconstruct(proj, project(proj, X))
-        assert np.all(np.linalg.norm(back, axis=0)
-                      <= np.linalg.norm(X, axis=0) + 1e-12)
-
-    def test_equals_orthogonal_projector(self):
-        rng = np.random.default_rng(12)
-        proj = generate_ron(14, 5, rng)
-        X = rng.normal(size=(14, 7))
-        P = proj.W @ proj.W.T
-        assert np.allclose(reconstruct(proj, project(proj, X)), P @ X)
-
-    def test_dimension_mismatch(self):
-        proj = generate_ron(10, 3, np.random.default_rng(13))
-        with pytest.raises(ValueError):
-            reconstruct(proj, np.zeros((4, 2)))
 
 
 class TestDimensionBound:
