@@ -13,8 +13,8 @@ the header are checked after the read.
 Exit codes: 0 success, 1 usage error, a release that cannot be written
 or a closed stdout, 2 data error (a ``DataError``, found while the input
 is read or later, such as a non-finite cell or a sample of zero norm),
-3 numeric failure. No output file, and no --out directory the run
-made, is left unless the whole pipeline succeeded.
+3 numeric failure. --out must be new or an empty directory, checked
+before the read; a run that fails leaves it as it was.
 """
 
 from __future__ import annotations
@@ -134,8 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rng seed; seeded noise is reproducible and therefore "
                             "NOT private -- leave unset for a real release")
     synth.add_argument("--save-projection", action="store_true",
-                       help="also dump the projection matrix (data-independent, DP-safe)")
-    synth.add_argument("--out", default="release", help="output directory")
+                       help="also write the basis W as projection.csv; it reads no "
+                            "data but shares a generator with the noise (see README)")
+    synth.add_argument("--out", default="release", help="output directory, new or empty")
 
     budget = sub.add_parser("budget", parents=[release],
                             help="print the spend plan without touching data",
@@ -178,6 +179,10 @@ def cmd_synth(args) -> int:
     if args.dim_sweep is not None and args.save_projection:
         raise _UsageError("--save-projection does not apply to --dim-sweep, "
                           "which writes no release")
+    # a release never mixes two runs: refuse a used --out before the read
+    if (args.dim_sweep is None and os.path.lexists(args.out)
+            and not (os.path.isdir(args.out) and not os.listdir(args.out))):
+        raise _UsageError(f"--out {args.out!r} exists and is not an empty directory")
     # the mode fixes the label kind; an unsupervised label column is
     # categorical and stays out of the features and the release
     label_kind = ("real" if args.mode == "supervised"
@@ -344,7 +349,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as err:
-        # OSError: the release cannot be written (a full disk, an --out that is a file)
+        # OSError: the release cannot be written (a full disk, a read-only parent)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

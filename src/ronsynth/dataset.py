@@ -37,8 +37,9 @@ import csv
 import io
 import itertools
 import json
-import mmap
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
@@ -242,9 +243,9 @@ def _split_point(path: str, start: int) -> int | None:
     size = os.path.getsize(path)
     if not hasattr(os, "fork") or size <= SPLIT_BYTES:
         return None
-    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-        split = data.find(b"\n", (start + size) // 2) + 1
-    return split if 0 < split < size else None
+    with open(path, "rb") as fh:
+        split = fh.seek((start + size) // 2) + len(fh.readline())
+    return split if split < size else None
 
 
 class _Range(NamedTuple):
@@ -518,34 +519,32 @@ def write_release(synthetic: Dataset, metadata: dict, out_dir: str,
     Produces out_dir/data.csv, out_dir/metadata.json and, given the m x p
     basis, out_dir/projection.csv; returns their paths. The metadata must
     carry the full accounting key set so every release is auditable on its
-    own. A write that fails leaves no file and no directory this call made.
+    own. out_dir, new or an empty directory, is built in a ".ronsynth-*"
+    stage beside it and renamed into place whole; a failed write removes
+    the stage, and a killed one may leave it, never a partial out_dir.
     """
     missing = [k for k in REQUIRED_METADATA_KEYS if k not in metadata]
     if missing:
         raise ValueError(f"metadata is missing required keys: {missing}")
 
-    made = []  # the directories makedirs creates, deepest first
-    head = os.path.abspath(out_dir)
-    while not os.path.exists(head):
-        made.append(head)
-        head = os.path.dirname(head)
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    top = os.path.abspath(out_dir)  # what the rename puts in place: out_dir or a new parent
+    while not os.path.exists(os.path.dirname(top)):
+        top = os.path.dirname(top)
+    stage = tempfile.mkdtemp(prefix=".ronsynth-", dir=os.path.dirname(top))
     try:
-        written.append(write_dataset_csv(synthetic, os.path.join(out_dir, "data.csv")))
-        written.append(os.path.join(out_dir, "metadata.json"))
+        built = os.path.join(stage, os.path.relpath(out_dir, os.path.dirname(top)))
+        os.makedirs(built)
+        written = [write_dataset_csv(synthetic, os.path.join(built, "data.csv")),
+                   os.path.join(built, "metadata.json")]
         with open(written[-1], "w", encoding="utf-8") as fh:
             fh.write(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
         if projection is not None:
-            written.append(write_matrix_csv(projection, os.path.join(out_dir, "projection.csv")))
-    except BaseException:
-        # a release is whole or absent; a table that failed removed itself
-        for path in filter(os.path.isfile, written):
-            os.remove(path)
-        for path in made:
-            os.rmdir(path)
-        raise
-    return tuple(written)
+            written.append(write_matrix_csv(projection, os.path.join(built, "projection.csv")))
+        # replaces an empty out_dir; a non-empty one, or a file, is an OSError
+        os.rename(os.path.join(stage, os.path.basename(top)), top)
+    finally:
+        shutil.rmtree(stage)
+    return tuple(os.path.join(out_dir, os.path.basename(path)) for path in written)
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> str:
@@ -566,8 +565,8 @@ def _write_table(path: str, header: list[str], table: np.ndarray, digits: int,
     quoted class cells (an object array).
 
     A table of more than SPLIT_CELLS cells is formatted in two halves,
-    the second by a forked child (``forked.write_halves``). If writing
-    fails, no file is left at path.
+    the second by a forked child (``forked.write_halves``). A failed
+    write leaves a partial file at path.
     """
     # rows end in CRLF like csv.writer's, which writes the (quoted) header
     number = f"%.{digits}g"
@@ -575,18 +574,13 @@ def _write_table(path: str, header: list[str], table: np.ndarray, digits: int,
     if last is not None:
         cells.append("%s" if last.dtype == object else number)
     row = ",".join(cells) + "\r\n"
-    fh = open(path, "w", newline="", encoding="utf-8")
-    try:
-        with fh:
-            csv.writer(fh).writerow(header)
-            if hasattr(os, "fork") and table.size > SPLIT_CELLS:
-                from .forked import write_halves  # loaded for large tables only
-                write_halves(fh, path, row, table, last)
-            else:
-                _format_rows(fh, row, table, last)
-    except BaseException:
-        os.remove(path)
-        raise
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        if hasattr(os, "fork") and table.size > SPLIT_CELLS:
+            from .forked import write_halves  # loaded for large tables only
+            write_halves(fh, path, row, table, last)
+        else:
+            _format_rows(fh, row, table, last)
     return path
 
 

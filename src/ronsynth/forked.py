@@ -113,14 +113,13 @@ def _ends_in_quote(line: str) -> bool:
     """Whether np.loadtxt, starting a record at line, is inside a quoted cell at its end.
 
     Such a line runs on into a copy of itself, so the two make one record.
+    The line holds no line break, so np.loadtxt takes the pair; its
+    ValueError, if any, reaches load_csv's fault finder as True does.
     """
     if '"' not in line:
         return False
-    try:
-        twice = np.loadtxt([line, line], delimiter=",", ndmin=2, comments=None,
-                           quotechar='"', converters=lambda cell: 0.0, encoding="utf-8")
-    except ValueError:
-        return True
+    twice = np.loadtxt([line, line], delimiter=",", ndmin=2, comments=None,
+                       quotechar='"', converters=lambda cell: 0.0, encoding="utf-8")
     return len(twice) != 2
 
 

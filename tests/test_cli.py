@@ -239,8 +239,42 @@ class TestSynthCommand:
         out.write_text("kept\n")
         assert main(["synth", numeric_csv, "--dim", "2", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert err == f"error: --out '{out}' exists and is not an empty directory\n"
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("again", [
+        # had the input been read first, the missing file would exit 2
+        ["ghost.csv", "--dim", "2"],
+        # the stale basis: a release without projection.csv into one with it
+        ["data.csv", "--dim", "3"],
+    ])
+    def test_a_used_out_is_refused_before_the_read(self, numeric_csv, tmp_path, again,
+                                                   capsys):
+        out = tmp_path / "rel"
+        assert main(["synth", numeric_csv, "--dim", "2", "--seed", "1",
+                     "--save-projection", "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert sorted(before) == ["data.csv", "metadata.json", "projection.csv"]
+        capsys.readouterr()
+        assert main(["synth", str(tmp_path / again[0]), *again[1:], "--seed", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out '{out}' exists and is not an empty directory\n")
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_an_empty_out_is_accepted(self, numeric_csv, tmp_path):
+        out = tmp_path / "rel"
+        out.mkdir()
+        assert main(["synth", numeric_csv, "--dim", "2", "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["data.csv", "metadata.json"]
+        # the stage the release was built in is gone
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "rel"]
+
+    def test_a_sweep_ignores_a_used_out(self, numeric_csv, tmp_path, capsys):
+        # a sweep writes nothing, so --out is not checked
+        assert main(["synth", numeric_csv, "--dim-sweep", "2", "--seed", "1",
+                     "--out", numeric_csv]) == 0
+        assert json.loads(capsys.readouterr().out)["sweep"][0]["p"] == 2
 
     def test_non_utf8_cell_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"

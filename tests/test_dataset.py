@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import re
 import tracemalloc
 
@@ -87,6 +88,8 @@ class TestLoadCsv:
         path = _write(tmp_path, "f1,f2\n1,2\n")
         with pytest.raises(ValueError):
             load_csv(path, label_column="f2", label_kind="ordinal")
+        with pytest.raises(ValueError, match="label_kind given without label_column"):
+            load_csv(path, label_kind="real")
 
 
 # (file text, label column, label kind, exact message after "<path>: ")
@@ -380,6 +383,23 @@ class TestWriteRelease:
         lines = open(data_path).read().splitlines()
         assert lines[0].split(",")[-1] == "class"
         assert [ln.split(",")[-1] for ln in lines[1:]] == ["cat", "dog", "cat"]
+
+    def test_missing_parents_are_made_with_the_release(self, tmp_path):
+        release = Dataset(features=np.zeros((2, 3)))
+        out = str(tmp_path / "new" / "rel")
+        assert write_release(release, dict(META), out) == (
+            os.path.join(out, "data.csv"), os.path.join(out, "metadata.json"))
+        assert os.listdir(tmp_path) == ["new"]
+
+    def test_a_used_out_is_left_as_it_was(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "data.csv").write_text("kept\n")
+        with pytest.raises(OSError):
+            write_release(Dataset(features=np.zeros((2, 3))), dict(META), str(out))
+        assert os.listdir(out) == ["data.csv"] and (out / "data.csv").read_text() == "kept\n"
+        # the stage the release was built in is gone
+        assert os.listdir(tmp_path) == ["out"]
 
     def test_missing_metadata_key_rejected(self, tmp_path):
         release = Dataset(features=np.zeros((1, 1)))

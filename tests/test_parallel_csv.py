@@ -421,22 +421,23 @@ class TestWriteFailure:
         assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-        assert not out.exists()
+        # neither --out nor the .ronsynth-* stage it was built in is left
+        assert os.listdir(tmp_path) == ["in.csv"]
 
     def test_failed_write_removes_every_directory_it_made(self, tmp_path, full_disk):
         out = tmp_path / "new" / "rel"
         assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
                      "--out", str(out)]) == 1
-        assert not (tmp_path / "new").exists()
+        assert os.listdir(tmp_path) == ["in.csv"]
 
     def test_failed_write_keeps_an_existing_out_and_its_files(self, tmp_path, full_disk):
+        # a non-empty --out is refused before the read, so only an empty one gets here
         out = tmp_path / "rel"
         out.mkdir()
-        (out / "notes.txt").write_text("kept\n")
         assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
                      "--out", str(out)]) == 1
-        assert os.listdir(out) == ["notes.txt"]
-        assert (out / "notes.txt").read_text() == "kept\n"
+        assert os.listdir(out) == []
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "rel"]
 
     def test_synth_exits_non_zero_and_leaves_no_file(self, tmp_path):
         out = tmp_path / "rel"
@@ -453,16 +454,16 @@ class TestWriteFailure:
         proc = subprocess.run([sys.executable, "-c", code, "synth", self._csv(tmp_path),
                                "--dim", "2", "--seed", "1", "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode != 0
+        assert proc.returncode == 1
         assert "No space left on device" in proc.stderr
-        assert not out.exists()
+        assert os.listdir(tmp_path) == ["in.csv"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("name", ["metadata.json", "projection.csv"])
+    @pytest.mark.parametrize("name", ["data.csv", "metadata.json", "projection.csv"])
     def test_a_later_file_that_fails_leaves_no_release(self, name, tmp_path, monkeypatch,
                                                        capsys):
         # the file is made, then every write to it fails as on a full disk;
-        # the files written before it go too, so no release is left partial
+        # the stage goes with the files written before it, so no release is left partial
         real_open = open
 
         def full_disk(path, *args, **kwargs):
@@ -476,4 +477,4 @@ class TestWriteFailure:
         assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
                      "--save-projection", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-        assert not out.exists()
+        assert os.listdir(tmp_path) == ["in.csv"]
