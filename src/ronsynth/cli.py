@@ -1,14 +1,13 @@
 """Command-line interface: synth and budget subcommands.
 
-``synth`` writes a release, or with --dim-sweep scores a release per p
-with the mode's scorer from ``evaluation``; ``budget`` prints a
-release's spend plan without reading data. ``synth`` frees its input
-once ``synthesis.measure`` has read it, before the release is drawn.
+``synth`` writes a release; ``budget`` prints a release's spend plan
+without reading data. ``synth`` frees its input once
+``synthesis.measure`` has read it, before the release is drawn.
 
 Every flag whose value can be checked without the data has an argparse
 type built by one rule, ``_flag_type``, so a bad value is a usage error
-before any input is read. Only p < m and a --label-col that must be in
-the header are checked after the read.
+before any input is read. Only p < m for --dim and a --label-col that
+must be in the header are checked after the read.
 
 Exit codes: 0 success, 1 usage error, a release that cannot be written
 or a closed stdout, 2 data error (a ``DataError``, found while the input
@@ -30,7 +29,6 @@ import numpy as np
 
 from .dataset import (
     DataError,
-    Dataset,
     load_csv,
     plain_number_syntax,
     write_release,
@@ -38,7 +36,6 @@ from .dataset import (
 from .mechanism import BudgetLedger, record_spends, split_budget
 from .projection import SMALL_M, dimension_guidance
 from .synthesis import (
-    SynthesisResult,
     measure,
     # unused, but perfbench/tracer.py wraps them in each importing module
     synth_gmm,  # noqa: F401
@@ -122,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", parents=[release], help="generate a synthetic release",
                            description="Run the release pipeline on a CSV dataset.")
     synth.add_argument("input", help="input CSV (rows are samples, first row header)")
-    synth.add_argument("--dim-sweep", type=_positive_ints, default=None, metavar="P1,P2,...",
-                       help="report utility for each listed p instead of releasing; "
-                            "sweeps consume no modeled budget and are for research use")
     synth.add_argument("--label-col", default=None,
                        help="name of the label column; real-valued in supervised "
                             "mode, categorical otherwise")
@@ -176,11 +170,8 @@ def cmd_synth(args) -> int:
         raise _UsageError("supervised mode needs --label-col and --label-bound")
     if args.mode == "gmm" and args.label_col is None:
         raise _UsageError("gmm mode needs --label-col")
-    if args.dim_sweep is not None and args.save_projection:
-        raise _UsageError("--save-projection does not apply to --dim-sweep, "
-                          "which writes no release")
     # a release never mixes two runs: refuse a used --out before the read
-    if (args.dim_sweep is None and os.path.lexists(args.out)
+    if (os.path.lexists(args.out)
             and not (os.path.isdir(args.out) and not os.listdir(args.out))):
         raise _UsageError(f"--out {args.out!r} exists and is not an empty directory")
     # the mode fixes the label kind; an unsupervised label column is
@@ -189,42 +180,32 @@ def cmd_synth(args) -> int:
                   else "categorical" if args.label_col else None)
 
     data = load_csv(args.input, label_column=args.label_col, label_kind=label_kind)
-    m, n = data.features.shape
+    m = data.features.shape[0]
 
-    truth = None
     if args.mode == "supervised":
-        # the release clips the labels itself; this clip counts them for
-        # the operator and is the truth a sweep scores against
-        truth = np.clip(data.labels, -args.label_bound, args.label_bound)
-        clip_count = int(np.count_nonzero(truth != data.labels))
+        # the labels the release clips (a Dataset's labels are finite)
+        clip_count = int(np.count_nonzero(np.abs(data.labels) > args.label_bound))
         # an exact count of the data: operator output, never metadata.json
         if clip_count:
             print(f"clipped {clip_count} label(s) to [-{args.label_bound}, "
                   f"{args.label_bound}]", file=sys.stderr)
 
-    if args.dim_sweep is not None:
-        bad = [d for d in args.dim_sweep if d >= m]
-        if bad:
-            raise _UsageError(f"--dim-sweep values must satisfy 1 <= p < m={m}: {bad}")
-        report = _dim_sweep(args, data, truth, args.dim_sweep, epsilon_mu, epsilon_sigma)
-        print(json.dumps(report, indent=2))
-        return EXIT_OK
-
     p = _projected_dim(args.dim, m)
     if args.dim is None and m <= SMALL_M:
         print(f"m={m} is too small for dimension guidance; using p={p}", file=sys.stderr)
 
-    measured = _measure(args, data, p, epsilon_mu, epsilon_sigma)
+    measured = measure(data, p, epsilon_mu, epsilon_sigma, np.random.default_rng(args.seed),
+                       args.label_bound, by_class=args.mode == "gmm")
     # the rest reads only the measurements: free the input before the
     # draw and the write, the run's largest allocations
-    del data, truth
+    del data
     result = synthesize(measured, args.samples)
 
     metadata = {
         "mode": args.mode,
-        "m": m,
+        "m": measured.public["m"],
         "p": p,
-        "n": n,
+        "n": measured.public["n"],
         "n_synth": result.dataset.n_samples,
         "epsilon_total": result.ledger.total(),
         "epsilon_mu": epsilon_mu,
@@ -242,43 +223,6 @@ def cmd_synth(args) -> int:
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
-
-
-def _measure(args, data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float):
-    """The mode's ``synthesis.measure`` of data at p, seeded by --seed."""
-    return measure(data, p, epsilon_mu, epsilon_sigma, np.random.default_rng(args.seed),
-                   args.label_bound, by_class=args.mode == "gmm")
-
-
-def _dim_sweep(args, data: Dataset, truth: np.ndarray | None, dims: list[int],
-               epsilon_mu: float, epsilon_sigma: float) -> dict:
-    """Utility-vs-dimension report. Research diagnostic: the repeated
-    runs share the input data, so the sweep itself is not budgeted.
-    A supervised sweep scores against ``truth``, the clipped labels."""
-    rows = []
-    for p in dims:
-        result = synthesize(_measure(args, data, p, epsilon_mu, epsilon_sigma), args.samples)
-        rows.append({"p": p, **_sweep_metric(args, data, truth, result)})
-    metric = rows[0]["metric"]
-    higher_is_better = metric == "accuracy" or metric == "silhouette"
-    chooser = max if higher_is_better else min
-    best = chooser(rows, key=lambda r: r["value"])
-    return {"mode": args.mode, "metric": metric, "sweep": rows, "best_p": best["p"]}
-
-
-def _sweep_metric(args, data: Dataset, truth: np.ndarray | None,
-                  result: SynthesisResult) -> dict:
-    # a release alone never loads the scorers
-    from .evaluation import nearest_mean_accuracy, ols_rmse, silhouette_sweep
-
-    if args.mode == "supervised":
-        return {"metric": "rmse", "value": ols_rmse(result, data, truth)}
-    if args.mode == "gmm":
-        acc = nearest_mean_accuracy(result, data, data.class_labels)
-        return {"metric": "accuracy", "value": acc}
-    # unsupervised: cluster the release and score the clustering
-    best_k, sweep, _ = silhouette_sweep(result.dataset.features, range(2, 7), args.seed)
-    return {"metric": "silhouette", "value": sweep[best_k], "k": best_k}
 
 
 def cmd_budget(args) -> int:

@@ -522,6 +522,7 @@ def write_release(synthetic: Dataset, metadata: dict, out_dir: str,
     own. out_dir, new or an empty directory, is built in a ".ronsynth-*"
     stage beside it and renamed into place whole; a failed write removes
     the stage, and a killed one may leave it, never a partial out_dir.
+    An OSError of a path in the stage names that path in out_dir instead.
     """
     missing = [k for k in REQUIRED_METADATA_KEYS if k not in metadata]
     if missing:
@@ -542,6 +543,12 @@ def write_release(synthetic: Dataset, metadata: dict, out_dir: str,
             written.append(write_matrix_csv(projection, os.path.join(built, "projection.csv")))
         # replaces an empty out_dir; a non-empty one, or a file, is an OSError
         os.rename(os.path.join(stage, os.path.basename(top)), top)
+    except OSError as err:
+        # the stage is gone by the time the error is read: name the path in out_dir
+        if err.filename and err.filename.startswith(stage + os.sep):
+            err.filename = os.path.normpath(
+                os.path.join(out_dir, os.path.relpath(err.filename, built)))
+        raise
     finally:
         shutil.rmtree(stage)
     return tuple(os.path.join(out_dir, os.path.basename(path)) for path in written)

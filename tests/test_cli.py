@@ -15,7 +15,6 @@ import ronsynth
 from ronsynth import cli, dataset, preprocessing, synthesis
 from ronsynth.cli import default_dim, main
 from ronsynth.dataset import Dataset, load_csv
-from ronsynth.evaluation import nearest_mean_accuracy, ols_rmse
 from ronsynth.mechanism import split_budget
 from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 
@@ -154,22 +153,6 @@ class TestSynthCommand:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("value,message", [
-        ("1,x", "argument --dim-sweep: must be comma-separated positive integers, got '1,x'"),
-        (",", "argument --dim-sweep: must be comma-separated positive integers, got ','"),
-        # only p < m needs the data
-        ("2,6,7", "--dim-sweep values must satisfy 1 <= p < m=6: [6, 7]"),
-    ], ids=["not-an-integer", "empty", "out-of-range"])
-    def test_bad_dim_sweep_is_a_usage_error(self, numeric_csv, tmp_path, value, message,
-                                            capsys):
-        out = tmp_path / "rel"
-        assert main(["synth", numeric_csv, "--dim-sweep", value, "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        # argparse prints its usage line first
-        assert captured.err.strip().splitlines()[-1] == f"error: {message}"
-        assert not out.exists()
-
     def test_numeric_failure_exits_3_without_output(self, numeric_csv, tmp_path,
                                                     monkeypatch, capsys):
         def rank_deficient(m, p, rng):
@@ -270,12 +253,6 @@ class TestSynthCommand:
         # the stage the release was built in is gone
         assert sorted(os.listdir(tmp_path)) == ["data.csv", "rel"]
 
-    def test_a_sweep_ignores_a_used_out(self, numeric_csv, tmp_path, capsys):
-        # a sweep writes nothing, so --out is not checked
-        assert main(["synth", numeric_csv, "--dim-sweep", "2", "--seed", "1",
-                     "--out", numeric_csv]) == 0
-        assert json.loads(capsys.readouterr().out)["sweep"][0]["p"] == 2
-
     def test_non_utf8_cell_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"a,b\n1,2\n3,\xe94\n")
@@ -318,11 +295,14 @@ class TestSynthCommand:
         assert main(["synth", numeric_csv, "--frobnicate"]) == 1
 
     @pytest.mark.parametrize("flag", [["--psd-floor", "0"], ["--label-kind", "categorical"],
-                                      ["--shared-projection"], ["--reconstruct"]])
-    def test_removed_flags_are_usage_errors(self, classed_csv, tmp_path, flag):
+                                      ["--shared-projection"], ["--reconstruct"],
+                                      ["--dim-sweep", "2,4"]])
+    def test_removed_flags_are_usage_errors(self, classed_csv, tmp_path, flag, capsys):
         out = str(tmp_path / "rel")
         assert main(["synth", classed_csv, "--label-col", "cls", "--dim", "2", *flag,
                      "--out", out]) == 1
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"unrecognized arguments: {' '.join(flag)}" in last
         assert not os.path.exists(out)
 
     def test_supervised_label_kind_is_real(self, classed_csv, tmp_path):
@@ -391,41 +371,6 @@ class TestSynthCommand:
         rows = open(os.path.join(out, "data.csv")).read().splitlines()
         assert len(rows) == 18  # header + 17 samples
 
-    def test_dim_sweep_reports_instead_of_writing(self, labeled_csv, tmp_path, capsys):
-        out = str(tmp_path / "rel")
-        code = main(["synth", labeled_csv, "--mode", "supervised",
-                     "--label-col", "y", "--label-bound", "1.0",
-                     "--dim-sweep", "1,2,3", "--seed", "1", "--out", out])
-        assert code == 0
-        assert not os.path.exists(out)
-        report = json.loads(capsys.readouterr().out)
-        assert report["metric"] == "rmse"
-        assert [row["p"] for row in report["sweep"]] == [1, 2, 3]
-        assert report["best_p"] in (1, 2, 3)
-
-    def test_supervised_dim_sweep_scores_against_clipped_labels(self, labeled_csv, capsys):
-        assert main(["synth", labeled_csv, "--mode", "supervised", "--label-col", "y",
-                     "--label-bound", "1.0", "--dim-sweep", "2", "--seed", "1"]) == 0
-        (row,) = json.loads(capsys.readouterr().out)["sweep"]
-        data = load_csv(labeled_csv, label_column="y", label_kind="real")
-        result = synth_supervised(data, 2, *split_budget(1.0, 0.3), 1.0,
-                                  rng=np.random.default_rng(1))
-        truth = np.clip(data.labels, -1.0, 1.0)
-        assert not np.array_equal(truth, data.labels)
-        assert row["value"] == ols_rmse(result, data, truth)
-
-    @pytest.mark.parametrize("flag", ["--save-projection"])
-    def test_dim_sweep_rejects_release_artifact_flags(self, tmp_path, flag, capsys):
-        # a sweep writes no release, so an artifact flag is one the mode ignores
-        out = tmp_path / "rel"
-        # had the input been read first, a missing file would exit 2
-        assert main(["synth", str(tmp_path / "ghost.csv"), "--dim-sweep", "1,2", flag,
-                     "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: {flag} does not apply to --dim-sweep" in captured.err
-        assert not out.exists()
-
     @pytest.mark.parametrize("labels,count", [([-2.0, 0.5, 3.0], 2), ([0.2, -0.9, 0.0], 0),
                                               ([1.0, -1.0, 0.5], 0)],
                              ids=["outside", "inside", "boundary"])
@@ -459,8 +404,7 @@ class TestSynthCommand:
         # one Dataset of the input and one of the release
         assert shapes == [(4, 150), (2, 150)]
 
-    def test_supervised_dim_sweep_takes_the_input_norms_once(self, labeled_csv,
-                                                             monkeypatch):
+    def test_gmm_run_takes_the_input_norms_once(self, classed_csv, tmp_path, monkeypatch):
         shapes = []
 
         def spy(X):
@@ -469,36 +413,10 @@ class TestSynthCommand:
 
         for module in (dataset, preprocessing, synthesis):
             monkeypatch.setattr(module, "column_sq_norms", spy)
-        assert main(["synth", labeled_csv, "--mode", "supervised", "--label-col", "y",
-                     "--label-bound", "1.0", "--dim-sweep", "1,2,3", "--seed", "1"]) == 0
-        # the input Dataset's, which the scorer reuses, then each swept release's
-        assert shapes == [(4, 150), (1, 150), (2, 150), (3, 150)]
-
-    def test_gmm_dim_sweep_takes_the_input_norms_once(self, tmp_path, monkeypatch, capsys):
-        rng = np.random.default_rng(7)
-        rows = "".join(",".join(f"{v:.17g}" for v in x) + f",c{i % 3}\n"
-                       for i, x in enumerate(rng.normal(size=(400, 12))))
-        path = tmp_path / "in.csv"
-        path.write_text(",".join(f"f{j}" for j in range(12)) + ",cls\n" + rows)
-        shapes = []
-
-        def spy(X):
-            shapes.append(np.shape(X))
-            return np.einsum("ij,ij->j", X, X)
-
-        for module in (dataset, preprocessing, synthesis):
-            monkeypatch.setattr(module, "column_sq_norms", spy)
-        assert main(["synth", str(path), "--mode", "gmm", "--label-col", "cls",
-                     "--dim-sweep", "1,2,4", "--seed", "1"]) == 0
-        # the Dataset's; each swept release's own Dataset takes (p, 400)
-        assert shapes == [(12, 400), (1, 400), (2, 400), (4, 400)]
-        monkeypatch.undo()
-        report = json.loads(capsys.readouterr().out)
-        data = load_csv(str(path), label_column="cls", label_kind="categorical")
-        for row in report["sweep"]:
-            result = synth_gmm(data, row["p"], *split_budget(1.0, 0.3),
-                               rng=np.random.default_rng(1))
-            assert row["value"] == nearest_mean_accuracy(result, data, data.class_labels)
+        assert main(["synth", classed_csv, "--mode", "gmm", "--label-col", "cls",
+                     "--dim", "2", "--seed", "1", "--out", str(tmp_path / "rel")]) == 0
+        # the input Dataset's, not one per class; the release is one Dataset
+        assert shapes == [(4, 160), (2, 160)]
 
     def test_label_col_on_a_first_column_after_a_byte_order_mark(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -554,13 +472,6 @@ class TestSynthCommand:
                      "--dim", "2", "--seed", "1", "--out", str(tmp_path / "rel")]) == 0
         assert len(inputs) == (3 if mode == "supervised" else 2)
         assert freed == [[True] * len(inputs)] * (2 if mode == "gmm" else 1)
-
-    def test_unsupervised_dim_sweep_scores_silhouette(self, numeric_csv, capsys):
-        code = main(["synth", numeric_csv, "--dim-sweep", "2,3", "--seed", "1"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["metric"] == "silhouette"
-        assert report["best_p"] in (2, 3)
 
 
 @pytest.mark.parametrize("argv", [
@@ -661,6 +572,12 @@ class TestBudgetCommand:
          "argument --class-sizes: must be comma-separated positive integers, got '5,0'"),
         # int() reads digit-group underscores; a flag, like a CSV cell, does not
         (["--m", "6", "--n", "1_000"], "argument --n: must be a positive integer, got '1_000'"),
+        (["--mode", "gmm", "--m", "20", "--class-sizes", "1,x"],
+         "argument --class-sizes: must be comma-separated positive integers, got '1,x'"),
+        (["--mode", "gmm", "--m", "20", "--class-sizes", ","],
+         "argument --class-sizes: must be comma-separated positive integers, got ','"),
+        (["--mode", "gmm", "--m", "20", "--class-sizes", "2,1_0"],
+         "argument --class-sizes: must be comma-separated positive integers, got '2,1_0'"),
     ])
     def test_empty_size_error_names_the_flag(self, argv, message, capsys):
         assert main(["budget", *argv]) == 1
@@ -697,16 +614,13 @@ def test_default_dim_uses_guidance_capped_by_m():
     assert default_dim(12) <= 11
 
 
-# text that does not parse, for each argparse type, values of the list
-# flag that are out of range whatever the data, and numbers that int()
-# and float() read but a CSV cell may not hold
+# text that does not parse, for each argparse type, a value that is out
+# of range whatever the data, and numbers that int() and float() read but
+# a CSV cell may not hold
 @pytest.mark.parametrize("argv,flag", [
     (["--dim", "0"], "--dim"),
     (["--dim", "x"], "--dim"),
     (["--dim", "1_0"], "--dim"),
-    (["--dim-sweep", "1,x"], "--dim-sweep"),
-    (["--dim-sweep", "0,2"], "--dim-sweep"),
-    (["--dim-sweep", "2,1_0"], "--dim-sweep"),
     (["--epsilon", "x"], "--epsilon"),
     (["--epsilon", "1_0"], "--epsilon"),
     (["--mu-ratio", "x"], "--mu-ratio"),

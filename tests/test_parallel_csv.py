@@ -4,6 +4,7 @@ SPLIT_BYTES and SPLIT_CELLS are monkeypatched to 0 to force two
 processes on small inputs, and to a size no file reaches for one.
 """
 
+import errno
 import os
 import subprocess
 import sys
@@ -428,6 +429,25 @@ class TestWriteFailure:
         out = tmp_path / "new" / "rel"
         assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
                      "--out", str(out)]) == 1
+        assert os.listdir(tmp_path) == ["in.csv"]
+
+    def test_write_error_names_the_out_path_not_the_stage(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def no_metadata(path, *args, **kwargs):
+            if os.path.basename(path) == "metadata.json":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, *args, **kwargs)
+
+        # a module global of dataset shadows the builtin open
+        monkeypatch.setattr(dataset, "open", no_metadata, raising=False)
+        out = tmp_path / "new" / "rel"
+        assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        # the stage the release was built in is removed before the error is read
+        assert err == (f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: "
+                       f"'{out / 'metadata.json'}'\n")
+        assert ".ronsynth-" not in err
         assert os.listdir(tmp_path) == ["in.csv"]
 
     def test_failed_write_keeps_an_existing_out_and_its_files(self, tmp_path, full_disk):
