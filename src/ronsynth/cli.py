@@ -12,8 +12,9 @@ must be in the header are checked after the read.
 Exit codes: 0 success, 1 usage error, a release that cannot be written
 or a closed stdout, 2 data error (a ``DataError``, found while the input
 is read or later, such as a non-finite cell or a sample of zero norm),
-3 numeric failure. --out must be new or an empty directory, checked
-before the read; a run that fails leaves it as it was.
+3 numeric failure. --out must be a new path under a directory or an
+empty directory, checked before the read; a run that fails leaves it as
+it was.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .dataset import (
     DataError,
+    existing_ancestor,
     load_csv,
     plain_number_syntax,
     write_release,
@@ -170,10 +172,13 @@ def cmd_synth(args) -> int:
         raise _UsageError("supervised mode needs --label-col and --label-bound")
     if args.mode == "gmm" and args.label_col is None:
         raise _UsageError("gmm mode needs --label-col")
-    # a release never mixes two runs: refuse a used --out before the read
-    if (os.path.lexists(args.out)
-            and not (os.path.isdir(args.out) and not os.listdir(args.out))):
+    # a release never mixes two runs, and is renamed into place from a stage in
+    # the nearest existing directory above --out: refuse any other --out before the read
+    empty = os.path.isdir(args.out) and not os.path.islink(args.out) and not os.listdir(args.out)
+    if os.path.lexists(args.out) and not empty:
         raise _UsageError(f"--out {args.out!r} exists and is not an empty directory")
+    if not args.out or not os.path.isdir(existing_ancestor(args.out)):
+        raise _UsageError(f"--out {args.out!r} is not a path under a directory")
     # the mode fixes the label kind; an unsupervised label column is
     # categorical and stays out of the features and the release
     label_kind = ("real" if args.mode == "supervised"

@@ -15,19 +15,13 @@ its values are noisy draws, and rounding them is post-processing. A bare
 matrix (projection.csv) is written with 17, which round-trip every
 double exactly.
 
-Parsing and formatting CSV text is most of a release's time, so large
-files use two processes. A file of more than SPLIT_BYTES bytes is
-parsed in two byte ranges, split at a line end, the second in a forked
-child; a table of more than SPLIT_CELLS cells is written in two halves,
-the second formatted by a child. Each child hands its half back through
-an unnamed temporary file (the write's is on the output's filesystem),
-which the parent reads once the child has exited. The loaded Dataset,
-every DataError message and the written bytes are those of one process.
-A file is parsed once; if it is rejected, the fault finder checks cells
-only from the line np.loadtxt rejected on. A child that fails, or that
-no fork or temporary file was made for, leaves its half to the parent.
-Where there is no os.fork, or no "\n" ends a line in the second half of
-the file (lines that end in "\r" alone), one process does all of it.
+Parsing and formatting CSV text is most of a release's time. Every read
+and write goes through the forked module: a large file is parsed in two
+byte ranges, and every table is written in two halves of rows, the
+second half by a forked child where that module's one rule says so. The
+loaded Dataset, every DataError message and the written bytes are those
+of one process. A file is parsed once; if it is rejected, the fault
+finder checks cells from the line np.loadtxt stopped at.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ import io
 import itertools
 import json
 import os
-import shutil
 import tempfile
 from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
@@ -192,10 +185,8 @@ def load_csv(path: str, label_column: str | None = None,
     label_idx = header.index(label_column) if has_label else None
     codes_col = label_idx if label_kind == "categorical" else None
 
-    split = _split_point(path, start)
     try:
-        table, names = _parse(path, [start] if split is None else [start, split],
-                              len(header), codes_col)
+        table, names = _parse(path, start, len(header), codes_col)
     except ValueError as err:
         _raise_first_error(path, label_column, label_kind, str(err),
                            len(head) + getattr(err, "lines", 0))
@@ -221,31 +212,7 @@ def load_csv(path: str, label_column: str | None = None,
     )
 
 
-# Files of more bytes are parsed, and tables of more cells formatted, in
-# two processes. Below them the fork and the hand-over cost more than the
-# second core saves: on a 2-core x86-64 VM, one and two processes broke
-# even near 0.8 MB of CSV, and near 25k cells of a release written at
-# RELEASE_DIGITS (two/one 1.05-1.07 at 20k cells, 0.87-0.90 at 32k;
-# 9-column tables, median of 31 alternating writes).
-SPLIT_BYTES = 1 << 20
-SPLIT_CELLS = 1 << 15
-
 _BLANK_LINES = ("", "\n", "\r\n", "\r")
-
-
-def _split_point(path: str, start: int) -> int | None:
-    """Where the data lines from byte start on split between two processes.
-
-    That is just past the first "\n" from their middle byte on. None,
-    for one process, when there is no os.fork, the file has at most
-    SPLIT_BYTES bytes or no "\n" ends a line before its last byte.
-    """
-    size = os.path.getsize(path)
-    if not hasattr(os, "fork") or size <= SPLIT_BYTES:
-        return None
-    with open(path, "rb") as fh:
-        split = fh.seek((start + size) // 2) + len(fh.readline())
-    return split if split < size else None
 
 
 class _Range(NamedTuple):
@@ -258,23 +225,19 @@ class _Range(NamedTuple):
     names: list[str]  # class names in the order of their codes
 
 
-def _parse(path: str, starts: list[int], ncols: int,
+def _parse(path: str, start: int, ncols: int,
            codes_col: int | None) -> tuple[np.ndarray, list[str]]:
-    """Parse the data lines from starts[0] on into one C-ordered table.
+    """Parse the data lines from byte start on into one C-ordered table,
+    in the one or two ranges of ``forked.parse_two``.
 
-    Range i runs from starts[i] to starts[i + 1], the last one to the
-    end of the file; with two, ``forked.parse_two`` parses them. Column
-    codes_col, if set, holds categorical names, which the table codes in
-    the order they first appear. Returns the table and those names.
-    Raises _parse_range's ValueError, its ``lines`` counted from
-    starts[0]; or one without ``lines`` when the ranges' counts do not
-    add up to one table of ncols columns.
+    Column codes_col, if set, holds categorical names, which the table
+    codes in the order they first appear. Returns the table and those
+    names. Raises _parse_range's ValueError, its ``lines`` counted from
+    start; or one without ``lines`` when the ranges' counts do not add up
+    to one table of ncols columns.
     """
-    if len(starts) == 1:
-        ranges = [_parse_range(path, starts[0], codes_col)]
-    else:
-        from .forked import parse_two  # loaded for files above SPLIT_BYTES only
-        ranges = parse_two(path, *starts, codes_col)
+    from .forked import parse_two  # on the first read: importing ronsynth never loads it
+    ranges = parse_two(path, start, codes_col)
 
     # loadtxt skips blank lines, so its rows must number the lines up to
     # the last non-blank one
@@ -522,36 +485,43 @@ def write_release(synthetic: Dataset, metadata: dict, out_dir: str,
     own. out_dir, new or an empty directory, is built in a ".ronsynth-*"
     stage beside it and renamed into place whole; a failed write removes
     the stage, and a killed one may leave it, never a partial out_dir.
-    An OSError of a path in the stage names that path in out_dir instead.
+    An OSError of the stage, or of a path in it, names that path in out_dir.
     """
     missing = [k for k in REQUIRED_METADATA_KEYS if k not in metadata]
     if missing:
         raise ValueError(f"metadata is missing required keys: {missing}")
 
-    top = os.path.abspath(out_dir)  # what the rename puts in place: out_dir or a new parent
-    while not os.path.exists(os.path.dirname(top)):
-        top = os.path.dirname(top)
-    stage = tempfile.mkdtemp(prefix=".ronsynth-", dir=os.path.dirname(top))
+    home = existing_ancestor(out_dir)
+    rel = os.path.relpath(out_dir, home)  # out_dir, under the parents it lacks
     try:
-        built = os.path.join(stage, os.path.relpath(out_dir, os.path.dirname(top)))
-        os.makedirs(built)
-        written = [write_dataset_csv(synthetic, os.path.join(built, "data.csv")),
-                   os.path.join(built, "metadata.json")]
-        with open(written[-1], "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
-        if projection is not None:
-            written.append(write_matrix_csv(projection, os.path.join(built, "projection.csv")))
-        # replaces an empty out_dir; a non-empty one, or a file, is an OSError
-        os.rename(os.path.join(stage, os.path.basename(top)), top)
+        with tempfile.TemporaryDirectory(prefix=".ronsynth-", dir=home) as stage:
+            built = os.path.join(stage, rel)
+            os.makedirs(built)
+            written = [write_dataset_csv(synthetic, os.path.join(built, "data.csv")),
+                       os.path.join(built, "metadata.json")]
+            with open(written[-1], "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
+            if projection is not None:
+                written.append(write_matrix_csv(projection, os.path.join(built, "projection.csv")))
+            # replaces an empty out_dir; a non-empty one, or a file, is an OSError
+            top = rel.split(os.sep)[0]  # out_dir or its first missing parent
+            os.rename(os.path.join(stage, top), os.path.join(home, top))
     except OSError as err:
-        # the stage is gone by the time the error is read: name the path in out_dir
-        if err.filename and err.filename.startswith(stage + os.sep):
+        # the stage is gone, or was never made: name it, or a path in it, as in out_dir
+        first, _, inside = os.path.relpath(err.filename or home, home).partition(os.sep)
+        if first.startswith(".ronsynth-"):
             err.filename = os.path.normpath(
-                os.path.join(out_dir, os.path.relpath(err.filename, built)))
+                os.path.join(out_dir, os.path.relpath(inside or rel, rel)))
         raise
-    finally:
-        shutil.rmtree(stage)
     return tuple(os.path.join(out_dir, os.path.basename(path)) for path in written)
+
+
+def existing_ancestor(path: str) -> str:
+    """The nearest existing ancestor of path, where write_release stages it."""
+    home = os.path.dirname(os.path.abspath(path))
+    while not os.path.lexists(home):
+        home = os.path.dirname(home)
+    return home
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> str:
@@ -571,8 +541,7 @@ def _write_table(path: str, header: list[str], table: np.ndarray, digits: int,
     ``last`` is an optional trailing column of real labels or of already
     quoted class cells (an object array).
 
-    A table of more than SPLIT_CELLS cells is formatted in two halves,
-    the second by a forked child (``forked.write_halves``). A failed
+    ``forked.write_halves`` formats the rows in two halves. A failed
     write leaves a partial file at path.
     """
     # rows end in CRLF like csv.writer's, which writes the (quoted) header
@@ -581,13 +550,10 @@ def _write_table(path: str, header: list[str], table: np.ndarray, digits: int,
     if last is not None:
         cells.append("%s" if last.dtype == object else number)
     row = ",".join(cells) + "\r\n"
+    from .forked import write_halves  # on the first write: importing ronsynth never loads it
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        if hasattr(os, "fork") and table.size > SPLIT_CELLS:
-            from .forked import write_halves  # loaded for large tables only
-            write_halves(fh, path, row, table, last)
-        else:
-            _format_rows(fh, row, table, last)
+        write_halves(fh, path, row, table, last)
     return path
 
 

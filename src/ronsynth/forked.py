@@ -1,13 +1,11 @@
-"""The forked halves of the dataset module's two-process CSV I/O.
-
-A forked child parses the second byte range of a large file, or formats
-the second half of a large table's rows, into a temporary file that its
-parent made before the fork and reads once it has reaped a child that
-exited 0. The file has no name, so a killed release leaves none behind.
-The dataset module imports this one only for a file above SPLIT_BYTES
-or a table above SPLIT_CELLS, so a release of small inputs never loads
-it. What the halves must add up to, and the fault finder that a
-rejected file goes to, stay in the dataset module.
+"""The second half of every CSV read and write in the dataset module, and
+``forks``, the one rule for whether a forked child takes it: with
+os.fork, and a file above SPLIT_BYTES or a table above SPLIT_CELLS. A
+file of at most SPLIT_BYTES bytes is parsed as one range. A child hands
+its half back through an unnamed temporary file made before the fork, so
+a killed release leaves none behind; with no child, or a failed one, the
+parent does the second half itself. The dataset module imports this one
+on its first CSV read or write.
 """
 
 from __future__ import annotations
@@ -24,27 +22,42 @@ import numpy as np
 
 from . import dataset
 
+# Files of more bytes are parsed, and tables of more cells formatted, in
+# two processes. Below them the fork and the hand-over cost more than the
+# second core saves: on a 2-core x86-64 VM, one and two processes broke
+# even near 0.8 MB of CSV, and near 25k cells of a release written at
+# RELEASE_DIGITS (two/one 1.05-1.07 at 20k cells, 0.87-0.90 at 32k;
+# 9-column tables, median of 31 alternating writes).
+SPLIT_BYTES = 1 << 20
+SPLIT_CELLS = 1 << 15
+
+
+def forks(size: int, limit: int) -> bool:
+    """Whether a forked child takes the second half of size bytes or cells."""
+    return hasattr(os, "fork") and size > limit
+
 
 class Child(contextlib.AbstractContextManager):
-    """work(fd, *args) run in a forked child, as a context manager, with fd
-    an unnamed temporary file made in dir before the fork; the parent
-    reads it as ``out``.
+    """work(fd, *args) run in a forked child if forks(size, limit), as a
+    context manager; fd is an unnamed temporary file made in dir before
+    the fork, which the parent reads as ``out``.
 
     The work parses or formats text: it makes no BLAS call and writes
     only to that file. The child leaves through os._exit, 0 if work
     returned and 1 if it raised, so it runs none of its parent's atexit
     hooks (nor a test runner's), flushes no stdio buffer it inherited
-    and prints no warning or traceback. A fork that fails, or a
-    temporary file that cannot be made, counts as a failed child; the
-    caller then does the work itself. Leaving the block reaps the child,
-    which is killed first if wait() has not reaped it, and closes out.
+    and prints no warning or traceback. With no child (forks says no, or
+    the fork or the file fails) wait() is False and the caller does the
+    work itself. Leaving the block reaps the child, which is killed first
+    if wait() has not reaped it, and closes out.
     """
 
-    def __init__(self, work, *args, dir=None):
+    def __init__(self, work, *args, size: int, limit: int, dir=None):
         self.pid = self.out = self._status = None
         try:
-            self.out = tempfile.TemporaryFile(dir=dir)
-            self.pid = os.fork()
+            if forks(size, limit):
+                self.out = tempfile.TemporaryFile(dir=dir)
+                self.pid = os.fork()
         except OSError:
             return
         if self.pid == 0:
@@ -73,17 +86,22 @@ class Child(contextlib.AbstractContextManager):
             self.out.close()
 
 
-def parse_two(path: str, start: int, split: int, codes_col: int | None) -> list[dataset._Range]:
-    """dataset._parse_range of bytes [start, split) of path here, and of
-    [split, end) in a forked child, or here too if the child fails.
+def parse_two(path: str, start: int, codes_col: int | None) -> list[dataset._Range]:
+    """dataset._parse_range of the data lines of path from byte start on:
+    of bytes [start, split) here and of [split, end) in a child, or here
+    with none; of [start, end) if _split_point gives no split.
 
     Raises the ValueError of either range, the second's ``lines``
     counted from start. Raises ValueError without ``lines`` when the
     first range ends inside a quoted cell: in the whole file that record
     runs on past the split, though each range alone may parse.
     """
+    split = _split_point(path, start)
+    if split is None:
+        return [dataset._parse_range(path, start, codes_col)]
     # the default temporary directory: the input's own may be read-only
-    with Child(_send_range, path, split, codes_col) as child:
+    with Child(_send_range, path, split, codes_col,
+               size=os.path.getsize(path), limit=SPLIT_BYTES) as child:
         first = dataset._parse_range(path, start, codes_col, split)
         # protocol 5 reads the table into one buffer that the array then wraps
         second = pickle.load(child.out) if child.wait() else _range(path, split, codes_col)
@@ -93,6 +111,19 @@ def parse_two(path: str, start: int, split: int, codes_col: int | None) -> list[
         second.lines += first.lines
         raise second
     return [first, second]
+
+
+def _split_point(path: str, start: int) -> int | None:
+    """Where the data lines from byte start on split into two ranges: just
+    past the first "\n" from their middle byte on. None, for one range,
+    when the file has at most SPLIT_BYTES bytes or no "\n" ends a line
+    before its last byte."""
+    size = os.path.getsize(path)
+    if size <= SPLIT_BYTES:
+        return None
+    with open(path, "rb") as fh:
+        split = fh.seek((start + size) // 2) + len(fh.readline())
+    return split if split < size else None
 
 
 def _range(path: str, start: int, codes_col: int | None) -> dataset._Range | ValueError:
@@ -125,14 +156,15 @@ def _ends_in_quote(line: str) -> bool:
 
 def write_halves(fh, path: str, row: str, table: np.ndarray,
                  last: np.ndarray | None) -> None:
-    """dataset._format_rows of the first half of the rows into fh, while a forked
-    child formats the second half into an unnamed temporary file on path's
-    filesystem; then append that file to fh. If the child fails, this
-    process formats the second half itself."""
+    """dataset._format_rows of the first half of the rows into fh, while a child
+    formats the second half into an unnamed temporary file on path's
+    filesystem; then append that file to fh. With no child, or a failed
+    one, this process formats the second half itself."""
     split = len(table) // 2
     head = table[:split], None if last is None else last[:split]
     tail = table[split:], None if last is None else last[split:]
-    with Child(_format_file, row, *tail, dir=os.path.dirname(os.path.abspath(path))) as child:
+    with Child(_format_file, row, *tail, size=table.size, limit=SPLIT_CELLS,
+               dir=os.path.dirname(os.path.abspath(path))) as child:
         dataset._format_rows(fh, row, *head)
         if child.wait():
             fh.flush()

@@ -245,6 +245,22 @@ class TestSynthCommand:
             f"error: --out '{out}' exists and is not an empty directory\n")
         assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
+    @pytest.mark.parametrize("out,fault", [
+        ("", "is not a path under a directory"),
+        ("link", "exists and is not an empty directory"),
+        (os.path.join("in.csv", "rel"), "is not a path under a directory"),
+    ], ids=["empty", "link to an empty directory", "under a file"])
+    def test_an_out_that_cannot_take_a_release_is_refused_before_the_read(
+            self, tmp_path, monkeypatch, out, fault, capsys):
+        # had the (missing) input been read first, this would exit 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "empty")
+        (tmp_path / "in.csv").write_text("a,b\n1,2\n")
+        assert main(["synth", "ghost.csv", "--dim", "1", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: --out {out!r} {fault}\n"
+        assert sorted(os.listdir(tmp_path)) == ["empty", "in.csv", "link"]
+
     def test_an_empty_out_is_accepted(self, numeric_csv, tmp_path):
         out = tmp_path / "rel"
         out.mkdir()

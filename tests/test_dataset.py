@@ -401,6 +401,13 @@ class TestWriteRelease:
         # the stage the release was built in is gone
         assert os.listdir(tmp_path) == ["out"]
 
+    def test_an_out_under_a_file_is_named_not_the_stage(self, tmp_path):
+        (tmp_path / "in.csv").write_text("kept\n")
+        out = str(tmp_path / "in.csv" / "rel")
+        with pytest.raises(NotADirectoryError) as err:
+            write_release(Dataset(features=np.zeros((2, 3))), dict(META), out)
+        assert err.value.filename == out and ".ronsynth-" not in str(err.value)
+
     def test_missing_metadata_key_rejected(self, tmp_path):
         release = Dataset(features=np.zeros((1, 1)))
         bad = dict(META)

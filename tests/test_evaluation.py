@@ -179,11 +179,15 @@ def test_import_does_not_load_scipy(module):
 
 
 def test_cli_import_leaves_the_scorers_unloaded():
-    # a plain release never scores itself; the package loads the scorers on first use
+    # a plain release never scores itself; the package loads the scorers on
+    # first use, and the dataset module the CSV halves on its first read or write
     src = os.path.dirname(os.path.dirname(ronsynth.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = ("import sys, ronsynth.cli\n"
+    code = ("import sys, ronsynth\n"
+            "if 'ronsynth.forked' in sys.modules: sys.exit('forked loaded by import ronsynth')\n"
+            "import ronsynth.cli\n"
+            "if 'ronsynth.forked' in sys.modules: sys.exit('forked loaded by import')\n"
             "if 'ronsynth.evaluation' in sys.modules: sys.exit('loaded by import')\n"
             "from ronsynth import ols_rmse\n"
             "from ronsynth.evaluation import ols_rmse as scorer\n"

@@ -1,7 +1,9 @@
-"""Two-process CSV parsing and formatting give one process's results.
+"""Two-range CSV parsing and two-half formatting give one range's, and
+one whole table's, results, with a forked child and without one.
 
-SPLIT_BYTES and SPLIT_CELLS are monkeypatched to 0 to force two
-processes on small inputs, and to a size no file reaches for one.
+forked.SPLIT_BYTES and SPLIT_CELLS are monkeypatched to 0 to give small
+inputs two ranges and a child, and SPLIT_BYTES to a size no file reaches
+for one range. The unsplit write formats the whole table at once.
 """
 
 import errno
@@ -9,6 +11,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -35,10 +38,11 @@ def parses(monkeypatch):
     calls = []
     parse = dataset._parse
 
-    def spy(path, starts, *args):
-        calls.append((len(starts), False))
-        result = parse(path, starts, *args)
-        calls[-1] = (len(starts), True)
+    def spy(path, start, *args):
+        ranges = 1 if forked._split_point(path, start) is None else 2
+        calls.append((ranges, False))
+        result = parse(path, start, *args)
+        calls[-1] = (ranges, True)
         return result
 
     monkeypatch.setattr(dataset, "_parse", spy)
@@ -73,7 +77,7 @@ def _write(tmp_path, text, name="in.csv"):
 
 def _load(monkeypatch, split_bytes, path, column=None, kind=None):
     """load_csv's Dataset, or its DataError's text and the sample it names."""
-    monkeypatch.setattr(dataset, "SPLIT_BYTES", split_bytes)
+    monkeypatch.setattr(forked, "SPLIT_BYTES", split_bytes)
     try:
         return load_csv(path, label_column=column, label_kind=kind)
     except DataError as err:
@@ -99,8 +103,8 @@ def _data_lines(monkeypatch, path):
         data = fh.read()
     start = data.index(b"\n") + 1  # past a one-line header
     with monkeypatch.context() as patch:
-        patch.setattr(dataset, "SPLIT_BYTES", 0)
-        split = dataset._split_point(path, start)
+        patch.setattr(forked, "SPLIT_BYTES", 0)
+        split = forked._split_point(path, start)
     lines = data[start:].splitlines(keepends=True)
     if split is None:
         return lines, None
@@ -322,12 +326,18 @@ class TestNonUtf8:
 
 
 def _write_both(monkeypatch, tmp_path, write, *args):
-    """The bytes write(*args, path) gives with one and with two processes."""
+    """The bytes write(*args, path) gives from the whole table and from two
+    halves, the second by a child."""
     out = []
-    for split_cells, name in ((NEVER, "one.csv"), (0, "two.csv")):
-        monkeypatch.setattr(dataset, "SPLIT_CELLS", split_cells)
-        path = str(tmp_path / name)
-        assert write(*args, path) == path
+    for name in ("one.csv", "two.csv"):
+        with monkeypatch.context() as patch:
+            if name == "one.csv":
+                patch.setattr(forked, "write_halves", lambda fh, path, row, table, last:
+                              dataset._format_rows(fh, row, table, last))
+            else:
+                patch.setattr(forked, "SPLIT_CELLS", 0)
+            path = str(tmp_path / name)
+            assert write(*args, path) == path
         with open(path, "rb") as fh:
             out.append(fh.read())
     assert sorted(os.listdir(tmp_path)) == ["one.csv", "two.csv"]
@@ -369,7 +379,7 @@ class TestWriteParity:
                 raise OSError(f"the output's directory holds {os.listdir(tmp_path)}")
             return format_rows(*args)
 
-        monkeypatch.setattr(dataset, "SPLIT_CELLS", 0)
+        monkeypatch.setattr(forked, "SPLIT_CELLS", 0)
         monkeypatch.setattr(dataset, "_format_rows", list_in_child)
         path = str(tmp_path / "out.csv")
         assert write_matrix_csv(self.FEATURES, path) == path
@@ -401,6 +411,55 @@ class TestWriteParity:
         assert waits == [False]
 
 
+class TestForks:
+    @pytest.mark.parametrize("fork,size,runs", [(True, 11, True), (True, 10, False),
+                                                (False, 11, False)])
+    def test_the_rule(self, monkeypatch, fork, size, runs):
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
+        assert forked.forks(size, 10) is runs
+
+    def test_without_fork_this_process_parses_and_writes_both_halves(
+            self, tmp_path, monkeypatch, parses, waits):
+        path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
+        one = _load(monkeypatch, NEVER, path)
+        X = TestWriteParity.FEATURES
+        (tmp_path / "out").mkdir()
+        whole, _ = _write_both(monkeypatch, tmp_path / "out", write_matrix_csv, X)
+        made = []
+        temporary_file = tempfile.TemporaryFile
+        monkeypatch.setattr(tempfile, "TemporaryFile",
+                            lambda **kw: made.append("file") or temporary_file(**kw))
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(forked, "SPLIT_CELLS", 0)
+        waits.clear()
+        _assert_same(one, _load(monkeypatch, 0, path))
+        out = str(tmp_path / "halves.csv")
+        write_matrix_csv(X, out)
+        with open(out, "rb") as fh:
+            assert fh.read() == whole
+        assert made == []
+        # both went through Child, which made no child: this process did both halves
+        assert waits == [False, False]
+        assert parses == [(1, True), (2, True)]
+
+    def test_a_fork_after_a_blas_call_warns_nothing(self, tmp_path, monkeypatch, waits):
+        # OpenBLAS stops its threads at fork(), so Python 3.12 finds one
+        # thread and does not warn that a multi-threaded process forked
+        X = np.random.default_rng(6).normal(size=(200, 200))
+        assert np.isfinite(X @ X).all()
+        monkeypatch.setattr(forked, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(forked, "SPLIT_CELLS", 0)
+        path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
+        # recorded, not raised: os.fork may not let an "error" filter raise
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_csv(path)
+            write_matrix_csv(X, str(tmp_path / "out.csv"))
+        assert [str(w.message) for w in caught] == []
+        assert waits == [True, True]
+
+
 class TestWriteFailure:
     def _csv(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -417,7 +476,7 @@ class TestWriteFailure:
         monkeypatch.setattr(dataset, "_format_rows", fail)
 
     def test_failed_formatter_leaves_no_file(self, tmp_path, monkeypatch, full_disk, capsys):
-        monkeypatch.setattr(dataset, "SPLIT_CELLS", 0)
+        monkeypatch.setattr(forked, "SPLIT_CELLS", 0)
         out = tmp_path / "rel"
         assert main(["synth", self._csv(tmp_path), "--dim", "2", "--seed", "1",
                      "--out", str(out)]) == 1
@@ -463,8 +522,8 @@ class TestWriteFailure:
         out = tmp_path / "rel"
         code = (
             "import sys\n"
-            "from ronsynth import cli, dataset\n"
-            "dataset.SPLIT_CELLS = 0\n"
+            "from ronsynth import cli, dataset, forked\n"
+            "forked.SPLIT_CELLS = 0\n"
             "def fail(*args):\n"
             "    raise OSError(28, 'No space left on device')\n"
             "dataset._format_rows = fail\n"
