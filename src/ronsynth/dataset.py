@@ -33,6 +33,7 @@ import itertools
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
@@ -186,19 +187,14 @@ def load_csv(path: str, label_column: str | None = None,
     codes_col = label_idx if label_kind == "categorical" else None
 
     try:
-        table, names = _parse(path, start, len(header), codes_col)
+        table, class_labels = _parse(path, start, len(header), codes_col)
     except ValueError as err:
         _raise_first_error(path, label_column, label_kind, str(err),
                            len(head) + getattr(err, "lines", 0))
 
-    labels = None
-    class_labels = None
+    labels = table[:, label_idx].copy() if label_kind == "real" else None
     feature_idx = [j for j in range(len(header)) if j != label_idx]
     if label_idx is not None:
-        if label_kind == "real":
-            labels = table[:, label_idx].copy()
-        else:
-            class_labels = np.array(names)[table[:, label_idx].astype(np.intp)]
         table = table[:, feature_idx]
 
     return Dataset(
@@ -222,17 +218,18 @@ class _Range(NamedTuple):
     lines: int
     filled: int  # lines through the last non-blank one
     last: str  # the last non-blank line
-    names: list[str]  # class names in the order of their codes
+    names: list[str]  # class names in the order of their codes in this range
 
 
 def _parse(path: str, start: int, ncols: int,
-           codes_col: int | None) -> tuple[np.ndarray, list[str]]:
+           codes_col: int | None) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse the data lines from byte start on into one C-ordered table,
     in the one or two ranges of ``forked.parse_two``.
 
-    Column codes_col, if set, holds categorical names, which the table
-    codes in the order they first appear. Returns the table and those
-    names. Raises _parse_range's ValueError, its ``lines`` counted from
+    Column codes_col, if set, holds categorical names, which each range
+    codes in its own order of first appearance. Returns the table and,
+    with codes_col, every row's name decoded by its range (else None).
+    Raises _parse_range's ValueError, its ``lines`` counted from
     start; or one without ``lines`` when the ranges' counts do not add up
     to one table of ncols columns.
     """
@@ -246,18 +243,15 @@ def _parse(path: str, start: int, ncols: int,
         if part.filled:
             rows = before + part.filled
         before += part.lines
-    if (sum(len(part.table) for part in ranges) != rows
-            or any(part.table.shape[1] != ncols for part in ranges if len(part.table))):
+    filled = [part for part in ranges if len(part.table)]
+    if (sum(len(part.table) for part in filled) != rows
+            or any(part.table.shape[1] != ncols for part in filled)):
         raise ValueError("a quoted cell spans more than one line")
 
-    tables = [part.table for part in ranges if len(part.table)]
-    names = list(ranges[0].names)
-    if len(tables) > 1 and codes_col is not None:
-        # re-key the child's codes to the order of first appearance in the file
-        index = {name: code for code, name in enumerate(names)}
-        recode = np.array([index.setdefault(name, len(index)) for name in ranges[1].names])
-        tables[1][:, codes_col] = recode[tables[1][:, codes_col].astype(np.intp)]
-        names = list(index)
+    tables = [part.table for part in filled]
+    # only ranges with rows are decoded: an empty np.array([]) is float64
+    names = None if codes_col is None else np.concatenate(
+        [np.array(part.names)[part.table[:, codes_col].astype(np.intp)] for part in filled])
     return (tables[0] if len(tables) == 1 else np.concatenate(tables)), names
 
 
@@ -282,10 +276,14 @@ def _parse_range(path: str, start: int, codes_col: int | None,
     with io.TextIOWrapper(raw, encoding="utf-8", newline="") as text:
         lines = _CountedLines(text)
         try:
-            # An explicit encoding hands converters str: numpy 1.x defaults
-            # to "bytes" and would pass them latin-1 bytes.
-            table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
-                               quotechar='"', converters=converters, encoding="utf-8")
+            # a range of blank lines only is no fault: _parse counts its lines
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                # An explicit encoding hands converters str: numpy 1.x defaults
+                # to "bytes" and would pass them latin-1 bytes.
+                table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
+                                   quotechar='"', converters=converters, encoding="utf-8")
         except ValueError as err:
             if lines.ended:  # inside a quoted cell, which in a whole file may run on
                 err = ValueError("a quoted cell spans more than one line")

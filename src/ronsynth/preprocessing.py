@@ -37,10 +37,11 @@ about 1e-8: the squared norm is a difference of terms of order 1 with
 rounding of order 1e-16. ``DEGENERATE_NORM`` is therefore the expanded
 centered norm at or below which a sample counts as collapsed, set well
 above that rounding so that a sample at the mean always collapses.
-Held-out data is mapped by the same GEMM and arithmetic
-(``synthesis.transform_features``), so the training data's held-out
-chart is the release's own. ``center_with_mean`` writes the m x n output
-out explicitly, for tests to compare against; a release never builds it.
+``chart`` is the one map into a release's chart, for training and for
+held-out data (``synthesis.transform_features``), so the training data's
+held-out chart is the release's own. ``center_with_mean`` writes the
+m x n output out explicitly, for tests to compare against; a release
+never builds it.
 
 A mixture skips steps 2 to 4. Every class shares one basis W, and class
 c keeps the uncentered chart v_j = clip₁(s_j Wᵀx_j) of its columns, from
@@ -152,39 +153,31 @@ def _release_mean(mean: np.ndarray, spend: LedgerEntry,
     return laplace_perturb(mean, spend.noise_scale, rng)
 
 
-def clip_to_unit_ball(Y: np.ndarray) -> np.ndarray:
-    """Divide every column of Y whose norm exceeds 1 by its norm, in place."""
+def chart(X: np.ndarray, scale: np.ndarray, proj: RonProjection,
+          mu: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """The release's chart of the columns of X, and its count of collapsed samples.
+
+    scale holds 1/||x_j||. Without mu this is the mixture chart
+    clip₁(s_j Wᵀx_j), from one GEMM WᵀX, and the count is 0. With mu it
+    is steps 3 and 4 and the projection, Wᵀx̄_j, from one GEMM [W, mu]ᵀX:
+    a sample whose expanded centered norm is at most DEGENERATE_NORM maps
+    to the zero vector and is counted. Every column of the chart is
+    clipped to norm at most 1.
+    """
+    if mu is None:
+        Y, collapsed = (proj.W.T @ X) * scale, 0
+    else:
+        p = proj.p
+        WX = np.concatenate([proj.W, mu[:, None]], axis=1).T @ X
+        sq = 1.0 - 2.0 * (WX[p] * scale) + float(mu @ mu)
+        centered = np.sqrt(np.maximum(sq, 0.0))
+        inv = np.zeros_like(centered)
+        np.divide(1.0, centered, out=inv, where=centered > DEGENERATE_NORM)
+        Y = (WX[:p] * scale - (proj.W.T @ mu)[:, None]) * inv
+        collapsed = int(np.count_nonzero(inv == 0.0))
     norms = np.sqrt(np.einsum("ij,ij->j", Y, Y))
     np.divide(Y, norms, out=Y, where=norms > 1.0)
-    return Y
-
-
-def center_projected(WtX: np.ndarray, muX: np.ndarray, scale: np.ndarray,
-                     Wt_mu: np.ndarray, mu_sq: float) -> tuple[np.ndarray, np.ndarray]:
-    """Projected, centered and re-normalized samples from projected raw ones.
-
-    Takes Wᵀx_j (columns of WtX), muᵀx_j, scale_j = 1/||x_j||, Wᵀmu and
-    ||mu||², and returns Wᵀx̄_j with every column clipped to norm at most
-    1, together with 1/||scale_j x_j − mu|| (0 for a collapsed sample).
-    """
-    sq = 1.0 - 2.0 * (muX * scale) + mu_sq
-    centered = np.sqrt(np.maximum(sq, 0.0))
-    inv = np.zeros_like(centered)
-    np.divide(1.0, centered, out=inv, where=centered > DEGENERATE_NORM)
-    return clip_to_unit_ball((WtX * scale - Wt_mu[:, None]) * inv), inv
-
-
-def centered_chart(X: np.ndarray, scale: np.ndarray, mu: np.ndarray,
-                   proj: RonProjection) -> tuple[np.ndarray, int]:
-    """Steps 3 and 4 and the projection, from one GEMM [W, mu]ᵀX.
-
-    scale holds 1/||x_j||. Returns Wᵀx̄ and the number of collapsed
-    samples.
-    """
-    p = proj.p
-    Y = np.concatenate([proj.W, mu[:, None]], axis=1).T @ X
-    chart, inv = center_projected(Y[:p], Y[p], scale, proj.W.T @ mu, float(mu @ mu))
-    return chart, int(np.count_nonzero(inv == 0.0))
+    return Y, collapsed
 
 
 def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> np.ndarray:
@@ -207,7 +200,7 @@ def center_with_mean(X: np.ndarray, mu_dp: np.ndarray) -> np.ndarray:
 
 def preprocess(X: np.ndarray, sq_norms: np.ndarray, mean_spends: Sequence[LedgerEntry],
                rngs: Sequence[np.random.Generator],
-               draw_projection: Callable[[np.random.Generator], RonProjection],
+               draw_projection: Callable[[], RonProjection],
                classes: np.ndarray | None = None) -> PreprocessedDataset:
     """Run the full preprocessing stage and the projection.
 
@@ -215,8 +208,8 @@ def preprocess(X: np.ndarray, sq_norms: np.ndarray, mean_spends: Sequence[Ledger
     (a release passes ``Dataset.sq_norms``). Class c draws its mean noise
     from ``rngs[c]`` at the ``noise_scale`` of its entry ``mean_spends[c]``;
     ``classes`` holds each column's class (0..k-1), and without it all
-    columns form one class. ``draw_projection(rngs[0])`` is called once
-    for the basis every class shares.
+    columns form one class. ``draw_projection()`` is called once, with no
+    argument, for the basis every class shares.
 
     One class gets the paper's centered chart: the DP mean of the unit
     columns is drawn, then the basis, and the columns are centered,
@@ -233,18 +226,16 @@ def preprocess(X: np.ndarray, sq_norms: np.ndarray, mean_spends: Sequence[Ledger
     if classes is None:
         (spend,), (rng,) = mean_spends, rngs
         mu = _release_mean((X @ (scale / X.shape[1])[:, None])[:, 0], spend, rng)
-        proj = draw_projection(rng)
-        chart, collapsed = centered_chart(X, scale, mu, proj)
-        return PreprocessedDataset(mu_dp=mu[:, None], projection=proj, x_tilde=(chart,),
+        proj = draw_projection()
+        Y, collapsed = chart(X, scale, proj, mu)
+        return PreprocessedDataset(mu_dp=mu[:, None], projection=proj, x_tilde=(Y,),
                                    zero_norm_rows_dropped=collapsed)
 
-    proj = draw_projection(rngs[0])
-    # every column's chart at once, by synthesis.transform_features's arithmetic
-    Y = clip_to_unit_ball((proj.W.T @ X) * scale)
+    proj = draw_projection()
+    Y = chart(X, scale, proj)[0]
     charts, means = [], []
     for c, (spend, rng) in enumerate(zip(mean_spends, rngs)):
-        chart = Y[:, classes == c]
-        charts.append(chart)
-        means.append(_release_mean(chart.mean(axis=1), spend, rng))
+        charts.append(Y[:, classes == c])
+        means.append(_release_mean(charts[-1].mean(axis=1), spend, rng))
     return PreprocessedDataset(mu_dp=np.column_stack(means), projection=proj,
                                x_tilde=tuple(charts), zero_norm_rows_dropped=0)

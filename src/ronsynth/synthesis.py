@@ -28,8 +28,9 @@ import numpy as np
 
 from .dataset import Dataset, column_sq_norms
 from .mechanism import BudgetLedger, LedgerEntry, laplace_perturb, record_spends
-from .preprocessing import centered_chart, clip_to_unit_ball, inverse_norms, preprocess
-from .projection import RonProjection, generate_ron, project
+from .preprocessing import chart, inverse_norms, preprocess
+# project is unused, but perfbench/tracer.py wraps it in this module
+from .projection import RonProjection, generate_ron, project  # noqa: F401
 
 PSD_TOL = 1e-10
 # columns that sample_gaussian transforms in place at a time
@@ -264,7 +265,7 @@ def measure(data: Dataset, p: int, epsilon_mu: float, epsilon_sigma: float,
                             by_class) for n_c in public.get("class_sizes", [n])]
     labels = None if label_bound is None else np.clip(data.labels, -label_bound, label_bound)
     pre = preprocess(X, data.sq_norms, [mean for mean, _ in spends], rngs,
-                     lambda _: generate_ron(m, p, rng), classes)
+                     lambda: generate_ron(m, p, rng), classes)
     moments = tuple(
         dp_perturb_cov(estimate_cov(x) if labels is None else estimate_aug_cov(x, labels),
                        spend, class_rng)
@@ -384,32 +385,27 @@ def _check_n_synth(n_synth: int | None) -> None:
 def transform_features(result: SynthesisResult, data: Dataset) -> np.ndarray:
     """Map held-out data into the chart the release's model is fit in.
 
-    A one-class release's chart is centred on its released mean
-    (``preprocessing.centered_chart``); a mixture's (``mu_dp`` None) is
-    the uncentered clip₁(Wᵀx/||x||) every mode shares. Either is computed
-    from ``data.sq_norms`` by the same GEMM and arithmetic as in
-    training, so the training data maps onto the release's own chart bit
-    for bit, every column clipped to norm at most 1; a sample that
-    collapses onto the mean projects to zero, as in training. The mean
-    and the projection are DP-safe, so this spends nothing. Returns one
-    chart column per sample of data.
+    A one-class release's chart is centred on its released mean; a
+    mixture's (``mu_dp`` None) is the uncentered clip₁(Wᵀx/||x||) every
+    mode shares. Either is ``preprocessing.chart``, the map training
+    uses, from ``data.sq_norms``, so the training data maps onto the
+    release's own chart bit for bit, every column clipped to norm at most
+    1; a sample that collapses onto the mean projects to zero, as in
+    training. The mean and the projection are DP-safe, so this spends
+    nothing. Returns one chart column per sample of data.
     """
     proj = result.projection
     if data.n_features != proj.m:
         raise ValueError(f"expected data with {proj.m} features, got {data.n_features}")
-    scale = inverse_norms(data.sq_norms)
-    if result.mu_dp is None:
-        return clip_to_unit_ball((proj.W.T @ data.features) * scale)
-    return centered_chart(data.features, scale, result.mu_dp, proj)[0]
+    return chart(data.features, inverse_norms(data.sq_norms), proj, result.mu_dp)[0]
 
 
 def mode_transform(mode: GmmMode, X: np.ndarray) -> np.ndarray:
     """Map held-out data, an m x n array, into one mixture mode's chart.
 
-    The chart of ``transform_features`` for a mixture, clip₁(Wᵀx/||x||),
-    with X's column norms taken here. A class's held-out expectation in
-    this chart is what the mode's DP mean estimates.
+    ``preprocessing.chart`` for a mixture, clip₁(Wᵀx/||x||), with X's
+    column norms taken here. A class's held-out expectation in this chart
+    is what the mode's DP mean estimates.
     """
-    X = np.asarray(X, dtype=float)
-    return clip_to_unit_ball(project(mode.projection, X) * inverse_norms(column_sq_norms(X)))
+    return chart(X, inverse_norms(column_sq_norms(X)), mode.projection)[0]
 

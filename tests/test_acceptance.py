@@ -219,7 +219,7 @@ def test_criterion_06_projected_normality():
     proj = generate_ron(m, p, np.random.default_rng(2))
     spend = LedgerEntry("mean", mean_sensitivity(m, n), 1.0)
     pre = preprocess(X, column_sq_norms(X), [spend], [np.random.default_rng(1)],
-                     lambda rng: proj)
+                     lambda: proj)
     ks_projected = normality_diagnostic(pre.x_tilde[0]).mean_ks
     ks_raw = normality_diagnostic(X).mean_ks
     elapsed = time.monotonic() - start
@@ -286,7 +286,8 @@ def regression_experiment():
         eps_mu, eps_sigma = split_budget(1.0)
         data = Dataset(features=x_tr, labels=y_tr)
         held_out = Dataset(features=x_te)
-        row = {"real": real}
+        # RMSE₀, the RMSE of predicting 0 for every sample
+        row = {"real": real, "zero": rmse(np.zeros_like(y_te), y_te)}
         for p in REG_DIMS:
             res = synth_supervised(data, p, eps_mu, eps_sigma, 1.0,
                                    rng=np.random.default_rng(1000 + seed * 7 + p))
@@ -349,3 +350,15 @@ def test_criterion_10_dimension_sweep_shape(regression_experiment):
     report(10, hits >= 15,
            f"best RMSE over p in {REG_DIMS} below p=16 in {hits}/20 seeds "
            f"(argmin counts: {dict((p, argmins.count(p)) for p in REG_DIMS)})")
+
+
+def test_criterion_11_regression_beats_predicting_zero(regression_experiment):
+    # criterion 08's 2x bound holds for a predictor that always outputs 0;
+    # skill 1 is as good as OLS on real data, 0 as good as predicting 0
+    rows, _ = regression_experiment
+    skill = [(r["zero"] - r[4]) / (r["zero"] - r["real"]) for r in rows]
+    median = float(np.median(skill))
+    report(11, median > 0.0,
+           f"p=4, 20 seeds: median skill (RMSE0 - RMSE_release) / (RMSE0 - RMSE_real) "
+           f"{median:.2f} > 0 (min {min(skill):.2f}, "
+           f"{sum(s > 0 for s in skill)}/20 positive)")

@@ -26,7 +26,7 @@ from ronsynth.mechanism import (
     mean_sensitivity,
     record_spends,
 )
-from ronsynth.projection import generate_ron
+from ronsynth.projection import RonProjection, generate_ron
 from ronsynth.synthesis import (
     dp_perturb_cov,
     estimate_aug_cov,
@@ -254,21 +254,23 @@ def test_mixture_charts_are_clipped_whatever_the_norms_read(monkeypatch):
 
 
 def test_clip_absorbs_the_rounding_of_the_expanded_norm():
-    # with the identity as the chart nothing shrinks the centered columns,
-    # so the expanded norm's rounding (up to 2e-4 just above the collapse
-    # threshold) would show; the clip keeps every column in the unit ball
+    # the basis spans mu and every perturbation direction, so the chart
+    # shrinks nothing of the centered columns and the expanded norm's
+    # rounding (up to 2e-4 just above the collapse threshold) would show;
+    # the clip keeps every column in the unit ball
     rng = np.random.default_rng(51)
     m = 9
     mu = rng.normal(size=m)
     mu /= np.linalg.norm(mu)
+    W = np.linalg.qr(np.column_stack([mu, rng.normal(size=(m, m - 2))]))[0]
     deltas = np.repeat([1e-9, 1e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5], 50)
-    X = 3.0 * (mu[:, None] + deltas * rng.normal(size=(m, deltas.size)))
+    X = 3.0 * (mu[:, None] + deltas * (W @ rng.normal(size=(m - 1, deltas.size))))
     scale = preprocessing.inverse_norms(preprocessing.column_sq_norms(X))
-    out, inv = preprocessing.center_projected(X, mu @ X, scale, mu, float(mu @ mu))
+    out, count = preprocessing.chart(X, scale, RonProjection(W=W), mu)
     assert np.all(np.linalg.norm(out, axis=0) <= 1.0 + NORM_SLACK)
-    collapsed = inv == 0.0
+    collapsed = ~np.any(out, axis=0)
+    assert np.count_nonzero(collapsed) == count
     assert np.all(collapsed[deltas <= 1e-8]) and not np.any(collapsed[deltas >= 1e-5])
-    assert not np.any(out[:, collapsed])
 
 
 def test_held_out_transforms_match_the_explicit_stage():

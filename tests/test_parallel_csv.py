@@ -443,6 +443,18 @@ class TestForks:
         assert waits == [False, False]
         assert parses == [(1, True), (2, True)]
 
+    def test_a_blank_second_range_parsed_here_warns_nothing(self, tmp_path, monkeypatch,
+                                                            parses, waits):
+        # np.loadtxt warns of a range of blank lines only; that is no fault here
+        path = _write(tmp_path, "f1,f2\n1,2\n" + "\n" * 20)
+        monkeypatch.delattr(os, "fork")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = _load(monkeypatch, 0, path)
+        assert isinstance(data, Dataset) and data.features.tolist() == [[1.0], [2.0]]
+        assert parses == [(2, True)]
+        assert waits == [False]
+
     def test_a_fork_after_a_blas_call_warns_nothing(self, tmp_path, monkeypatch, waits):
         # OpenBLAS stops its threads at fork(), so Python 3.12 finds one
         # thread and does not warn that a multi-threaded process forked

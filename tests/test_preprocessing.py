@@ -28,7 +28,7 @@ def preprocess_one_class(X, epsilon_mu, rng, p=2):
     """preprocess for one class, projecting onto a fresh p-dim basis."""
     spend = LedgerEntry("mean", mean_sensitivity(*X.shape), epsilon_mu)
     return preprocess(X, column_sq_norms(X), [spend], [rng],
-                      lambda r: generate_ron(X.shape[0], p, r))
+                      lambda: generate_ron(X.shape[0], p, rng))
 
 
 def unit_columns(m, n, seed):

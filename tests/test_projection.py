@@ -151,8 +151,9 @@ def test_projected_marginals_approach_gaussian():
     shifted = X + rng.choice([-0.5, 0.5], size=n)
     spend = LedgerEntry("mean", mean_sensitivity(m, n), 1.0)
     for data in (X, shifted):
-        pre = preprocess(data, column_sq_norms(data), [spend], [np.random.default_rng(1)],
-                         lambda rng: generate_ron(m, p, rng))
+        gen = np.random.default_rng(1)
+        pre = preprocess(data, column_sq_norms(data), [spend], [gen],
+                         lambda: generate_ron(m, p, gen))
         x_bar = center_with_mean(data, pre.mu_dp[:, 0])
         ks_proj = np.median([
             normality_diagnostic(
