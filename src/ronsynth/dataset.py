@@ -29,7 +29,6 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import itertools
 import json
 import os
 import tempfile
@@ -557,14 +556,13 @@ def _write_table(path: str, header: list[str], table: np.ndarray, digits: int,
 
 def _format_rows(fh, row: str, table: np.ndarray, last: np.ndarray | None) -> None:
     """Write one ``row`` per row of table, with last's cell appended when given."""
-    # one % per block of rows; tolist hands it Python floats, which
-    # format faster than numpy scalars
+    # one % per stacked block, last its final column (object for class
+    # cells); tolist hands it Python floats, which format faster than numpy scalars
     for start in range(0, table.shape[0], WRITE_BLOCK):
-        rows = table[start:start + WRITE_BLOCK].tolist()
+        block = table[start:start + WRITE_BLOCK]
         if last is not None:
-            for values, cell in zip(rows, last[start:start + WRITE_BLOCK].tolist()):
-                values.append(cell)
-        fh.write(row * len(rows) % tuple(itertools.chain.from_iterable(rows)))
+            block = np.column_stack([block, last[start:start + WRITE_BLOCK]])
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _csv_field(text: str) -> str:

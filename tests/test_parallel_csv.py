@@ -6,7 +6,9 @@ inputs two ranges and a child, and SPLIT_BYTES to a size no file reaches
 for one range. The unsplit write formats the whole table at once.
 """
 
+import csv
 import errno
+import io
 import os
 import subprocess
 import sys
@@ -356,12 +358,15 @@ class TestWriteParity:
         assert waits == [True]
 
     def test_class_names_that_need_quoting(self, tmp_path, monkeypatch, waits):
-        classes = np.array(["", "a,b", 'q"t', "c", "", "a,b", "猫", 'q"t', "c", "", "d"])
+        # a "%" in a class name is an argument of the row's %, never part of its format
+        classes = np.array(["", "a,b", 'q"t', "c", "", "50%", "猫", 'q"t', "%s", "", "a,b"])
         ds = Dataset(features=self.FEATURES, class_labels=classes,
                      feature_names=("x,1", "y", "z"))
         one, two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
         assert one == two
         assert b',"a,b"\r\n' in one and b',"q""t"\r\n' in one and b",\r\n" in one
+        rows = list(csv.reader(io.StringIO(two.decode("utf-8"), newline="")))
+        assert [row[-1] for row in rows[1:]] == classes.tolist()
         assert waits == [True]
 
     def test_matrix(self, tmp_path, monkeypatch, waits):
