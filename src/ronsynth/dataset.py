@@ -15,13 +15,14 @@ its values are noisy draws, and rounding them is post-processing. A bare
 matrix (projection.csv) is written with 17, which round-trip every
 double exactly.
 
-Parsing and formatting CSV text is most of a release's time. Every read
-and write goes through the forked module: a large file is parsed in two
-byte ranges, and every table is written in two halves of rows, the
-second half by a forked child where that module's one rule says so. The
-loaded Dataset, every DataError message and the written bytes are those
-of one process. A file is parsed once; if it is rejected, the fault
-finder checks cells from the line np.loadtxt stopped at.
+Parsing and formatting CSV text is most of a release's time. A large
+file is parsed in two byte ranges, and every table is written in two
+halves of rows, the second by a child where the forked module's one rule
+says so. np.loadtxt reads every range, and the quote probe at a split,
+in the one dialect of _loadtxt. The loaded Dataset, every DataError
+message and the written bytes are those of one process. A file is
+parsed once; if it is rejected, the fault finder checks cells from the
+line np.loadtxt stopped at.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import csv
 import io
 import json
 import os
+import pickle
+import shutil
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -178,7 +181,7 @@ def load_csv(path: str, label_column: str | None = None,
     # exactly (tell() is no byte offset after a line that ends in "\r")
     start = len(codecs.BOM_UTF8) * bom + len("".join(head).encode("utf-8"))
     has_label = label_column is not None
-    if ((has_label and label_column not in header) or len(header) == has_label
+    if ((has_label and header.count(label_column) != 1) or len(header) == has_label
             or first in _BLANK_LINES):
         _raise_first_error(path, label_column, label_kind,
                            "a header fault, or no data row before the first blank line")
@@ -222,18 +225,36 @@ class _Range(NamedTuple):
 
 def _parse(path: str, start: int, ncols: int,
            codes_col: int | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Parse the data lines from byte start on into one C-ordered table,
-    in the one or two ranges of ``forked.parse_two``.
+    """Parse the data lines from byte start on into one C-ordered table:
+    bytes [start, split) here and [split, end) in a forked child, or here
+    with none; [start, end) at once if _split_point gives no split.
 
     Column codes_col, if set, holds categorical names, which each range
     codes in its own order of first appearance. Returns the table and,
     with codes_col, every row's name decoded by its range (else None).
-    Raises _parse_range's ValueError, its ``lines`` counted from
-    start; or one without ``lines`` when the ranges' counts do not add up
-    to one table of ncols columns.
+    Raises _parse_range's ValueError of either range, its ``lines``
+    counted from start; or one without ``lines`` when the first range
+    ends inside a quoted cell (in the whole file that record runs on past
+    the split, though each range alone may parse), or when the ranges'
+    counts do not add up to one table of ncols columns.
     """
-    from .forked import parse_two  # on the first read: importing ronsynth never loads it
-    ranges = parse_two(path, start, codes_col)
+    from . import forked  # on the first read: importing ronsynth never loads it
+    split = _split_point(path, start)
+    if split is None:
+        ranges = [_parse_range(path, start, codes_col)]
+    else:
+        # the default temporary directory: the input's own may be read-only
+        with forked.Child(_send_range, path, split, codes_col,
+                          size=os.path.getsize(path), limit=forked.SPLIT_BYTES) as child:
+            first = _parse_range(path, start, codes_col, split)
+            # protocol 5 reads the table into one buffer that the array then wraps
+            second = pickle.load(child.out) if child.wait() else _range(path, split, codes_col)
+        if _ends_in_quote(first.last):
+            raise ValueError("a quoted cell spans more than one line")
+        if isinstance(second, ValueError):
+            second.lines += first.lines
+            raise second
+        ranges = [first, second]
 
     # loadtxt skips blank lines, so its rows must number the lines up to
     # the last non-blank one
@@ -252,6 +273,54 @@ def _parse(path: str, start: int, ncols: int,
     names = None if codes_col is None else np.concatenate(
         [np.array(part.names)[part.table[:, codes_col].astype(np.intp)] for part in filled])
     return (tables[0] if len(tables) == 1 else np.concatenate(tables)), names
+
+
+def _split_point(path: str, start: int) -> int | None:
+    """Where the data lines from byte start on split into two ranges: just
+    past the first "\n" from their middle byte on. None, for one range,
+    when the file has at most forked.SPLIT_BYTES bytes or no "\n" ends a
+    line before its last byte."""
+    from . import forked
+    size = os.path.getsize(path)
+    if size <= forked.SPLIT_BYTES:
+        return None
+    with open(path, "rb") as fh:
+        split = fh.seek((start + size) // 2) + len(fh.readline())
+    return split if split < size else None
+
+
+def _range(path: str, start: int, codes_col: int | None) -> _Range | ValueError:
+    """The _parse_range of path from byte start on, or the ValueError it raised."""
+    try:
+        return _parse_range(path, start, codes_col)
+    except ValueError as err:
+        return err
+
+
+def _send_range(fd: int, path: str, start: int, codes_col: int | None) -> None:
+    """Pickle _range(path, start, codes_col) into the file fd, in a forked child."""
+    with open(fd, "wb", closefd=False) as out:
+        pickle.dump(_range(path, start, codes_col), out, protocol=5)
+
+
+def _loadtxt(lines, converters) -> np.ndarray:
+    """np.loadtxt of lines in the dialect of every CSV read here.
+
+    An explicit encoding hands converters str: numpy 1.x defaults to
+    "bytes" and would pass them latin-1 bytes.
+    """
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                      encoding="utf-8", ndmin=2, converters=converters)
+
+
+def _ends_in_quote(line: str) -> bool:
+    """Whether np.loadtxt, starting a record at line, is inside a quoted cell at its end.
+
+    Such a line runs on into a copy of itself, so the two make one record.
+    The line holds no line break, so np.loadtxt takes the pair; its
+    ValueError, if any, reaches load_csv's fault finder as True does.
+    """
+    return '"' in line and len(_loadtxt([line, line], lambda cell: 0.0)) != 2
 
 
 def _parse_range(path: str, start: int, codes_col: int | None,
@@ -279,10 +348,7 @@ def _parse_range(path: str, start: int, codes_col: int | None,
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                         UserWarning)
-                # An explicit encoding hands converters str: numpy 1.x defaults
-                # to "bytes" and would pass them latin-1 bytes.
-                table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
-                                   quotechar='"', converters=converters, encoding="utf-8")
+                table = _loadtxt(lines, converters)
         except ValueError as err:
             if lines.ended:  # inside a quoted cell, which in a whole file may run on
                 err = ValueError("a quoted cell spans more than one line")
@@ -362,10 +428,12 @@ def _raise_first_error(path: str, label_column: str | None, label_kind: str | No
                 fault = f"{byte} in header cell {name!r} at row 1, column {j + 1}"
                 break
         if label_column is not None:
-            if label_column in header:
+            count = header.count(label_column)
+            if count == 1:
                 label_idx = header.index(label_column)
             elif fault is None:
-                fault = f"label column {label_column!r} not found in header {header}"
+                found = f"appears {count} times" if count else "not found"
+                fault = f"label column {label_column!r} {found} in header {header}"
         if fault is None and len(header) == (label_idx is not None):
             fault = "no feature columns left after removing the label"
         bad_label = None
@@ -538,19 +606,32 @@ def _write_table(path: str, header: list[str], table: np.ndarray, digits: int,
     ``last`` is an optional trailing column of real labels or of already
     quoted class cells (an object array).
 
-    ``forked.write_halves`` formats the rows in two halves. A failed
-    write leaves a partial file at path.
+    This process formats the first half of the rows, while a forked
+    child formats the second half into an unnamed temporary file on
+    path's filesystem, which is then appended; with no child, or a failed
+    one, this process formats the second half too. A failed write leaves
+    a partial file at path.
     """
+    from . import forked  # on the first write: importing ronsynth never loads it
     # rows end in CRLF like csv.writer's, which writes the (quoted) header
     number = f"%.{digits}g"
     cells = [number] * table.shape[1]
     if last is not None:
         cells.append("%s" if last.dtype == object else number)
     row = ",".join(cells) + "\r\n"
-    from .forked import write_halves  # on the first write: importing ronsynth never loads it
+    split = len(table) // 2
+    head = table[:split], None if last is None else last[:split]
+    tail = table[split:], None if last is None else last[split:]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        write_halves(fh, path, row, table, last)
+        with forked.Child(_format_file, row, *tail, size=table.size, limit=forked.SPLIT_CELLS,
+                          dir=os.path.dirname(os.path.abspath(path))) as child:
+            _format_rows(fh, row, *head)
+            if child.wait():
+                fh.flush()
+                shutil.copyfileobj(child.out, fh.buffer, 1 << 20)
+            else:
+                _format_rows(fh, row, *tail)
     return path
 
 
@@ -563,6 +644,12 @@ def _format_rows(fh, row: str, table: np.ndarray, last: np.ndarray | None) -> No
         if last is not None:
             block = np.column_stack([block, last[start:start + WRITE_BLOCK]])
         fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _format_file(fd: int, row: str, table: np.ndarray, last: np.ndarray | None) -> None:
+    """_format_rows into the file fd, in a forked child."""
+    with open(fd, "w", newline="", encoding="utf-8", closefd=False) as fh:
+        _format_rows(fh, row, table, last)
 
 
 def _csv_field(text: str) -> str:

@@ -130,8 +130,8 @@ def dp_mean(X_normalized: np.ndarray, epsilon_mu: float,
     X = np.asarray(X_normalized, dtype=float)
     m, n = X.shape
     spend = BudgetLedger().record("mean", mean_sensitivity(m, n), epsilon_mu)
-    # squared norms need no m x n temporary; |n^2 - 1| is about 2|n - 1|
-    sq_norms = np.einsum("ij,ij->j", X, X)
+    # |n^2 - 1| is about 2|n - 1|
+    sq_norms = column_sq_norms(X)
     if np.any(np.abs(sq_norms - 1.0) > 2 * UNIT_NORM_TOL):
         idx = int(np.argmax(np.abs(sq_norms - 1.0)))
         raise ValueError(
@@ -175,7 +175,7 @@ def chart(X: np.ndarray, scale: np.ndarray, proj: RonProjection,
         np.divide(1.0, centered, out=inv, where=centered > DEGENERATE_NORM)
         Y = (WX[:p] * scale - (proj.W.T @ mu)[:, None]) * inv
         collapsed = int(np.count_nonzero(inv == 0.0))
-    norms = np.sqrt(np.einsum("ij,ij->j", Y, Y))
+    norms = np.sqrt(column_sq_norms(Y))
     np.divide(Y, norms, out=Y, where=norms > 1.0)
     return Y, collapsed
 

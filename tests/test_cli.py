@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestSynthCommand:
         code = main(["synth", numeric_csv, "--epsilon", "1.0", "--dim", "3",
                      "--seed", "11", "--out", out])
         assert code == 0
-        meta = json.load(open(os.path.join(out, "metadata.json")))
+        meta = json.loads(Path(out, "metadata.json").read_text())
         assert set(meta) == REQUIRED_META_KEYS
         assert meta["epsilon_mu"] == pytest.approx(0.3)
         assert meta["epsilon_sigma"] == pytest.approx(0.7)
@@ -77,7 +78,7 @@ class TestSynthCommand:
         assert meta["p"] == 3 and meta["m"] == 6 and meta["n"] == 120
         # the seed itself would let anyone replay the noise; only its use is recorded
         assert meta["seeded"] is True
-        header = open(os.path.join(out, "data.csv")).readline().strip()
+        header = Path(out, "data.csv").read_text().splitlines()[0].strip()
         assert header == "z1,z2,z3"
         assert "total epsilon: 1" in capsys.readouterr().out
 
@@ -86,8 +87,8 @@ class TestSynthCommand:
         for out in (out1, out2):
             assert main(["synth", numeric_csv, "--dim", "3", "--seed", "42",
                          "--out", out]) == 0
-        data1 = open(os.path.join(out1, "data.csv"), "rb").read()
-        data2 = open(os.path.join(out2, "data.csv"), "rb").read()
+        data1 = Path(out1, "data.csv").read_bytes()
+        data2 = Path(out2, "data.csv").read_bytes()
         assert data1 == data2
 
     def test_dim_too_large_fails_before_output(self, numeric_csv, tmp_path):
@@ -102,9 +103,9 @@ class TestSynthCommand:
                      "--label-col", "y", "--label-bound", "1.0", "--dim", "2",
                      "--seed", "3", "--out", out])
         assert code == 0
-        header = open(os.path.join(out, "data.csv")).readline().strip()
+        header = Path(out, "data.csv").read_text().splitlines()[0].strip()
         assert header.endswith(",label")
-        meta = json.load(open(os.path.join(out, "metadata.json")))
+        meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["label_bound"] == 1.0
         # fixture labels extend past 1.0: the exact count goes to the
         # operator on stderr and stays out of the published metadata
@@ -172,7 +173,7 @@ class TestSynthCommand:
         code = main(["synth", classed_csv, "--mode", "gmm", "--label-col", "cls",
                      "--dim", "2", "--seed", "5", "--out", out, "--save-projection"])
         assert code == 0
-        lines = open(os.path.join(out, "data.csv")).read().splitlines()
+        lines = Path(out, "data.csv").read_text().splitlines()
         assert lines[0].split(",")[-1] == "class"
         assert {ln.split(",")[-1] for ln in lines[1:]} == {"pos", "neg"}
         # every class shares one basis, saved once
@@ -198,7 +199,7 @@ class TestSynthCommand:
         result = synth_supervised(data, 2, *split_budget(1.0, 0.3), 1.0,
                                   rng=np.random.default_rng(3))
         release = result.dataset
-        rows = open(os.path.join(out, "data.csv")).read().splitlines()[1:]
+        rows = Path(out, "data.csv").read_text().splitlines()[1:]
         cells = [cell for row in rows for cell in row.split(",")]
         assert cells == [format(v, ".9g")
                          for v in np.column_stack([release.features.T, release.labels]).flat]
@@ -279,7 +280,7 @@ class TestSynthCommand:
     def test_unseeded_release_says_so(self, numeric_csv, tmp_path):
         out = str(tmp_path / "rel")
         assert main(["synth", numeric_csv, "--dim", "2", "--out", out]) == 0
-        meta = json.load(open(os.path.join(out, "metadata.json")))
+        meta = json.loads(Path(out, "metadata.json").read_text())
         assert meta["seeded"] is False and "seed" not in meta
 
     @pytest.mark.parametrize("count", ["0", "-5"])
@@ -384,7 +385,7 @@ class TestSynthCommand:
         out = str(tmp_path / "rel")
         main(["synth", numeric_csv, "--dim", "2", "--samples", "17", "--seed", "1",
               "--out", out])
-        rows = open(os.path.join(out, "data.csv")).read().splitlines()
+        rows = Path(out, "data.csv").read_text().splitlines()
         assert len(rows) == 18  # header + 17 samples
 
     @pytest.mark.parametrize("labels,count", [([-2.0, 0.5, 3.0], 2), ([0.2, -0.9, 0.0], 0),
@@ -417,8 +418,8 @@ class TestSynthCommand:
         assert main(["synth", labeled_csv, "--mode", "supervised", "--label-col", "y",
                      "--label-bound", "1.0", "--dim", "2", "--seed", "3",
                      "--out", str(tmp_path / "rel")]) == 0
-        # one Dataset of the input and one of the release
-        assert shapes == [(4, 150), (2, 150)]
+        # one Dataset of the input, the clip of its 2 x n chart and one of the release
+        assert shapes == [(4, 150), (2, 150), (2, 150)]
 
     def test_gmm_run_takes_the_input_norms_once(self, classed_csv, tmp_path, monkeypatch):
         shapes = []
@@ -431,8 +432,9 @@ class TestSynthCommand:
             monkeypatch.setattr(module, "column_sq_norms", spy)
         assert main(["synth", classed_csv, "--mode", "gmm", "--label-col", "cls",
                      "--dim", "2", "--seed", "1", "--out", str(tmp_path / "rel")]) == 0
-        # the input Dataset's, not one per class; the release is one Dataset
-        assert shapes == [(4, 160), (2, 160)]
+        # the input Dataset's, not one per class; the clip of its 2 x n
+        # chart; the release is one Dataset
+        assert shapes == [(4, 160), (2, 160), (2, 160)]
 
     def test_label_col_on_a_first_column_after_a_byte_order_mark(self, tmp_path):
         rng = np.random.default_rng(2)

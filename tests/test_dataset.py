@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +115,8 @@ MALFORMED = [
     ("", None, None, "file is empty, expected a header row"),
     ("y\n1\n", "y", "real", "no feature columns left after removing the label"),
     ("f1,f2\n1,2\n", "y", "real", "label column 'y' not found in header ['f1', 'f2']"),
+    ("a,y,y\n1,2,0.5\n3,4,1.5\n", "y", "real",
+     "label column 'y' appears 2 times in header ['a', 'y', 'y']"),
 ]
 
 
@@ -190,7 +193,7 @@ class TestLoadCsvEdgeCases:
         assert data.class_labels.tolist() == ["a", "猫", "a"]
         assert data.class_labels.dtype.kind == "U"
         write_dataset_csv(data, str(tmp_path / "out.csv"))
-        assert open(tmp_path / "out.csv", encoding="utf-8").read().splitlines()[2] == "2,猫"
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[2] == "2,猫"
 
     def test_one_row_file(self, tmp_path):
         data = load_csv(_write(tmp_path, "f1,f2,y\n1,2,0.5\n"),
@@ -357,30 +360,31 @@ class TestOnePassValidation:
         else:
             data = Dataset(features=X)
             res = synthesis.synth_unsupervised(data, p, 1.0, 1.0, rng=rng)
-        # one call builds the input Dataset and one the released one
-        assert shapes == [(m, n), res.dataset.features.shape]
+        # one call builds the input Dataset, one clips its p x n chart and
+        # one builds the released Dataset
+        assert shapes == [(m, n), (p, n), res.dataset.features.shape]
 
 
 class TestWriteRelease:
     def test_unlabeled_release_shape(self, tmp_path):
         release = Dataset(features=np.random.default_rng(0).normal(size=(2, 3)))
         data_path, meta_path = write_release(release, dict(META), str(tmp_path / "out"))
-        header = open(data_path).readline().strip().split(",")
+        header = Path(data_path).read_text().splitlines()[0].strip().split(",")
         assert header == ["z1", "z2"]
-        meta = json.load(open(meta_path))
+        meta = json.loads(Path(meta_path).read_text())
         assert meta["epsilon_total"] == 1.0
 
     def test_supervised_release_has_label_column(self, tmp_path):
         release = Dataset(features=np.zeros((2, 3)), labels=np.array([1.0, 2.0, 3.0]))
         data_path, _ = write_release(release, dict(META), str(tmp_path / "out"))
-        header = open(data_path).readline().strip().split(",")
+        header = Path(data_path).read_text().splitlines()[0].strip().split(",")
         assert header == ["z1", "z2", "label"]
 
     def test_gmm_release_has_class_column_with_names(self, tmp_path):
         release = Dataset(features=np.zeros((2, 3)),
                           class_labels=np.array(["cat", "dog", "cat"]))
         data_path, _ = write_release(release, dict(META), str(tmp_path / "out"))
-        lines = open(data_path).read().splitlines()
+        lines = Path(data_path).read_text().splitlines()
         assert lines[0].split(",")[-1] == "class"
         assert [ln.split(",")[-1] for ln in lines[1:]] == ["cat", "dog", "cat"]
 
@@ -427,12 +431,12 @@ class TestWriteRelease:
         # a 9-digit decimal survives a trip through a double, so writing
         # the reloaded release gives the same bytes again
         again = write_dataset_csv(reloaded, str(tmp_path / "again.csv"))
-        assert open(again, "rb").read() == open(data_path, "rb").read()
+        assert Path(again).read_bytes() == Path(data_path).read_bytes()
 
     def test_write_dataset_csv_keeps_feature_names(self, tmp_path):
         ds = Dataset(features=np.ones((2, 2)), feature_names=("height", "width"))
         path = write_dataset_csv(ds, str(tmp_path / "d.csv"))
-        assert open(path).readline().strip() == "height,width"
+        assert Path(path).read_text().splitlines()[0].strip() == "height,width"
 
 
 def _reference_csv(header, rows, spec=f".{dataset.RELEASE_DIGITS}g"):
@@ -456,13 +460,13 @@ class TestWriterBytes:
         release = Dataset(features=self.FEATURES, feature_names=("a,b", 'q"t', "c"))
         data_path, _ = write_release(release, dict(META), str(tmp_path / "out"))
         expected = _reference_csv(["a,b", 'q"t', "c"], self.FEATURES.T)
-        assert open(data_path, "rb").read() == expected
+        assert Path(data_path).read_bytes() == expected
 
     def test_real_labels(self, tmp_path):
         release = Dataset(features=self.FEATURES, labels=self.LABELS)
         data_path, _ = write_release(release, dict(META), str(tmp_path / "out"))
         rows = [[*col, y] for col, y in zip(self.FEATURES.T, self.LABELS)]
-        assert open(data_path, "rb").read() == _reference_csv(["z1", "z2", "z3", "label"], rows)
+        assert Path(data_path).read_bytes() == _reference_csv(["z1", "z2", "z3", "label"], rows)
 
     def test_categorical_labels_with_comma(self, tmp_path):
         classes = np.array(["a,b", "c", 'd"e', "a,b", "f g", "c"])
@@ -470,17 +474,17 @@ class TestWriterBytes:
                      feature_names=("x,1", "x2", "x3"))
         path = write_dataset_csv(ds, str(tmp_path / "d.csv"))
         rows = [[*col, c] for col, c in zip(self.FEATURES.T, classes)]
-        assert open(path, "rb").read() == _reference_csv(["x,1", "x2", "x3", "class"], rows)
+        assert Path(path).read_bytes() == _reference_csv(["x,1", "x2", "x3", "class"], rows)
 
     def test_empty_and_quoted_class_names(self, tmp_path):
         classes = np.array(["", 'q"t', "", "b,c", "x\ny", 'q"t'])
         ds = Dataset(features=self.FEATURES, class_labels=classes)
         path = write_dataset_csv(ds, str(tmp_path / "d.csv"))
         rows = [[*col, c] for col, c in zip(self.FEATURES.T, classes)]
-        assert open(path, "rb").read() == _reference_csv(["z1", "z2", "z3", "class"], rows)
+        assert Path(path).read_bytes() == _reference_csv(["z1", "z2", "z3", "class"], rows)
 
     def test_matrix(self, tmp_path):
         # a bare matrix (projection.csv) keeps the 17 digits that round-trip a double
         path = write_matrix_csv(self.FEATURES, str(tmp_path / "w.csv"))
         expected = _reference_csv([f"c{j + 1}" for j in range(6)], self.FEATURES, ".17g")
-        assert open(path, "rb").read() == expected
+        assert Path(path).read_bytes() == expected

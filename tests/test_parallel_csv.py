@@ -2,8 +2,8 @@
 one whole table's, results, with a forked child and without one.
 
 forked.SPLIT_BYTES and SPLIT_CELLS are monkeypatched to 0 to give small
-inputs two ranges and a child, and SPLIT_BYTES to a size no file reaches
-for one range. The unsplit write formats the whole table at once.
+inputs two ranges and a child, and to a size no input reaches for one
+range and one process.
 """
 
 import csv
@@ -41,7 +41,7 @@ def parses(monkeypatch):
     parse = dataset._parse
 
     def spy(path, start, *args):
-        ranges = 1 if forked._split_point(path, start) is None else 2
+        ranges = 1 if dataset._split_point(path, start) is None else 2
         calls.append((ranges, False))
         result = parse(path, start, *args)
         calls[-1] = (ranges, True)
@@ -106,7 +106,7 @@ def _data_lines(monkeypatch, path):
     start = data.index(b"\n") + 1  # past a one-line header
     with monkeypatch.context() as patch:
         patch.setattr(forked, "SPLIT_BYTES", 0)
-        split = forked._split_point(path, start)
+        split = dataset._split_point(path, start)
     lines = data[start:].splitlines(keepends=True)
     if split is None:
         return lines, None
@@ -245,7 +245,7 @@ class TestLoadParity:
         def fail(*args):
             raise OSError("the child cannot parse")
 
-        monkeypatch.setattr(forked, "_send_range", fail)
+        monkeypatch.setattr(dataset, "_send_range", fail)
         path = _write(tmp_path, "f1,cls\n" + "".join(f"{i},c{i % 3}\n" for i in range(40)))
         _check_parity(monkeypatch, path, "cls", "categorical")
         assert parses == SPLIT_AND_ACCEPTED
@@ -253,13 +253,13 @@ class TestLoadParity:
 
     def test_a_child_failing_after_it_sent_leaves_the_one_process_parse(
             self, tmp_path, monkeypatch, parses, waits):
-        send_range = forked._send_range
+        send_range = dataset._send_range
 
         def send_and_fail(*args):
             send_range(*args)
             raise OSError("the child fails on its way out")
 
-        monkeypatch.setattr(forked, "_send_range", send_and_fail)
+        monkeypatch.setattr(dataset, "_send_range", send_and_fail)
         path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
         _check_parity(monkeypatch, path)
         assert parses == SPLIT_AND_ACCEPTED
@@ -328,16 +328,12 @@ class TestNonUtf8:
 
 
 def _write_both(monkeypatch, tmp_path, write, *args):
-    """The bytes write(*args, path) gives from the whole table and from two
-    halves, the second by a child."""
+    """The bytes write(*args, path) gives in one process and with the
+    second half of the rows formatted by a child."""
     out = []
-    for name in ("one.csv", "two.csv"):
+    for name, split_cells in (("one.csv", NEVER), ("two.csv", 0)):
         with monkeypatch.context() as patch:
-            if name == "one.csv":
-                patch.setattr(forked, "write_halves", lambda fh, path, row, table, last:
-                              dataset._format_rows(fh, row, table, last))
-            else:
-                patch.setattr(forked, "SPLIT_CELLS", 0)
+            patch.setattr(forked, "SPLIT_CELLS", split_cells)
             path = str(tmp_path / name)
             assert write(*args, path) == path
         with open(path, "rb") as fh:
@@ -355,7 +351,7 @@ class TestWriteParity:
         ds = Dataset(features=self.FEATURES[:, :n], labels=self.RNG.normal(size=n))
         one, two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
         assert one == two and one.count(b"\r\n") == n + 1
-        assert waits == [True]
+        assert waits == [False, True]
 
     def test_class_names_that_need_quoting(self, tmp_path, monkeypatch, waits):
         # a "%" in a class name is an argument of the row's %, never part of its format
@@ -367,12 +363,17 @@ class TestWriteParity:
         assert b',"a,b"\r\n' in one and b',"q""t"\r\n' in one and b",\r\n" in one
         rows = list(csv.reader(io.StringIO(two.decode("utf-8"), newline="")))
         assert [row[-1] for row in rows[1:]] == classes.tolist()
-        assert waits == [True]
+        assert waits == [False, True]
 
     def test_matrix(self, tmp_path, monkeypatch, waits):
         one, two = _write_both(monkeypatch, tmp_path, write_matrix_csv, self.FEATURES)
         assert one == two
-        assert waits == [True]
+        # np.savetxt formats the whole table, row by row
+        whole = io.BytesIO()
+        np.savetxt(whole, self.FEATURES, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(f"c{j + 1}" for j in range(11)), comments="")
+        assert one == whole.getvalue()
+        assert waits == [False, True]
 
     def test_the_child_half_has_no_name(self, tmp_path, monkeypatch, waits):
         # a release killed while it writes leaves no file beside data.csv
@@ -403,7 +404,7 @@ class TestWriteParity:
         monkeypatch.setattr(dataset, "_format_rows", fail_in_child)
         one, two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
         assert one == two
-        assert waits == [False]
+        assert waits == [False, False]
 
     def test_no_temporary_file_leaves_the_half_to_the_parent(self, tmp_path, monkeypatch,
                                                              waits):
@@ -413,7 +414,7 @@ class TestWriteParity:
         monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
         one, two = _write_both(monkeypatch, tmp_path, write_matrix_csv, self.FEATURES)
         assert one == two
-        assert waits == [False]
+        assert waits == [False, False]
 
 
 class TestForks:
