@@ -180,7 +180,8 @@ def test_import_does_not_load_scipy(module):
 
 def test_cli_import_leaves_the_scorers_unloaded():
     # a plain release never scores itself; the package loads the scorers on
-    # first use, and the dataset module the CSV halves on its first read or write
+    # first use, and the dataset module loads forked (with signal, about 2 ms)
+    # on its first CSV read or write, which a budget query never makes
     src = os.path.dirname(os.path.dirname(ronsynth.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -2,8 +2,8 @@
 one whole table's, results, with a forked child and without one.
 
 forked.SPLIT_BYTES and SPLIT_CELLS are monkeypatched to 0 to give small
-inputs two ranges and a child, and to a size no input reaches for one
-range and one process.
+inputs two ranges and a child, and SPLIT_BYTES to a size no file reaches
+for one range. The reference write formats the whole table cell by cell.
 """
 
 import csv
@@ -327,13 +327,29 @@ class TestNonUtf8:
         assert parses == ([] if offset < 8192 else SPLIT_AND_REJECTED)
 
 
+def _one_by_one(path, header, table, digits, last=None):
+    """_write_table's reference: the whole table in this process, every
+    cell formatted on its own, row by row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for i, values in enumerate(table.tolist()):
+            cells = [f"%.{digits}g" % v for v in values]
+            if last is not None:
+                cells.append(last[i] if last.dtype == object else f"%.{digits}g" % last[i])
+            fh.write(",".join(cells) + "\r\n")
+    return path
+
+
 def _write_both(monkeypatch, tmp_path, write, *args):
-    """The bytes write(*args, path) gives in one process and with the
-    second half of the rows formatted by a child."""
+    """The bytes write(*args, path) gives from the whole table and from two
+    halves, the second by a child."""
     out = []
-    for name, split_cells in (("one.csv", NEVER), ("two.csv", 0)):
+    for name in ("one.csv", "two.csv"):
         with monkeypatch.context() as patch:
-            patch.setattr(forked, "SPLIT_CELLS", split_cells)
+            if name == "one.csv":
+                patch.setattr(dataset, "_write_table", _one_by_one)
+            else:
+                patch.setattr(forked, "SPLIT_CELLS", 0)
             path = str(tmp_path / name)
             assert write(*args, path) == path
         with open(path, "rb") as fh:
@@ -351,7 +367,7 @@ class TestWriteParity:
         ds = Dataset(features=self.FEATURES[:, :n], labels=self.RNG.normal(size=n))
         one, two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
         assert one == two and one.count(b"\r\n") == n + 1
-        assert waits == [False, True]
+        assert waits == [True]
 
     def test_class_names_that_need_quoting(self, tmp_path, monkeypatch, waits):
         # a "%" in a class name is an argument of the row's %, never part of its format
@@ -363,17 +379,12 @@ class TestWriteParity:
         assert b',"a,b"\r\n' in one and b',"q""t"\r\n' in one and b",\r\n" in one
         rows = list(csv.reader(io.StringIO(two.decode("utf-8"), newline="")))
         assert [row[-1] for row in rows[1:]] == classes.tolist()
-        assert waits == [False, True]
+        assert waits == [True]
 
     def test_matrix(self, tmp_path, monkeypatch, waits):
         one, two = _write_both(monkeypatch, tmp_path, write_matrix_csv, self.FEATURES)
         assert one == two
-        # np.savetxt formats the whole table, row by row
-        whole = io.BytesIO()
-        np.savetxt(whole, self.FEATURES, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(f"c{j + 1}" for j in range(11)), comments="")
-        assert one == whole.getvalue()
-        assert waits == [False, True]
+        assert waits == [True]
 
     def test_the_child_half_has_no_name(self, tmp_path, monkeypatch, waits):
         # a release killed while it writes leaves no file beside data.csv
@@ -404,7 +415,7 @@ class TestWriteParity:
         monkeypatch.setattr(dataset, "_format_rows", fail_in_child)
         one, two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
         assert one == two
-        assert waits == [False, False]
+        assert waits == [False]
 
     def test_no_temporary_file_leaves_the_half_to_the_parent(self, tmp_path, monkeypatch,
                                                              waits):
@@ -414,7 +425,7 @@ class TestWriteParity:
         monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
         one, two = _write_both(monkeypatch, tmp_path, write_matrix_csv, self.FEATURES)
         assert one == two
-        assert waits == [False, False]
+        assert waits == [False]
 
 
 class TestForks:
