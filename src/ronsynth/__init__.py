@@ -6,7 +6,9 @@ Laplace-perturbed Gaussian model, and samples synthetic records from
 it. A per-class Gaussian mixture skips the centering, projects every
 class onto one basis and takes each class's DP mean there. All privacy
 spends flow through a single ledger with serial and parallel
-composition.
+composition. ``normality_diagnostic`` measures how Gaussian the
+projected coordinates are. A release never scores itself: the scorers
+of the paper's downstream tasks are test code, in ``tests/scorers.py``.
 """
 
 from .dataset import DataError, Dataset, load_csv, write_release
@@ -18,7 +20,13 @@ from .mechanism import (
     mean_sensitivity,
     split_budget,
 )
-from .projection import RonProjection, dimension_guidance, generate_ron
+from .projection import (
+    NormalityReport,
+    RonProjection,
+    dimension_guidance,
+    generate_ron,
+    normality_diagnostic,
+)
 from .synthesis import (
     GaussianModel,
     GmmMode,
@@ -32,24 +40,6 @@ from .synthesis import (
 )
 
 __version__ = "0.1.0"
-
-# a release never scores itself, so the scorers load on first use
-_EVALUATION = frozenset({
-    "NormalityReport",
-    "kmeans",
-    "nearest_mean_accuracy",
-    "normality_diagnostic",
-    "ols_rmse",
-    "rmse",
-    "silhouette",
-})
-
-
-def __getattr__(name):
-    if name in _EVALUATION:
-        from . import evaluation
-        return getattr(evaluation, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BudgetLedger",
@@ -66,15 +56,10 @@ __all__ = [
     "cov_sensitivity",
     "dimension_guidance",
     "generate_ron",
-    "kmeans",
     "load_csv",
     "mean_sensitivity",
     "mode_transform",
-    "nearest_mean_accuracy",
     "normality_diagnostic",
-    "ols_rmse",
-    "rmse",
-    "silhouette",
     "split_budget",
     "synth_gmm",
     "synth_supervised",

@@ -7,7 +7,9 @@ without reading data. ``synth`` frees its input once
 Every flag whose value can be checked without the data has an argparse
 type built by one rule, ``_flag_type``, so a bad value is a usage error
 before any input is read. Only p < m for --dim and a --label-col that
-must be in the header are checked after the read.
+must be in the header are checked after the read. A release projects
+m >= 2 features to p < m dimensions: an input with fewer than two
+feature columns is a data error, and --m below 2 a usage error.
 
 Exit codes: 0 success, 1 usage error, a release that cannot be written
 or a closed stdout, 2 data error (a ``DataError``, found while the input
@@ -94,6 +96,8 @@ def _int_list(text: str) -> list[int]:
 _positive_finite = _flag_type(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 _open_unit = _flag_type(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
+# a release projects m features to 1 <= p < m dimensions
+_feature_count = _flag_type(int, lambda v: v >= 2, "an integer of at least 2")
 # numpy seeds are non-negative
 _seed = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
 _positive_ints = _flag_type(_int_list, lambda vs: min(vs) >= 1,
@@ -138,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="print the spend plan without touching data",
                             description="Show sensitivities and noise scales for a "
                                         "hypothetical run.")
-    budget.add_argument("--m", type=_positive_int, required=True, help="feature dimension")
+    budget.add_argument("--m", type=_feature_count, required=True,
+                        help="feature dimension, at least 2")
     budget.add_argument("--n", type=_positive_int, default=None,
                         help="unsupervised, supervised: sample count")
     budget.add_argument("--class-sizes", type=_positive_ints, default=None, metavar="N1,N2,...",
@@ -186,6 +191,8 @@ def cmd_synth(args) -> int:
 
     data = load_csv(args.input, label_column=args.label_col, label_kind=label_kind)
     m = data.features.shape[0]
+    if m < 2:
+        raise DataError(f"a release needs at least 2 feature columns, got {m}")
 
     if args.mode == "supervised":
         # the labels the release clips (a Dataset's labels are finite)

@@ -41,6 +41,8 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
+from . import forked
+
 
 class DataError(ValueError):
     """Problem with input data content (missing file, bad cell, ...).
@@ -238,7 +240,6 @@ def _parse(path: str, start: int, ncols: int,
     the split, though each range alone may parse), or when the ranges'
     counts do not add up to one table of ncols columns.
     """
-    from . import forked  # on the first read: importing ronsynth never loads it
     split = _split_point(path, start)
     if split is None:
         ranges = [_parse_range(path, start, codes_col)]
@@ -280,7 +281,6 @@ def _split_point(path: str, start: int) -> int | None:
     past the first "\n" from their middle byte on. None, for one range,
     when the file has at most forked.SPLIT_BYTES bytes or no "\n" ends a
     line before its last byte."""
-    from . import forked
     size = os.path.getsize(path)
     if size <= forked.SPLIT_BYTES:
         return None
@@ -612,7 +612,6 @@ def _write_table(path: str, header: list[str], table: np.ndarray, digits: int,
     one, this process formats the second half too. A failed write leaves
     a partial file at path.
     """
-    from . import forked  # on the first write: importing ronsynth never loads it
     # rows end in CRLF like csv.writer's, which writes the (quoted) header
     number = f"%.{digits}g"
     cells = [number] * table.shape[1]

@@ -6,7 +6,9 @@ columns give two properties the rest of the pipeline leans on: the
 projection of a unit-norm sample has norm at most 1, and projecting
 well-spread high-dimensional data onto few dimensions produces nearly
 Gaussian coordinates, which is what makes a Gaussian generative model a
-good fit downstream.
+good fit downstream. ``normality_diagnostic`` measures that second
+property: how far each projected coordinate is from the normal, by a KS
+statistic that takes the normal CDF from ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dataset import DataError
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -98,3 +102,63 @@ def dimension_guidance(m: int) -> int:
     if m <= SMALL_M:
         return 1
     return math.floor(2.0 * math.log10(m) / math.log10(math.log10(m)))
+
+
+@dataclass(frozen=True)
+class NormalityReport:
+    """Per-coordinate normality distances for a projected dataset."""
+
+    ks_distances: tuple[float, ...]
+    max_ks: float
+    mean_ks: float
+    n_samples: int
+    degenerate_coords: tuple[int, ...]
+
+
+def normality_diagnostic(X_tilde: np.ndarray) -> NormalityReport:
+    """Kolmogorov-Smirnov distance of each coordinate to the normal.
+
+    Every row (coordinate) is standardized and compared against N(0, 1)
+    with the one-sample KS statistic. Constant coordinates cannot be
+    standardized; they are flagged and assigned the KS distance 0.5 of
+    a point mass at the normal's median.
+    """
+    X_tilde = np.asarray(X_tilde, dtype=float)
+    if X_tilde.ndim != 2:
+        raise ValueError(f"expected a p x n matrix, got shape {X_tilde.shape}")
+    n = X_tilde.shape[1]
+    if n < 30:
+        raise DataError(f"need at least 30 samples for a meaningful test, got {n}")
+
+    distances = []
+    degenerate = []
+    for j, coord in enumerate(X_tilde):
+        std = coord.std()
+        if std == 0.0:
+            distances.append(0.5)
+            degenerate.append(j)
+            continue
+        standardized = (coord - coord.mean()) / std
+        distances.append(_ks_normal(standardized))
+
+    return NormalityReport(
+        ks_distances=tuple(distances),
+        max_ks=max(distances),
+        mean_ks=float(np.mean(distances)),
+        n_samples=n,
+        degenerate_coords=tuple(degenerate),
+    )
+
+
+def _ks_normal(sample: np.ndarray) -> float:
+    """Two-sided one-sample Kolmogorov-Smirnov statistic against N(0, 1).
+
+    The largest gap between the empirical CDF, on either side of each
+    step, and the normal CDF 0.5 * erfc(-x / sqrt(2)).
+    """
+    x = np.sort(sample)
+    n = x.size
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    d_plus = np.max(np.arange(1, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(n) / n)
+    return float(max(d_plus, d_minus))

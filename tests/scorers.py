@@ -1,40 +1,32 @@
-"""Utility metrics for scoring releases.
+"""Reference scorers for the paper's three downstream tasks.
 
-All matrices here follow the package's internal orientation: samples
-are columns. The paper judges a release by three downstream tasks, and
-each release mode has one scorer here: ``silhouette_sweep`` clusters an
+A release never scores itself, so the scorers live beside the tests
+that use them. All matrices follow the package's internal orientation:
+samples are columns. ``kmeans`` and ``silhouette`` cluster an
 unsupervised release, ``ols_rmse`` trains least squares on a supervised
 release and ``nearest_mean_accuracy`` classifies with a gmm release's
 class means, both scored on a real ``Dataset`` mapped into the release's
-chart by ``synthesis.transform_features``. The normality diagnostic
-quantifies how Gaussian each projected coordinate looks, which is the
-property the low-dimensional projection is supposed to buy.
+chart by ``synthesis.transform_features``.
 
-The metrics need numpy alone. Pairwise distances add the squared
+The scorers need numpy alone. Pairwise distances add the squared
 coordinate differences one coordinate at a time, so every distance is
-bit for bit that of a per-pair loop adding squares in coordinate
-order; the KS statistic takes the normal CDF from ``math.erfc``.
+bit for bit that of a per-pair loop adding squares in coordinate order.
 
-Data that cannot be scored (too few samples, vectors of unequal length)
-is a ``DataError``, which is a ValueError; a bad argument stays a plain
+Data that cannot be scored (vectors of unequal length) is a
+``DataError``, which is a ValueError; a bad argument stays a plain
 ValueError.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dataset import DataError, Dataset
-from .synthesis import SynthesisResult, transform_features
+from ronsynth.dataset import DataError, Dataset
+from ronsynth.synthesis import SynthesisResult, transform_features
 
 # cells of the distance accumulator filled per block: 512 KiB of
 # float64, small enough to stay in cache across the coordinate loop
 _BLOCK_CELLS = 1 << 16
-# silhouette is quadratic in the point count; larger inputs are subsampled to this
-SILHOUETTE_MAX_POINTS = 2000
 
 
 def silhouette(X: np.ndarray, assignments: np.ndarray) -> float:
@@ -98,28 +90,6 @@ def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             diff *= diff
             acc += diff
     return np.sqrt(out, out=out)
-
-
-def silhouette_sweep(X: np.ndarray, ks, seed) -> tuple[int, dict, int]:
-    """Cluster X by k-means for each k in ks and score each clustering.
-
-    X is first subsampled to SILHOUETTE_MAX_POINTS columns. Every k
-    above the point count is skipped; none left is a DataError. The
-    pairwise distances are computed once and shared by every k. Returns
-    the best k, the silhouette of every feasible k, and the number of
-    points scored.
-    """
-    X = np.asarray(X, dtype=float)
-    rng = np.random.default_rng(seed)
-    if X.shape[1] > SILHOUETTE_MAX_POINTS:
-        X = X[:, rng.choice(X.shape[1], size=SILHOUETTE_MAX_POINTS, replace=False)]
-    ks = [k for k in ks if k <= X.shape[1]]
-    if not ks:
-        raise DataError("no feasible k: fewer samples than clusters")
-    dists = _distances(X, X)
-    sweep = {k: _silhouette(dists, kmeans(X, k, rng=np.random.default_rng(seed)))
-             for k in ks}
-    return max(sweep, key=sweep.get), sweep, X.shape[1]
 
 
 def kmeans(X: np.ndarray, k: int, max_iter: int = 100,
@@ -219,63 +189,3 @@ def nearest_mean_accuracy(result: SynthesisResult, data: Dataset,
         dists.append(np.linalg.norm(chart - mean[:, None], axis=0))
     predicted = np.array([mode.label for mode in modes])[np.argmin(dists, axis=0)]
     return float(np.mean(predicted == labels))
-
-
-@dataclass(frozen=True)
-class NormalityReport:
-    """Per-coordinate normality distances for a projected dataset."""
-
-    ks_distances: tuple[float, ...]
-    max_ks: float
-    mean_ks: float
-    n_samples: int
-    degenerate_coords: tuple[int, ...]
-
-
-def normality_diagnostic(X_tilde: np.ndarray) -> NormalityReport:
-    """Kolmogorov-Smirnov distance of each coordinate to the normal.
-
-    Every row (coordinate) is standardized and compared against N(0, 1)
-    with the one-sample KS statistic. Constant coordinates cannot be
-    standardized; they are flagged and assigned the KS distance 0.5 of
-    a point mass at the normal's median.
-    """
-    X_tilde = np.asarray(X_tilde, dtype=float)
-    if X_tilde.ndim != 2:
-        raise ValueError(f"expected a p x n matrix, got shape {X_tilde.shape}")
-    n = X_tilde.shape[1]
-    if n < 30:
-        raise DataError(f"need at least 30 samples for a meaningful test, got {n}")
-
-    distances = []
-    degenerate = []
-    for j, coord in enumerate(X_tilde):
-        std = coord.std()
-        if std == 0.0:
-            distances.append(0.5)
-            degenerate.append(j)
-            continue
-        standardized = (coord - coord.mean()) / std
-        distances.append(_ks_normal(standardized))
-
-    return NormalityReport(
-        ks_distances=tuple(distances),
-        max_ks=max(distances),
-        mean_ks=float(np.mean(distances)),
-        n_samples=n,
-        degenerate_coords=tuple(degenerate),
-    )
-
-
-def _ks_normal(sample: np.ndarray) -> float:
-    """Two-sided one-sample Kolmogorov-Smirnov statistic against N(0, 1).
-
-    The largest gap between the empirical CDF, on either side of each
-    step, and the normal CDF 0.5 * erfc(-x / sqrt(2)).
-    """
-    x = np.sort(sample)
-    n = x.size
-    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
-    d_plus = np.max(np.arange(1, n + 1) / n - cdf)
-    d_minus = np.max(cdf - np.arange(n) / n)
-    return float(max(d_plus, d_minus))

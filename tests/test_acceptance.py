@@ -13,14 +13,6 @@ import pytest
 from scipy import stats
 
 from ronsynth.dataset import Dataset
-from ronsynth.evaluation import (
-    nearest_mean_accuracy,
-    normality_diagnostic,
-    ols_fit,
-    ols_predict,
-    ols_rmse,
-    rmse,
-)
 from ronsynth.mechanism import (
     LedgerEntry,
     aug_cov_sensitivity,
@@ -30,7 +22,7 @@ from ronsynth.mechanism import (
     split_budget,
 )
 from ronsynth.preprocessing import column_sq_norms, preprocess
-from ronsynth.projection import generate_ron, project
+from ronsynth.projection import generate_ron, normality_diagnostic, project
 from ronsynth.synthesis import (
     estimate_aug_cov,
     estimate_cov,
@@ -38,6 +30,7 @@ from ronsynth.synthesis import (
     synth_supervised,
     synth_unsupervised,
 )
+from scorers import nearest_mean_accuracy, ols_fit, ols_predict, ols_rmse, rmse
 
 
 def mle_cov_sensitivity(p: int, n: int) -> float:

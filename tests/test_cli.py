@@ -596,6 +596,8 @@ class TestBudgetCommand:
          "argument --class-sizes: must be comma-separated positive integers, got ','"),
         (["--mode", "gmm", "--m", "20", "--class-sizes", "2,1_0"],
          "argument --class-sizes: must be comma-separated positive integers, got '2,1_0'"),
+        # p < m needs m >= 2, whatever --dim says
+        (["--m", "1", "--n", "5"], "argument --m: must be an integer of at least 2, got '1'"),
     ])
     def test_empty_size_error_names_the_flag(self, argv, message, capsys):
         assert main(["budget", *argv]) == 1
@@ -669,7 +671,13 @@ def test_data_free_flag_is_checked_before_reading(argv, flag, tmp_path, capsys):
     ("a,b,c,y\n1,2,3,0\n4,5,7,0\n6,7,8,inf\n",
      ["--mode", "supervised", "--label-col", "y", "--label-bound", "1"],
      "labels contain non-finite values (row 4 of the input)"),
-], ids=["zero-row", "huge-row", "nan-feature", "nan-feature-file-order", "inf-label"])
+    # p < m needs m >= 2: one feature column is the data's fault, not --dim's
+    ("a\n1\n2\n3\n", [], "a release needs at least 2 feature columns, got 1"),
+    ("a,y\n1,0.5\n2,0.1\n3,0.2\n",
+     ["--mode", "supervised", "--label-col", "y", "--label-bound", "1"],
+     "a release needs at least 2 feature columns, got 1"),
+], ids=["zero-row", "huge-row", "nan-feature", "nan-feature-file-order", "inf-label",
+        "one-feature", "one-feature-supervised"])
 def test_data_fault_found_after_the_parse_is_a_data_error(text, flags, message, tmp_path,
                                                           capsys):
     path = tmp_path / "in.csv"

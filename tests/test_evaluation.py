@@ -10,16 +10,16 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 import ronsynth
-from ronsynth import DataError, Dataset, evaluation, split_budget, synth_gmm
-from ronsynth.evaluation import (
-    normality_diagnostic,
+import scorers
+from ronsynth import DataError, Dataset, split_budget, synth_gmm
+from ronsynth.projection import normality_diagnostic
+from scorers import (
     kmeans,
     nearest_mean_accuracy,
     ols_fit,
     ols_predict,
     rmse,
     silhouette,
-    silhouette_sweep,
 )
 
 
@@ -123,37 +123,8 @@ class TestDistances:
         rng = np.random.default_rng(dim)
         X = rng.normal(scale=3.0, size=(dim, 300))
         Y = rng.standard_t(df=2, size=(dim, 5))
-        assert np.array_equal(evaluation._distances(X, X), cdist(X.T, X.T))
-        assert np.array_equal(evaluation._distances(X, Y), cdist(X.T, Y.T))
-
-
-class TestSilhouetteSweep:
-    def test_distances_computed_once_for_all_k(self, monkeypatch):
-        rng = np.random.default_rng(20)
-        X = rng.normal(size=(3, 600))
-        pairwise = []
-        helper = evaluation._distances
-
-        def counting(A, B):
-            if B.shape[1] == A.shape[1]:  # k-means' point-to-centroid calls are n x k
-                pairwise.append(A.shape[1])
-            return helper(A, B)
-
-        monkeypatch.setattr(evaluation, "_distances", counting)
-        monkeypatch.setattr(evaluation, "SILHOUETTE_MAX_POINTS", 400)
-        best_k, sweep, n_points = silhouette_sweep(X, range(2, 6), seed=4)
-        assert pairwise == [400]
-        assert n_points == 400 and list(sweep) == [2, 3, 4, 5]
-        # each score is the one silhouette() gives on the same subsample
-        sub = X[:, np.random.default_rng(4).choice(600, size=400, replace=False)]
-        for k, value in sweep.items():
-            assign = kmeans(sub, k, rng=np.random.default_rng(4))
-            assert value == silhouette(sub, assign)
-        assert sweep[best_k] == max(sweep.values())
-
-    def test_no_feasible_k_is_an_error(self):
-        with pytest.raises(ValueError, match="no feasible k"):
-            silhouette_sweep(np.zeros((2, 3)), range(4, 6), seed=0)
+        assert np.array_equal(scorers._distances(X, X), cdist(X.T, X.T))
+        assert np.array_equal(scorers._distances(X, Y), cdist(X.T, Y.T))
 
 
 @pytest.mark.parametrize("score,message", [
@@ -161,9 +132,7 @@ class TestSilhouetteSweep:
      "pred and truth must be equal-length non-empty vectors, got (3,) and (2,)"),
     (lambda: normality_diagnostic(np.random.default_rng(16).normal(size=(2, 29))),
      "need at least 30 samples for a meaningful test, got 29"),
-    (lambda: silhouette_sweep(np.zeros((2, 3)), range(4, 6), seed=0),
-     "no feasible k: fewer samples than clusters"),
-], ids=["rmse-lengths", "normality-rows", "silhouette-rows"])
+], ids=["rmse-lengths", "normality-rows"])
 def test_data_that_cannot_be_scored_is_a_data_error(score, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         score()
@@ -178,35 +147,19 @@ def test_import_does_not_load_scipy(module):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_cli_import_leaves_the_scorers_unloaded():
-    # a plain release never scores itself; the package loads the scorers on
-    # first use, and the dataset module loads forked (with signal, about 2 ms)
-    # on its first CSV read or write, which a budget query never makes
-    src = os.path.dirname(os.path.dirname(ronsynth.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    code = ("import sys, ronsynth\n"
-            "if 'ronsynth.forked' in sys.modules: sys.exit('forked loaded by import ronsynth')\n"
-            "import ronsynth.cli\n"
-            "if 'ronsynth.forked' in sys.modules: sys.exit('forked loaded by import')\n"
-            "if 'ronsynth.evaluation' in sys.modules: sys.exit('loaded by import')\n"
-            "from ronsynth import ols_rmse\n"
-            "from ronsynth.evaluation import ols_rmse as scorer\n"
-            "sys.exit(ols_rmse is not scorer)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-
-
 # pipeline stages a release calls; the package exports the releases, not them
 PIPELINE_INTERNALS = ("preprocess", "project", "estimate_cov", "estimate_aug_cov",
                       "dp_perturb_cov", "psd_repair", "sample_gaussian", "laplace_perturb")
+# a release never scores itself: the scorers are test code, in scorers.py
+SCORERS = ("kmeans", "nearest_mean_accuracy", "ols_rmse", "rmse", "silhouette")
 
 
 def test_public_api_exports_no_pipeline_internals():
     assert all(hasattr(ronsynth, name) for name in ronsynth.__all__)
     assert not set(PIPELINE_INTERNALS) & set(ronsynth.__all__)
     assert not any(hasattr(ronsynth, name) for name in PIPELINE_INTERNALS)
+    assert not any(hasattr(ronsynth, name) for name in SCORERS)
+    assert importlib.util.find_spec("ronsynth.evaluation") is None
 
 
 class TestKmeans:

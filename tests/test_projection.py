@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ronsynth.evaluation import normality_diagnostic
 from ronsynth.mechanism import LedgerEntry, mean_sensitivity
 from ronsynth.preprocessing import center_with_mean, column_sq_norms, preprocess
 from ronsynth.projection import (
     RonProjection,
     dimension_guidance,
     generate_ron,
+    normality_diagnostic,
     project,
 )
 

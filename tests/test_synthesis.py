@@ -510,6 +510,10 @@ def test_every_noise_draw_uses_its_ledger_entry(mode, factor, monkeypatch):
         [factor * single(mean_dim, n_c) for n_c in counts]
 
 
+# how far a measured gap may pass its sensitivity by floating-point rounding
+ROUNDING_ALLOWANCE = 1e-12
+
+
 def upper_l1(A):
     return float(np.abs(A[np.triu_indices(A.shape[0])]).sum())
 
@@ -547,6 +551,41 @@ class TestEmpiricalSensitivity:
             yp[j] = rng.uniform(-a, a)
             gap = upper_l1(estimate_aug_cov(X, y) - estimate_aug_cov(Xp, yp))
             assert gap <= bound
+
+    def test_gmm_release_moves_by_at_most_its_ledger(self):
+        # measure, noise off, on D and on D' that replaces one sample of
+        # class b; each gap is checked against that class's own ledger
+        # entry, the sensitivity a release prints
+        m, p, j, seed = 20, 8, 15, 3
+        X = np.random.default_rng(2).normal(size=(m, 23))
+        labels = np.array(["a"] * 10 + ["b"] * 13)
+
+        def measured(column):
+            features = X.copy()
+            features[:, j] = column
+            return measure(Dataset(features=features, class_labels=labels), p, math.inf,
+                           math.inf, np.random.default_rng(seed), by_class=True)
+
+        # the basis reads no data: x = W v charts to v for a unit v
+        W = measured(X[:, j]).projection.W
+        ones, e1 = np.full(p, 1 / math.sqrt(p)), np.eye(p)[0]
+        ratios = []
+        for v, w in [(ones, -ones), (ones, e1)]:
+            D, D2 = measured(W @ v), measured(W @ w)
+            assert np.array_equal(D.projection.W, W) and np.array_equal(D2.projection.W, W)
+            mean, cov = D.ledger.entries[2:4]  # class b's, after class a's
+            assert (mean.query, cov.query) == ("mean", "covariance")
+            mean_gap = float(np.abs(D.mu_dp[:, 1] - D2.mu_dp[:, 1]).sum())
+            cov_gap = upper_l1(D.moments[1] - D2.moments[1])
+            ratios.append((mean_gap / mean.sensitivity, cov_gap / cov.sensitivity))
+            # class a's measurements read none of class b's samples
+            assert np.array_equal(D.mu_dp[:, 0], D2.mu_dp[:, 0])
+            assert np.array_equal(D.moments[0], D2.moments[0])
+        assert all(r <= 1 + ROUNDING_ALLOWANCE for pair in ratios for r in pair)
+        # x against -x reaches the mean's bound; 1/sqrt(p) against e1 moves
+        # the triangle by (p - 2)/p + (p + 1)/2, 5.25 of the bound's 9 at p = 8
+        assert ratios[0][0] == pytest.approx(1.0, abs=ROUNDING_ALLOWANCE)
+        assert ratios[1][1] == pytest.approx(5.25 / 9, abs=ROUNDING_ALLOWANCE)
 
 
 def spy_preprocess(monkeypatch):
