@@ -12,11 +12,11 @@ m >= 2 features to p < m dimensions: an input with fewer than two
 feature columns is a data error, and --m below 2 a usage error.
 
 Exit codes: 0 success, 1 usage error, a release that cannot be written
-or a closed stdout, 2 data error (a ``DataError``, found while the input
-is read or later, such as a non-finite cell or a sample of zero norm),
-3 numeric failure. --out must be a new path under a directory or an
-empty directory, checked before the read; a run that fails leaves it as
-it was.
+or held in memory, or a closed stdout, 2 data error (a ``DataError``,
+found while the input is read or later, such as a non-finite cell or a
+sample of zero norm), 3 numeric failure. --out must be a new path
+under a directory or an empty directory, checked before the read; a run
+that fails leaves it as it was.
 """
 
 from __future__ import annotations
@@ -307,6 +307,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         # OSError: the release cannot be written (a full disk, a read-only parent)
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as err:
+        # numpy names the array it could not allocate; a bare MemoryError names nothing
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -4,7 +4,7 @@ and a file above SPLIT_BYTES or a table above SPLIT_CELLS. A child hands
 its half back through an unnamed temporary file made before the fork, so
 a killed release leaves none behind; with no child, or a failed one, the
 caller does the second half itself. The dataset module, which owns the
-halves and the CSV they hold, imports this one on its first read or write.
+halves and the CSV they hold, imports this one at module level.
 """
 
 from __future__ import annotations

@@ -146,6 +146,10 @@ class BudgetLedger:
         if not sensitivity > 0:
             raise ValueError(f"recorded sensitivity must be positive, got {sensitivity}")
         entry = LedgerEntry(query, sensitivity, epsilon, group)
+        # epsilon = inf turns the noise off (scale 0); any other scale must be drawable
+        if not entry.noise_scale < math.inf:
+            raise ValueError(f"{query} spend: sensitivity {sensitivity!r} / epsilon "
+                             f"{epsilon!r} gives a noise scale that is not finite")
         self._entries.append(entry)
         return entry
 

@@ -63,8 +63,6 @@ from .mechanism import BudgetLedger, LedgerEntry, laplace_perturb, mean_sensitiv
 from .projection import RonProjection
 
 UNIT_NORM_TOL = 1e-9
-# a raw sample at most this long has no direction to normalize to
-ZERO_NORM = 1e-12
 DEGENERATE_NORM = 1e-6
 
 
@@ -94,9 +92,12 @@ def inverse_norms(sq_norms: np.ndarray) -> np.ndarray:
     """1/||x_j|| for every column, from the squared norms ``column_sq_norms`` takes.
 
     Raises DataError, with its ``sample`` set, naming the first column
-    that is (numerically) the zero vector, or too large to square.
+    that is (numerically) the zero vector, or too large to square. A
+    column is the zero vector when its squared norm is below the smallest
+    normal double (a norm below about 1.5e-154): normalizing does not
+    depend on scale, so data in small units is not refused.
     """
-    zero = sq_norms <= ZERO_NORM ** 2
+    zero = sq_norms < np.finfo(float).tiny
     if np.any(zero):
         idx = int(np.argmax(zero))
         raise DataError(f"sample {idx} has zero norm and cannot be normalized", idx)

@@ -30,28 +30,22 @@ from ronsynth.synthesis import (
     synth_supervised,
     synth_unsupervised,
 )
+from reference import (
+    REG_DIMS,
+    REG_M,
+    REG_N_TRAIN,
+    mle_cov_sensitivity,
+    regression_data,
+    two_gaussian_data,
+    unit_columns,
+    upper_l1,
+)
 from scorers import nearest_mean_accuracy, ols_fit, ols_predict, ols_rmse, rmse
-
-
-def mle_cov_sensitivity(p: int, n: int) -> float:
-    """L1-sensitivity of the mean-subtracted (MLE) covariance estimate.
-
-    The release path never calibrates noise with it; it is the baseline
-    the biased estimate is compared against. Equals (n + 1) * (p + 1)/n,
-    computed in factored form so the ratio to ``cov_sensitivity`` is
-    exactly n + 1.
-    """
-    return (n + 1) * cov_sensitivity(p, n)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def unit_columns(rng, m, n):
-    X = rng.normal(size=(m, n))
-    return X / np.linalg.norm(X, axis=0)
 
 
 def test_criterion_01_orthonormality():
@@ -83,11 +77,6 @@ def test_criterion_02_projection_norm_bound():
     report(2, violations == 0,
            f"10^4 unit vectors, max projected norm = {worst:.15f}, "
            f"{violations} violations")
-
-
-def upper_l1(A):
-    """Entrywise L1 norm over the upper triangle, the entries that get noise."""
-    return float(np.abs(A[np.triu_indices(A.shape[0])]).sum())
 
 
 def test_criterion_03_sensitivity_soundness():
@@ -249,24 +238,7 @@ def test_criterion_07_budget_accounting():
 
 # --- scaled end-to-end utility experiments (criteria 8-10) ---------------
 
-REG_M, REG_N_TRAIN, REG_N_TEST = 30, 50_000, 10_000
-REG_FACTORS, REG_FACTOR_STD, REG_BULK_STD, REG_NOISE_STD = 6, 0.2, 0.01, 0.2
-REG_DIMS = (2, 4, 8, 16)
 N_SEEDS = 20
-
-
-def _regression_data(seed):
-    """Linear target on a low-rank factor structure: y = w.x + noise."""
-    rng = np.random.default_rng(seed)
-    basis = np.linalg.qr(rng.normal(size=(REG_M, REG_FACTORS)))[0]
-
-    def draw(n):
-        z = rng.normal(size=(REG_FACTORS, n))
-        x = REG_FACTOR_STD * basis @ z + REG_BULK_STD * rng.normal(size=(REG_M, n))
-        y = np.clip(basis[:, 0] @ x + REG_NOISE_STD * rng.normal(size=n), -1.0, 1.0)
-        return x, y
-
-    return draw(REG_N_TRAIN), draw(REG_N_TEST)
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +246,7 @@ def regression_experiment():
     start = time.monotonic()
     rows = []
     for seed in range(N_SEEDS):
-        (x_tr, y_tr), (x_te, y_te) = _regression_data(seed)
+        (x_tr, y_tr), (x_te, y_te) = regression_data(seed)
         real = rmse(ols_predict(ols_fit(x_tr, y_tr), x_te), y_te)
         eps_mu, eps_sigma = split_budget(1.0)
         data = Dataset(features=x_tr, labels=y_tr)
@@ -303,20 +275,7 @@ def test_criterion_09_classification_utility():
     m, n_per_class, n_test = 20, 20_000, 4_000
     acc_real, acc_synth = [], []
     for seed in range(N_SEEDS):
-        rng = np.random.default_rng(seed)
-        direction = rng.normal(size=m)
-        u = 2.0 * direction / np.linalg.norm(direction)
-
-        def draw(n):
-            half = n // 2
-            x = np.concatenate([
-                u[:, None] + rng.normal(size=(m, half)),
-                -u[:, None] + rng.normal(size=(m, half)),
-            ], axis=1)
-            return x, np.array(["pos"] * half + ["neg"] * half)
-
-        x_tr, y_tr = draw(2 * n_per_class)
-        x_te, y_te = draw(n_test)
+        (x_tr, y_tr), (x_te, y_te) = two_gaussian_data(seed, m, 2 * n_per_class, n_test)
         # real-data baseline: nearest class mean, in the original space
         classes = np.unique(y_tr)
         dists = [np.linalg.norm(x_te - x_tr[:, y_tr == c].mean(axis=1)[:, None], axis=0)

@@ -168,6 +168,19 @@ class TestSynthCommand:
         assert captured.err == "numeric failure: random basis is rank-deficient\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+    def test_a_release_too_large_for_memory_is_one_error_line(
+            self, numeric_csv, tmp_path, monkeypatch, capsys, message):
+        def too_large(*args):  # the draw of a --samples too large to hold
+            raise MemoryError(message)
+
+        monkeypatch.setattr(synthesis, "sample_gaussian", too_large)
+        out = tmp_path / "rel"
+        assert main(["synth", numeric_csv, "--dim", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message or 'out of memory'}\n")
+        assert not out.exists()
+
     def test_gmm_release_with_artifacts(self, classed_csv, tmp_path):
         out = str(tmp_path / "rel")
         code = main(["synth", classed_csv, "--mode", "gmm", "--label-col", "cls",
@@ -620,6 +633,18 @@ class TestBudgetCommand:
     def test_bad_epsilon_prints_no_plan(self, eps, capsys):
         assert main(["budget", "--epsilon", eps, "--m", "6", "--n", "200"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags,query", [
+        (["--mode", "supervised", "--label-bound", "1e308"], "augmented_covariance"),
+        (["--epsilon", "1e-320"], "mean"),
+    ], ids=["label-bound", "epsilon"])
+    def test_a_plan_whose_noise_cannot_be_drawn_is_not_printed(self, flags, query, capsys):
+        # a noise scale of sensitivity / epsilon = inf, which JSON cannot hold either
+        assert main(["budget", *flags, "--m", "5", "--n", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {query} spend: sensitivity .* gives a noise scale "
+                            f"that is not finite\n", captured.err)
 
 
 def test_default_dim_uses_guidance_capped_by_m():

@@ -1,4 +1,3 @@
-import csv
 import io
 import json
 import os
@@ -18,6 +17,7 @@ from ronsynth.dataset import (
     write_matrix_csv,
     write_release,
 )
+from reference import reference_csv, write_input
 
 META = {
     "mode": "unsupervised", "m": 2, "p": 2, "n": 3, "n_synth": 3,
@@ -27,15 +27,9 @@ META = {
 }
 
 
-def _write(tmp_path, text, name="in.csv"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
-
-
 class TestLoadCsv:
     def test_plain_numeric_file(self, tmp_path):
-        path = _write(tmp_path, "f1,f2\n1,2\n3,4\n5,6\n")
+        path = write_input(tmp_path, "f1,f2\n1,2\n3,4\n5,6\n")
         data = load_csv(path)
         assert data.n_samples == 3 and data.n_features == 2
         assert data.labels is None and data.class_labels is None
@@ -44,18 +38,18 @@ class TestLoadCsv:
         assert data.feature_names == ("f1", "f2")
 
     def test_real_label_column_split(self, tmp_path):
-        path = _write(tmp_path, "f1,f2\n1,2\n3,4\n5,6\n")
+        path = write_input(tmp_path, "f1,f2\n1,2\n3,4\n5,6\n")
         data = load_csv(path, label_column="f2", label_kind="real")
         assert data.n_samples == 3 and data.n_features == 1
         assert np.array_equal(data.labels, [2.0, 4.0, 6.0])
 
     def test_categorical_labels(self, tmp_path):
-        path = _write(tmp_path, "f1,cls\n1,a\n2,b\n3,a\n")
+        path = write_input(tmp_path, "f1,cls\n1,a\n2,b\n3,a\n")
         data = load_csv(path, label_column="cls", label_kind="categorical")
         assert list(data.class_labels) == ["a", "b", "a"]
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
-        path = _write(tmp_path, "f1,f2\n1,2\n3,abc\n")
+        path = write_input(tmp_path, "f1,f2\n1,2\n3,abc\n")
         with pytest.raises(DataError, match=r"row 3.*'f2'"):
             load_csv(path)
 
@@ -64,29 +58,29 @@ class TestLoadCsv:
             load_csv(str(tmp_path / "nope.csv"))
 
     def test_missing_label_column(self, tmp_path):
-        path = _write(tmp_path, "f1,f2\n1,2\n")
+        path = write_input(tmp_path, "f1,f2\n1,2\n")
         with pytest.raises(DataError, match="label column"):
             load_csv(path, label_column="y", label_kind="real")
 
     def test_no_rows_dropped(self, tmp_path):
         rows = "\n".join(f"{i},{i + 1}" for i in range(57))
-        path = _write(tmp_path, "a,b\n" + rows + "\n")
+        path = write_input(tmp_path, "a,b\n" + rows + "\n")
         assert load_csv(path).n_samples == 57
 
     def test_ragged_row_rejected(self, tmp_path):
-        path = _write(tmp_path, "f1,f2\n1,2\n3\n")
+        path = write_input(tmp_path, "f1,f2\n1,2\n3\n")
         with pytest.raises(DataError, match="row 3"):
             load_csv(path)
 
     def test_interior_blank_line_rejected_trailing_tolerated(self, tmp_path):
-        path = _write(tmp_path, "f1,f2\n1,2\n\n3,4\n")
+        path = write_input(tmp_path, "f1,f2\n1,2\n\n3,4\n")
         with pytest.raises(DataError, match="blank line at row 3"):
             load_csv(path)
-        ok = _write(tmp_path, "f1,f2\n1,2\n3,4\n\n\n", name="ok.csv")
+        ok = write_input(tmp_path, "f1,f2\n1,2\n3,4\n\n\n", name="ok.csv")
         assert load_csv(ok).n_samples == 2
 
     def test_bad_label_kind(self, tmp_path):
-        path = _write(tmp_path, "f1,f2\n1,2\n")
+        path = write_input(tmp_path, "f1,f2\n1,2\n")
         with pytest.raises(ValueError):
             load_csv(path, label_column="f2", label_kind="ordinal")
         with pytest.raises(ValueError, match="label_kind given without label_column"):
@@ -123,7 +117,7 @@ MALFORMED = [
 class TestLoadCsvEdgeCases:
     @pytest.mark.parametrize("text,column,kind,message", MALFORMED)
     def test_malformed_input_message(self, tmp_path, text, column, kind, message):
-        path = _write(tmp_path, text)
+        path = write_input(tmp_path, text)
         with pytest.raises(DataError) as err:
             load_csv(path, label_column=column, label_kind=kind)
         assert str(err.value) == f"{path}: {message}"
@@ -160,23 +154,23 @@ class TestLoadCsvEdgeCases:
         assert peak < size / 10
 
     def test_trailing_blank_crlf_lines_tolerated(self, tmp_path):
-        path = _write(tmp_path, "f1,f2\r\n1,2\r\n3,4\r\n\r\n\r\n")
+        path = write_input(tmp_path, "f1,f2\r\n1,2\r\n3,4\r\n\r\n\r\n")
         assert np.array_equal(load_csv(path).features, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_quoted_header_name_and_cell(self, tmp_path):
-        path = _write(tmp_path, '"a,b",c\n"1.5",2\n3,"-4e-1"\n')
+        path = write_input(tmp_path, '"a,b",c\n"1.5",2\n3,"-4e-1"\n')
         data = load_csv(path)
         assert data.feature_names == ("a,b", "c")
         assert np.array_equal(data.features, [[1.5, 3.0], [2.0, -0.4]])
 
     def test_whitespace_padded_cells(self, tmp_path):
-        path = _write(tmp_path, " f1 ,f2\t\n 1 ,\t2.5\n3  ,  -4\n")
+        path = write_input(tmp_path, " f1 ,f2\t\n 1 ,\t2.5\n3  ,  -4\n")
         data = load_csv(path)
         assert data.feature_names == ("f1", "f2")
         assert np.array_equal(data.features, [[1.0, 3.0], [2.5, -4.0]])
 
     def test_padded_categorical_label(self, tmp_path):
-        path = _write(tmp_path, 'f1, cls ,f2\n1, a ,2\n3,b,4\n5,"a ",6\n7,"x,y",8\n')
+        path = write_input(tmp_path, 'f1, cls ,f2\n1, a ,2\n3,b,4\n5,"a ",6\n7,"x,y",8\n')
         data = load_csv(path, label_column="cls", label_kind="categorical")
         assert list(data.class_labels) == ["a", "b", "a", "x,y"]
         assert np.array_equal(data.features, [[1.0, 3.0, 5.0, 7.0], [2.0, 4.0, 6.0, 8.0]])
@@ -188,7 +182,7 @@ class TestLoadCsvEdgeCases:
         loadtxt = np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda *a, encoding="bytes", **kw:
                             loadtxt(*a, encoding=encoding, **kw))
-        path = _write(tmp_path, "f1,cls\n1,a\n2,猫\n3,a\n")
+        path = write_input(tmp_path, "f1,cls\n1,a\n2,猫\n3,a\n")
         data = load_csv(path, label_column="cls", label_kind="categorical")
         assert data.class_labels.tolist() == ["a", "猫", "a"]
         assert data.class_labels.dtype.kind == "U"
@@ -196,37 +190,37 @@ class TestLoadCsvEdgeCases:
         assert (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[2] == "2,猫"
 
     def test_one_row_file(self, tmp_path):
-        data = load_csv(_write(tmp_path, "f1,f2,y\n1,2,0.5\n"),
+        data = load_csv(write_input(tmp_path, "f1,f2,y\n1,2,0.5\n"),
                         label_column="y", label_kind="real")
         assert data.features.shape == (2, 1)
         assert np.array_equal(data.labels, [0.5])
 
     def test_one_feature_file(self, tmp_path):
-        data = load_csv(_write(tmp_path, "f1,cls\n1,a\n2,b\n3,a\n"),
+        data = load_csv(write_input(tmp_path, "f1,cls\n1,a\n2,b\n3,a\n"),
                         label_column="cls", label_kind="categorical")
         assert np.array_equal(data.features, [[1.0, 2.0, 3.0]])
         assert data.feature_names == ("f1",)
-        data = load_csv(_write(tmp_path, "f1\n1\n2\n", name="bare.csv"))
+        data = load_csv(write_input(tmp_path, "f1\n1\n2\n", name="bare.csv"))
         assert np.array_equal(data.features, [[1.0, 2.0]])
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])
     def test_numbers_use_plain_ascii_float_syntax(self, tmp_path, cell):
         # float() accepts digit-group underscores and non-ASCII digits;
         # the loader does not
-        path = _write(tmp_path, f"f1,f2\n1,2\n3,{cell}\n")
+        path = write_input(tmp_path, f"f1,f2\n1,2\n3,{cell}\n")
         with pytest.raises(DataError) as err:
             load_csv(path)
         assert str(err.value) == f"{path}: non-numeric value {cell!r} at row 3, column 'f2'"
 
     def test_quoted_cell_spanning_lines_rejected(self, tmp_path):
-        path = _write(tmp_path, 'f1,f2\n1,"2\n"\n3,4\n')
+        path = write_input(tmp_path, 'f1,f2\n1,"2\n"\n3,4\n')
         with pytest.raises(DataError, match="quoted cell spans more than one line"):
             load_csv(path)
 
     @pytest.mark.parametrize("column,kind", [(None, None), ("y", "real"), ("y", "categorical")])
     def test_features_are_transposed_row_major_table(self, tmp_path, column, kind):
         # a layout change alone moves seeded releases through BLAS rounding
-        path = _write(tmp_path, "f1,y,f2\n1,2,3\n4,5,6\n")
+        path = write_input(tmp_path, "f1,y,f2\n1,2,3\n4,5,6\n")
         data = load_csv(path, label_column=column, label_kind=kind)
         assert data.features.T.flags.c_contiguous
 
@@ -439,17 +433,6 @@ class TestWriteRelease:
         assert Path(path).read_text().splitlines()[0].strip() == "height,width"
 
 
-def _reference_csv(header, rows, spec=f".{dataset.RELEASE_DIGITS}g"):
-    """The row-at-a-time writer the vectorized one must match byte for byte;
-    numbers are formatted with spec, a release's precision by default."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([c if isinstance(c, str) else format(float(c), spec) for c in row])
-    return buf.getvalue().encode("utf-8")
-
-
 class TestWriterBytes:
     RNG = np.random.default_rng(5)
     FEATURES = RNG.normal(size=(3, 6)) * 10.0 ** RNG.integers(-300, 300, size=(3, 6))
@@ -459,14 +442,14 @@ class TestWriterBytes:
     def test_unlabeled_release(self, tmp_path):
         release = Dataset(features=self.FEATURES, feature_names=("a,b", 'q"t', "c"))
         data_path, _ = write_release(release, dict(META), str(tmp_path / "out"))
-        expected = _reference_csv(["a,b", 'q"t', "c"], self.FEATURES.T)
+        expected = reference_csv(["a,b", 'q"t', "c"], self.FEATURES.T)
         assert Path(data_path).read_bytes() == expected
 
     def test_real_labels(self, tmp_path):
         release = Dataset(features=self.FEATURES, labels=self.LABELS)
         data_path, _ = write_release(release, dict(META), str(tmp_path / "out"))
         rows = [[*col, y] for col, y in zip(self.FEATURES.T, self.LABELS)]
-        assert Path(data_path).read_bytes() == _reference_csv(["z1", "z2", "z3", "label"], rows)
+        assert Path(data_path).read_bytes() == reference_csv(["z1", "z2", "z3", "label"], rows)
 
     def test_categorical_labels_with_comma(self, tmp_path):
         classes = np.array(["a,b", "c", 'd"e', "a,b", "f g", "c"])
@@ -474,17 +457,17 @@ class TestWriterBytes:
                      feature_names=("x,1", "x2", "x3"))
         path = write_dataset_csv(ds, str(tmp_path / "d.csv"))
         rows = [[*col, c] for col, c in zip(self.FEATURES.T, classes)]
-        assert Path(path).read_bytes() == _reference_csv(["x,1", "x2", "x3", "class"], rows)
+        assert Path(path).read_bytes() == reference_csv(["x,1", "x2", "x3", "class"], rows)
 
     def test_empty_and_quoted_class_names(self, tmp_path):
         classes = np.array(["", 'q"t', "", "b,c", "x\ny", 'q"t'])
         ds = Dataset(features=self.FEATURES, class_labels=classes)
         path = write_dataset_csv(ds, str(tmp_path / "d.csv"))
         rows = [[*col, c] for col, c in zip(self.FEATURES.T, classes)]
-        assert Path(path).read_bytes() == _reference_csv(["z1", "z2", "z3", "class"], rows)
+        assert Path(path).read_bytes() == reference_csv(["z1", "z2", "z3", "class"], rows)
 
     def test_matrix(self, tmp_path):
         # a bare matrix (projection.csv) keeps the 17 digits that round-trip a double
         path = write_matrix_csv(self.FEATURES, str(tmp_path / "w.csv"))
-        expected = _reference_csv([f"c{j + 1}" for j in range(6)], self.FEATURES, ".17g")
+        expected = reference_csv([f"c{j + 1}" for j in range(6)], self.FEATURES, ".17g")
         assert Path(path).read_bytes() == expected

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ronsynth import preprocessing, synthesis
+from ronsynth import preprocessing
 from ronsynth.dataset import Dataset
 from ronsynth.mechanism import (
     BudgetLedger,
@@ -38,6 +38,7 @@ from ronsynth.synthesis import (
     synth_unsupervised,
     transform_features,
 )
+from reference import spy_preprocess
 
 # the modes that center on an m-dimensional mean; a mixture does not
 ONE_CLASS_MODES = ["unsupervised", "supervised"]
@@ -141,19 +142,6 @@ def test_release_matches_explicit_per_class_reference(mode, column_major, eps_mu
             assert np.max(np.abs(mode_c.model.mean - mu)) <= 1e-12
             assert np.max(np.abs(mode_c.model.covariance - cov)) <= 1e-12
     assert res.ledger.entries == ledger.entries
-
-
-def spy_preprocess(monkeypatch):
-    """Record every PreprocessedDataset a release builds."""
-    seen = []
-
-    def spy(*args, **kwargs):
-        pre = preprocessing.preprocess(*args, **kwargs)
-        seen.append(pre)
-        return pre
-
-    monkeypatch.setattr(synthesis, "preprocess", spy)
-    return seen
 
 
 def class_columns(data):

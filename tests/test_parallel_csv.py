@@ -3,7 +3,8 @@ one whole table's, results, with a forked child and without one.
 
 forked.SPLIT_BYTES and SPLIT_CELLS are monkeypatched to 0 to give small
 inputs two ranges and a child, and SPLIT_BYTES to a size no file reaches
-for one range. The reference write formats the whole table cell by cell.
+for one range. The reference write is ``reference.reference_csv``, the
+standard library's csv writer, row by row.
 """
 
 import csv
@@ -21,6 +22,7 @@ import pytest
 from ronsynth import dataset, forked
 from ronsynth.cli import main
 from ronsynth.dataset import DataError, Dataset, load_csv, write_dataset_csv, write_matrix_csv
+from reference import reference_csv, write_input
 
 NEVER = 1 << 62
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -69,12 +71,6 @@ def waits(monkeypatch):
 # goes from either parse straight to the fault finder
 SPLIT_AND_ACCEPTED = [(1, True), (2, True)]
 SPLIT_AND_REJECTED = [(1, False), (2, False)]
-
-
-def _write(tmp_path, text, name="in.csv"):
-    path = tmp_path / name
-    path.write_bytes(text.encode("utf-8"))
-    return str(path)
 
 
 def _load(monkeypatch, split_bytes, path, column=None, kind=None):
@@ -138,14 +134,14 @@ class TestLoadParity:
                      id="middle byte in the last line"),
     ])
     def test_accepted_files_match(self, tmp_path, monkeypatch, parses, text):
-        path = _write(tmp_path, text)
+        path = write_input(tmp_path, text)
         data = _check_parity(monkeypatch, path)
         assert isinstance(data, Dataset)
         split = _data_lines(monkeypatch, path)[1] is not None
         assert parses == (SPLIT_AND_ACCEPTED if split else [(1, True), (1, True)])
 
     def test_cr_only_file_is_parsed_in_one_process(self, tmp_path, monkeypatch, parses):
-        path = _write(tmp_path, "f1,f2\r" + "".join(r.replace("\n", "\r") for r in ROWS))
+        path = write_input(tmp_path, "f1,f2\r" + "".join(r.replace("\n", "\r") for r in ROWS))
         data = _check_parity(monkeypatch, path)
         assert data.n_samples == len(ROWS)
         assert parses == [(1, True), (1, True)]
@@ -154,7 +150,7 @@ class TestLoadParity:
     @pytest.mark.parametrize("at", range(1, len(ROWS)))
     def test_interior_blank_line_anywhere(self, tmp_path, monkeypatch, parses, blank, at):
         rows = ROWS[:at] + [blank] + ROWS[at:]
-        path = _write(tmp_path, "f1,f2\n" + "".join(rows))
+        path = write_input(tmp_path, "f1,f2\n" + "".join(rows))
         assert _check_parity(monkeypatch, path) == f"{path}: blank line at row {at + 2}"
         assert parses == SPLIT_AND_REJECTED
 
@@ -162,7 +158,7 @@ class TestLoadParity:
         # the sweep above puts the blank line first and last in each range
         where = set()
         for at in range(1, len(ROWS)):
-            path = _write(tmp_path, "f1,f2\n" + "".join(ROWS[:at] + ["\n"] + ROWS[at:]))
+            path = write_input(tmp_path, "f1,f2\n" + "".join(ROWS[:at] + ["\n"] + ROWS[at:]))
             lines, second = _data_lines(monkeypatch, path)
             where.add({second - 1: "last of first", second: "first of second"}.get(at, ""))
         assert {"last of first", "first of second"} <= where
@@ -174,7 +170,7 @@ class TestLoadParity:
     ])
     def test_faults_in_the_second_range(self, tmp_path, monkeypatch, parses, bad, message):
         rows = ROWS[:-1] + [bad + "\n"]
-        path = _write(tmp_path, "f1,f2\n" + "".join(rows))
+        path = write_input(tmp_path, "f1,f2\n" + "".join(rows))
         text = message.format(row=len(rows) + 1, sample=len(rows) - 1)
         # a NaN parses, and the Dataset then names its (global) sample
         nan = "sample" in message
@@ -186,7 +182,7 @@ class TestLoadParity:
                                                                 parses, at):
         rows = list(ROWS)
         rows[at] = rows[at].split(",")[0] + ",oops\n"
-        path = _write(tmp_path, "f1,f2\n" + "".join(rows))
+        path = write_input(tmp_path, "f1,f2\n" + "".join(rows))
         assert (at >= _data_lines(monkeypatch, path)[1]) == (at == len(ROWS) - 1)
         seen = []
         is_float = dataset._is_float
@@ -210,14 +206,14 @@ class TestLoadParity:
         spanned = False
         for at in range(1, len(ROWS)):
             rows = [r[:-1] + ",0\n" for r in ROWS]
-            path = _write(tmp_path, "f1,f2,f3\n" + "".join(rows[:at] + quoted + rows[at:]))
+            path = write_input(tmp_path, "f1,f2,f3\n" + "".join(rows[:at] + quoted + rows[at:]))
             message = _check_parity(monkeypatch, path)
             assert message.startswith(f"{path}: ")
             spanned |= _data_lines(monkeypatch, path)[1] == at + 1
         assert spanned
 
     def test_real_labels(self, tmp_path, monkeypatch, parses):
-        path = _write(tmp_path, "f1,y,f2\n" + "".join(f"{i},{i / 4},{-i}\n" for i in range(12)))
+        path = write_input(tmp_path, "f1,y,f2\n" + "".join(f"{i},{i / 4},{-i}\n" for i in range(12)))
         data = _check_parity(monkeypatch, path, "y", "real")
         assert data.labels.tolist() == [i / 4 for i in range(12)]
         assert parses == SPLIT_AND_ACCEPTED
@@ -225,7 +221,7 @@ class TestLoadParity:
     def test_quoted_and_empty_class_names(self, tmp_path, monkeypatch, parses):
         names = ["a", "a", "b", "a", "猫", "b", "ü", '"x,y"', "a", "", '" a "']
         rows = "".join(f"{i},{name},{i / 4}\n" for i, name in enumerate(names))
-        path = _write(tmp_path, "f1,cls,y\n" + rows)
+        path = write_input(tmp_path, "f1,cls,y\n" + rows)
         data = _check_parity(monkeypatch, path, "cls", "categorical")
         assert data.class_labels.tolist() == [n.strip('" ') for n in names]
         assert parses == SPLIT_AND_ACCEPTED
@@ -233,7 +229,7 @@ class TestLoadParity:
     def test_class_names_first_seen_in_the_second_range(self, tmp_path, monkeypatch,
                                                         parses):
         names = ["a"] * 6 + ["猫", "b", "a", "ü", "猫"]
-        path = _write(tmp_path, "f1,cls\n" + "".join(f"{i},{n}\n" for i, n in enumerate(names)))
+        path = write_input(tmp_path, "f1,cls\n" + "".join(f"{i},{n}\n" for i, n in enumerate(names)))
         _, second = _data_lines(monkeypatch, path)
         assert set(names[second:]) - set(names[:second])
         data = _check_parity(monkeypatch, path, "cls", "categorical")
@@ -246,7 +242,7 @@ class TestLoadParity:
             raise OSError("the child cannot parse")
 
         monkeypatch.setattr(dataset, "_send_range", fail)
-        path = _write(tmp_path, "f1,cls\n" + "".join(f"{i},c{i % 3}\n" for i in range(40)))
+        path = write_input(tmp_path, "f1,cls\n" + "".join(f"{i},c{i % 3}\n" for i in range(40)))
         _check_parity(monkeypatch, path, "cls", "categorical")
         assert parses == SPLIT_AND_ACCEPTED
         assert waits == [False]
@@ -260,7 +256,7 @@ class TestLoadParity:
             raise OSError("the child fails on its way out")
 
         monkeypatch.setattr(dataset, "_send_range", send_and_fail)
-        path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
+        path = write_input(tmp_path, "f1,f2\n" + "".join(ROWS))
         _check_parity(monkeypatch, path)
         assert parses == SPLIT_AND_ACCEPTED
         assert waits == [False]
@@ -271,7 +267,7 @@ class TestLoadParity:
             raise BlockingIOError("no process can be started")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
+        path = write_input(tmp_path, "f1,f2\n" + "".join(ROWS))
         _check_parity(monkeypatch, path)
         assert parses == SPLIT_AND_ACCEPTED
         assert waits == [False]
@@ -282,7 +278,7 @@ class TestLoadParity:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
-        path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
+        path = write_input(tmp_path, "f1,f2\n" + "".join(ROWS))
         assert isinstance(_check_parity(monkeypatch, path), Dataset)
         assert parses == SPLIT_AND_ACCEPTED
         assert waits == [False]
@@ -327,35 +323,27 @@ class TestNonUtf8:
         assert parses == ([] if offset < 8192 else SPLIT_AND_REJECTED)
 
 
-def _one_by_one(path, header, table, digits, last=None):
-    """_write_table's reference: the whole table in this process, every
-    cell formatted on its own, row by row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for i, values in enumerate(table.tolist()):
-            cells = [f"%.{digits}g" % v for v in values]
-            if last is not None:
-                cells.append(last[i] if last.dtype == object else f"%.{digits}g" % last[i])
-            fh.write(",".join(cells) + "\r\n")
-    return path
-
-
-def _write_both(monkeypatch, tmp_path, write, *args):
-    """The bytes write(*args, path) gives from the whole table and from two
-    halves, the second by a child."""
-    out = []
-    for name in ("one.csv", "two.csv"):
-        with monkeypatch.context() as patch:
-            if name == "one.csv":
-                patch.setattr(dataset, "_write_table", _one_by_one)
-            else:
-                patch.setattr(forked, "SPLIT_CELLS", 0)
-            path = str(tmp_path / name)
-            assert write(*args, path) == path
-        with open(path, "rb") as fh:
-            out.append(fh.read())
-    assert sorted(os.listdir(tmp_path)) == ["one.csv", "two.csv"]
-    return out
+def _write_both(monkeypatch, tmp_path, write, data):
+    """The bytes write(data, path) gives from two halves, the second by a
+    child, checked against the reference: data is a Dataset written by
+    write_dataset_csv, or a matrix written by write_matrix_csv."""
+    if isinstance(data, Dataset):
+        last, name = ((data.labels, "label") if data.labels is not None
+                      else (data.class_labels, "class"))
+        names = data.feature_names or [f"z{j + 1}" for j in range(data.n_features)]
+        expected = reference_csv([*names, name],
+                                 [[*col, c] for col, c in zip(data.features.T, last)])
+    else:
+        expected = reference_csv([f"c{j + 1}" for j in range(data.shape[1])], data, ".17g")
+    with monkeypatch.context() as patch:
+        patch.setattr(forked, "SPLIT_CELLS", 0)
+        path = str(tmp_path / "two.csv")
+        assert write(data, path) == path
+    assert os.listdir(tmp_path) == ["two.csv"]
+    with open(path, "rb") as fh:
+        written = fh.read()
+    assert written == expected
+    return written
 
 
 class TestWriteParity:
@@ -365,8 +353,8 @@ class TestWriteParity:
     @pytest.mark.parametrize("n", [1, 2, 11])
     def test_real_labels(self, tmp_path, monkeypatch, waits, n):
         ds = Dataset(features=self.FEATURES[:, :n], labels=self.RNG.normal(size=n))
-        one, two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
-        assert one == two and one.count(b"\r\n") == n + 1
+        two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
+        assert two.count(b"\r\n") == n + 1
         assert waits == [True]
 
     def test_class_names_that_need_quoting(self, tmp_path, monkeypatch, waits):
@@ -374,16 +362,14 @@ class TestWriteParity:
         classes = np.array(["", "a,b", 'q"t', "c", "", "50%", "猫", 'q"t', "%s", "", "a,b"])
         ds = Dataset(features=self.FEATURES, class_labels=classes,
                      feature_names=("x,1", "y", "z"))
-        one, two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
-        assert one == two
-        assert b',"a,b"\r\n' in one and b',"q""t"\r\n' in one and b",\r\n" in one
+        two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
+        assert b',"a,b"\r\n' in two and b',"q""t"\r\n' in two and b",\r\n" in two
         rows = list(csv.reader(io.StringIO(two.decode("utf-8"), newline="")))
         assert [row[-1] for row in rows[1:]] == classes.tolist()
         assert waits == [True]
 
     def test_matrix(self, tmp_path, monkeypatch, waits):
-        one, two = _write_both(monkeypatch, tmp_path, write_matrix_csv, self.FEATURES)
-        assert one == two
+        _write_both(monkeypatch, tmp_path, write_matrix_csv, self.FEATURES)
         assert waits == [True]
 
     def test_the_child_half_has_no_name(self, tmp_path, monkeypatch, waits):
@@ -413,8 +399,7 @@ class TestWriteParity:
 
         ds = Dataset(features=self.FEATURES, labels=self.RNG.normal(size=11))
         monkeypatch.setattr(dataset, "_format_rows", fail_in_child)
-        one, two = _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
-        assert one == two
+        _write_both(monkeypatch, tmp_path, write_dataset_csv, ds)
         assert waits == [False]
 
     def test_no_temporary_file_leaves_the_half_to_the_parent(self, tmp_path, monkeypatch,
@@ -423,8 +408,7 @@ class TestWriteParity:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
-        one, two = _write_both(monkeypatch, tmp_path, write_matrix_csv, self.FEATURES)
-        assert one == two
+        _write_both(monkeypatch, tmp_path, write_matrix_csv, self.FEATURES)
         assert waits == [False]
 
 
@@ -438,11 +422,11 @@ class TestForks:
 
     def test_without_fork_this_process_parses_and_writes_both_halves(
             self, tmp_path, monkeypatch, parses, waits):
-        path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
+        path = write_input(tmp_path, "f1,f2\n" + "".join(ROWS))
         one = _load(monkeypatch, NEVER, path)
         X = TestWriteParity.FEATURES
         (tmp_path / "out").mkdir()
-        whole, _ = _write_both(monkeypatch, tmp_path / "out", write_matrix_csv, X)
+        whole = _write_both(monkeypatch, tmp_path / "out", write_matrix_csv, X)
         made = []
         temporary_file = tempfile.TemporaryFile
         monkeypatch.setattr(tempfile, "TemporaryFile",
@@ -463,7 +447,7 @@ class TestForks:
     def test_a_blank_second_range_parsed_here_warns_nothing(self, tmp_path, monkeypatch,
                                                             parses, waits):
         # np.loadtxt warns of a range of blank lines only; that is no fault here
-        path = _write(tmp_path, "f1,f2\n1,2\n" + "\n" * 20)
+        path = write_input(tmp_path, "f1,f2\n1,2\n" + "\n" * 20)
         monkeypatch.delattr(os, "fork")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -479,7 +463,7 @@ class TestForks:
         assert np.isfinite(X @ X).all()
         monkeypatch.setattr(forked, "SPLIT_BYTES", 0)
         monkeypatch.setattr(forked, "SPLIT_CELLS", 0)
-        path = _write(tmp_path, "f1,f2\n" + "".join(ROWS))
+        path = write_input(tmp_path, "f1,f2\n" + "".join(ROWS))
         # recorded, not raised: os.fork may not let an "error" filter raise
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

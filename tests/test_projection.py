@@ -15,13 +15,6 @@ from ronsynth.projection import (
 
 
 class TestGenerateRon:
-    def test_orthonormal_columns(self):
-        rng = np.random.default_rng(0)
-        for m, p in [(5, 1), (10, 3), (50, 13), (120, 40)]:
-            proj = generate_ron(m, p, rng)
-            gram = proj.W.T @ proj.W
-            assert np.max(np.abs(gram - np.eye(p))) <= 1e-10
-
     def test_seeded_determinism_is_bitwise(self):
         a = generate_ron(30, 7, np.random.default_rng(123))
         b = generate_ron(30, 7, np.random.default_rng(123))
@@ -78,14 +71,6 @@ class TestGenerateRon:
 
 
 class TestProject:
-    def test_unit_norm_contracts_to_at_most_one(self):
-        rng = np.random.default_rng(4)
-        proj = generate_ron(25, 6, rng)
-        for _ in range(200):
-            x = rng.normal(size=(25, 1))
-            x /= np.linalg.norm(x)
-            assert np.linalg.norm(project(proj, x)) <= 1.0 + 1e-12
-
     def test_vector_in_span_keeps_norm(self):
         rng = np.random.default_rng(5)
         proj = generate_ron(12, 5, rng)
