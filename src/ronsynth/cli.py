@@ -6,10 +6,12 @@ without reading data. ``synth`` frees its input once
 
 Every flag whose value can be checked without the data has an argparse
 type built by one rule, ``_flag_type``, so a bad value is a usage error
-before any input is read. Only p < m for --dim and a --label-col that
-must be in the header are checked after the read. A release projects
-m >= 2 features to p < m dimensions: an input with fewer than two
-feature columns is a data error, and --m below 2 a usage error.
+before any input is read; so is an --epsilon that --mu-ratio splits into
+a share that rounds to zero, which ``split_budget`` refuses. Only p < m
+for --dim and a --label-col that must be in the header are checked after
+the read. A release projects m >= 2 features to p < m dimensions: an
+input with fewer than two feature columns is a data error, and --m below
+2 a usage error.
 
 Exit codes: 0 success, 1 usage error, a release that cannot be written
 or held in memory, or a closed stdout, 2 data error (a ``DataError``,
@@ -94,6 +96,9 @@ def _int_list(text: str) -> list[int]:
 
 
 _positive_finite = _flag_type(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+# the augmented covariance's sensitivity holds a^2
+_label_bound = _flag_type(float, lambda v: v > 0.0 and v * v < math.inf,
+                          "positive and finite, with a finite square")
 _open_unit = _flag_type(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
 # a release projects m features to 1 <= p < m dimensions
@@ -119,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fraction of the budget spent on the mean (default 0.3)")
     release.add_argument("--dim", type=_positive_int, default=None,
                          help="projected dimension p (default: dimension guidance)")
-    release.add_argument("--label-bound", type=_positive_finite, default=None,
+    release.add_argument("--label-bound", type=_label_bound, default=None,
                          help="supervised: bound a; labels are clipped to [-a, a]")
 
     synth = sub.add_parser("synth", parents=[release], help="generate a synthetic release",

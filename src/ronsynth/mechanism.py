@@ -54,12 +54,14 @@ def aug_cov_sensitivity(p: int, n: int, a: float) -> float:
 
     For labels in [-a, a]: the feature block contributes (p+1)/n as in
     ``cov_sensitivity``, the label column 2*a*sqrt(p)/n (sum_i |x_i y|
-    <= a*sqrt(p) per sample), and the corner |y^2 - y'^2|/n <= a^2/n.
+    <= a*sqrt(p) per sample), and the corner |y^2 - y'^2|/n <= a^2/n, so
+    a^2 must be finite too.
     """
     if p < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got p={p}, n={n}")
-    if not 0.0 < a < math.inf:
-        raise ValueError(f"label bound must be positive and finite, got a={a}")
+    if not (a > 0.0 and a * a < math.inf):
+        raise ValueError(f"label bound must be positive and finite, with a finite square, "
+                         f"got a={a}")
     return (p + 1.0 + 2.0 * a * math.sqrt(p) + a * a) / n
 
 
@@ -91,7 +93,8 @@ def split_budget(epsilon_total: float, mu_ratio: float = 0.3) -> tuple[float, fl
     epsilon_mu is then re-centered against it; the re-centering absorbs
     the subtraction's rounding so the two parts always sum back to
     epsilon_total bit-exactly. This is the one place a total budget is
-    checked: it must be positive and finite (NaN and infinity fail).
+    checked: it must be positive and finite (NaN and infinity fail), and
+    neither part may round to zero.
     """
     if not 0.0 < epsilon_total < math.inf:
         raise ValueError(f"epsilon_total must be positive and finite, got {epsilon_total}")
@@ -99,6 +102,10 @@ def split_budget(epsilon_total: float, mu_ratio: float = 0.3) -> tuple[float, fl
         raise ValueError(f"mu_ratio must lie in (0, 1), got {mu_ratio}")
     epsilon_sigma = epsilon_total - mu_ratio * epsilon_total
     epsilon_mu = epsilon_total - epsilon_sigma
+    if not (epsilon_mu > 0.0 and epsilon_sigma > 0.0):
+        raise ValueError(f"--epsilon {epsilon_total!r} split by --mu-ratio {mu_ratio!r} gives "
+                         f"a share that rounds to zero: epsilon_mu={epsilon_mu!r}, "
+                         f"epsilon_sigma={epsilon_sigma!r}")
     return epsilon_mu, epsilon_sigma
 
 

@@ -1,12 +1,14 @@
 """What the tests share, each defined once: the criteria's generators,
 the sensitivity checks' inputs, a CSV oracle that shares no code with the
-package's writer, and a preprocess spy. Like ``scorers``, it needs numpy alone.
+package's writer, a digit count of its cells, and a preprocess spy. Like
+``scorers``, it needs numpy alone.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 
 import numpy as np
 
@@ -53,6 +55,13 @@ def reference_csv(header, rows, spec=f".{dataset.RELEASE_DIGITS}g"):
     for row in rows:
         writer.writerow([c if isinstance(c, str) else format(float(c), spec) for c in row])
     return buf.getvalue().encode("utf-8")
+
+
+def significant_digits(cell):
+    """The significant digits of a number cell written with ``%g``."""
+    number = re.fullmatch(r"-?(\d+)(?:\.(\d+))?(?:e[+-]\d+)?", cell)
+    assert number, cell
+    return len((number[1] + (number[2] or "")).lstrip("0"))
 
 
 def write_input(tmp_path, text, name="in.csv"):

@@ -18,6 +18,7 @@ from ronsynth.cli import default_dim, main
 from ronsynth.dataset import Dataset, load_csv
 from ronsynth.mechanism import split_budget
 from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
+from reference import significant_digits
 
 REQUIRED_META_KEYS = {
     "mode", "m", "p", "n", "n_synth", "epsilon_total", "epsilon_mu",
@@ -216,9 +217,7 @@ class TestSynthCommand:
         cells = [cell for row in rows for cell in row.split(",")]
         assert cells == [format(v, ".9g")
                          for v in np.column_stack([release.features.T, release.labels]).flat]
-        for cell in cells:
-            number = re.fullmatch(r"-?(\d+)(?:\.(\d+))?(?:e[+-]\d+)?", cell)
-            assert number and len((number[1] + (number[2] or "")).lstrip("0")) <= 9, cell
+        assert [cell for cell in cells if significant_digits(cell) > 9] == []
         # projection.csv keeps 17 digits, so W reloads bit for bit
         W = np.loadtxt(os.path.join(out, "projection.csv"), delimiter=",", skiprows=1,
                        ndmin=2)
@@ -359,7 +358,8 @@ class TestSynthCommand:
         assert f"error: argument {flag}: must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["synth", "budget"])
-    @pytest.mark.parametrize("bound", ["nan", "inf", "0", "-1"])
+    # 1e200 is finite, but its square, in the augmented covariance's sensitivity, is not
+    @pytest.mark.parametrize("bound", ["nan", "inf", "0", "-1", "1e200"])
     def test_bad_label_bound_fails_before_reading_input(self, tmp_path, command, bound,
                                                         capsys):
         out = str(tmp_path / "rel")
@@ -635,7 +635,9 @@ class TestBudgetCommand:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("flags,query", [
-        (["--mode", "supervised", "--label-bound", "1e308"], "augmented_covariance"),
+        # a^2 = 1e308 is finite, but the covariance spend's epsilon is 7e-301
+        (["--mode", "supervised", "--label-bound", "1e154", "--epsilon", "1e-300"],
+         "augmented_covariance"),
         (["--epsilon", "1e-320"], "mean"),
     ], ids=["label-bound", "epsilon"])
     def test_a_plan_whose_noise_cannot_be_drawn_is_not_printed(self, flags, query, capsys):
@@ -669,6 +671,7 @@ def test_default_dim_uses_guidance_capped_by_m():
     (["--epsilon", "x"], "--epsilon"),
     (["--epsilon", "1_0"], "--epsilon"),
     (["--mu-ratio", "x"], "--mu-ratio"),
+    (["--mu-ratio", "1.5"], "--mu-ratio"),
     (["--seed", "x"], "--seed"),
     (["--seed", "\u0661"], "--seed"),
 ], ids=lambda value: " ".join(["synth", *value]) if isinstance(value, list) else None)
@@ -680,6 +683,26 @@ def test_data_free_flag_is_checked_before_reading(argv, flag, tmp_path, capsys):
     assert captured.out == ""
     assert "data error" not in captured.err
     assert flag in captured.err.strip().splitlines()[-1]
+    assert not (tmp_path / "rel").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "budget"])
+@pytest.mark.parametrize("epsilon,ratio,shares", [
+    ("1", "1e-17", "epsilon_mu=0.0, epsilon_sigma=1.0"),
+    ("5e-324", "0.3", "epsilon_mu=0.0, epsilon_sigma=5e-324"),
+    ("5e-324", "0.9", "epsilon_mu=5e-324, epsilon_sigma=0.0"),
+], ids=["mu share of 1", "mu share of 5e-324", "sigma share of 5e-324"])
+def test_a_budget_split_with_a_zero_share_fails_before_reading(command, epsilon, ratio,
+                                                               shares, tmp_path, capsys):
+    # each flag is in range, but one share of the split rounds to zero
+    args = ([str(tmp_path / "ghost.csv"), "--out", str(tmp_path / "rel")]
+            if command == "synth" else ["--m", "6", "--n", "200"])
+    # had the (missing) input been read first, the exit would be 2
+    assert main([command, *args, "--epsilon", epsilon, "--mu-ratio", ratio]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --epsilon {float(epsilon)!r} split by --mu-ratio "
+                            f"{float(ratio)!r} gives a share that rounds to zero: {shares}\n")
     assert not (tmp_path / "rel").exists()
 
 

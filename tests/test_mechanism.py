@@ -45,7 +45,8 @@ class TestSensitivities:
             aug_cov_sensitivity(4, 100, 0.0)
         with pytest.raises(ValueError):
             aug_cov_sensitivity(4, 100, -1.0)
-        for a in (math.inf, math.nan):
+        # a^2 must be finite too: 1e200 squares to inf
+        for a in (math.inf, math.nan, 1e200):
             with pytest.raises(ValueError, match="positive and finite"):
                 aug_cov_sensitivity(4, 100, a)
 

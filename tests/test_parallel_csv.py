@@ -3,7 +3,8 @@ one whole table's, results, with a forked child and without one.
 
 forked.SPLIT_BYTES and SPLIT_CELLS are monkeypatched to 0 to give small
 inputs two ranges and a child, and SPLIT_BYTES to a size no file reaches
-for one range. The reference write is ``reference.reference_csv``, the
+for one range; ``TestRealThresholds`` releases an input above both as
+they are. The reference write is ``reference.reference_csv``, the
 standard library's csv writer, row by row.
 """
 
@@ -22,7 +23,9 @@ import pytest
 from ronsynth import dataset, forked
 from ronsynth.cli import main
 from ronsynth.dataset import DataError, Dataset, load_csv, write_dataset_csv, write_matrix_csv
-from reference import reference_csv, write_input
+from ronsynth.mechanism import split_budget
+from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
+from reference import reference_csv, significant_digits, write_input
 
 NEVER = 1 << 62
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -570,3 +573,68 @@ class TestWriteFailure:
                      "--save-projection", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert os.listdir(tmp_path) == ["in.csv"]
+
+
+class TestRealThresholds:
+    """A seeded 4000 x 20 input, above forked.SPLIT_BYTES as it is, released
+    by the CLI in each mode with a table above SPLIT_CELLS: the input is
+    parsed, and data.csv written, in two processes, and the release is the
+    library's, byte for byte."""
+
+    FLAGS = {"unsupervised": [], "supervised": ["--label-col", "y", "--label-bound", "1"],
+             "gmm": ["--label-col", "c"]}
+    P, SAMPLES = 4, 10000
+
+    @pytest.fixture(scope="class")
+    def big_csv(self, tmp_path_factory):
+        x = np.random.default_rng(0).normal(size=(4000, 20))
+        x[:, 19] = x[:, 19] > 0
+        path = tmp_path_factory.mktemp("big") / "big.csv"
+        np.savetxt(path, x, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join([*(f"x{j}" for j in range(18)), "y", "c"]))
+        # about 1.5 MB; the smallest release table is unsupervised, P columns
+        assert os.path.getsize(path) > forked.SPLIT_BYTES
+        assert self.SAMPLES * self.P > forked.SPLIT_CELLS
+        return str(path)
+
+    @pytest.mark.parametrize("mode", FLAGS)
+    def test_a_release_is_the_library_s_in_two_processes(self, big_csv, tmp_path, waits, mode):
+        outs = [tmp_path / "one", tmp_path / "two"]
+        # a raw Python warning, numpy's or a fork's, fails the release
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for out in outs:
+                assert main(["synth", big_csv, "--mode", mode, *self.FLAGS[mode],
+                             "--dim", str(self.P), "--samples", str(self.SAMPLES),
+                             "--seed", "1", "--save-projection", "--out", str(out)]) == 0
+        # a child parsed the input's second half, and wrote data.csv's; this
+        # process wrote all of projection.csv, a table of m x P cells
+        assert waits == [True, True, False] * len(outs)
+        # the child's half came back through a file without a name
+        for out in outs:
+            assert sorted(os.listdir(out)) == ["data.csv", "metadata.json", "projection.csv"]
+        one, two = ({name: (out / name).read_bytes() for name in ("data.csv", "projection.csv")}
+                    for out in outs)
+        assert one == two
+
+        # synth measures, frees its input, then synthesizes: synth_* gives the same bytes
+        budget, rng = split_budget(1.0, 0.3), np.random.default_rng(1)
+        if mode == "unsupervised":
+            release = synth_unsupervised(load_csv(big_csv), self.P, *budget,
+                                         n_synth=self.SAMPLES, rng=rng)
+        elif mode == "supervised":
+            release = synth_supervised(load_csv(big_csv, "y", "real"), self.P, *budget, 1.0,
+                                       n_synth=self.SAMPLES, rng=rng)
+        else:
+            release = synth_gmm(load_csv(big_csv, "c", "categorical"), self.P, *budget,
+                                per_class_n_synth=self.SAMPLES, rng=rng)
+        with open(write_dataset_csv(release.dataset, str(tmp_path / "lib.csv")), "rb") as fh:
+            assert fh.read() == one["data.csv"]
+
+        # every released number has at most 9 significant digits
+        header, *rows = csv.reader(io.StringIO(one["data.csv"].decode("utf-8"), newline=""))
+        width = len(header) - (header[-1] == "class")
+        assert [c for row in rows for c in row[:width] if significant_digits(c) > 9] == []
+        # projection.csv keeps W orthonormal
+        W = np.loadtxt(io.BytesIO(one["projection.csv"]), delimiter=",", skiprows=1, ndmin=2)
+        assert np.abs(W.T @ W - np.eye(self.P)).max() < 1e-12

@@ -29,7 +29,7 @@ from ronsynth.synthesis import (
     synthesize,
     transform_features,
 )
-from reference import spy_preprocess, upper_l1
+from reference import spy_preprocess, unit_columns, upper_l1
 
 
 class TestEstimateCov:
@@ -547,6 +547,56 @@ class TestEmpiricalSensitivity:
         # the triangle by (p - 2)/p + (p + 1)/2, 5.25 of the bound's 9 at p = 8
         assert ratios[0][0] == pytest.approx(1.0, abs=ROUNDING_ALLOWANCE)
         assert ratios[1][1] == pytest.approx(5.25 / 9, abs=ROUNDING_ALLOWANCE)
+
+    @pytest.mark.parametrize("mode", ["unsupervised", "supervised"])
+    def test_one_class_release_moves_by_at_most_its_ledger(self, monkeypatch, mode):
+        # measure, noise off, on D and on D' that replaces sample j; the
+        # supervised label goes from 3a to -3a, which the clip must bound
+        m, p, n, j, seed, a = 20, 8, 23, 15, 3, 1.0
+        rng = np.random.default_rng(2)
+        X, y = rng.normal(size=(m, n)), rng.uniform(-2 * a, 2 * a, n)
+        label_bound = a if mode == "supervised" else None
+
+        def measured(column, label):
+            features, labels = X.copy(), y.copy()
+            features[:, j], labels[j] = column, label
+            data = Dataset(features=features, labels=labels if label_bound else None)
+            return measure(data, p, math.inf, math.inf, np.random.default_rng(seed),
+                           label_bound)
+
+        # the exact mean: x against -x reaches its bound at x = 1/sqrt(m)
+        x = np.full(m, 1 / math.sqrt(m))
+        D, D2 = measured(x, 3 * a), measured(-x, -3 * a)
+        mean = D.ledger.entries[0]
+        assert mean.query == "mean"
+        mean_ratio = float(np.abs(D.mu_dp - D2.mu_dp).sum()) / mean.sensitivity
+        assert mean_ratio == pytest.approx(1.0, abs=ROUNDING_ALLOWANCE)
+
+        # the covariance is private given the released mean (adaptive
+        # composition), so both runs take one fixed mean mu
+        mu = 0.5 * unit_columns(rng, m, 1)[:, 0]
+        monkeypatch.setattr(preprocessing, "_release_mean", lambda mean, spend, rng: mu)
+        W = measured(X[:, j], y[j]).projection.W
+
+        def sample(v):
+            # x = mu + t W v, t > 0 for unit norm, centres and projects to v
+            b = float(mu @ W @ v)
+            return mu + (math.sqrt(b * b + 1 - float(mu @ mu)) - b) * (W @ v)
+
+        ones, e1 = np.full(p, 1 / math.sqrt(p)), np.eye(p)[0]
+        ratios = []
+        for v, w in [(ones, -ones), (ones, e1)]:
+            D, D2 = measured(sample(v), 3 * a), measured(sample(w), -3 * a)
+            assert np.array_equal(D.projection.W, W) and np.array_equal(D2.projection.W, W)
+            cov = D.ledger.entries[1]
+            assert cov.query == ("augmented_covariance" if label_bound else "covariance")
+            ratios.append(upper_l1(D.moments[0] - D2.moments[0]) / cov.sensitivity)
+        assert max(ratios) <= 1 + ROUNDING_ALLOWANCE
+        # 1/sqrt(p) against e1 moves the feature block by 5.25 (see the gmm
+        # test), and the label column, at labels clipped to a and -a, by
+        # a * sum|v_i + w_i| = a (sqrt(p) + 1)
+        gap = 5.25 + (a * (math.sqrt(p) + 1) if label_bound else 0.0)
+        assert ratios[1] == pytest.approx(gap / n / cov.sensitivity, abs=ROUNDING_ALLOWANCE)
 
 
 class TestTransforms:
