@@ -191,6 +191,9 @@ class BudgetLedger:
 # parallel-composition group tags of the per-class (gmm) spends
 GMM_MEAN_GROUP = "class_mean"
 GMM_COV_GROUP = "class_cov"
+# laplace_perturb's u lies on a 2**-53 grid, so 1 - 2|u| >= 2**-52 and
+# every draw is below -ln(2**-52) * b < LAPLACE_DRAW_BOUND * b
+LAPLACE_DRAW_BOUND = 37.0
 
 
 def record_spends(ledger: BudgetLedger, m: int, p: int, n: int, epsilon_mu: float,
@@ -204,12 +207,28 @@ def record_spends(ledger: BudgetLedger, m: int, p: int, n: int, epsilon_mu: floa
     go in the parallel-composition groups. Releases and ``ronsynth
     budget`` account only here. Returns both entries; every draw takes
     its scale from its entry's ``noise_scale``.
+
+    A spend whose draws float64 cannot carry is refused (ValueError)
+    before any draw. The mean's d coordinates are squared and summed
+    (||mu||^2 in the one-class chart, mu muᵀ in a gmm mode), so d times
+    the square of its largest draw must be finite. The covariance's
+    draws are only added, decomposed and square-rooted, so d_cov times
+    its largest draw, a row sum of its d_cov x d_cov matrix, must be.
     """
     groups = (GMM_MEAN_GROUP, GMM_COV_GROUP) if per_class else (None, None)
-    mean = ledger.record("mean", mean_sensitivity(p if per_class else m, n), epsilon_mu,
-                         group=groups[0])
+    d = p if per_class else m
+    mean = ledger.record("mean", mean_sensitivity(d, n), epsilon_mu, group=groups[0])
     if label_bound is None:
-        query, sensitivity = "covariance", cov_sensitivity(p, n)
+        query, sensitivity, d_cov = "covariance", cov_sensitivity(p, n), p
     else:
         query, sensitivity = "augmented_covariance", aug_cov_sensitivity(p, n, label_bound)
-    return mean, ledger.record(query, sensitivity, epsilon_sigma, group=groups[1])
+        d_cov = p + 1
+    cov = ledger.record(query, sensitivity, epsilon_sigma, group=groups[1])
+    mean_draw = LAPLACE_DRAW_BOUND * mean.noise_scale
+    cov_draw = LAPLACE_DRAW_BOUND * cov.noise_scale
+    for entry, largest_sum in ((mean, d * mean_draw * mean_draw), (cov, d_cov * cov_draw)):
+        if not largest_sum < math.inf:
+            raise ValueError(f"{entry.query} spend: sensitivity {entry.sensitivity!r} / "
+                             f"epsilon {entry.epsilon!r} gives a noise scale "
+                             f"{entry.noise_scale!r} too large for float64")
+    return mean, cov

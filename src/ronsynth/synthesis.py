@@ -32,7 +32,6 @@ from .preprocessing import chart, inverse_norms, preprocess
 # project is unused, but perfbench/tracer.py wraps it in this module
 from .projection import RonProjection, generate_ron, project  # noqa: F401
 
-PSD_TOL = 1e-10
 # columns that sample_gaussian transforms in place at a time
 SAMPLE_BLOCK = 4096
 
@@ -133,8 +132,7 @@ def estimate_cov(X_tilde: np.ndarray) -> np.ndarray:
     if X_tilde.ndim != 2 or X_tilde.shape[1] < 1:
         raise ValueError(f"expected a p x n matrix with n >= 1, got shape {X_tilde.shape}")
     n = X_tilde.shape[1]
-    S = (X_tilde @ X_tilde.T) / n
-    return (S + S.T) / 2.0
+    return (X_tilde @ X_tilde.T) / n
 
 
 def estimate_aug_cov(X_tilde: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -182,12 +180,14 @@ def dp_perturb_cov(cov: np.ndarray, spend: LedgerEntry,
 
 
 def psd_repair(cov: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Clip negative eigenvalues to zero.
+    """Clip negative eigenvalues to zero: a release's one PSD step.
 
     Returns the repaired matrix and whether any clipping happened. An
     already-compliant matrix is returned unchanged. Spectral clipping
     is the minimal-change projection onto the PSD cone and, being
-    post-processing of a DP quantity, is free.
+    post-processing of a DP quantity, is free. The rebuilt matrix is PSD
+    up to rounding that grows with its largest eigenvalue, which
+    ``sample_gaussian`` clips.
     """
     cov = np.asarray(cov, dtype=float)
     if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
@@ -204,17 +204,16 @@ def sample_gaussian(model: GaussianModel, n_synth: int,
     """Draw n_synth columns from N(model.mean, model.covariance).
 
     Uses an eigendecomposition square root, so singular (rank-deficient)
-    covariances are handled without a Cholesky failure. The standard
-    normal draw is overwritten by its samples, SAMPLE_BLOCK columns at a
-    time, so one d x n_synth array is held.
+    covariances are handled without a Cholesky failure. The covariance
+    is taken to be ``psd_repair``'s output, which alone decides its
+    spectrum: a negative eigenvalue is that repair's rounding and is
+    clipped to zero, not tested. The standard normal draw is overwritten
+    by its samples, SAMPLE_BLOCK columns at a time, so one d x n_synth
+    array is held.
     """
     if n_synth < 1:
         raise ValueError(f"n_synth must be positive, got {n_synth}")
     eigvals, eigvecs = np.linalg.eigh(model.covariance)
-    if eigvals.min() < -PSD_TOL:
-        raise ValueError(
-            f"covariance is not PSD (min eigenvalue {eigvals.min():.3e}); run psd_repair"
-        )
     root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
     z = rng.standard_normal((model.dim, n_synth))
     for start in range(0, n_synth, SAMPLE_BLOCK):

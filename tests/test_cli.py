@@ -16,7 +16,7 @@ import ronsynth
 from ronsynth import cli, dataset, preprocessing, synthesis
 from ronsynth.cli import default_dim, main
 from ronsynth.dataset import Dataset, load_csv
-from ronsynth.mechanism import split_budget
+from ronsynth.mechanism import BudgetLedger, record_spends, split_budget
 from ronsynth.synthesis import synth_gmm, synth_supervised, synth_unsupervised
 from reference import significant_digits
 
@@ -634,19 +634,25 @@ class TestBudgetCommand:
         assert main(["budget", "--epsilon", eps, "--m", "6", "--n", "200"]) == 1
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("flags,query", [
+    @pytest.mark.parametrize("flags,query,scale", [
         # a^2 = 1e308 is finite, but the covariance spend's epsilon is 7e-301
         (["--mode", "supervised", "--label-bound", "1e154", "--epsilon", "1e-300"],
-         "augmented_covariance"),
-        (["--epsilon", "1e-320"], "mean"),
-    ], ids=["label-bound", "epsilon"])
-    def test_a_plan_whose_noise_cannot_be_drawn_is_not_printed(self, flags, query, capsys):
-        # a noise scale of sensitivity / epsilon = inf, which JSON cannot hold either
+         "augmented_covariance", "that is not finite"),
+        (["--epsilon", "1e-320"], "mean", "that is not finite"),
+        # finite scales, but the squared mean or a covariance row sum overflows
+        (["--epsilon", "1e-300"], "mean", r"\S+ too large for float64"),
+        (["--mode", "supervised", "--label-bound", "1e100", "--epsilon", "1e-108"],
+         "augmented_covariance", r"\S+ too large for float64"),
+    ], ids=["label-bound", "epsilon", "mean-overflow", "augmented-covariance-overflow"])
+    def test_a_plan_whose_noise_cannot_be_drawn_is_not_printed(self, flags, query, scale,
+                                                               capsys):
+        # a noise scale of sensitivity / epsilon = inf, which JSON cannot hold
+        # either, or one whose draws overflow float64 arithmetic
         assert main(["budget", *flags, "--m", "5", "--n", "10"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(f"error: {query} spend: sensitivity .* gives a noise scale "
-                            f"that is not finite\n", captured.err)
+                            f"{scale}\n", captured.err)
 
 
 def test_default_dim_uses_guidance_capped_by_m():
@@ -736,6 +742,76 @@ def test_data_fault_found_after_the_parse_is_a_data_error(text, flags, message, 
     assert captured.out == ""
     assert captured.err == f"data error: {message}\n"
     assert not out.exists()
+
+
+def smallest_accepted_epsilon(m, p, sizes, label_bound=None, per_class=False):
+    """The smallest --epsilon whose spends ``record_spends`` accepts, to 1 part in 1e12."""
+    def accepted(epsilon):
+        ledger = BudgetLedger()
+        try:
+            for n in sizes:
+                record_spends(ledger, m, p, n, *split_budget(epsilon), label_bound, per_class)
+        except ValueError:
+            return False
+        return True
+
+    lo, hi = 5e-324, 1.0  # refused, accepted
+    while hi > lo * (1.0 + 1e-12):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("source,flags,query", [
+    ("numeric_csv", [], "mean"),
+    ("labeled_csv", ["--mode", "supervised", "--label-col", "y", "--label-bound", "2"], "mean"),
+    ("labeled_csv", ["--mode", "supervised", "--label-col", "y", "--label-bound", "1e100"],
+     "augmented_covariance"),
+    ("classed_csv", ["--mode", "gmm", "--label-col", "cls"], "mean"),
+], ids=["unsupervised", "supervised", "supervised-wide-bound", "gmm"])
+def test_the_smallest_accepted_epsilon_releases_and_a_smaller_one_is_refused(
+        source, flags, query, request, tmp_path, capsys):
+    path = request.getfixturevalue(source)
+    label_bound = float(flags[5]) if "supervised" in flags else None
+    gmm = "gmm" in flags
+    data = load_csv(path, label_column=flags[3] if flags else None,
+                    label_kind="real" if label_bound else "categorical" if gmm else None)
+    m, p = data.n_features, 2
+    sizes = (np.unique(data.class_labels, return_counts=True)[1].tolist() if gmm
+             else [data.n_samples])
+    threshold = smallest_accepted_epsilon(m, p, sizes, label_bound, gmm)
+    argv = ["synth", path, *flags, "--dim", str(p), "--seed", "3"]
+
+    above = tmp_path / "above"
+    assert main([*argv, "--epsilon", repr(threshold * (1 + 1e-9)), "--out", str(above)]) == 0
+    captured = capsys.readouterr()
+    assert "Warning" not in captured.err
+    cells = np.loadtxt(above / "data.csv", delimiter=",", skiprows=1,
+                       usecols=range(p + (label_bound is not None)))
+    assert cells.shape[0] == data.n_samples and np.all(np.isfinite(cells))
+
+    below = tmp_path / "below"
+    assert main([*argv, "--epsilon", repr(threshold * (1 - 1e-9)), "--out", str(below)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {query} spend: sensitivity .* too large for float64\n",
+                        captured.err)
+    assert not below.exists()
+
+
+@pytest.mark.parametrize("bound", ["1e6", "1e8", "1e100"])
+def test_a_large_label_bound_releases(bound, tmp_path):
+    # psd_repair's rounding grows with the largest eigenvalue, near a^2:
+    # the sampler clips it instead of refusing the release
+    rng = np.random.default_rng(0)
+    path = tmp_path / "in.csv"
+    np.savetxt(path, rng.normal(size=(200, 6)), fmt="%.6f", delimiter=",",
+               header="a,b,c,d,e,f", comments="")
+    out = tmp_path / "rel"
+    assert main(["synth", str(path), "--mode", "supervised", "--label-col", "e", "--seed", "1",
+                 "--dim", "2", "--label-bound", bound, "--out", str(out)]) == 0
+    cells = np.loadtxt(out / "data.csv", delimiter=",", skiprows=1)
+    assert cells.shape == (200, 3) and np.all(np.isfinite(cells))
 
 
 def test_closed_stdout_ends_the_run_without_a_message(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ronsynth.mechanism import (
+    LAPLACE_DRAW_BOUND,
     BudgetLedger,
     aug_cov_sensitivity,
     cov_sensitivity,
@@ -102,6 +103,17 @@ class TestLaplacePerturb:
         noise = laplace_perturb(np.zeros(3), 1.0, rng)
         assert rng.sizes == [(3,), 3]
         assert np.array_equal(noise, np.full(3, -math.log(0.5)))
+
+    def test_largest_draws_are_below_the_draw_bound(self):
+        class Extremes:
+            """A generator that draws the two ends of its 2**-53 grid's usable range."""
+
+            def random(self, size):
+                return np.array([2.0 ** -53, 1.0 - 2.0 ** -53])
+
+        noise = laplace_perturb(np.zeros(2), 1.0, Extremes())
+        assert noise[0] == -noise[1] == pytest.approx(-52 * math.log(2), rel=1e-15)
+        assert np.all(np.abs(noise) < LAPLACE_DRAW_BOUND)
 
 
 class TestSplitBudget:

@@ -42,9 +42,11 @@ class TestEstimateCov:
         assert np.array_equal(estimate_cov(X), 0.5 * np.eye(2))
 
     def test_exactly_symmetric(self):
+        # X Xᵀ is exactly symmetric whatever X's memory layout
         X = np.random.default_rng(0).normal(size=(6, 40))
-        S = estimate_cov(X)
-        assert np.array_equal(S, S.T)
+        for layout in (X, np.asfortranarray(X), X.T, X[:, ::3]):
+            S = estimate_cov(layout)
+            assert np.array_equal(S, S.T)
 
     def test_no_mean_subtraction(self):
         # shifting all samples by a constant must shift the estimate:
@@ -162,10 +164,21 @@ class TestSampleGaussian:
         # samples live on the rank-1 line
         assert np.linalg.matrix_rank(draws @ draws.T, tol=1e-8) == 1
 
-    def test_rejects_indefinite_covariance(self):
-        model = GaussianModel(np.zeros(2), np.diag([1.0, -0.5]))
-        with pytest.raises(ValueError, match="PSD"):
-            sample_gaussian(model, 10, np.random.default_rng(12))
+    def test_repaired_covariance_is_clipped_not_tested(self):
+        # psd_repair's rebuild of a spectrum spanning 1e12 leaves rounding
+        # far below zero in absolute terms; the sampler clips it and draws
+        # mean + (V sqrt(max(lambda, 0))) z
+        rng = np.random.default_rng(2)
+        Q = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+        cov = (Q * np.array([-1.0, 1e-3, 1.0, 1e6, 1e12])) @ Q.T
+        cov, applied = psd_repair((cov + cov.T) / 2)
+        assert applied
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        assert eigvals.min() < -1e-10
+        model = GaussianModel(rng.normal(size=5), cov)
+        z = np.random.default_rng(12).standard_normal((5, 50))
+        expected = model.mean[:, None] + (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ z
+        assert np.array_equal(sample_gaussian(model, 50, np.random.default_rng(12)), expected)
 
     def test_blocks_match_one_product_bit_for_bit(self):
         # the draw is transformed in place block by block; at a count
